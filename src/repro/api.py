@@ -67,6 +67,7 @@ from .experiments.harness import ResultCache, RunResult, run_grid
 from .profiles import CalibrationResult, calibrate, ingest_traces
 from .profiling import LayerNoiseModel, NoiseModel, ProfileError, load_chain
 from .robust import Certificate, RobustnessReport, certify_pattern, robustness_report
+from .runtime import BACKOFF_CAP_S
 from .testing import faults
 
 __all__ = [
@@ -615,7 +616,7 @@ def serve(
     instance_timeout: float | None = None,
     max_retries: int = 2,
     retry_backoff_s: float = 0.5,
-    backoff_cap_s: float = 30.0,
+    backoff_cap_s: float = BACKOFF_CAP_S,
     max_pool_restarts: int = 8,
     warm_start: bool = True,
     seed: int = 0,
@@ -628,8 +629,9 @@ def serve(
     ``store``), coalesces identical concurrent requests into one solve,
     and runs cache misses on a bounded worker pool (``max_workers``
     processes; ``0`` solves inline on the event loop's thread pool) with
-    the sweep harness's per-request deadline/retry/backoff machinery and
-    the warm-start context active inside workers.  Served plans are
+    the per-request deadline/retry/backoff of :mod:`repro.runtime` (the
+    execution core the sweep shares) and the warm-start context active
+    inside workers.  Served plans are
     bit-identical — in the :meth:`PlanResult.to_json` sense — to direct
     cold :func:`plan` calls.
 

@@ -27,46 +27,45 @@ Sweeps are built to *survive*:
 
 * :func:`run_grid` fans uncached instances out over a
   ``ProcessPoolExecutor`` when ``n_workers > 1``, retries crashed or
-  timed-out instances with exponential backoff and jitter
+  timed-out instances with exponential backoff and seeded jitter
   (``max_retries``), restarts the pool after a hard worker death
   (``BrokenProcessPool``), enforces a per-instance deadline *inside*
-  the worker (``instance_timeout``, SIGALRM), and flushes the cache on
-  the way out even when interrupted — a sweep killed mid-run resumes
-  from the cache and re-runs only missing (and, with
-  ``retry_failed=True``, previously failed) instances;
+  the worker (``instance_timeout``), and flushes the cache on the way
+  out even when interrupted — a sweep killed mid-run resumes from the
+  cache and re-runs only missing (and, with ``retry_failed=True``,
+  previously failed) instances.  Each attempt runs through
+  :func:`repro.runtime.run_attempt`, the execution core the plan
+  service shares;
 * :class:`ResultCache` persists results to an *append-only* JSON-Lines
-  file with fsync'd batched appends; legacy JSON-array caches are
-  migrated atomically (temp file + rename), corrupt or truncated
-  trailing lines are quarantined on load (the valid prefix is recovered
-  and the dropped lines are logged and copied to a ``.quarantine``
-  sidecar), and :func:`verify_cache` audits a cache file without
+  file through :class:`repro.jsonl.JsonlCache` (fsync'd batched
+  appends, quarantine of corrupt lines into a ``.quarantine`` sidecar);
+  legacy JSON-array caches are migrated atomically (temp file +
+  rename), and :func:`verify_cache` audits a cache file without
   touching it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import logging
 import math
-import os
 import random
-import signal
-import sys
-import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .. import obs, warmstart
+from .. import obs
 from ..algorithms.madpipe import madpipe
 from ..algorithms.madpipe_dp import Discretization
 from ..algorithms.pipedream import pipedream
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
+from ..jsonl import JsonlCache, parse_lines, strict_loads
 from ..robust import certify_pattern
+from ..runtime import InstanceTimeoutError, backoff_delay, run_attempt
 from ..testing import faults
 from .scenarios import paper_chain
 
@@ -85,8 +84,6 @@ __all__ = [
 ]
 
 INF = float("inf")
-
-log = logging.getLogger(__name__)
 
 #: The failure taxonomy; ``RunResult.status`` is always one of these.
 RESULT_STATUSES = ("ok", "degraded", "solver_timeout", "infeasible", "error")
@@ -111,10 +108,6 @@ class SweepInstanceError(Exception):
         self.spec = spec
         self.attempts = attempts
         self.cause = cause
-
-
-class InstanceTimeoutError(RuntimeError):
-    """A worker blew its per-instance deadline (``instance_timeout``)."""
 
 
 @dataclass
@@ -244,163 +237,37 @@ def _spec_key(spec: tuple) -> str:
     return "|".join(str(s) for s in spec)
 
 
-@contextmanager
-def _deadline(seconds: float | None, spec: tuple):
-    """Enforce a wall-clock deadline inside the current (worker) process.
-
-    On the POSIX main thread this uses ``SIGALRM``, so it interrupts even
-    a HiGHS solve stuck inside C code between Python byte codes.  Off the
-    main thread (the plan service's ``max_workers=0`` inline mode solves
-    on the event loop's thread pool) a watchdog thread arms instead and
-    delivers :class:`InstanceTimeoutError` asynchronously — that fires
-    only between byte codes, so it cannot cut short a wedged C call, but
-    it bounds every pure-Python solve instead of silently doing nothing.
-    """
-    if not seconds or seconds <= 0:
-        yield
-        return
-    if os.name == "posix" and threading.current_thread() is threading.main_thread():
-
-        def _alarm(signum, frame):
-            raise InstanceTimeoutError(
-                f"instance {spec!r} exceeded its {seconds:g}s deadline"
-            )
-
-        old_handler = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
-        return
-
-    with _thread_deadline(seconds, spec):
-        yield
-
-
-@contextmanager
-def _thread_deadline(seconds: float, spec: tuple):
-    """Wall-clock deadline for non-main-thread callers.
-
-    A watchdog thread waits ``seconds``; if the protected block is still
-    running it schedules :class:`InstanceTimeoutError` in the target
-    thread via ``PyThreadState_SetAsyncExc`` (the same mechanism behind
-    ``KeyboardInterrupt`` delivery).  The exit path runs under a lock so
-    the watchdog can never fire into code *after* the block; a pending
-    async exception that did not surface in time is cancelled.
-    """
-    import ctypes
-
-    tid = threading.get_ident()
-    cancel = threading.Event()
-    lock = threading.Lock()
-    fired = False
-
-    def _watchdog() -> None:
-        nonlocal fired
-        if cancel.wait(seconds):
-            return
-        with lock:
-            if cancel.is_set():
-                return
-            fired = True
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(tid), ctypes.py_object(InstanceTimeoutError)
-            )
-
-    watchdog = threading.Thread(
-        target=_watchdog, name="repro-deadline", daemon=True
-    )
-    watchdog.start()
-    try:
-        yield
-    except InstanceTimeoutError as exc:
-        if exc.args:
-            raise
-        raise InstanceTimeoutError(
-            f"instance {spec!r} exceeded its {seconds:g}s deadline"
-        ) from None
-    finally:
-        with lock:
-            cancel.set()
-            if fired and sys.exc_info()[0] is None:
-                # the async exception is scheduled but has not surfaced
-                # yet: withdraw it so it cannot detonate downstream
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                    ctypes.c_ulong(tid), None
-                )
-        watchdog.join(timeout=1.0)
-
-
 def _run_spec(
     spec: tuple,
-    grid: Discretization | None,
-    iterations: int,
-    ilp_time_limit: float,
-    instance_timeout: float | None = None,
-    observe: bool = False,
-    warm_start: bool = False,
-    schedule_family: str = "1f1b",
-):
+    *,
+    timeout: float | None,
+    warm_start: bool,
+    spans: bool,
+    **solver_opts,
+) -> tuple[RunResult, dict, list]:
     """Worker entry point: rebuild the (cached-per-process) chain from the
-    network name and run one instance.  Must stay module-level picklable.
-
-    With ``observe=True`` the instance runs under a fresh trace + metrics
-    registry and the return value is a ``(RunResult, counts, spans)``
-    triple — plain dicts/lists so it pickles across the process pool and
-    the parent can merge counters / append spans deterministically.
-
-    With ``warm_start=True`` the instance solves against the per-process
-    warm-start database (:mod:`repro.warmstart`) — shared across a serial
-    sweep's instances, and per worker process under the pool.  With
-    ``warm_start=False`` the database is explicitly masked, so cold
-    sweeps stay cold even after warm ones ran in the same process.
-    """
+    network name and run one instance through
+    :func:`repro.runtime.run_attempt` (fault site ``worker``, keyed by
+    spec).  Module-level, so a bound ``functools.partial`` of it pickles
+    across the process pool.  The warm-start database is per process:
+    shared across a serial sweep, per worker under the pool."""
     network, p, m, b, algo = spec
-
-    def _run() -> RunResult:
-        with _deadline(instance_timeout, spec):
-            # inside the deadline, so a "sleep" fault models a hung solve
-            faults.fire("worker", key=_spec_key(spec))
-            return run_instance(
-                paper_chain(network),
-                Platform.of(p, m, b),
-                algo,
-                network=network,
-                grid=grid,
-                iterations=iterations,
-                ilp_time_limit=ilp_time_limit,
-                schedule_family=schedule_family,
-            )
-
-    with warmstart.activate(warm_start):
-        if not observe:
-            return _run()
-        trace = obs.Trace(_spec_key(spec))
-        registry = obs.MetricsRegistry()
-        with obs.use_trace(trace), obs.use_metrics(registry):
-            result = _run()
-        return result, registry.snapshot(), [s.to_dict() for s in trace.roots]
+    return run_attempt(
+        lambda: run_instance(
+            paper_chain(network), Platform.of(p, m, b), algo,
+            network=network, **solver_opts,
+        ),
+        spec=spec, timeout=timeout, warm=warm_start,
+        site="worker", key=_spec_key(spec), spans=spans,
+    )
 
 
 def _error_result(spec: tuple, exc: BaseException) -> RunResult:
     """Typed stand-in for an instance that exhausted its retries."""
-    network, p, m, b, algo = spec
     status = "solver_timeout" if isinstance(exc, InstanceTimeoutError) else "error"
     return RunResult(
-        network=network,
-        n_procs=p,
-        memory_gb=m,
-        bandwidth_gbps=b,
-        algorithm=algo,
-        dp_period=INF,
-        valid_period=INF,
-        n_stages=0,
-        runtime_s=0.0,
-        sequential=0.0,
-        status=status,
-        failure=f"{type(exc).__name__}: {exc}",
+        *spec, dp_period=INF, valid_period=INF, n_stages=0, runtime_s=0.0,
+        sequential=0.0, status=status, failure=f"{type(exc).__name__}: {exc}",
     )
 
 
@@ -441,11 +308,14 @@ def run_grid(
     Resilience knobs:
 
     * ``instance_timeout`` — wall-clock deadline per instance, enforced
-      with ``SIGALRM`` inside the worker;
+      with :func:`repro.runtime.deadline` inside the worker;
     * ``max_retries`` — each crashed or timed-out instance is retried
-      this many times, in rounds with exponential backoff and jitter; a
-      hard worker death (``BrokenProcessPool``) restarts the pool and
-      charges one attempt to every unfinished instance of the round;
+      this many times, in rounds with :func:`repro.runtime.backoff_delay`
+      (capped at ``BACKOFF_CAP_S``, jitter seeded per call so replays
+      sleep the same delays); a hard worker death (``BrokenProcessPool``)
+      restarts the pool and charges one attempt to every unfinished
+      instance of the round, so a sweep rebuilds its pool at most
+      ``max_retries + 1`` times;
     * ``on_exhausted`` — ``"raise"`` (default) raises
       :class:`SweepInstanceError` identifying the failing spec once its
       retries are spent; ``"record"`` stores a typed ``error`` /
@@ -493,7 +363,6 @@ def run_grid(
         for m in memories_gb
         for algo in algorithms
     ]
-    observe = trace_path is not None or obs.active_metrics() is not None
     out: list[RunResult | None] = [None] * len(specs)
     remaining: set[int] = set()
     primary: dict[tuple, int] = {}  # spec -> first index solving it
@@ -519,25 +388,7 @@ def run_grid(
     n_recorded = 0
     trace_fh = None  # one handle for the sweep, opened on first record
 
-    def unwrap(payload) -> RunResult:
-        """Fold an observed worker's (result, counts, spans) triple back
-        into the parent: merge counters, append the instance's spans."""
-        nonlocal trace_fh
-        if not observe or isinstance(payload, RunResult):
-            return payload
-        result, counts, spans = payload
-        registry = obs.active_metrics()
-        if registry is not None:
-            registry.merge(counts)
-        if trace_path is not None and spans:
-            line = json.dumps({"spec": list(result.key), "spans": spans})
-            if trace_fh is None:
-                trace_fh = open(trace_path, "a")
-            trace_fh.write(line + "\n")
-            trace_fh.flush()
-        return result
-
-    def record(i: int, r: RunResult) -> None:
+    def finish(i: int, r: RunResult) -> None:
         nonlocal n_recorded
         out[i] = r
         if cache is not None:
@@ -551,9 +402,6 @@ def run_grid(
                 f"[{r.status}] ({r.runtime_s:.1f}s)"
             )
         faults.fire("sweep_record", key=str(n_recorded))
-
-    def finish(i: int, r: RunResult) -> None:
-        record(i, r)
         remaining.discard(i)
         for j in dup_map.get(i, ()):  # duplicates share the result (no re-put:
             out[j] = r  # a second cache.put of the same key forces a rewrite)
@@ -576,13 +424,39 @@ def run_grid(
         else:
             raise SweepInstanceError(specs[i], attempts[i], exc) from exc
 
+    def settle(i: int, call) -> None:
+        """Collect one attempt — a call or a future's ``result`` — and book
+        it: merge its counters, append its spans, record the result; or
+        charge the failure."""
+        nonlocal trace_fh
+        try:
+            r, counts, spans = call()
+            registry = obs.active_metrics()
+            if registry is not None:
+                registry.merge(counts)
+            if spans:
+                if trace_fh is None:
+                    trace_fh = open(trace_path, "a")
+                trace_fh.write(json.dumps({"spec": list(r.key), "spans": spans}) + "\n")
+                trace_fh.flush()
+            finish(i, r)
+        except (BrokenProcessPool, SweepInstanceError):
+            raise
+        except Exception as exc:
+            fail(i, exc)
+
+    attempt = functools.partial(
+        _run_spec, timeout=instance_timeout, warm_start=warm_start,
+        spans=trace_path is not None, grid=grid, iterations=iterations,
+        ilp_time_limit=ilp_time_limit, schedule_family=schedule_family,
+    )
+    rng = random.Random(0)  # seeded jitter: same delays on every replay
     pool_ok = n_workers > 1
     round_no = 0
     try:
         while remaining:
             if round_no > 0:  # back off with jitter before any retry round
-                delay = min(retry_backoff_s * 2 ** (round_no - 1), 30.0)
-                time.sleep(delay * (1.0 + 0.25 * random.random()))
+                time.sleep(backoff_delay(round_no, retry_backoff_s, rng))
             round_no += 1
             batch = sorted(remaining)
             if warm_start:
@@ -595,70 +469,29 @@ def run_grid(
                         -specs[i][2], i,
                     )
                 )
-            if pool_ok and len(batch) > 1:
-                try:
-                    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                        futures = {
-                            pool.submit(
-                                _run_spec,
-                                specs[i],
-                                grid,
-                                iterations,
-                                ilp_time_limit,
-                                instance_timeout,
-                                observe,
-                                warm_start,
-                                schedule_family,
-                            ): i
-                            for i in batch
-                        }
-                        for fut in as_completed(futures):
-                            i = futures[fut]
-                            try:
-                                finish(i, unwrap(fut.result()))
-                            except (BrokenProcessPool, KeyboardInterrupt, SystemExit):
-                                raise
-                            except SweepInstanceError:
-                                raise
-                            except Exception as exc:
-                                fail(i, exc)
-                except BrokenProcessPool as exc:
-                    # a worker died hard (SIGKILL/os._exit): every
-                    # unfinished instance of the round is charged one
-                    # attempt, then the pool is rebuilt next round
-                    obs.inc("sweep.pool_restarts")
-                    if verbose:
-                        print(f"process pool broke ({exc}); restarting")
-                    for i in [j for j in batch if j in remaining]:
-                        fail(i, exc)
-                except (OSError, RuntimeError) as exc:  # pool unavailable → serial
-                    if verbose:
-                        print(f"process pool failed ({exc}); falling back to serial")
-                    pool_ok = False
-            else:
+            if not (pool_ok and len(batch) > 1):
                 for i in batch:
-                    try:
-                        finish(
-                            i,
-                            unwrap(
-                                _run_spec(
-                                    specs[i],
-                                    grid,
-                                    iterations,
-                                    ilp_time_limit,
-                                    instance_timeout,
-                                    observe,
-                                    warm_start,
-                                    schedule_family,
-                                )
-                            ),
-                        )
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except SweepInstanceError:
-                        raise
-                    except Exception as exc:
-                        fail(i, exc)
+                    settle(i, functools.partial(attempt, specs[i]))
+                continue
+            try:
+                with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                    futures = {pool.submit(attempt, specs[i]): i for i in batch}
+                    for fut in as_completed(futures):
+                        settle(futures[fut], fut.result)
+            except BrokenProcessPool as exc:
+                # a worker died hard (SIGKILL/os._exit): every unfinished
+                # instance of the round is charged one attempt, then the
+                # pool is rebuilt next round — so at most max_retries + 1
+                # rebuilds before every instance is exhausted
+                obs.inc("sweep.pool_restarts")
+                if verbose:
+                    print(f"process pool broke ({exc}); restarting")
+                for i in [j for j in batch if j in remaining]:
+                    fail(i, exc)
+            except (OSError, RuntimeError) as exc:  # pool unavailable → serial
+                if verbose:
+                    print(f"process pool failed ({exc}); falling back to serial")
+                pool_ok = False
     finally:
         try:
             if cache is not None:
@@ -688,10 +521,6 @@ _CORE_FIELDS = (
 _FIELDS = _CORE_FIELDS + ("status", "failure")
 #: Numeric fields; periods may be ``null`` (= inf), nothing may be NaN.
 _NUMERIC_FIELDS = tuple(f for f in _CORE_FIELDS if f not in ("network", "algorithm"))
-
-
-def _reject_nan(name: str) -> float:
-    raise ValueError(f"non-finite JSON constant {name!r}")
 
 
 def _record_from_dict(d: object) -> RunResult:
@@ -727,10 +556,6 @@ def _to_jsonable(r: RunResult) -> dict:
     return d
 
 
-def _from_jsonable(d: dict) -> RunResult:
-    return _record_from_dict(d)
-
-
 def save_results(results: list[RunResult], path: str | Path) -> None:
     """Persist results as a JSON array (``inf`` encoded as ``null``).
 
@@ -755,7 +580,7 @@ def load_results(path: str | Path) -> list[RunResult]:
     if not stripped:
         return []
     if stripped[0] == "[":
-        payload = json.loads(text, parse_constant=_reject_nan)
+        payload = strict_loads(text)
         out = []
         for i, d in enumerate(payload):
             try:
@@ -763,188 +588,14 @@ def load_results(path: str | Path) -> list[RunResult]:
             except ValueError as exc:
                 raise ValueError(f"{path}: record {i}: {exc}") from exc
         return out
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(_record_from_dict(json.loads(line, parse_constant=_reject_nan)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
-    return out
+    records, bad = parse_lines(text, _record_from_dict)
+    if bad:
+        lineno, why, _ = bad[0]
+        raise ValueError(f"{path}:{lineno}: corrupt cache line: {why}")
+    return records
 
 
 # ------------------------------------------------------------------ cache
-
-
-class JsonlCache:
-    """Append-only JSONL cache with quarantine, repair and batched flushes.
-
-    The hardened persistence core behind :class:`ResultCache` (sweep
-    results keyed by scenario tuple) and the plan server's
-    :class:`repro.serve.PlanStore` (plans keyed by request fingerprint).
-    Subclasses define the record codec: :meth:`_encode` (record →
-    JSON-ready dict), :meth:`_decode` (parsed dict → record, raising
-    ``ValueError`` on anything malformed) and :meth:`_key` (record →
-    hashable cache key).
-
-    Each :meth:`put` buffers one record; buffers are appended to the file
-    every ``flush_every`` inserts (and on :meth:`flush`/context exit) in
-    a single fsync'd write, so inserting N results costs O(N) I/O and a
-    killed process loses at most the unflushed buffer.
-
-    Loading is *recovering*: corrupt, truncated or NaN-bearing lines are
-    quarantined (logged, appended to a ``<name>.quarantine`` sidecar)
-    and the valid remainder is kept; the first subsequent flush rewrites
-    the file clean.  Duplicate keys resolve last-write-wins.  Concurrent
-    processes may append to the same cache (each flush is one
-    ``O_APPEND`` write); only migration/repair rewrites, which assumes a
-    single writer.
-    """
-
-    def __init__(self, path: str | Path, *, flush_every: int = 1):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
-        self.path = Path(path)
-        self.flush_every = flush_every
-        self._data: dict = {}
-        self._pending: list = []
-        self._legacy = False
-        self._needs_rewrite = False
-        self.quarantined: list[tuple[int, str, str]] = []  # (lineno, reason, line)
-        if self.path.exists():
-            self._load()
-
-    # -- record codec (subclass responsibility) ----------------------------
-
-    def _encode(self, record) -> dict:
-        """JSON-ready dict for one record."""
-        raise NotImplementedError
-
-    def _decode(self, obj: dict):
-        """Parse one record dict; must raise ``ValueError`` if malformed."""
-        raise NotImplementedError
-
-    def _key(self, record):
-        """Hashable cache key of one record."""
-        raise NotImplementedError
-
-    def _load_legacy(self, text: str) -> bool:
-        """Hook for pre-JSONL formats (first byte ``[``).  Return ``True``
-        after populating ``_data`` to mark the file for atomic migration
-        on the next flush; the base class knows no legacy format."""
-        return False
-
-    def _load(self) -> None:
-        text = self.path.read_text()
-        stripped = text.lstrip()
-        if not stripped:
-            return
-        if stripped[0] == "[" and self._load_legacy(text):
-            # legacy format: all-or-nothing (the atomic migration
-            # guarantees we never see a half-written one)
-            self._legacy = True
-            return
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                r = self._decode(json.loads(line, parse_constant=_reject_nan))
-            except ValueError as exc:
-                self.quarantined.append((lineno, str(exc), line))
-            else:
-                self._data[self._key(r)] = r
-        if self.quarantined:
-            self._needs_rewrite = True
-            self._write_quarantine()
-            log.warning(
-                "%s: dropped %d corrupt line(s) (%s); recovered %d record(s)",
-                self.path,
-                len(self.quarantined),
-                "; ".join(f"line {n}: {why}" for n, why, _ in self.quarantined[:3]),
-                len(self._data),
-            )
-        if not text.endswith("\n"):
-            # torn final write: even if it parsed, normalize on next flush
-            # rather than appending onto a line with no terminator
-            self._needs_rewrite = True
-
-    def _write_quarantine(self) -> None:
-        sidecar = self.path.with_name(self.path.name + ".quarantine")
-        try:
-            with sidecar.open("a") as fh:
-                for lineno, reason, line in self.quarantined:
-                    fh.write(f"# line {lineno}: {reason}\n{line}\n")
-        except OSError:  # read-only location: the log line above suffices
-            pass
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, record) -> None:
-        key = self._key(record)
-        if key in self._data:
-            # overwrite (e.g. a --resume re-run): appending would leave a
-            # stale duplicate line, so force an atomic dedup rewrite
-            self._needs_rewrite = True
-        self._data[key] = record
-        self._pending.append(record)
-        if len(self._pending) >= self.flush_every:
-            self.flush()
-
-    def _rewrite_atomic(self) -> None:
-        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-        with tmp.open("w") as fh:
-            for r in self._data.values():
-                fh.write(json.dumps(self._encode(r)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._legacy = False
-        self._needs_rewrite = False
-
-    def flush(self) -> None:
-        """Write buffered records out (rewriting legacy/damaged files once).
-
-        Pure reads never rewrite: migration and corruption repair happen
-        only when there is something new to persist.
-        """
-        if self._pending:
-            if self._legacy or self._needs_rewrite:
-                self._rewrite_atomic()
-            else:
-                payload = "".join(
-                    json.dumps(self._encode(r)) + "\n" for r in self._pending
-                )
-                with self.path.open("a") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            self._pending.clear()
-        fault = faults.fire("cache_flush", key=str(self.path))
-        if fault is not None and fault.action == "truncate" and self.path.exists():
-            size = self.path.stat().st_size
-            os.truncate(self.path, max(0, size - int(fault.param)))
-
-    def repair(self) -> bool:
-        """Force a clean atomic rewrite: JSONL, deduplicated (last write
-        wins), newline-terminated, corrupt lines dropped (they are
-        already in the quarantine sidecar).  Returns ``False`` when
-        there is nothing to write."""
-        if not self._data:
-            return False
-        self._rewrite_atomic()
-        self._pending.clear()
-        return True
-
-    def __enter__(self) -> "JsonlCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.flush()
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class ResultCache(JsonlCache):
@@ -999,7 +650,6 @@ def verify_cache(path: str | Path) -> dict:
         report["format"] = "empty"
         report["clean"] = True
         return report
-    keys: dict[tuple, int] = {}
     if stripped[0] == "[":
         report["format"] = "legacy"
         try:
@@ -1007,25 +657,15 @@ def verify_cache(path: str | Path) -> dict:
         except ValueError as exc:
             report["corrupt"].append((0, str(exc)))
             records = []
-        for r in records:
-            keys[r.key] = keys.get(r.key, 0) + 1
-            report["statuses"][r.status] = report["statuses"].get(r.status, 0) + 1
-        report["records"] = len(records)
     else:
         report["format"] = "jsonl"
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                r = _record_from_dict(json.loads(line, parse_constant=_reject_nan))
-            except ValueError as exc:
-                report["corrupt"].append((lineno, str(exc)))
-            else:
-                keys[r.key] = keys.get(r.key, 0) + 1
-                report["statuses"][r.status] = report["statuses"].get(r.status, 0) + 1
-                report["records"] += 1
+        records, bad = parse_lines(text, _record_from_dict)
+        report["corrupt"] = [(lineno, why) for lineno, why, _ in bad]
         if not text.endswith("\n"):
             report["corrupt"].append((text.count("\n") + 1, "missing trailing newline"))
+    keys = Counter(r.key for r in records)
+    report["statuses"] = dict(Counter(r.status for r in records))
+    report["records"] = len(records)
     report["duplicate_keys"] = sum(n - 1 for n in keys.values())
     report["clean"] = not report["corrupt"] and report["duplicate_keys"] == 0
     return report

@@ -11,12 +11,14 @@ Robustness contract:
 * a corrupt line never aborts ingestion — it is quarantined (appended to
   a ``<file>.quarantine`` sidecar next to the trace, with line number
   and reason) and counted in the ``ingest.quarantined`` counter;
-* JSONL quarantine reuses the battle-tested
-  :class:`~repro.experiments.harness.JsonlCache` machinery (the same
-  code path that recovers sweep caches and plan stores); the trace files
-  themselves are *read-only* — ingestion never rewrites them;
+* JSONL quarantine reuses the :class:`repro.jsonl.JsonlCache` machinery
+  (the same code path that recovers sweep caches and plan stores); the
+  trace files themselves are *read-only* — ingestion never rewrites
+  them;
 * CSV rows flow through the same :func:`~repro.profiles.schema.
-  parse_record` gate, with their own sidecar in the same format;
+  parse_record` gate, with their own sidecar written by the same
+  :func:`repro.jsonl.append_quarantine`;
+* re-reading a damaged file never duplicates sidecar entries;
 * ingestion is deterministic: files in sorted order, lines in file
   order, so the same directory always yields the same
   :class:`TraceSet`.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..experiments.harness import JsonlCache
+from ..jsonl import JsonlCache, append_quarantine
 from ..profiling.io import ProfileError
 from ..testing import faults
 from .schema import CSV_COLUMNS, TraceRecord, parse_record, record_from_csv_row
@@ -58,7 +60,8 @@ class TraceLog(JsonlCache):
         return record.to_dict()
 
     def _decode(self, obj: dict) -> TraceRecord:
-        return _parse_record_with_faults(obj, source=str(self.path))
+        source = str(self.path)
+        return _fault_gate(parse_record(obj, source=source), self.path, source)
 
     def _key(self, record: TraceRecord) -> tuple:
         return (record.run, record.layer)
@@ -69,16 +72,13 @@ class TraceLog(JsonlCache):
         return list(self._data.values())
 
 
-def _parse_record_with_faults(obj: object, *, source: str) -> TraceRecord:
-    """The shared per-record gate: schema validation plus the
-    ``ingest_record`` fault site (a ``fail`` fault forces the record into
-    quarantine as if it had been corrupt)."""
-    record = parse_record(obj, source=source)
-    fault = faults.fire("ingest_record", key=f"{source}:{record.run}:{record.layer}")
+def _fault_gate(record: TraceRecord, path: Path, source: str) -> TraceRecord:
+    """The ``ingest_record`` fault site shared by the JSONL and CSV
+    readers: a ``fail`` fault forces the record into quarantine as if it
+    had been corrupt."""
+    fault = faults.fire("ingest_record", key=f"{path}:{record.run}:{record.layer}")
     if fault is not None and fault.action == "fail":
-        raise ProfileError(
-            "injected ingest fault", source=source, field=record.layer
-        )
+        raise ProfileError("injected ingest fault", source=source, field=record.layer)
     return record
 
 
@@ -140,32 +140,17 @@ def _read_csv(path: Path, out: TraceSet) -> None:
         bad: list[tuple[int, str, str]] = []
         for row in reader:
             lineno = reader.line_num
+            source = f"{path}:{lineno}"
             try:
-                record = record_from_csv_row(row, source=f"{path}:{lineno}")
-                fault = faults.fire(
-                    "ingest_record", key=f"{path}:{record.run}:{record.layer}"
-                )
-                if fault is not None and fault.action == "fail":
-                    raise ProfileError(
-                        "injected ingest fault",
-                        source=f"{path}:{lineno}",
-                        field=record.layer,
-                    )
+                record = _fault_gate(record_from_csv_row(row, source=source), path, source)
             except ProfileError as exc:
                 raw = ",".join("" if v is None else str(v) for v in row.values())
                 bad.append((lineno, str(exc), raw))
             else:
                 out.records.append(record)
-    if bad:
-        sidecar = path.with_name(path.name + ".quarantine")
-        try:
-            with sidecar.open("a") as fh:
-                for lineno, reason, line in bad:
-                    fh.write(f"# line {lineno}: {reason}\n{line}\n")
-        except OSError:
-            pass  # read-only location: the TraceSet report still has it
-        for lineno, reason, _line in bad:
-            out.quarantined.append((str(path), lineno, reason))
+    append_quarantine(path, bad)
+    for lineno, reason, _line in bad:
+        out.quarantined.append((str(path), lineno, reason))
 
 
 def ingest_traces(trace_dir: str | Path) -> TraceSet:

@@ -9,10 +9,11 @@ service* under concurrent, partially-repeated traffic:
   float normalization and key-order independence;
 * :class:`PlanStore` / :class:`PlanCache` — a two-tier plan cache:
   in-process LRU over a persistent append-only JSONL store built on the
-  hardened :class:`repro.experiments.harness.JsonlCache` (fsync'd
+  hardened :class:`repro.jsonl.JsonlCache` (fsync'd
   appends, quarantine + recovery, atomic repair);
 * :class:`PlanService` — single-flight request coalescing in front of a
-  bounded worker pool with per-request deadline/retry/backoff, the
+  bounded worker pool with per-request deadline/retry/backoff from
+  :mod:`repro.runtime` (the execution core the sweep shares), the
   warm-start context active inside workers, and ``serve.*`` counters +
   per-request spans through :mod:`repro.obs`;
 * :mod:`repro.serve.resilience` — overload safety, configured with

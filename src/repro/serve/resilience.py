@@ -48,13 +48,13 @@ import asyncio
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .. import obs, warmstart
+from .. import obs
 from ..core.chain import Chain
 from ..core.platform import Platform
-from ..experiments.harness import _deadline
+from ..runtime import run_attempt
 
 __all__ = [
     "PRIORITIES",
@@ -404,29 +404,26 @@ def degraded_opts(opts: Mapping[str, Any]) -> dict[str, Any]:
     return kept
 
 
-def solve_degraded(payload: tuple) -> tuple[dict, dict]:
-    """Degraded-solve entry point (thread or process; mirrors
-    ``service._solve_in_worker``): the certified contiguous 1F1B\\*
-    fallback plan for the request, with ``status`` escalated to
-    ``"degraded"`` so no client can mistake it for the full-quality
-    answer.  Returns ``(plan payload, counter snapshot)``.
+def solve_degraded(payload: tuple) -> tuple[dict, dict, list]:
+    """Degraded-solve entry point (thread or process; takes the payload
+    of ``service._solve_in_worker``): the certified contiguous 1F1B\\*
+    fallback plan for the request, solved through
+    :func:`repro.runtime.run_attempt` with no fault site, with ``status``
+    escalated to ``"degraded"`` so no client can mistake it for the
+    full-quality answer.  Returns ``(plan payload, counts, spans)``.
     """
-    chain_dict, plat, _algorithm, opts, timeout, warm, fingerprint = payload
+    chain_dict, plat, _algorithm, opts, timeout, warm, *_ = payload
     from ..api import plan  # deferred: repro.api imports this package
 
     chain = Chain.from_dict(chain_dict)
-    platform = Platform(*plat)
-    spec = (chain.name, platform.n_procs, platform.memory, platform.bandwidth,
-            "degraded")
-    registry = obs.MetricsRegistry()
-    with warmstart.activate(warm), obs.use_metrics(registry):
-        with _deadline(timeout, spec):
-            # the degrade target is always the MadPipe contiguous
-            # restriction, whatever algorithm the request named: it is
-            # the one certified-cheap answer the planner owns
-            result = plan(chain, platform, algorithm="madpipe",
-                          **degraded_opts(opts))
-    out = result.to_json()
+    # the degrade target is always the MadPipe contiguous restriction,
+    # whatever algorithm the request named: it is the one
+    # certified-cheap answer the planner owns
+    out, counts, spans = run_attempt(
+        lambda: plan(chain, Platform(*plat), algorithm="madpipe",
+                     **degraded_opts(opts)).to_json(),
+        spec=(chain.name, *plat, "degraded"), timeout=timeout, warm=warm,
+    )
     if out["status"] == "ok":
         out["status"] = "degraded"
-    return out, registry.snapshot()
+    return out, counts, spans

@@ -22,12 +22,14 @@ before reporting any number).  Degraded responses are explicitly marked
 (``served_from="degraded"``, plan ``status="degraded"``), certified,
 and never written to the primary cache tiers.
 
-Resilience reuses the sweep harness machinery: the worker enforces the
-per-request deadline with :func:`repro.experiments.harness._deadline`
-(SIGALRM on the main thread, an async-exception watchdog elsewhere),
-crashes and timeouts retry with exponential backoff + seeded jitter,
-and a hard worker death (``BrokenProcessPool``) rebuilds the pool — at
-most ``max_pool_restarts`` consecutive times before the service answers
+Resilience runs on :mod:`repro.runtime`, the execution core the sweep
+shares: the worker solves through :func:`repro.runtime.run_attempt`
+under the per-request :func:`~repro.runtime.deadline` (SIGALRM on the
+main thread, an async-exception watchdog elsewhere), crashes and
+timeouts retry after :func:`~repro.runtime.backoff_delay` (exponential,
+capped, jittered from the service's seeded RNG), and a hard worker
+death (``BrokenProcessPool``) rebuilds the pool — at most
+``max_pool_restarts`` consecutive times before the service answers
 with :class:`~repro.serve.resilience.PoolExhaustedError` instead of
 storming.  Overload behaviour (admission control, circuit breakers,
 degraded-mode planning) is configured with a
@@ -53,10 +55,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .. import obs, warmstart
+from .. import obs
 from ..core.chain import Chain
 from ..core.platform import Platform
-from ..experiments.harness import _deadline
+from ..runtime import BACKOFF_CAP_S, backoff_delay, run_attempt
 from ..testing import faults
 from ..warmstart import LRU, request_fingerprint
 from .resilience import (
@@ -128,10 +130,11 @@ class ServeReply:
         return self.served_from == "degraded"
 
 
-def _solve_in_worker(payload: tuple) -> tuple[dict, dict]:
-    """Worker entry point (module-level picklable): rebuild the request,
-    solve it under the warm-start context and the per-request deadline,
-    and ship back ``(plan payload, counter snapshot)``."""
+def _solve_in_worker(payload: tuple) -> tuple[dict, dict, list]:
+    """Worker entry point (module-level picklable): rebuild the request
+    and solve it once through :func:`repro.runtime.run_attempt` (fault
+    site ``serve_worker``, keyed by fingerprint), shipping back
+    ``(plan payload, counter snapshot, spans)``."""
     (chain_dict, plat, algorithm, opts, timeout, warm, fingerprint,
      faults_env) = payload
     from ..api import plan  # deferred: repro.api imports this package
@@ -145,17 +148,11 @@ def _solve_in_worker(payload: tuple) -> tuple[dict, dict]:
     else:
         os.environ.pop(faults.ENV_VAR, None)
     chain = Chain.from_dict(chain_dict)
-    platform = Platform(*plat)
-    registry = obs.MetricsRegistry()
-    spec = (chain.name, platform.n_procs, platform.memory, platform.bandwidth,
-            algorithm)
-    with warmstart.activate(warm), obs.use_metrics(registry):
-        with _deadline(timeout, spec):
-            # the fault fires inside the deadline, so a `sleep` fault
-            # models a hung solve that the deadline must interrupt
-            faults.fire("serve_worker", key=fingerprint)
-            result = plan(chain, platform, algorithm=algorithm, **dict(opts))
-    return result.to_json(), registry.snapshot()
+    return run_attempt(
+        lambda: plan(chain, Platform(*plat), algorithm=algorithm, **opts).to_json(),
+        spec=(chain.name, *plat, algorithm),
+        timeout=timeout, warm=warm, site="serve_worker", key=fingerprint,
+    )
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -211,7 +208,7 @@ class PlanService:
         instance_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
+        backoff_cap_s: float = BACKOFF_CAP_S,
         max_pool_restarts: int = 8,
         warm_start: bool = True,
         latency_window: int = 4096,
@@ -433,8 +430,6 @@ class PlanService:
             ))
         try:
             payload = await self._solve(request, fingerprint, deadline_at)
-        except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
-            raise
         except Exception as exc:
             if self._breaker is not None:
                 self._breaker.record_failure(key)
@@ -456,29 +451,15 @@ class PlanService:
         if hit is not None:
             self.registry.inc("serve.degraded_hits")
             return "degraded", hit
-        payload = (
-            request.chain.to_dict(),
-            (
-                request.platform.n_procs,
-                request.platform.memory,
-                request.platform.bandwidth,
-            ),
-            request.algorithm,
-            dict(request.opts),
-            cfg.degraded_timeout_s,
-            self.warm_start,
-            fingerprint,
-        )
+        payload = self._payload(request, fingerprint, cfg.degraded_timeout_s)
         loop = asyncio.get_running_loop()
         try:
             # always in-process (thread pool): the fallback solve is the
             # cheap contiguous restriction, and the worker pool may be
             # exactly what is broken right now
-            plan_json, counts = await loop.run_in_executor(
+            plan_json, counts, _ = await loop.run_in_executor(
                 None, solve_degraded, payload
             )
-        except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
-            raise
         except Exception as exc:
             self.registry.inc("serve.errors")
             raise cause from exc
@@ -494,21 +475,14 @@ class PlanService:
     ) -> dict:
         key = self._breaker_key(request)
         faults.fire("serve_solve", key=f"{key[0]}:{key[1]}:{fingerprint}")
-        chain_dict = request.chain.to_dict()
-        plat = (
-            request.platform.n_procs,
-            request.platform.memory,
-            request.platform.bandwidth,
-        )
         loop = asyncio.get_running_loop()
         last: BaseException | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self.registry.inc("serve.retries")
-                delay = min(
-                    self.retry_backoff_s * 2 ** (attempt - 1), self.backoff_cap_s
-                )
-                await asyncio.sleep(delay * (1.0 + 0.25 * self._rng.random()))
+                await asyncio.sleep(backoff_delay(
+                    attempt, self.retry_backoff_s, self._rng, self.backoff_cap_s
+                ))
             timeout = self.instance_timeout
             if deadline_at is not None:
                 remaining = deadline_at - self._clock()
@@ -519,17 +493,13 @@ class PlanService:
                     )
                     break
                 timeout = remaining if timeout is None else min(timeout, remaining)
-            payload = (chain_dict, plat, request.algorithm, dict(request.opts),
-                       timeout, self.warm_start, fingerprint,
-                       os.environ.get(faults.ENV_VAR))
+            payload = self._payload(request, fingerprint, timeout)
             self._active_solves += 1
             self._peak_active = max(self._peak_active, self._active_solves)
             try:
-                plan_json, counts = await loop.run_in_executor(
+                plan_json, counts, _ = await loop.run_in_executor(
                     self._executor(), _solve_in_worker, payload
                 )
-            except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
-                raise
             except BrokenProcessPool as exc:
                 # a worker died hard (SIGKILL/os._exit): rebuild the pool
                 # and charge one attempt, like the sweep harness — but cap
@@ -558,6 +528,17 @@ class PlanService:
         raise last
 
     # -- worker pool ---------------------------------------------------------
+
+    def _payload(
+        self, request: PlanRequest, fingerprint: str, timeout: float | None
+    ) -> tuple:
+        """The picklable argument of :func:`_solve_in_worker` and
+        :func:`~repro.serve.resilience.solve_degraded` (fingerprint at
+        index 6, the caller's fault plan last)."""
+        p = request.platform
+        return (request.chain.to_dict(), (p.n_procs, p.memory, p.bandwidth),
+                request.algorithm, dict(request.opts), timeout, self.warm_start,
+                fingerprint, os.environ.get(faults.ENV_VAR))
 
     def _executor(self) -> ProcessPoolExecutor | None:
         if self.max_workers == 0:

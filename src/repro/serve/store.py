@@ -3,7 +3,7 @@
 Tier 1 (:class:`PlanCache`'s LRU) holds the most recently served plan
 payloads in memory; tier 2 (:class:`PlanStore`) persists every solved
 plan as one JSONL record ``{"fingerprint": …, "plan": …}`` through the
-hardened :class:`repro.experiments.harness.JsonlCache` core — fsync'd
+hardened :class:`repro.jsonl.JsonlCache` core — fsync'd
 batched appends, corrupt-line quarantine with recovery, atomic dedup
 rewrites — so a killed service resumes from disk without re-solving
 anything it already answered.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..experiments.harness import JsonlCache
+from ..jsonl import JsonlCache
 from ..warmstart import LRU
 
 __all__ = ["PlanCache", "PlanStore"]

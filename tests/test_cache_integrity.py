@@ -17,6 +17,9 @@ from repro.experiments import (
     verify_cache,
 )
 from repro.experiments.harness import _to_jsonable
+from repro.models import generate_traces, random_chain
+from repro.profiles import ingest_traces
+from repro.profiles.ingest import TraceLog
 from repro.testing import Fault, faults
 
 INF = float("inf")
@@ -103,6 +106,39 @@ class TestTruncation:
         cache.flush()  # ...and the append did not glue two records together
         assert verify_cache(path)["clean"]
         assert len(load_results(path)) == 3
+
+
+class TestQuarantineSidecar:
+    """Re-reading a damaged file must not duplicate its sidecar entries."""
+
+    def test_result_cache_reloads_quarantine_once(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        fill(path, 2)
+        with path.open("a") as fh:
+            fh.write("{broken\n")
+        for _ in range(3):
+            assert len(ResultCache(path).quarantined) == 1
+        sidecar = tmp_path / "c.jsonl.quarantine"
+        assert sidecar.read_text().count("# line") == 1
+
+    def test_trace_log_rereads_quarantine_once(self, tmp_path):
+        path = tmp_path / "run0.jsonl"
+        path.write_text("{broken\n")
+        for _ in range(2):
+            assert len(TraceLog(path).quarantined) == 1
+        assert (tmp_path / "run0.jsonl.quarantine").read_text().count("# line") == 1
+
+    def test_reingest_keeps_jsonl_and_csv_sidecars(self, tmp_path):
+        d = tmp_path / "traces"
+        generate_traces(random_chain(5, seed=1, name="t5"), d, runs=4, seed=11,
+                        corrupt_lines=2, csv_runs=1)
+        first = ingest_traces(d)
+        sidecars = sorted(d.glob("*.quarantine"))
+        before = {p.name: p.read_text() for p in sidecars}
+        again = ingest_traces(d)
+        assert again.quarantined == first.quarantined
+        assert {p.name: p.read_text() for p in sidecars} == before
+        assert sum(t.count("# line") for t in before.values()) == first.n_quarantined
 
 
 class TestMigration:

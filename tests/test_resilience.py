@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.algorithms import Discretization
 from repro.algorithms.madpipe import madpipe
 from repro.cli import main as cli_main
@@ -29,6 +30,7 @@ from repro.experiments import (
 from repro.ilp.solver import schedule_allocation
 from repro.models import random_chain, uniform_chain
 from repro.profiling import save_chain
+from repro.runtime import BACKOFF_CAP_S
 from repro.testing import Fault, FaultInjected, faults
 
 INF = float("inf")
@@ -153,6 +155,39 @@ class TestRetries:
         results = toy_sweep(n_workers=2, max_retries=2, retry_backoff_s=0.01)
         assert len(results) == N_TOY
         assert all(r.status in ("ok", "infeasible") for r in results)
+
+    @pytest.mark.faultinject
+    def test_retry_delays_are_seeded_and_capped(self, tmp_path, monkeypatch):
+        import repro.experiments.harness as harness
+
+        faults.install(
+            [Fault(site="worker", action="raise", key="madpipe", times=-1)], tmp_path
+        )
+        runs = []
+        for _ in range(2):
+            delays: list[float] = []
+            monkeypatch.setattr(harness.time, "sleep", delays.append)
+            # a base far above the cap: every delay is the capped one
+            toy_sweep(max_retries=3, retry_backoff_s=100.0, on_exhausted="record")
+            runs.append(delays)
+        assert len(runs[0]) == 3
+        assert runs[0] == runs[1]
+        assert all(BACKOFF_CAP_S <= d <= BACKOFF_CAP_S * 1.25 for d in runs[0])
+
+    @pytest.mark.faultinject
+    def test_pool_rebuilds_bounded_by_retries(self, tmp_path):
+        # every worker dies on every attempt: each round breaks its pool
+        # and charges all six instances, which exhaust together
+        faults.install(
+            [Fault(site="worker", action="exit", times=-1, param=86)], tmp_path
+        )
+        max_retries = 2
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            results = toy_sweep(n_workers=2, max_retries=max_retries,
+                                retry_backoff_s=0.01, on_exhausted="record")
+        assert all(r.status == "error" for r in results)
+        assert 1 <= registry.get("sweep.pool_restarts") <= max_retries + 1
 
 
 class TestInstanceDeadline:

@@ -22,11 +22,11 @@ import time
 
 import pytest
 
-from repro import api, warmstart
+from repro import api, runtime, warmstart
 from repro.algorithms import Discretization
 from repro.core.platform import Platform
-from repro.experiments.harness import InstanceTimeoutError, _deadline
 from repro.models import uniform_chain
+from repro.runtime import InstanceTimeoutError
 from repro.serve import (
     PRIORITIES,
     AdmissionQueue,
@@ -607,7 +607,7 @@ class TestThreadDeadline:
 
         def busy():
             try:
-                with _deadline(0.1, ("spec",)):
+                with runtime.deadline(0.1, ("spec",)):
                     deadline = time.monotonic() + 5.0
                     while time.monotonic() < deadline:
                         pass
@@ -626,7 +626,7 @@ class TestThreadDeadline:
         result: list = []
 
         def quick():
-            with _deadline(5.0, ("spec",)):
+            with runtime.deadline(5.0, ("spec",)):
                 result.append("done")
             # the pending watchdog must be cancelled, not detonate later
             time.sleep(0.02)
