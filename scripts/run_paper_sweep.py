@@ -10,8 +10,9 @@ are retried ``--max-retries`` times with exponential backoff before the
 sweep records a typed error result and moves on.
 
 All runtime flags are the canonical sweep options shared with
-``repro sweep`` (defined once in :func:`repro.cli.sweep_options`); this
-script only adds ``--fast`` and fixes the grid axes to the paper's.
+``repro sweep`` (defined once in :func:`repro.cli.sweep_options` and
+turned into ``run_grid`` arguments by :func:`repro.cli.sweep_kwargs`);
+this script only adds ``--fast`` and fixes the grid axes to the paper's.
 
 Usage::
 
@@ -24,18 +25,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from repro import obs
-from repro.algorithms import Discretization
-from repro.cli import sweep_options
+from repro.cli import sweep_kwargs, sweep_options
 from repro.experiments import (
     FIG8_PROCS,
     PAPER_BANDWIDTHS_GBPS,
     PAPER_MEMORIES_GB,
     PAPER_NETWORKS,
     PAPER_PROCS,
-    ResultCache,
     run_grid,
 )
 
@@ -54,24 +52,9 @@ def main() -> int:
     parser.set_defaults(on_error="record")
     args = parser.parse_args()
 
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    cache = ResultCache(args.out, flush_every=args.flush_every)
+    kwargs = sweep_kwargs(args)
+    cache = kwargs["cache"]
     registry = obs.MetricsRegistry()
-    kwargs = dict(
-        grid=getattr(Discretization, args.grid)(),
-        iterations=args.iterations,
-        ilp_time_limit=args.ilp_time_limit,
-        schedule_family=args.schedule_family,
-        cache=cache,
-        verbose=not args.quiet,
-        n_workers=args.workers,
-        retry_failed=args.resume,
-        max_retries=args.max_retries,
-        instance_timeout=args.instance_timeout,
-        on_exhausted=args.on_error,
-        trace_path=args.trace,
-        warm_start=not args.no_warm_start,
-    )
 
     t0 = time.time()
     with obs.use_metrics(registry):

@@ -11,18 +11,25 @@ the baseline:
 * the DP's own (optimistic) period — the dashed line of Fig. 6;
 * the period of a *valid* schedule obtained by running 1F1B\\* on the
   returned partitioning — the solid line.
+
+The DP may thus return a partitioning no valid schedule fits; like
+MadPipe, :func:`pipedream` runs its own certification gate and decides
+its own ``status`` (``infeasible`` then), ``notes`` and ``certificate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..core.chain import Chain
 from ..core.memory import stage_memory
 from ..core.partition import Partitioning
+from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
+from ..robust.certify import Certificate, certify_pattern
 from .onef1b import OneF1BResult, min_feasible_period
 
 __all__ = ["PipeDreamResult", "pipedream_partition", "pipedream"]
@@ -35,17 +42,27 @@ class PipeDreamResult:
     """PipeDream baseline outcome.
 
     ``dp_period`` is the DP's optimistic estimate; ``period`` the valid
-    1F1B\\* period of the same partitioning (``inf`` when the DP finds no
-    memory-feasible partitioning at all).
+    1F1B\\* period of the same partitioning (``inf`` when there is none).
+    ``status`` is ``ok``, ``infeasible`` (no partitioning, or no valid
+    schedule for it) or ``error`` (the pattern failed certification and
+    is withheld: PipeDream has no fallback), with the reason in
+    ``notes``; ``certificate`` is ``None`` only with ``certify=False``.
     """
 
     partitioning: Partitioning | None
     dp_period: float
     schedule: OneF1BResult | None
+    status: str = "ok"
+    notes: list[str] = field(default_factory=list)
+    certificate: Certificate | None = None
 
     @property
     def period(self) -> float:
         return self.schedule.period if self.schedule is not None else INF
+
+    @property
+    def pattern(self) -> PeriodicPattern | None:
+        return self.schedule.pattern if self.schedule is not None else None
 
     @property
     def feasible(self) -> bool:
@@ -109,19 +126,44 @@ def pipedream_partition(
 
 
 def pipedream(
-    chain: Chain, platform: Platform, *, schedule_family: str = "1f1b"
+    chain: Chain,
+    platform: Platform,
+    *,
+    schedule_family: str = "1f1b",
+    certify: bool = True,
 ) -> PipeDreamResult:
     """Full baseline: PipeDream DP, then the family's contiguous
-    construction (1F1B\\* by default) for a valid schedule."""
-    partitioning, dp_period = pipedream_partition(chain, platform)
-    if partitioning is None:
-        return PipeDreamResult(None, INF, None)
-    if schedule_family == "zero_bubble":
-        from .zero_bubble import min_feasible_period_zb
+    construction (1F1B\\* by default) for a valid schedule.
 
-        schedule = min_feasible_period_zb(chain, platform, partitioning)
+    ``certify=True`` (the default) runs the pattern through the
+    discrete-event certification gate; a failing pattern is withheld
+    (status ``error``, counted as ``certify.quarantined``).
+    """
+    if schedule_family == "zero_bubble":
+        from .zero_bubble import min_feasible_period_zb as search
     elif schedule_family == "1f1b":
-        schedule = min_feasible_period(chain, platform, partitioning)
+        search = min_feasible_period
     else:
         raise ValueError(f"unknown schedule family {schedule_family!r}")
-    return PipeDreamResult(partitioning, dp_period, schedule)
+    partitioning, dp_period = pipedream_partition(chain, platform)
+    result = PipeDreamResult(partitioning, dp_period, None)
+    if partitioning is None:
+        result.notes.append("pipedream found no memory-feasible partitioning")
+    else:
+        result.schedule = search(chain, platform, partitioning)
+        if result.schedule is None:  # the optimistic memory check let it pass
+            result.notes.append(f"no valid {schedule_family} schedule for the partitioning")
+    if result.schedule is None:
+        result.status = "infeasible"
+    if certify:
+        result.certificate = certify_pattern(
+            chain, platform, result.pattern, source=f"pipedream:{chain.name}"
+        )
+        if not result.certificate.ok:
+            obs.inc("certify.quarantined")
+            result.schedule = None
+            result.status = "error"
+            result.notes.append(
+                "certification failed: " + "; ".join(result.certificate.violations)
+            )
+    return result

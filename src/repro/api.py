@@ -17,10 +17,11 @@ This module is the supported way in:
 * :func:`load_chain` — re-exported profile loader, so a typical script
   needs nothing beyond ``repro.api``.
 
-Every :func:`plan` result carries a ``certificate``: patterns are run
-through :func:`repro.robust.certify_pattern` before they are returned,
-and a failing plan is quarantined — never silently emitted (see the
-quarantine semantics in the README).
+Every :func:`plan` result carries a ``certificate``: each
+pattern-producing algorithm (``madpipe``, ``pipedream``) runs its own
+certification gate and returns its own ``status``, ``notes`` and
+``certificate``, and a failing plan is quarantined — never silently
+emitted (see the quarantine semantics in the README).
 
 Everything here delegates to the underlying algorithm modules without
 altering numerics: ``plan(chain, platform, algorithm="madpipe")``
@@ -286,8 +287,10 @@ def plan(
 def _dispatch(
     chain: Chain, platform: Platform, algorithm: str, family: str, opts: dict
 ) -> PlanResult:
-    if algorithm == "madpipe":
-        res = madpipe(chain, platform, schedule_family=family, **opts)
+    if algorithm != "gpipe":
+        # the algorithm owns its certification gate and status
+        run = madpipe if algorithm == "madpipe" else pipedream
+        res = run(chain, platform, schedule_family=family, **opts)
         return PlanResult(
             algorithm=algorithm,
             period=res.period,
@@ -299,29 +302,6 @@ def _dispatch(
             schedule_family=family,
         )
     do_certify = opts.pop("certify", True)
-    if algorithm == "pipedream":
-        res = pipedream(chain, platform, schedule_family=family, **opts)
-        out = PlanResult(
-            algorithm=algorithm,
-            period=res.period,
-            dp_period=res.dp_period,
-            pattern=res.schedule.pattern if res.schedule is not None else None,
-            status="ok" if res.period != INF else "infeasible",
-            raw=res,
-            schedule_family=family,
-        )
-        if do_certify:
-            out.certificate = certify_pattern(
-                chain, platform, out.pattern, source=f"pipedream:{chain.name}"
-            )
-            if not out.certificate.ok:
-                # PipeDream has no fallback schedule to degrade to: the
-                # quarantined pattern is withheld, never silently returned
-                obs.inc("certify.quarantined")
-                out.pattern = None
-                out.period = INF
-                out.status = "error"
-        return out
     if family != "1f1b":
         raise ValueError(
             f"algorithm 'gpipe' schedules fill-drain rounds, not periodic "

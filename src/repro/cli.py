@@ -26,11 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 from . import obs
-from .algorithms import SCHEDULE_FAMILIES, Discretization, madpipe, pipedream
+from .algorithms import SCHEDULE_FAMILIES, Discretization
 from .core.platform import Platform
 from .core.serialize import save_pattern
 from .experiments.scenarios import network_builders
@@ -39,7 +38,7 @@ from .models import linearize, vgg16
 from .viz.gantt import render_gantt
 from .viz.report import chain_report, schedule_report
 
-__all__ = ["main", "sweep_options"]
+__all__ = ["main", "sweep_kwargs", "sweep_options"]
 
 _NETWORKS = dict(network_builders(), vgg16=vgg16)
 
@@ -103,70 +102,61 @@ def _print_registry_stats(snap: dict, ilp_status: str | None) -> None:
         )
 
 
+def _plan_kwargs(args: argparse.Namespace) -> dict:
+    """The :func:`repro.api.plan` keyword arguments of the
+    :func:`_plan_options` flags (MadPipe's knobs for MadPipe only)."""
+    kwargs: dict = {"algorithm": args.algorithm}
+    if args.algorithm == "madpipe":
+        kwargs.update(
+            grid=getattr(Discretization, args.grid)(),
+            iterations=args.iterations,
+            ilp_time_limit=args.ilp_time_limit,
+            memory_headroom=args.memory_headroom,
+        )
+    return kwargs
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from .api import plan
+
     chain = load_chain(args.profile)
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
-    registry = obs.MetricsRegistry()
     trace = obs.Trace(f"schedule:{Path(args.profile).stem}") if args.trace else None
-    with ExitStack() as stack:
-        stack.enter_context(obs.use_metrics(registry))
-        if trace is not None:
-            stack.enter_context(obs.use_trace(trace))
-        if args.algorithm == "pipedream":
-            res = pipedream(chain, platform, schedule_family=args.schedule_family)
-            pattern = res.schedule.pattern if res.feasible else None
-            mp = None
-        else:
-            mp = madpipe(
-                chain,
-                platform,
-                grid=getattr(Discretization, args.grid)(),
-                iterations=args.iterations,
-                ilp_time_limit=args.ilp_time_limit,
-                memory_headroom=args.memory_headroom,
-                schedule_family=args.schedule_family,
-            )
-            pattern = mp.pattern
+    result = plan(
+        chain, platform, schedule_family=args.schedule_family, trace=trace,
+        **_plan_kwargs(args),
+    )
+    pattern, notes = result.pattern, result.raw.notes
     if trace is not None:
         obs.write_chrome_trace(trace, args.trace)
         print(f"wrote trace ({len(trace)} spans) to {args.trace}")
     if args.stats_json:
         payload = obs.metrics_payload(
-            registry,
-            command="schedule",
-            profile=args.profile,
-            algorithm=args.algorithm,
-            status=mp.status if mp is not None else
-            ("ok" if pattern is not None else "infeasible"),
+            result.metrics, command="schedule", profile=args.profile,
+            algorithm=args.algorithm, status=result.status,
         )
         Path(args.stats_json).write_text(json.dumps(payload, indent=1))
         print(f"wrote solver metrics to {args.stats_json}")
     if args.stats:
-        _print_registry_stats(
-            registry.snapshot(),
-            mp.ilp.status if mp is not None and mp.ilp is not None else None,
-        )
-        if mp is not None:
-            print(f"result status: {mp.status}")
-            for note in mp.notes:
-                print(f"  - {note}")
-            if mp.certificate is not None:
-                c = mp.certificate
-                line = f"certificate: {'ok' if c.ok else 'FAILED'} [{c.mode}]"
-                if c.periods_simulated:
-                    line += f", {c.periods_simulated} periods simulated"
-                if c.oom_margin:
-                    line += (
-                        f", min OOM margin "
-                        f"{min(c.oom_margin.values()) / 2**30:.3f} GB"
-                    )
-                print(line)
+        ilp = getattr(result.raw, "ilp", None)
+        _print_registry_stats(result.metrics, ilp.status if ilp is not None else None)
+        print(f"result status: {result.status}")
+        for note in notes:
+            print(f"  - {note}")
+        if result.certificate is not None:
+            c = result.certificate
+            line = f"certificate: {'ok' if c.ok else 'FAILED'} [{c.mode}]"
+            if c.periods_simulated:
+                line += f", {c.periods_simulated} periods simulated"
+            if c.oom_margin:
+                line += (
+                    f", min OOM margin "
+                    f"{min(c.oom_margin.values()) / 2**30:.3f} GB"
+                )
+            print(line)
     if pattern is None:
-        if mp is not None and mp.status != "ok":
-            reason = "; ".join(mp.notes) or mp.status
-            print(f"no memory-feasible schedule found [{mp.status}]: {reason}")
-        else:
-            print("no memory-feasible schedule found")
+        reason = "; ".join(notes) or result.status
+        print(f"no memory-feasible schedule found [{result.status}]: {reason}")
         return 1
     print(schedule_report(chain, platform, pattern))
     if args.gantt:
@@ -254,14 +244,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     chain = load_chain(args.profile)
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
-    opts = {}
-    if args.algorithm == "madpipe":
-        opts = dict(
-            grid=getattr(Discretization, args.grid)(),
-            iterations=args.iterations,
-            ilp_time_limit=args.ilp_time_limit,
-            memory_headroom=args.memory_headroom,
-        )
     noise = NoiseModel(
         sigma_compute=args.sigma_compute,
         sigma_activation=args.sigma_activation,
@@ -284,7 +266,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         noise = calibration.noise
     registry = obs.MetricsRegistry()
     with obs.use_metrics(registry):
-        result = plan(chain, platform, algorithm=args.algorithm, **opts)
+        result = plan(chain, platform, **_plan_kwargs(args))
         cert = certify(
             chain,
             platform,
@@ -413,11 +395,35 @@ def sweep_options() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments import ResultCache, run_grid
+def sweep_kwargs(args: argparse.Namespace) -> dict:
+    """The :func:`repro.experiments.run_grid` keyword arguments of the
+    :func:`sweep_options` flags, including the result cache opened at
+    ``args.out`` (its parent directory is created)."""
+    from .experiments import ResultCache
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    cache = ResultCache(args.out, flush_every=args.flush_every)
+    return dict(
+        grid=getattr(Discretization, args.grid)(),
+        iterations=args.iterations,
+        ilp_time_limit=args.ilp_time_limit,
+        schedule_family=args.schedule_family,
+        cache=ResultCache(args.out, flush_every=args.flush_every),
+        verbose=not args.quiet,
+        n_workers=args.workers,
+        retry_failed=args.resume,
+        max_retries=args.max_retries,
+        instance_timeout=args.instance_timeout,
+        on_exhausted=args.on_error,
+        trace_path=args.trace,
+        warm_start=not args.no_warm_start,
+    )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments import run_grid
+
+    kwargs = sweep_kwargs(args)
+    cache = kwargs["cache"]
     if cache.quarantined:
         print(
             f"warning: quarantined {len(cache.quarantined)} corrupt cache "
@@ -432,19 +438,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 tuple(args.memories),
                 tuple(args.bandwidths),
                 algorithms=tuple(args.algorithms),
-                grid=getattr(Discretization, args.grid)(),
-                iterations=args.iterations,
-                ilp_time_limit=args.ilp_time_limit,
-                cache=cache,
-                schedule_family=args.schedule_family,
-                verbose=not args.quiet,
-                n_workers=args.workers,
-                instance_timeout=args.instance_timeout,
-                max_retries=args.max_retries,
-                retry_failed=args.resume,
-                on_exhausted=args.on_error,
-                trace_path=args.trace,
-                warm_start=not args.no_warm_start,
+                **kwargs,
             )
     except KeyboardInterrupt:
         print(f"\ninterrupted; {len(cache)} instance(s) cached in {args.out}")
@@ -693,9 +687,37 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _plan_options() -> argparse.ArgumentParser:
+    """The planning flags ``repro schedule`` and ``repro certify`` share,
+    defined once (read back by :func:`_plan_kwargs`)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("profile")
+    p.add_argument("-p", "--procs", type=int, required=True)
+    p.add_argument("-m", "--memory-gb", type=float, required=True)
+    p.add_argument("-b", "--bandwidth-gbps", type=float, default=12.0)
+    p.add_argument(
+        "-a", "--algorithm", choices=("madpipe", "pipedream"), default="madpipe"
+    )
+    p.add_argument(
+        "--grid", choices=("coarse", "default", "paper"), default="default"
+    )
+    p.add_argument("--ilp-time-limit", type=float, default=60.0)
+    p.add_argument(
+        "--iterations", type=int, default=10,
+        help="phase-1 binary-search iterations (madpipe only)",
+    )
+    p.add_argument(
+        "--memory-headroom", type=float, default=0.0, metavar="FRAC",
+        help="plan against memory*(1-FRAC) per GPU, keeping FRAC in "
+        "reserve against profile noise (madpipe only)",
+    )
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    plan_options = _plan_options()
 
     p = sub.add_parser("profile", help="profile a zoo network to a JSON chain")
     p.add_argument("network", help=f"one of {sorted(_NETWORKS)}")
@@ -730,31 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("schedule", help="schedule a profile on a platform")
-    p.add_argument("profile")
-    p.add_argument("-p", "--procs", type=int, required=True)
-    p.add_argument("-m", "--memory-gb", type=float, required=True)
-    p.add_argument("-b", "--bandwidth-gbps", type=float, default=12.0)
-    p.add_argument(
-        "-a", "--algorithm", choices=("madpipe", "pipedream"), default="madpipe"
+    p = sub.add_parser(
+        "schedule", parents=[plan_options], help="schedule a profile on a platform"
     )
     p.add_argument(
         "--schedule-family", choices=SCHEDULE_FAMILIES, default="1f1b",
         help="pattern family to build and certify: classic 1F1B or the "
         "zero-bubble B/W split",
-    )
-    p.add_argument(
-        "--grid", choices=("coarse", "default", "paper"), default="default"
-    )
-    p.add_argument("--ilp-time-limit", type=float, default=60.0)
-    p.add_argument(
-        "--iterations", type=int, default=10,
-        help="phase-1 binary-search iterations (madpipe only)",
-    )
-    p.add_argument(
-        "--memory-headroom", type=float, default=0.0, metavar="FRAC",
-        help="plan against memory*(1-FRAC) per GPU, keeping FRAC in "
-        "reserve against profile noise (madpipe only)",
     )
     p.add_argument(
         "--stats",
@@ -777,24 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "certify",
+        parents=[plan_options],
         help="plan, certify via discrete-event simulation, and stress-test "
         "under seeded profile noise; emits a deterministic JSON report",
-    )
-    p.add_argument("profile")
-    p.add_argument("-p", "--procs", type=int, required=True)
-    p.add_argument("-m", "--memory-gb", type=float, required=True)
-    p.add_argument("-b", "--bandwidth-gbps", type=float, default=12.0)
-    p.add_argument(
-        "-a", "--algorithm", choices=("madpipe", "pipedream"), default="madpipe"
-    )
-    p.add_argument(
-        "--grid", choices=("coarse", "default", "paper"), default="default"
-    )
-    p.add_argument("--ilp-time-limit", type=float, default=60.0)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument(
-        "--memory-headroom", type=float, default=0.0, metavar="FRAC",
-        help="plan against memory*(1-FRAC) per GPU (madpipe only)",
     )
     p.add_argument(
         "--samples", type=int, default=32,

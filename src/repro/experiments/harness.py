@@ -23,6 +23,11 @@ solid lines), plus a ``status`` recording how the instance ended:
     certified fallback existed — the quarantined period is withheld
     (``valid_period = inf``), never recorded as valid.
 
+Each algorithm runs its own certification gate and decides its own
+``status`` and ``notes``; :func:`run_instance` only copies them, so a
+sweep agrees with :func:`repro.api.plan`.  A PipeDream partitioning no
+valid schedule fits is ``infeasible`` (``dp_period`` kept).
+
 Sweeps are built to *survive*:
 
 * :func:`run_grid` fans uncached instances out over a
@@ -64,7 +69,6 @@ from ..algorithms.pipedream import pipedream
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
 from ..jsonl import JsonlCache, parse_lines, strict_loads
-from ..robust import certify_pattern
 from ..runtime import InstanceTimeoutError, backoff_delay, run_attempt
 from ..testing import faults
 from .scenarios import paper_chain
@@ -165,8 +169,6 @@ def run_instance(
     families belong in different cache files.
     """
     t0 = time.perf_counter()
-    status = "ok"
-    failure: str | None = None
     with obs.span(
         "instance",
         network=network or chain.name,
@@ -177,28 +179,7 @@ def run_instance(
     ) as inst_span:
         if algorithm == "pipedream":
             res = pipedream(chain, platform, schedule_family=schedule_family)
-            dp, valid = res.dp_period, res.period
             n_stages = res.partitioning.n_stages if res.feasible else 0
-            if not res.feasible:
-                status, failure = (
-                    "infeasible",
-                    "pipedream found no memory-feasible schedule",
-                )
-            else:
-                # certification gate: pipedream has no fallback schedule,
-                # so a rejected pattern is quarantined as an error, never
-                # recorded as a valid period
-                cert = certify_pattern(
-                    chain,
-                    platform,
-                    res.schedule.pattern if res.schedule is not None else None,
-                    source=f"pipedream:{network or chain.name}",
-                )
-                if not cert.ok:
-                    obs.inc("certify.quarantined")
-                    valid = INF
-                    status = "error"
-                    failure = "certification failed: " + "; ".join(cert.violations)
         elif algorithm == "madpipe":
             res = madpipe(
                 chain,
@@ -208,14 +189,12 @@ def run_instance(
                 ilp_time_limit=ilp_time_limit,
                 schedule_family=schedule_family,
             )
-            dp, valid = res.dp_period, res.period
             n_stages = res.allocation.n_stages if res.allocation is not None else 0
-            status = res.status
-            if status != "ok":
-                failure = "; ".join(res.notes) or None
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        inst_span.set(status=status, period=valid if valid != INF else None)
+        inst_span.set(
+            status=res.status, period=res.period if res.period != INF else None
+        )
     obs.inc("sweep.instances")
     return RunResult(
         network=network or chain.name,
@@ -223,13 +202,13 @@ def run_instance(
         memory_gb=platform.memory / GB,
         bandwidth_gbps=platform.bandwidth / GBPS,
         algorithm=algorithm,
-        dp_period=dp,
-        valid_period=valid,
+        dp_period=res.dp_period,
+        valid_period=res.period,
         n_stages=n_stages,
         runtime_s=time.perf_counter() - t0,
         sequential=chain.total_compute(),
-        status=status,
-        failure=failure,
+        status=res.status,
+        failure=None if res.status == "ok" else "; ".join(res.notes) or None,
     )
 
 

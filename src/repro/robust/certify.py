@@ -14,7 +14,8 @@ deterministically.
 It never raises: callers branch on ``Certificate.ok`` and decide what
 graceful degradation means for them (quarantine + 1F1B* fallback in
 :func:`repro.algorithms.madpipe.madpipe`, probe rejection in the MILP
-search, an error status in the sweep harness).
+search, a withheld pattern with status ``error`` in
+:func:`repro.algorithms.pipedream.pipedream`).
 """
 
 from __future__ import annotations

@@ -219,6 +219,26 @@ class TestQuarantine:
         assert "certification failed" in r.failure
 
     @pytest.mark.faultinject
+    def test_pipedream_schedule_cli_quarantined(self, chain, plat, tmp_path, capsys):
+        profile = tmp_path / "toy.json"
+        save_chain(chain, profile)
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="pipedream:", times=1)],
+            tmp_path,
+        )
+        out_path = tmp_path / "sched.json"
+        rc = cli_main(
+            [
+                "schedule", str(profile), "-a", "pipedream",
+                "-p", "4", "-m", "4", "-b", str(100 / 1024), "-o", str(out_path),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[error]" in out and "certification failed" in out
+        assert not out_path.exists()  # the quarantined pattern is never saved
+
+    @pytest.mark.faultinject
     def test_api_certify_fault_site(self, chain, plat, tmp_path):
         result = plan(chain, plat, algorithm="madpipe", iterations=6)
         faults.install(

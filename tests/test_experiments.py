@@ -1,7 +1,10 @@
 """Tests for the experiment harness and figure generators."""
 
+import importlib
+
 import pytest
 
+from repro import api
 from repro.algorithms import Discretization
 from repro.core import Platform
 from repro.experiments import (
@@ -119,6 +122,34 @@ class TestHarness:
         assert len(reopened) == len(toy_results)
         assert reopened.get(toy_results[0].key) is not None
         assert reopened.get(("nope", 1, 1.0, 1.0, "x")) is None
+
+    @pytest.mark.parametrize("memory_gb", [8.0, 0.1], ids=["roomy", "tight"])
+    @pytest.mark.parametrize("algorithm", ["madpipe", "pipedream"])
+    def test_sweep_and_plan_agree(self, algorithm, memory_gb):
+        chain, plat = paper_chain("toy8"), Platform.of(2, memory_gb, 12.0)
+        opts = {}
+        if algorithm == "madpipe":
+            opts = dict(grid=Discretization.coarse(), iterations=4, ilp_time_limit=10)
+        r = run_instance(chain, plat, algorithm, **opts)
+        res = api.plan(chain, plat, algorithm=algorithm, **opts)
+        assert (r.status, r.valid_period, r.dp_period) == (
+            res.status, res.period, res.dp_period
+        )
+
+    def test_pipedream_partition_without_schedule_is_infeasible(self, monkeypatch):
+        """PipeDream's optimistic DP finds a partitioning that 1F1B* cannot
+        schedule: the sweep record and the plan both say infeasible."""
+        # the package re-exports the function under the submodule's name
+        pipedream_mod = importlib.import_module("repro.algorithms.pipedream")
+        monkeypatch.setattr(pipedream_mod, "min_feasible_period", lambda *a, **k: None)
+        chain, plat = paper_chain("toy8"), Platform.of(2, 8.0, 12.0)
+        r = run_instance(chain, plat, "pipedream")
+        res = api.plan(chain, plat, algorithm="pipedream")
+        assert r.status == res.status == "infeasible"
+        assert r.failure
+        assert r.dp_period == res.dp_period < INF
+        assert r.valid_period == res.period == INF
+        assert res.pattern is None and res.certificate.mode == "skipped"
 
     def test_speedup(self):
         r = mk("n", 2, 4.0, 12.0, "madpipe", 0.5, 0.5, seq=2.0)
