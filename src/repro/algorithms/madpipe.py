@@ -32,18 +32,11 @@ from ..core.platform import Platform
 from ..ilp.solver import ILPScheduleResult, schedule_allocation
 from ..robust.certify import Certificate, certify_pattern
 from .madpipe_dp import Algorithm1Result, Discretization, algorithm1
-from .onef1b import min_feasible_period
-from .zero_bubble import min_feasible_period_zb
+from .onef1b import FAMILIES, SCHEDULE_FAMILIES, contiguous_search
 
 __all__ = ["SCHEDULE_FAMILIES", "MadPipeResult", "madpipe"]
 
 INF = float("inf")
-
-#: Supported schedule families: classic monolithic-backward 1F1B and the
-#: zero-bubble B–W split.  The family selects phase 2's contiguous
-#: constructor and the MILP formulation; phase 1's partition search is
-#: family-agnostic.
-SCHEDULE_FAMILIES = ("1f1b", "zero_bubble")
 
 
 @dataclass
@@ -121,16 +114,8 @@ def madpipe(
     builder and MILP formulation of
     :mod:`repro.algorithms.zero_bubble` / :mod:`repro.ilp`).
     """
-    if schedule_family not in SCHEDULE_FAMILIES:
-        raise ValueError(
-            f"unknown schedule family {schedule_family!r}; "
-            f"expected one of {SCHEDULE_FAMILIES}"
-        )
-    search = (
-        min_feasible_period_zb
-        if schedule_family == "zero_bubble"
-        else min_feasible_period
-    )
+    search = contiguous_search(schedule_family)
+    construction = FAMILIES[schedule_family].label
     with obs.span(
         "madpipe", n_procs=platform.n_procs, chain=chain.name, L=chain.L
     ) as run_span:
@@ -159,9 +144,13 @@ def madpipe(
                     result.allocation = allocation
                     result.pattern = sched.pattern
                     result.period = sched.period
-                    result.notes.append("phase-1 contiguous allocation via 1F1B*")
+                    result.notes.append(
+                        f"phase-1 contiguous allocation via {construction}"
+                    )
                 else:
-                    result.notes.append("1F1B* infeasible for phase-1 allocation")
+                    result.notes.append(
+                        f"{construction} infeasible for phase-1 allocation"
+                    )
             else:
                 with obs.span("madpipe.phase2", kind="ilp"):
                     ilp = schedule_allocation(
@@ -202,7 +191,7 @@ def madpipe(
                             result.period = sched.period
                             result.notes.append(
                                 "ILP time budget exhausted; fell back to the "
-                                "certified 1F1B* contiguous restriction"
+                                f"certified {construction} contiguous restriction"
                             )
         else:
             result.notes.append("phase 1 found no memory-feasible allocation")
@@ -256,7 +245,7 @@ def madpipe(
         if certify:
             _certification_gate(
                 chain, platform, result, memory_headroom, iterations, grid,
-                search=search,
+                schedule_family=schedule_family,
             )
 
         run_span.set(
@@ -276,7 +265,7 @@ def _certification_gate(
     iterations: int,
     grid: Discretization | None,
     *,
-    search=min_feasible_period,
+    schedule_family: str,
 ) -> None:
     """Certify ``result.pattern`` in place; quarantine + degrade on failure.
 
@@ -284,10 +273,12 @@ def _certification_gate(
     allocation's own contiguous restriction (only schedulable when it
     has at most one stage per GPU), then a fresh contiguous
     MadPipe-DP plan.  Each fallback pattern must itself pass
-    certification before it replaces the quarantined one.  ``search`` is
-    the family's contiguous period search (1F1B\\* by default), so
-    fallbacks stay within the requested schedule family.
+    certification before it replaces the quarantined one.  Fallbacks
+    use the contiguous construction of ``schedule_family``, so they stay
+    within the requested family.
     """
+    search = contiguous_search(schedule_family)
+    construction = FAMILIES[schedule_family].label
     cert = certify_pattern(
         chain, platform, result.pattern, source=f"madpipe:{chain.name}"
     )
@@ -340,7 +331,7 @@ def _certification_gate(
             source=f"madpipe.fallback:{chain.name}",
         )
         if not fb_cert.ok:
-            result.notes.append("1F1B* fallback failed certification too")
+            result.notes.append(f"{construction} fallback failed certification too")
             continue
         obs.inc("certify.fallbacks")
         fb_cert.mode = "fallback"
@@ -350,7 +341,9 @@ def _certification_gate(
         result.period = sched.period
         result.status = "degraded"
         result.certificate = fb_cert
-        result.notes.append("replaced by the certified 1F1B* contiguous fallback")
+        result.notes.append(
+            f"replaced by the certified {construction} contiguous fallback"
+        )
         return
     # nothing certifiable: withhold the quarantined pattern entirely
     result.allocation = None

@@ -30,7 +30,7 @@ from ..core.partition import Partitioning
 from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
 from ..robust.certify import Certificate, certify_pattern
-from .onef1b import OneF1BResult, min_feasible_period
+from .onef1b import OneF1BResult, contiguous_search
 
 __all__ = ["PipeDreamResult", "pipedream_partition", "pipedream"]
 
@@ -139,12 +139,7 @@ def pipedream(
     discrete-event certification gate; a failing pattern is withheld
     (status ``error``, counted as ``certify.quarantined``).
     """
-    if schedule_family == "zero_bubble":
-        from .zero_bubble import min_feasible_period_zb as search
-    elif schedule_family == "1f1b":
-        search = min_feasible_period
-    else:
-        raise ValueError(f"unknown schedule family {schedule_family!r}")
+    search = contiguous_search(schedule_family)
     partitioning, dp_period = pipedream_partition(chain, platform)
     result = PipeDreamResult(partitioning, dp_period, None)
     if partitioning is None:

@@ -27,39 +27,24 @@ follows the 1F1B\\* argument (cross-group backward slack is
 passes the full analytic validator and the discrete-event certification
 gate downstream.
 
-The minimal-period search mirrors :func:`repro.algorithms.onef1b.
-min_feasible_period`: candidate periods are the greedy grouping's
-breakpoints — contiguous V-load range sums ``S(a, b)`` plus
-``S(a, b) + d_W_a`` for stage-anchored ranges — and per-GPU memory
-``(3W + g·ā) + buffers + ĝ`` is non-increasing in ``T``, so a binary
-search over the sorted candidates finds the first feasible one.
+There is one contiguous period search for both families, in
+:mod:`repro.algorithms.onef1b`; this family is its W-tail variant.
+Candidate periods are the greedy grouping's breakpoints — contiguous
+V-load range sums ``S(a, b)`` plus ``S(a, b) + d_W_a`` — and per-GPU
+memory ``(3W + g·ā) + buffers + ĝ`` is non-increasing in ``T``, so the
+first feasible candidate is the answer.  The entry points below are that
+search, builder and grouping under the zero-bubble family.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.chain import Chain
 from ..core.partition import Allocation, Partitioning
-from ..core.pattern import (
-    B,
-    CB,
-    CF,
-    F,
-    Op,
-    PeriodicPattern,
-    W,
-    gpu,
-    link,
-    split_backward,
-)
+from ..core.pattern import SPLIT_FRACTION, PeriodicPattern
 from ..core.platform import Platform
-from ..obs.metrics import active_metrics
-from ..obs.trace import active_trace
-from ..warmstart import active_warm, chain_fingerprint
-from .onef1b import GROUP_FIT_RTOL, MEMORY_FIT_RTOL, extended_items
+from .onef1b import FAMILIES, OneF1BResult, _build_pattern, _search, assign_groups_kernel
 
 __all__ = [
     "SPLIT_FRACTION",
@@ -69,33 +54,10 @@ __all__ = [
     "min_feasible_period_zb",
 ]
 
-#: Default grad-input share of the backward: ``d_B = 0.5·u_b`` (the 2BP
-#: measurement — grad-input and grad-weight costs are roughly equal).
-SPLIT_FRACTION = 0.5
+_FAMILY = FAMILIES["zero_bubble"]
 
-
-def _split_items(
-    chain: Chain, platform: Platform, allocation: Allocation, split_fraction: float
-):
-    """Per-item V-loads and trailing grad-weight durations.
-
-    Returns ``(items, v_loads, d_ws)`` where ``v_loads[i]`` is the
-    item's contribution to the group's critical V (``u_f + d_B`` for
-    stages, the full ``c_f + c_b`` for comm boundaries) and ``d_ws[i]``
-    the grad-weight tail (0 for comm items).
-    """
-    items = extended_items(chain, platform, allocation)
-    v_loads: list[float] = []
-    d_ws: list[float] = []
-    for it in items:
-        if it.kind == "stage":
-            d_b, d_w = split_backward(it.u_b, split_fraction)
-            v_loads.append(it.u_f + d_b)
-            d_ws.append(d_w)
-        else:
-            v_loads.append(it.u_f + it.u_b)
-            d_ws.append(0.0)
-    return items, v_loads, d_ws
+#: Outcome of the zero-bubble minimal-feasible-period search.
+ZeroBubbleResult = OneF1BResult
 
 
 def assign_groups_zb(
@@ -105,103 +67,20 @@ def assign_groups_zb(
 
     A group absorbs earlier items while (a) its total V-load stays
     ≤ ``period`` and (b) for the item being added, the group's current
-    V-load suffix plus the item's grad-weight tail stays ≤ ``period``
-    (condition (b) is what lets ``W_i`` run right after ``B_i`` without
-    colliding with the next period's ``F_i``).  A single item violating
-    both as a singleton makes the period infeasible (``ValueError``).
+    V-load suffix plus the item's grad-weight tail stays ≤ ``period``.
+    A single item violating both as a singleton makes the period
+    infeasible (``ValueError``).
     """
-    n = len(v_loads)
-    if n == 0:
-        return []
-    thresh = period * (1 + GROUP_FIT_RTOL)
-    groups = [0] * n
-    g, acc = 1, 0.0
-    for i in range(n - 1, -1, -1):
-        grown = acc + v_loads[i]
-        if grown > thresh or grown + d_ws[i] > thresh:
-            g += 1
-            acc = v_loads[i]
-            if acc > thresh or acc + d_ws[i] > thresh:
-                raise ValueError(
-                    f"item {i} load {acc + d_ws[i]:.4g} exceeds period {period:.4g}"
-                )
-        else:
-            acc = grown
-        groups[i] = g
-    return groups
+    rows = assign_groups_kernel(v_loads, period, np.asarray(d_ws, dtype=float))
+    return [int(g) for g in rows[0]]
 
 
 def build_pattern_zb(
-    chain: Chain,
-    platform: Platform,
-    allocation: Allocation,
-    period: float,
-    *,
-    split_fraction: float = SPLIT_FRACTION,
+    chain: Chain, platform: Platform, allocation: Allocation, period: float
 ) -> PeriodicPattern:
-    """Construct the zero-bubble split-backward pattern for a contiguous
-    allocation at ``period``.
-
-    Raises ``ValueError`` when the period is below the bottleneck load.
-    The caller is responsible for memory feasibility (see
-    :func:`min_feasible_period_zb`).
-    """
-    if not allocation.is_contiguous():
-        raise ValueError("zero-bubble construction requires a contiguous allocation")
-    items, v_loads, d_ws = _split_items(chain, platform, allocation, split_fraction)
-    groups = assign_groups_zb(v_loads, d_ws, period)
-
-    pattern = PeriodicPattern(allocation=allocation, period=period)
-    procs = allocation.procs
-    t = 0.0
-    i = 0
-    while i < len(items):
-        g = groups[i]
-        j = i
-        while j < len(items) and groups[j] == g:
-            j += 1
-        # forwards of items[i:j], chain order, back-to-back
-        tf = t
-        for item in items[i:j]:
-            kind = F if item.kind == "stage" else CF
-            pattern.add(
-                Op(kind, item.index, _resource(item, procs), tf, item.u_f, 0)
-            )
-            tf += item.u_f
-        # grad-input backwards immediately after, reverse order, shift g−1;
-        # each stage's grad-weight op follows its B on the same GPU
-        tb = tf
-        for item in reversed(items[i:j]):
-            if item.kind == "stage":
-                d_b, d_w = split_backward(item.u_b, split_fraction)
-                res = gpu(procs[item.index])
-                pattern.add(Op(B, item.index, res, tb, d_b, g - 1))
-                pattern.add(Op(W, item.index, res, tb + d_b, d_w, g - 1))
-                tb += d_b
-            else:
-                res = link(procs[item.index], procs[item.index + 1])
-                pattern.add(Op(CB, item.index, res, tb, item.u_b, g - 1))
-                tb += item.u_b
-        t = tf
-        i = j
-    pattern.normalize()
-    return pattern
-
-
-def _resource(item, procs: tuple[int, ...]) -> tuple:
-    if item.kind == "stage":
-        return gpu(procs[item.index])
-    return link(procs[item.index], procs[item.index + 1])
-
-
-@dataclass
-class ZeroBubbleResult:
-    """Outcome of the zero-bubble minimal-feasible-period search."""
-
-    period: float
-    pattern: PeriodicPattern | None
-    groups: dict[int, int]  # stage index -> group number
-    memory: dict[int, float]  # processor -> bytes used (analytic)
+    """The zero-bubble split-backward pattern of a contiguous allocation
+    at ``period``; see :func:`repro.algorithms.onef1b.build_pattern`."""
+    return _build_pattern(chain, platform, allocation, period, _FAMILY)
 
 
 def min_feasible_period_zb(
@@ -211,181 +90,13 @@ def min_feasible_period_zb(
     *,
     build: bool = True,
     memory_headroom: float = 0.0,
-    split_fraction: float = SPLIT_FRACTION,
 ) -> ZeroBubbleResult | None:
     """Smallest period at which the zero-bubble split-backward schedule of
     ``partitioning`` fits in memory on every GPU; ``None`` if none works.
 
-    Mirrors :func:`repro.algorithms.onef1b.min_feasible_period`:
-    instrumented with a ``zero_bubble.period_search`` span and counters,
-    and memoized by exact instance key under an active warm-start
-    context (keys carry a family tag, so they never collide with 1F1B\\*
-    entries).
+    The search of :func:`repro.algorithms.onef1b.min_feasible_period`
+    under this family: a ``zero_bubble.period_search`` span,
+    ``zero_bubble.*`` counters and warm memo entries tagged so they never
+    answer a 1F1B\\* search.
     """
-    warm = active_warm()
-    memo_key = None
-    if warm is not None:
-        memo_key = (
-            chain_fingerprint(chain), platform.n_procs, platform.memory,
-            platform.bandwidth, memory_headroom,
-            tuple((s.start, s.end) for s in partitioning.stages), build,
-            "zb", split_fraction,
-        )
-        hit = warm.onef1b.hit(memo_key)
-        if hit is not None:
-            reg = active_metrics()
-            if reg is not None:
-                reg.inc("warm.zero_bubble_hits")
-            return hit[0]
-    platform = platform.with_headroom(memory_headroom)
-    tr = active_trace()
-    reg = active_metrics()
-    if tr is None and reg is None:
-        res = _min_feasible_period_zb(
-            chain, platform, partitioning, build=build, split_fraction=split_fraction
-        )
-        if memo_key is not None:
-            warm.onef1b.put(memo_key, (res,))
-        return res
-    if reg is not None:
-        reg.inc("zero_bubble.searches")
-    if tr is None:
-        res = _min_feasible_period_zb(
-            chain, platform, partitioning, build=build, split_fraction=split_fraction
-        )
-    else:
-        with tr.span(
-            "zero_bubble.period_search", n_stages=partitioning.n_stages, build=build
-        ) as sp:
-            res = _min_feasible_period_zb(
-                chain, platform, partitioning,
-                build=build, split_fraction=split_fraction,
-            )
-            sp.set(
-                feasible=res is not None,
-                period=res.period if res is not None else None,
-            )
-    if res is not None and reg is not None:
-        reg.inc("zero_bubble.feasible")
-    if memo_key is not None:
-        warm.onef1b.put(memo_key, (res,))
-    return res
-
-
-def _min_feasible_period_zb(
-    chain: Chain,
-    platform: Platform,
-    partitioning: Partitioning,
-    *,
-    build: bool,
-    split_fraction: float,
-) -> ZeroBubbleResult | None:
-    """The uninstrumented search; see :func:`min_feasible_period_zb`.
-
-    Candidate periods are the grouping breakpoints: contiguous V-load
-    range sums ``S(a, b)`` (group-extent conditions flip there) plus
-    ``S(a, b) + d_W_a`` for stage-anchored ranges (the suffix-W
-    conditions flip there), floored at the bottleneck lower bound
-    ``max(u_f + u_b, c_f + c_b)``.  Larger ``T`` relaxes both greedy
-    acceptance conditions, so groupings are nested and per-GPU memory is
-    non-increasing in ``T`` — a binary search over the sorted candidates
-    finds the smallest feasible one.
-    """
-    if partitioning.n_stages > platform.n_procs:
-        raise ValueError("more stages than processors")
-    n_stages = partitioning.n_stages
-    ends = np.fromiter(
-        (s.end for s in partitioning.stages), dtype=np.int64, count=n_stages
-    )
-    starts = np.empty(n_stages, dtype=np.int64)
-    starts[0] = 1
-    starts[1:] = ends[:-1] + 1
-
-    # item arrays, interleaved [stage 0, comm 0, stage 1, …, stage S−1]
-    u_f = chain.u_f_ranges(starts, ends)
-    u_b = chain.u_b_ranges(starts, ends)
-    half = chain.activation_values(ends[:-1]) / platform.bandwidth
-    n_items = 2 * n_stages - 1
-    d_b_stage = split_fraction * u_b
-    d_w_stage = u_b - d_b_stage
-    v = np.empty(n_items)
-    v[0::2] = u_f + d_b_stage
-    v[1::2] = half + half
-    d_w = np.zeros(n_items)
-    d_w[0::2] = d_w_stage
-    full = np.empty(n_items)
-    full[0::2] = u_f + u_b
-    full[1::2] = half + half
-    lower = float(full.max())
-
-    # candidate periods: V-load range sums and their +d_W_a variants
-    tri = np.arange(n_items) >= np.arange(n_items)[:, None]
-    sums = np.cumsum(np.where(tri, v, 0.0), axis=1)
-    with_w = sums + d_w[:, None]
-    cands = np.concatenate((sums[tri], with_w[tri], [lower]))
-    periods = np.unique(cands[cands >= lower])
-    if periods.size == 0 or periods[0] != lower:
-        periods = np.concatenate(([lower], periods))
-
-    # memory terms per stage: (3W + g·ā) + buffers + ĝ, ĝ = a_end
-    w3 = 3.0 * chain.weight_ranges(starts, ends)
-    abar = chain.stored_activation_ranges(starts, ends)
-    buf = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
-    buf = buf + np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
-    ghat = chain.activation_values(ends)
-    cap = platform.memory * (1 + MEMORY_FIT_RTOL)
-
-    v_l, d_w_l = v.tolist(), d_w.tolist()
-    w3_l, abar_l, buf_l, ghat_l = (
-        w3.tolist(), abar.tolist(), buf.tolist(), ghat.tolist()
-    )
-
-    def probe(T: float) -> tuple[bool, list[int]] | None:
-        try:
-            gs_items = assign_groups_zb(v_l, d_w_l, T)
-        except ValueError:
-            return None
-        gs = gs_items[0::2]
-        ok = all(
-            (w3_l[i] + gs[i] * abar_l[i]) + buf_l[i] + ghat_l[i] <= cap
-            for i in range(n_stages)
-        )
-        return ok, gs
-
-    m = periods.size
-    first = probe(float(periods[0]))
-    k = stage_groups = None
-    if first is not None and first[0]:
-        k, stage_groups = 0, first[1]
-    else:
-        last = probe(float(periods[-1]))
-        if last is None or not last[0]:
-            return None  # memory is monotone in T: nothing larger helps
-        k, stage_groups = m - 1, last[1]
-        lo, hi = 0, m - 1  # periods[lo] infeasible, periods[hi] feasible
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            got = probe(float(periods[mid]))
-            if got is not None and got[0]:
-                hi, (k, stage_groups) = mid, (mid, got[1])
-            else:
-                lo = mid
-        k = hi
-
-    T = float(periods[k])
-    gs_arr = np.asarray(stage_groups, dtype=np.int64)
-    mem = (w3 + gs_arr * abar) + buf + ghat
-    pattern = (
-        build_pattern_zb(
-            chain, platform, Allocation.contiguous(partitioning), T,
-            split_fraction=split_fraction,
-        )
-        if build
-        else None
-    )
-    return ZeroBubbleResult(
-        period=T,
-        pattern=pattern,
-        groups={i: int(g) for i, g in enumerate(stage_groups)},
-        memory={i: float(mem[i]) for i in range(n_stages)},
-    )
+    return _search(_FAMILY, chain, platform, partitioning, build, memory_headroom)

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from . import obs
 from .algorithms import SCHEDULE_FAMILIES, Discretization
+from .algorithms.onef1b import FAMILIES
 from .core.platform import Platform
 from .core.serialize import save_pattern
 from .experiments.scenarios import network_builders
@@ -65,7 +66,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_registry_stats(snap: dict, ilp_status: str | None) -> None:
+def _print_registry_stats(
+    snap: dict, ilp_status: str | None, schedule_family: str = "1f1b"
+) -> None:
     """Render ``--stats`` from the metrics registry's counter snapshot."""
     if snap.get("dp.searches"):
         print(
@@ -88,17 +91,19 @@ def _print_registry_stats(snap: dict, ilp_status: str | None) -> None:
         if ilp_status is not None:
             line += f", search status: {ilp_status}"
         print(line)
-    if snap.get("onef1b.searches"):
-        print(
-            f"1F1B*: {snap.get('onef1b.searches', 0)} period searches, "
-            f"{snap.get('onef1b.feasible', 0)} feasible"
-        )
+    for family in FAMILIES.values():
+        if snap.get(f"{family.obs}.searches"):
+            print(
+                f"{family.label}: {snap[f'{family.obs}.searches']} period searches, "
+                f"{snap.get(f'{family.obs}.feasible', 0)} feasible"
+            )
     if snap.get("certify.checks"):
         print(
             f"certification: {snap.get('certify.checks', 0)} checks, "
             f"{snap.get('certify.failures', 0)} failed, "
             f"{snap.get('certify.quarantined', 0)} plans quarantined, "
-            f"{snap.get('certify.fallbacks', 0)} replaced by the 1F1B* fallback"
+            f"{snap.get('certify.fallbacks', 0)} replaced by the "
+            f"{FAMILIES[schedule_family].label} fallback"
         )
 
 
@@ -139,7 +144,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         print(f"wrote solver metrics to {args.stats_json}")
     if args.stats:
         ilp = getattr(result.raw, "ilp", None)
-        _print_registry_stats(result.metrics, ilp.status if ilp is not None else None)
+        _print_registry_stats(
+            result.metrics, ilp.status if ilp is not None else None,
+            args.schedule_family,
+        )
         print(f"result status: {result.status}")
         for note in notes:
             print(f"  - {note}")

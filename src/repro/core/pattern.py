@@ -43,6 +43,7 @@ __all__ = [
     "CB",
     "is_compute",
     "is_comm",
+    "SPLIT_FRACTION",
     "split_backward",
 ]
 
@@ -98,7 +99,16 @@ def is_comm(kind: str) -> bool:
     return OP_KINDS[kind].is_comm
 
 
-def split_backward(backward: float, fraction: float = 0.5) -> tuple[float, float]:
+#: Grad-input share of a split backward: ``d_B = 0.5·u_b`` (the 2BP
+#: measurement — grad-input and grad-weight costs are roughly equal).
+#: The zero-bubble period search, its pattern builder and the MILP all
+#: split at this share.
+SPLIT_FRACTION = 0.5
+
+
+def split_backward(
+    backward: float, fraction: float = SPLIT_FRACTION
+) -> tuple[float, float]:
     """Split a monolithic backward duration into ``(d_B, d_W)``.
 
     ``d_B`` is the grad-input half (stays on the critical path), ``d_W``

@@ -3,7 +3,8 @@
 A :class:`Trace` collects a tree of :class:`Span` records — named
 intervals with wall/CPU time and free-form attributes — describing where
 one planning run spent its time: DP state expansion
-(``madpipe.dp``), the 1F1B\\* period search (``onef1b.period_search``),
+(``madpipe.dp``), the contiguous period search (``onef1b.period_search``
+or ``zero_bubble.period_search``),
 every MILP feasibility probe (``ilp.probe`` with build/solve split), and
 so on.  Traces export to Chrome ``chrome://tracing`` / Perfetto JSON and
 to a human summary table (:mod:`repro.obs.export`).

@@ -22,8 +22,8 @@ or a certificate transfer whose soundness is a theorem of the model:
   (same chain, platform, grid, iterations, restriction ⇒ same result;
   MadPipe runs the identical contiguous search up to three times per
   instance across its fallback and certification paths);
-* ``onef1b`` — exact-key memo of the pure 1F1B\\* minimal-period
-  search;
+* ``onef1b`` — exact-key memo of the pure contiguous minimal-period
+  search of both schedule families (zero-bubble keys carry a tag);
 * ``skeletons`` — MILP skeleton templates keyed *without* the memory
   capacity: only the memory-row upper bounds ``M − const`` involve
   ``M``, so :meth:`repro.ilp.formulation.MilpSkeleton.retarget`

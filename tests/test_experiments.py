@@ -139,9 +139,10 @@ class TestHarness:
     def test_pipedream_partition_without_schedule_is_infeasible(self, monkeypatch):
         """PipeDream's optimistic DP finds a partitioning that 1F1B* cannot
         schedule: the sweep record and the plan both say infeasible."""
-        # the package re-exports the function under the submodule's name
-        pipedream_mod = importlib.import_module("repro.algorithms.pipedream")
-        monkeypatch.setattr(pipedream_mod, "min_feasible_period", lambda *a, **k: None)
+        # pipedream reaches the search through contiguous_search, which
+        # reads it from its defining module at call time
+        onef1b_mod = importlib.import_module("repro.algorithms.onef1b")
+        monkeypatch.setattr(onef1b_mod, "min_feasible_period", lambda *a, **k: None)
         chain, plat = paper_chain("toy8"), Platform.of(2, 8.0, 12.0)
         r = run_instance(chain, plat, "pipedream")
         res = api.plan(chain, plat, algorithm="pipedream")

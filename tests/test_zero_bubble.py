@@ -15,8 +15,9 @@ import math
 
 import pytest
 
-from repro import api
-from repro.algorithms.onef1b import min_feasible_period
+from repro import api, obs, warmstart
+from repro.algorithms.madpipe import madpipe
+from repro.algorithms.onef1b import contiguous_search, min_feasible_period
 from repro.algorithms.zero_bubble import (
     SPLIT_FRACTION,
     assign_groups_zb,
@@ -25,8 +26,11 @@ from repro.algorithms.zero_bubble import (
 from repro.core.partition import Partitioning
 from repro.core.pattern import OP_KINDS, B, F, W, is_comm, is_compute, split_backward
 from repro.core.platform import Platform
+from repro.cli import main as cli_main
 from repro.models.synthetic import uniform_chain
+from repro.profiling import save_chain
 from repro.sim import verify_pattern
+from repro.testing import Fault, faults
 
 GB = float(2**30)
 
@@ -264,17 +268,103 @@ class TestGptScenarios:
         assert zb.period < base.period - 1e-9
 
 
-def test_period_monotone_in_split_fraction():
-    """Sanity: the period search is well-defined for non-default splits."""
-    chain = uniform_chain(12, name="frac12")
-    platform = Platform.of(4, 0.05, 1.0)
-    part = even_partition(12, 4)
-    periods = []
-    for frac in (0.3, 0.5, 0.7):
-        res = min_feasible_period_zb(
-            chain, platform, part, split_fraction=frac
+# ------------------------------------------------ one search, two families
+
+
+@pytest.fixture
+def tight24():
+    """A deep uniform chain under tight memory: both families feasible."""
+    return uniform_chain(24, name="zb24obs"), Platform.of(4, 0.05, 1.0), even_partition(24, 4)
+
+
+class TestSharedSearch:
+    def test_contiguous_search_lookup(self):
+        assert contiguous_search("1f1b") is min_feasible_period
+        assert contiguous_search("zero_bubble") is min_feasible_period_zb
+        with pytest.raises(ValueError, match="schedule family"):
+            contiguous_search("zb")
+
+    def test_span_and_counters(self, tight24):
+        chain, platform, part = tight24
+        starved = Platform.of(4, 0.001, 1.0)
+        tr, reg = obs.Trace(), obs.MetricsRegistry()
+        with obs.use_trace(tr), obs.use_metrics(reg):
+            assert min_feasible_period_zb(chain, platform, part) is not None
+            assert min_feasible_period_zb(chain, starved, part) is None
+        spans = tr.find("zero_bubble.period_search")
+        assert [sp.attrs["feasible"] for sp in spans] == [True, False]
+        assert not tr.find("onef1b.period_search")
+        assert reg.get("zero_bubble.searches") == 2
+        assert reg.get("zero_bubble.feasible") == 1
+        assert reg.get("onef1b.searches") == 0
+
+    def test_warm_hit_counts_zero_bubble(self, tight24):
+        warmstart.reset_process_context()
+        reg = obs.MetricsRegistry()
+        with warmstart.activate(True), obs.use_metrics(reg):
+            first = min_feasible_period_zb(*tight24)
+            again = min_feasible_period_zb(*tight24)
+        assert again is first
+        assert reg.get("warm.zero_bubble_hits") == 1
+        assert reg.get("warm.onef1b_hits") == 0
+        assert reg.get("zero_bubble.searches") == 1
+
+    @pytest.mark.parametrize("first", ["1f1b", "zero_bubble"])
+    def test_memo_never_crosses_families(self, tight24, first):
+        """A memo entry of one family never answers the other's search of
+        the same partitioning."""
+        second = "zero_bubble" if first == "1f1b" else "1f1b"
+        cold = contiguous_search(second)(*tight24)
+        warmstart.reset_process_context()
+        reg = obs.MetricsRegistry()
+        with warmstart.activate(True), obs.use_metrics(reg):
+            contiguous_search(first)(*tight24)
+            warm = contiguous_search(second)(*tight24)
+        assert reg.get("warm.onef1b_hits") == reg.get("warm.zero_bubble_hits") == 0
+        assert (warm.period, warm.groups, warm.memory) == (
+            cold.period, cold.groups, cold.memory
         )
-        assert res is not None
-        verify_pattern(chain, platform, res.pattern)
-        periods.append(res.period)
-    assert all(math.isfinite(p) for p in periods)
+        assert warm.pattern.ops.keys() == cold.pattern.ops.keys()
+
+
+class TestFamilyNotes:
+    """MadPipe's notes name the family's construction."""
+
+    def test_contiguous_phase1_notes(self, uniform8):
+        platform = Platform.of(4, 1.0, 12)
+        base = madpipe(uniform8, platform, iterations=4)
+        zb = madpipe(uniform8, platform, iterations=4, schedule_family="zero_bubble")
+        assert base.notes == ["phase-1 contiguous allocation via 1F1B*"]
+        assert zb.notes == ["phase-1 contiguous allocation via zero-bubble"]
+
+    @pytest.mark.faultinject
+    def test_quarantine_fallback_note(self, uniform8, tmp_path):
+        platform = Platform.of(4, 1.0, 12)
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe:", times=1)], tmp_path
+        )
+        try:
+            res = madpipe(uniform8, platform, iterations=4, schedule_family="zero_bubble")
+        finally:
+            faults.clear()
+        assert res.status == "degraded" and res.certificate.mode == "fallback"
+        assert "replaced by the certified zero-bubble contiguous fallback" in res.notes
+        assert not any("1F1B*" in note for note in res.notes)
+
+
+def test_schedule_stats_prints_zero_bubble_searches(tmp_path, capsys):
+    """``repro schedule --schedule-family zero_bubble --stats`` reports the
+    family's period searches like the 1F1B* line."""
+    profile = tmp_path / "chain.json"
+    save_chain(uniform_chain(8, u_f=1.0, u_b=2.0, weights=4e6, activation=8e6), profile)
+    rc = cli_main(
+        [
+            "schedule", str(profile), "-p", "4", "-m", "1", "--grid", "coarse",
+            "--iterations", "4", "--schedule-family", "zero_bubble", "--stats",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "zero-bubble: " in out and " period searches, " in out
+    assert "replaced by the zero-bubble fallback" in out
+    assert "1F1B*" not in out
