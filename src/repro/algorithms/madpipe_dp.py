@@ -35,12 +35,10 @@ stratified by ``l``.  States are packed into a single integer key
 *level* (all states sharing ``l``) at a time:
 
 1. a **downward reachability sweep** (``l = L … 1``) expands whole
-   levels as 2-D NumPy arrays — ``U(k,l)``, communication costs,
-   ``mem(k,l,g)`` and the ``g``/``⊕`` terms are computed for all
-   ``(state, k)`` pairs at once, with ``period_cap``/memory masks
-   applied in bulk — scattering the reachable children into one flat
-   bitmap over the packed key space, so each level's sorted key array
-   is a single ``flatnonzero`` (no sorting or dedup passes);
+   levels as 2-D ``(state, k)`` arrays, scattering the valid children
+   into one flat bitmap over the packed key space, so each level's
+   sorted key array is a single ``flatnonzero`` (no sorting or dedup
+   passes);
 2. an **upward value sweep** (``l = 1 … L``) re-expands each reachable
    level, gathers child values by direct indexing into a dense value
    table over the packed key space (level 0 is prefilled closed-form;
@@ -52,15 +50,32 @@ stratified by ``l``.  States are packed into a single integer key
    bit-identical to
    :func:`repro.algorithms.madpipe_dp_reference.madpipe_dp_reference`.
 
+A level expansion does no float work per state.  Every float quantity
+of a ``(state, k)`` candidate depends on one grid coordinate and the cut
+``k`` only: ``V ⊕ U(k,l) ⊕ C``, ``g``, ``mem(k,l,g)`` and the snapped
+``iv2`` on ``iv``; ``t_P + U``, ``it2`` and ``max(t_P + U, C)`` on
+``it``; ``m_P + mem(k,l,g−1)`` and ``im2`` on ``(im, iv)``.  These are
+built once per level and probe as small *coordinate tables*
+(``n_v × l``, ``n_t × l``, ``n_m·n_v × l``) — the same operations on
+the same operands as a per-state evaluation, so bit-identical — and
+both sweeps expand a level by gathering table rows and adding packed-key
+offsets.  The tables that depend on neither ``T̂``, the period cap nor
+the memory capacity (``V + U``, ``t_P + U`` and its snapped/packed
+``it2``, ``max(t_P + U, C)``) live in a rows cache that one
+:func:`algorithm1` search shares across its probes and a warm workspace
+shares across searches and instances.
+
 Only *reachable* grid states are ever touched, exactly as in the
 memoized recursion; candidate stages whose load already exceeds a known
-upper bound (``period_cap``) are pruned in bulk.
+upper bound (``period_cap``) are pruned in bulk.  The pruning counters
+count one per rejected ``(state, k)`` candidate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +184,40 @@ class MadPipeDPResult:
         return self.allocation is not None
 
 
+class _Rows(NamedTuple):
+    """Level constants independent of ``T̂``, ``M`` and the cap (see
+    :meth:`_LevelDP._static_rows`); ``(l,)`` rows over ``k = l … 1``."""
+
+    U: np.ndarray  # U(k, l)
+    dw3: np.ndarray  # 3·W(k, l)
+    da: np.ndarray  # Σ a_{i-1} over k..l
+    comm: np.ndarray  # C(k-1) = 2·a^{(k-1)}/β, zero at k == 1
+    b1: np.ndarray  # first-boundary buffers 2·a^{(k-1)}
+    b2: float  # last-boundary buffers 2·a^{(l)}
+    local_n: np.ndarray  # max(U, C): a normal stage's local period
+    kb: np.ndarray  # (k-1)·S_l
+    VU: np.ndarray  # (n_v, l) V + U
+    t2: np.ndarray  # (n_t, l) t_P + U
+    kit2: np.ndarray  # (n_t, l) (k-1)·S_l + it2·S_t
+    local_s: np.ndarray  # (n_t, l) max(t_P + U, C)
+
+
+@dataclass
+class _Tables:
+    """One probe's per-coordinate tables for one level (see
+    :meth:`_LevelDP._tables`); every array has ``l`` columns over the
+    cut ``k = l … 1``."""
+
+    valid_n: np.ndarray  # (n_v, l) normal candidate passes cap and memory
+    kiv2: np.ndarray  # (n_v, l) (k-1)·S_l + iv2
+    cap_fail_n: int  # cuts over the period cap (same for every state)
+    mem_fail_n: np.ndarray  # (n_v,) memory rejects among the cap passes
+    cap_ok_s: np.ndarray | None = None  # (n_t, l) t_P + U < cap
+    cap_pass_s: np.ndarray | None = None  # (n_t,) row sums of cap_ok_s
+    mem_ok_s: np.ndarray | None = None  # (n_m·n_v, l) m_P + mem(g-1) fits
+    imv2: np.ndarray | None = None  # (n_m·n_v, l) im2·S_m + iv2
+
+
 class _LevelDP:
     """One MadPipe-DP(T̂) evaluation, batched level by level.
 
@@ -201,6 +250,11 @@ class _LevelDP:
         self.it_top = grid.n_t - 1
         self.im_top = grid.n_m - 1
         self.iv_top = grid.n_v - 1
+        # coordinate values of the whole grid, as a per-state unpack
+        # would compute them (int index × step)
+        self.t_grid = np.arange(grid.n_t) * self.t_step
+        self.m_grid = np.arange(grid.n_m) * self.m_step
+        self.V_grid = np.arange(grid.n_v) * self.v_step
 
         # packed-key strides
         self.S_m = grid.n_v
@@ -215,9 +269,12 @@ class _LevelDP:
         self.act = chain._act
 
         # per-level static candidate rows, index j = l - k (k descending);
-        # pure functions of (chain, beta, strides), so a warm workspace may
-        # share one dict across probes, searches and instances
-        self._rows: dict[int, tuple] = {} if rows_cache is None else rows_cache
+        # pure functions of (chain, beta, strides, grid), so a workspace may
+        # share one dict across probes, searches and instances.  Nothing
+        # that depends on M, the headroom, T̂ or the cap may go in there.
+        self._rows: dict[int, _Rows] = {} if rows_cache is None else rows_cache
+        # this probe's per-coordinate tables, shared by discover and reduce
+        self._tabs: dict[int, _Tables] = {}
         # warm mode: carry the discovery pass's expansions into reduce()
         # (both passes expand identical key sets — see reduce()'s docstring)
         self._forward = forward
@@ -236,11 +293,15 @@ class _LevelDP:
         self.pruned_cap = 0
         self.pruned_mem = 0
 
-    # -- static per-level data ---------------------------------------------
+    # -- per-level tables ---------------------------------------------------
 
-    def _static_rows(self, l: int) -> tuple:
+    def _static_rows(self, l: int) -> _Rows:
         """Candidate-stage constants for level ``l``: arrays over the cut
-        layer ``k = l … 1`` (index ``j = l − k``)."""
+        layer ``k = l … 1`` (index ``j = l − k``), plus the per-coordinate
+        tables that do not depend on ``T̂``, ``M`` or the period cap —
+        ``V + U`` over the ``iv`` grid, and ``t_P + U``, its snapped
+        ``it2`` (pre-packed with ``(k−1)·S_l``) and ``max(t_P + U, C)``
+        over the ``it`` grid."""
         rows = self._rows.get(l)
         if rows is not None:
             return rows
@@ -255,9 +316,73 @@ class _LevelDP:
         b2 = 2.0 * self.act[l] if l < self.L else 0.0
         local_n = np.maximum(U, comm)
         kb = np.arange(l - 1, -1, -1, dtype=np.int64) * self.S_l  # (k-1)·S_l
-        rows = (U, dw3, da, comm, b1, b2, local_n, kb)
+        VU = self.V_grid[:, None] + U[None, :]  # (n_v, l)
+        t2 = self.t_grid[:, None] + U[None, :]  # (n_t, l)
+        it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
+        kit2 = kb + it2 * self.S_t
+        local_s = np.maximum(t2, comm)
+        rows = _Rows(U, dw3, da, comm, b1, b2, local_n, kb, VU, t2, kit2, local_s)
         self._rows[l] = rows
         return rows
+
+    def _tables(self, l: int) -> _Tables:
+        """This probe's per-coordinate tables for level ``l``.
+
+        Every float quantity of a ``(state, k)`` candidate depends on a
+        single grid coordinate (``iv``, ``it`` or the ``(im, iv)`` pair)
+        and the cut ``k``, so it is computed here once per coordinate —
+        with the same operations on the same operands as a per-state
+        evaluation, hence bit-identical — and :meth:`_expand` only
+        gathers rows.  Built on first use and shared by both passes.
+        """
+        tab = self._tabs.get(l)
+        if tab is not None:
+            return tab
+        U, dw3, da, comm, b1, b2, _, kb, VU, t2, _, _ = self._static_rows(l)
+        That, cap, M = self.That, self.cap, self.M
+
+        cVU = np.ceil(VU / That - 1e-9)
+        g = np.maximum(cVU, 1.0)
+        mem_g = dw3 + g * da
+        mem_g += b1
+        mem_g += b2
+
+        # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
+        cV = np.ceil(self.V_grid / That - 1e-9)
+        r1 = np.where(cV[:, None] == cVU, VU, That * cV[:, None] + U[None, :])
+        cr1 = np.ceil(r1 / That - 1e-9)
+        V2 = np.where(
+            cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm
+        )
+        iv2 = np.minimum(np.ceil(V2 / self.v_step - 1e-9), self.iv_top).astype(np.int64)
+
+        # normal processor: child (k-1, p-1, it, im, iv2); cap_ok_n also
+        # subsumes the naive loop's break condition
+        cap_ok_n = U < cap
+        mem_ok_n = mem_g <= M + _EPS
+        tab = _Tables(
+            valid_n=cap_ok_n & mem_ok_n,
+            kiv2=kb + iv2,
+            cap_fail_n=l - int(np.count_nonzero(cap_ok_n)),
+            mem_fail_n=np.count_nonzero(cap_ok_n & ~mem_ok_n, axis=1),
+        )
+
+        if self.allow_special:
+            # special processor: child (k-1, p, it2, im2, iv2); the (im, iv)
+            # tables keep row im·n_v + iv
+            mem_gm1 = dw3 + (g - 1.0) * da
+            mem_gm1 += b1
+            mem_gm1 += b2
+            m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, l)
+            im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(
+                np.int64
+            )
+            tab.cap_ok_s = t2 < cap
+            tab.cap_pass_s = np.count_nonzero(tab.cap_ok_s, axis=1)
+            tab.mem_ok_s = (m2 <= M + _EPS).reshape(-1, l)
+            tab.imv2 = (im2 * self.S_m + iv2).reshape(-1, l)
+        self._tabs[l] = tab
+        return tab
 
     def _unpack(self, keys: np.ndarray) -> tuple:
         p = (keys // self.S_p) % (self.P + 1)
@@ -269,67 +394,44 @@ class _LevelDP:
     # -- level expansion ----------------------------------------------------
 
     def _expand(self, l: int, keys: np.ndarray, count: bool = False) -> tuple:
-        """Vectorized candidate generation for all ``p ≥ 1`` states of one
-        level: validity masks, packed child keys and local costs, shaped
-        ``(n_states, l)`` with ``k`` descending along axis 1.
+        """Candidate generation for all ``p ≥ 1`` states of one level:
+        validity masks, packed child keys and local costs, shaped
+        ``(n_states, l)`` with ``k`` descending along axis 1 — row
+        gathers from :meth:`_tables` plus integer key offsets.  Without
+        the special processor its three entries are ``None``.
 
-        ``count=True`` accumulates the pruning counters (the expansion
-        runs once per pass, so only the discovery pass counts).
+        ``count=True`` accumulates the pruning counters, one per
+        rejected ``(state, k)`` candidate (the expansion runs once per
+        pass, so only the discovery pass counts).
         """
-        U, dw3, da, comm, b1, b2, local_n, kb = self._static_rows(l)
-        That, cap, M = self.That, self.cap, self.M
-        p, it, im, iv = self._unpack(keys)
-        V = iv * self.v_step
-        t_P = it * self.t_step
-        m_P = im * self.m_step
+        rows = self._static_rows(l)
+        tab = self._tables(l)
+        p = (keys // self.S_p) % (self.P + 1)
+        it = (keys // self.S_t) % self.n_t
+        imv = keys % self.S_t  # im·n_v + iv
+        iv = imv % self.S_m
+        n = len(keys)
 
-        VU = V[:, None] + U[None, :]
-        cVU = np.ceil(VU / That - 1e-9)
-        g = np.maximum(cVU, 1.0)
-        mem_g = dw3 + g * da
-        mem_g += b1
-        mem_g += b2
-        mem_gm1 = dw3 + (g - 1.0) * da
-        mem_gm1 += b1
-        mem_gm1 += b2
-
-        # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
-        cV = np.ceil(V / That - 1e-9)
-        r1 = np.where(cV[:, None] == cVU, VU, That * cV[:, None] + U[None, :])
-        cr1 = np.ceil(r1 / That - 1e-9)
-        V2 = np.where(
-            cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm
-        )
-        iv2 = np.minimum(np.ceil(V2 / self.v_step - 1e-9), self.iv_top).astype(np.int64)
-
-        # normal processor: child (k-1, p-1, it, im, iv2)
-        cap_ok_n = U < cap  # also subsumes the naive loop's break condition
-        valid_n = cap_ok_n & (mem_g <= M + _EPS)
-        base_n = (p - 1) * self.S_p + it * self.S_t + im * self.S_m
-        child_n = kb[None, :] + base_n[:, None] + iv2
-
-        # special processor: child (k-1, p, it2, im2, iv2)
-        t2 = t_P[:, None] + U[None, :]
-        m2 = m_P[:, None] + mem_gm1
-        if self.allow_special:
-            cap_ok_s = t2 < cap
-            valid_s = cap_ok_s & (m2 <= M + _EPS)
-            if count:
-                self.pruned_cap += int(np.sum(~cap_ok_s))
-                self.pruned_mem += int(np.sum(cap_ok_s & (m2 > M + _EPS)))
-        else:
-            valid_s = np.zeros_like(t2, dtype=bool)
-        it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
-        im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(np.int64)
-        child_s = kb[None, :] + p[:, None] * self.S_p + it2 * self.S_t
-        child_s += im2 * self.S_m + iv2
-
+        valid_n = tab.valid_n.take(iv, axis=0)
+        child_n = tab.kiv2.take(iv, axis=0)
+        child_n += ((p - 1) * self.S_p + it * self.S_t + (imv - iv))[:, None]
         if count:
-            self.pruned_cap += int(np.sum(~cap_ok_n))
-            self.pruned_mem += int(np.sum(cap_ok_n & (mem_g > M + _EPS)))
+            self.pruned_cap += n * tab.cap_fail_n
+            self.pruned_mem += int(tab.mem_fail_n.take(iv).sum())
 
-        local_s = np.maximum(t2, comm)
-        return valid_n, child_n, local_n, valid_s, child_s, local_s
+        if not self.allow_special:
+            return valid_n, child_n, rows.local_n, None, None, None
+        valid_s = tab.cap_ok_s.take(it, axis=0)
+        valid_s &= tab.mem_ok_s.take(imv, axis=0)
+        child_s = rows.kit2.take(it, axis=0)
+        child_s += tab.imv2.take(imv, axis=0)
+        child_s += (p * self.S_p)[:, None]
+        if count:
+            passed = int(tab.cap_pass_s.take(it).sum())
+            self.pruned_cap += n * l - passed
+            self.pruned_mem += passed - int(np.count_nonzero(valid_s))
+        local_s = rows.local_s.take(it, axis=0)
+        return valid_n, child_n, rows.local_n, valid_s, child_s, local_s
 
     def _base_p0(self, l: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the ``p == 0`` states of one level: all remaining
@@ -385,10 +487,12 @@ class _LevelDP:
                 if self._fwd_bytes + nbytes <= _FORWARD_BUDGET:
                     self._fwd[l] = exp
                     self._fwd_bytes += nbytes
+                    del self._tabs[l]  # reduce() will not re-expand
             # level-0 children land in the bitmap too, but their segment
             # is never read back (T(0, ·) is closed-form in reduce())
             seen[child_n[valid_n]] = True
-            seen[child_s[valid_s]] = True
+            if valid_s is not None:
+                seen[child_s[valid_s]] = True
 
     def reduce(self) -> None:
         """Upward sweep: solve every reachable level bottom-up.
@@ -434,24 +538,33 @@ class _LevelDP:
                 exp = self._fwd.pop(l, None)
                 if exp is None:
                     exp = self._expand(l, keys_b)
+                    del self._tabs[l]
                 else:
                     self.forwarded += 1
                 valid_n, child_n, local_n, valid_s, child_s, local_s = exp
-                sub_n = dense[child_n]
-                sub_s = dense[child_s]
+                sub_n = dense.take(child_n)
                 cand_n = np.where(valid_n, np.maximum(local_n[None, :], sub_n), INF)
-                cand_s = np.where(valid_s, np.maximum(local_s, sub_s), INF)
-                nb, l2 = cand_n.shape[0], 2 * l
-                cand = np.empty((nb, l2), dtype=float)
-                cand[:, 0::2] = cand_n  # naive scan order: k desc,
-                cand[:, 1::2] = cand_s  # normal before special
-                j = np.argmin(cand, axis=1)
+                nb = len(keys_b)
                 rows = np.arange(nb)
-                bv = cand[rows, j]
+                if valid_s is None:
+                    # every special candidate would be INF, so the first
+                    # minimum over the normal ones alone picks the same k
+                    jk = np.argmin(cand_n, axis=1)
+                    bv = cand_n[rows, jk]
+                    spec = np.zeros(nb, dtype=bool)
+                    child = child_n[rows, jk]
+                else:
+                    sub_s = dense.take(child_s)
+                    cand_s = np.where(valid_s, np.maximum(local_s, sub_s), INF)
+                    cand = np.empty((nb, 2 * l), dtype=float)
+                    cand[:, 0::2] = cand_n  # naive scan order: k desc,
+                    cand[:, 1::2] = cand_s  # normal before special
+                    j = np.argmin(cand, axis=1)
+                    bv = cand[rows, j]
+                    jk = j >> 1
+                    spec = (j & 1).astype(bool)
+                    child = np.where(spec, child_s[rows, jk], child_n[rows, jk])
                 vals[maskB] = bv
-                jk = j >> 1
-                spec = (j & 1).astype(bool)
-                child = np.where(spec, child_s[rows, jk], child_n[rows, jk])
                 idxB = np.flatnonzero(maskB)
                 ok = bv < INF
                 best_k[idxB[ok]] = (l - jk)[ok]
@@ -508,6 +621,7 @@ def madpipe_dp(
     allow_special: bool = True,
     memory_headroom: float = 0.0,
     workspace: dict | None = None,
+    carry: bool = False,
 ) -> MadPipeDPResult:
     """Evaluate ``MadPipe-DP(T̂)`` (§4.2.2).
 
@@ -520,11 +634,13 @@ def madpipe_dp(
     and its memory grid both use the derated capacity, so phase 1 only
     proposes allocations that leave the requested margin.
 
-    ``workspace`` (warm starts) shares the per-level candidate-stage
-    constants across evaluations of the same (chain, P, β, grid) and
-    carries the discovery pass's expansions into the value sweep — the
-    result is bit-identical either way (both are exact reuse of
-    deterministic intermediates; golden tests enforce it).
+    ``workspace`` shares the per-level tables that depend on neither
+    ``T̂``, the cap nor the memory capacity across evaluations of the
+    same (chain, P, β, grid); ``carry=True`` (warm starts) also carries
+    the discovery pass's expansions into the value sweep, trading memory
+    for the second expansion.  The result is bit-identical either way
+    (both are exact reuse of deterministic intermediates; golden tests
+    enforce it).
     """
     if target <= 0:
         raise ValueError("target period must be positive")
@@ -533,7 +649,7 @@ def madpipe_dp(
     dp = _LevelDP(
         chain, platform.with_headroom(memory_headroom), target, grid,
         period_cap, allow_special,
-        rows_cache=workspace, forward=workspace is not None,
+        rows_cache=workspace, forward=carry,
     )
     # P-1 normal processors plus the special one; without the special
     # processor all P processors are normal.
@@ -608,13 +724,17 @@ def algorithm1(
     default evaluator, the whole search is memoized by exact instance
     key — MadPipe re-runs the identical contiguous search for its
     fallback and certification paths, and sweeps repeat searches across
-    retries — and probes share the context's per-level DP workspace.
-    Both reuse paths return bit-identical results to a cold search.
+    retries — and probes share the context's per-level DP workspace and
+    carry each discovery pass into its value sweep.  A cold search
+    shares one workspace across its own probes only.  All reuse paths
+    return bit-identical results to evaluating every probe afresh.
     """
     dp = dp or madpipe_dp
     dp_opts = {"memory_headroom": memory_headroom} if memory_headroom else {}
     warm = active_warm() if dp is madpipe_dp else None
     memo_key = None
+    if dp is madpipe_dp:
+        dp_opts["workspace"] = {}  # cold: the probes share one rows dict
     if warm is not None:
         g = grid or Discretization.default()
         fp = chain_fingerprint(chain)
@@ -631,6 +751,7 @@ def algorithm1(
         dp_opts["workspace"] = warm.dp_workspace(
             (fp, platform.n_procs, platform.bandwidth, g.n_t, g.n_m, g.n_v)
         )
+        dp_opts["carry"] = True
     t0 = time.perf_counter()
     lb = chain.total_compute() / platform.n_procs
     ub = chain.total_compute() + chain.total_comm(platform.bandwidth)

@@ -13,7 +13,8 @@ under one hard rule: **warm starts never change results**.  Every
 mechanism is either an exact-key memo of a pure deterministic function,
 or a certificate transfer whose soundness is a theorem of the model:
 
-* ``dp_rows`` — per-level candidate-stage constants of the MadPipe DP
+* ``dp_rows`` — per-level candidate-stage constants and coordinate
+  tables of the MadPipe DP
   (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`): pure
   functions of (chain, P, β, grid), independent of the probe target,
   the period cap and the memory capacity — shared across probes,
@@ -84,6 +85,9 @@ _MEMO_CAP = 256
 #: Skeleton templates are the largest cached objects (dense constraint
 #: matrices); keep only the most recent allocations.
 _SKELETON_CAP = 32
+#: DP workspaces hold ``n_t × l`` tables per level (megabytes at the
+#: paper grid); keep those of the most recent (chain, P, β, grid) keys.
+_DP_ROWS_CAP = 16
 
 
 def chain_fingerprint(chain) -> tuple:
@@ -220,7 +224,7 @@ class WarmContext:
     """
 
     def __init__(self) -> None:
-        self.dp_rows: dict[tuple, dict] = {}
+        self.dp_rows = _LRU(_DP_ROWS_CAP)
         self.phase1 = _LRU(_MEMO_CAP)
         self.onef1b = _LRU(_MEMO_CAP)
         self.skeletons = _LRU(_SKELETON_CAP)
@@ -231,9 +235,10 @@ class WarmContext:
 
     def dp_workspace(self, key: tuple) -> dict:
         """The shared ``_static_rows`` cache for one (chain, P, β, grid)."""
-        ws = self.dp_rows.get(key)
+        ws = self.dp_rows.hit(key)
         if ws is None:
-            ws = self.dp_rows[key] = {}
+            ws = {}
+            self.dp_rows.put(key, ws)
         return ws
 
     # -- certified-infeasible probe frontier -------------------------------

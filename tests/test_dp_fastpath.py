@@ -13,6 +13,7 @@ JSONL result cache must round-trip and migrate the legacy format.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -47,7 +48,10 @@ class TestGoldenEquivalence:
             ref = madpipe_dp_reference(chain, platform, target, grid=COARSE)
             assert_identical(fast, ref)
 
-    @pytest.mark.parametrize("n_t,n_m,n_v", [(2, 2, 2), (9, 3, 5), (25, 7, 15)])
+    @pytest.mark.parametrize(
+        "n_t,n_m,n_v",
+        [(2, 2, 2), (9, 3, 5), (25, 7, 15), (5, 11, 3), (101, 11, 51)],
+    )
     def test_grid_shapes(self, n_t, n_m, n_v):
         chain = random_chain(10, seed=42, decay=0.2)
         platform = Platform.of(3, 1.0, 12)
@@ -130,6 +134,84 @@ class TestGoldenEquivalence:
         a1 = algorithm1(chain, platform, iterations=3, grid=COARSE)
         assert a1.states > 0
         assert a1.wall_time_s > 0
+
+
+def recount_pruning(chain, platform, target, grid, cap, allow_special):
+    """``(states, pruned_cap, pruned_mem)`` of one DP evaluation, recounted
+    with a plain scalar loop over every reachable ``(state, k)`` candidate
+    of both branches."""
+    L, P, M = chain.L, platform.n_procs, platform.memory
+    t_max = chain.total_compute()
+    v_max = t_max + chain.total_comm(platform.bandwidth)
+    t_step, m_step = t_max / (grid.n_t - 1), M / (grid.n_m - 1)
+    v_step = v_max / (grid.n_v - 1)
+    cumU, cumW = chain._cum_u.tolist(), chain._cum_w.tolist()
+    cumA, act = chain._cum_a_in.tolist(), chain._act.tolist()
+
+    def up(x, step):
+        return math.ceil(x / step - 1e-9)
+
+    def oplus(x, y):
+        return x + y if up(x, target) == up(x + y, target) else target * up(x, target) + y
+
+    def mem(k, l, g):
+        m = 3.0 * (cumW[l] - cumW[k - 1]) + g * (cumA[l] - cumA[k - 1])
+        return m + (2.0 * act[k - 1] if k > 1 else 0.0) + (2.0 * act[l] if l < L else 0.0)
+
+    reach = {l: set() for l in range(L + 1)}
+    reach[L].add((P - 1 if allow_special else P, 0, 0, 0))
+    states = pruned_cap = pruned_mem = 0
+    for l in range(L, 0, -1):
+        states += len(reach[l])
+        for p, it, im, iv in reach[l]:
+            if p == 0:
+                continue
+            t_P, m_P, V = it * t_step, im * m_step, iv * v_step
+            for k in range(l, 0, -1):
+                U = cumU[l] - cumU[k - 1]
+                comm = 2.0 * act[k - 1] / platform.bandwidth if k > 1 else 0.0
+                g = max(up(V + U, target), 1)
+                iv2 = min(up(oplus(oplus(V, U), comm), v_step), grid.n_v - 1)
+                if U >= cap:
+                    pruned_cap += 1
+                elif mem(k, l, g) > M + 1e-9:
+                    pruned_mem += 1
+                else:
+                    reach[k - 1].add((p - 1, it, im, iv2))
+                if not allow_special:
+                    continue
+                t2, m2 = t_P + U, m_P + mem(k, l, g - 1)
+                if t2 >= cap:
+                    pruned_cap += 1
+                elif m2 > M + 1e-9:
+                    pruned_mem += 1
+                else:
+                    it2 = min(up(t2, t_step), grid.n_t - 1)
+                    im2 = min(up(m2, m_step), grid.n_m - 1)
+                    reach[k - 1].add((p, it2, im2, iv2))
+    return states, pruned_cap, pruned_mem
+
+
+class TestPruningCounters:
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_counts_every_rejected_candidate(self, allow_special):
+        """Both counters count one per rejected ``(state, k)`` candidate,
+        in both branches, exactly as a scalar loop does."""
+        chain = random_chain(9, seed=4, decay=0.2)
+        platform = Platform.of(3, 1.0, 12)
+        u = chain.total_compute()
+        totals = [0, 0]
+        for target, cap in ((u / 3, u * 0.45), (u / 2, u * 0.7), (u, INF)):
+            res = madpipe_dp(
+                chain, platform, target, grid=COARSE, period_cap=cap,
+                allow_special=allow_special,
+            )
+            assert (res.states, res.pruned_cap, res.pruned_mem) == recount_pruning(
+                chain, platform, target, COARSE, cap, allow_special
+            )
+            totals[0] += res.pruned_cap
+            totals[1] += res.pruned_mem
+        assert min(totals) > 0  # both counters are exercised
 
 
 class TestParallelHarness:

@@ -23,10 +23,11 @@ import pytest
 from repro import api, obs, warmstart
 from repro.algorithms import Discretization
 from repro.algorithms.madpipe import madpipe
-from repro.algorithms.madpipe_dp import algorithm1
+from repro.algorithms.madpipe_dp import algorithm1, madpipe_dp
 from repro.core.partition import Allocation, Partitioning
 from repro.core.platform import Platform
 from repro.experiments import ResultCache, run_grid, verify_cache
+from repro.experiments.scenarios import paper_chain
 from repro.ilp.formulation import build_skeleton
 from repro.ilp.solver import schedule_allocation
 from repro.models import random_chain, uniform_chain
@@ -329,6 +330,33 @@ class TestSearchMemos:
         assert warmstart.chain_fingerprint(c1) != warmstart.chain_fingerprint(c3)
         # cached on the object after the first computation
         assert c1._warm_fingerprint == warmstart.chain_fingerprint(c1)
+
+
+class TestDPWorkspace:
+    def test_workspace_shared_across_memory_budgets(self):
+        """The DP workspace key carries no memory term, so a workspace
+        filled at one capacity (or headroom) must serve every other one:
+        each evaluation equals its cold twin field for field."""
+        chain = paper_chain("resnet50")
+        u = chain.total_compute()
+        workspace: dict = {}
+        seen = set()
+        for memory in (16.0, 8.0, 4.0, 2.0):
+            platform = Platform.of(4, memory, 12.0)
+            for headroom in (0.0, 0.2):
+                for target, cap in ((u / 4, INF), (u / 2, u * 0.3)):
+                    kw = dict(grid=COARSE, period_cap=cap, memory_headroom=headroom)
+                    warm = madpipe_dp(
+                        chain, platform, target, workspace=workspace, carry=True, **kw
+                    )
+                    cold = madpipe_dp(chain, platform, target, **kw)
+                    assert warm.dp_period == cold.dp_period
+                    assert warm.allocation == cold.allocation
+                    assert warm.states == cold.states
+                    assert warm.pruned_cap == cold.pruned_cap
+                    assert warm.pruned_mem == cold.pruned_mem
+                    seen.add((cold.states, cold.pruned_mem))
+        assert workspace and len(seen) == 16  # every budget searched differently
 
 
 class TestSweepDedupAndTrace:
