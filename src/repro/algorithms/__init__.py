@@ -1,6 +1,5 @@
 """Scheduling algorithms: 1F1B*, PipeDream baseline, MadPipe, GPipe."""
 
-from .advisor import BatchAdvice, max_feasible_batch
 from .bruteforce import BruteForceResult, best_contiguous, best_special
 from .gpipe import GPipeResult, gpipe, gpipe_period
 from .hybrid import HybridResult, group_sizes, hybrid, scale_chain_for_group
@@ -18,8 +17,6 @@ from .pipedream import PipeDreamResult, pipedream, pipedream_partition
 from .zero_bubble import ZeroBubbleResult, build_pattern_zb, min_feasible_period_zb
 
 __all__ = [
-    "BatchAdvice",
-    "max_feasible_batch",
     "BruteForceResult",
     "best_contiguous",
     "best_special",

@@ -41,6 +41,10 @@ class GPipeResult:
     def feasible(self) -> bool:
         return self.partitioning is not None
 
+    @property
+    def n_stages(self) -> int:
+        return self.partitioning.n_stages if self.partitioning is not None else 0
+
 
 def gpipe_period(
     chain: Chain,

@@ -80,6 +80,10 @@ class MadPipeResult:
         return self.phase1.period
 
     @property
+    def n_stages(self) -> int:
+        return self.allocation.n_stages if self.allocation is not None else 0
+
+    @property
     def feasible(self) -> bool:
         return self.pattern is not None
 

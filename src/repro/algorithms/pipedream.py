@@ -68,6 +68,10 @@ class PipeDreamResult:
     def feasible(self) -> bool:
         return self.partitioning is not None
 
+    @property
+    def n_stages(self) -> int:
+        return self.partitioning.n_stages if self.partitioning is not None else 0
+
 
 def pipedream_partition(
     chain: Chain, platform: Platform

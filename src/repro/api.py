@@ -14,8 +14,18 @@ This module is the supported way in:
   calibrated chain + fitted per-layer noise model
   (:class:`repro.profiles.CalibrationResult`), with quarantine and an
   explicit coverage report;
+* :func:`serve` — a long-lived caching, coalescing planning service
+  (:class:`repro.serve.PlanService` itself, not a wrapper);
 * :func:`load_chain` — re-exported profile loader, so a typical script
   needs nothing beyond ``repro.api``.
+
+:func:`plan` is the only code that turns ``(algorithm, options)`` into
+an algorithm call: the CLI and the plan service plan through it, and
+the sweep harness through its core (``_dispatch``, without the per-call
+trace and metrics snapshot).  :data:`PLAN_OPTIONS` — the options each
+algorithm takes, read from the algorithm signatures at import time — is
+the one table they check options against (:func:`plan_options`), so a
+bad served request is rejected before anything is solved.
 
 Every :func:`plan` result carries a ``certificate``: each
 pattern-producing algorithm (``madpipe``, ``pipedream``) runs its own
@@ -40,6 +50,7 @@ Observability::
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -68,7 +79,6 @@ from .experiments.harness import ResultCache, RunResult, run_grid
 from .profiles import CalibrationResult, calibrate, ingest_traces
 from .profiling import LayerNoiseModel, NoiseModel, ProfileError, load_chain
 from .robust import Certificate, RobustnessReport, certify_pattern, robustness_report
-from .runtime import BACKOFF_CAP_S
 from .testing import faults
 
 __all__ = [
@@ -86,6 +96,7 @@ __all__ = [
     "OP_KINDS",
     "OpKind",
     "OverloadedError",
+    "PLAN_OPTIONS",
     "PLAN_SCHEMA_VERSION",
     "PlanResult",
     "PlanService",
@@ -103,13 +114,30 @@ __all__ = [
     "is_compute",
     "load_chain",
     "plan",
+    "plan_options",
     "serve",
     "split_backward",
     "sweep",
 ]
 
+#: The keyword options :func:`plan` takes for each algorithm (besides
+#: ``algorithm`` and ``trace``), read once from the algorithm's
+#: signature.  ``certify`` and ``schedule_family`` are always accepted:
+#: for GPipe the facade implements both (only the ``"1f1b"`` family).
+#: The sweep, the CLI and the plan service all check options against
+#: this one table (:func:`plan_options`).
+PLAN_OPTIONS: dict[str, frozenset[str]] = {
+    name: frozenset(
+        p.name for p in inspect.signature(fn).parameters.values()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    ) | {"certify", "schedule_family"}
+    for name, fn in (("madpipe", madpipe), ("pipedream", pipedream), ("gpipe", gpipe))
+}
+
 #: Algorithms :func:`plan` dispatches on.
-ALGORITHMS = ("madpipe", "pipedream", "gpipe")
+ALGORITHMS = tuple(PLAN_OPTIONS)
+
+_ANY_OPTION = frozenset().union(*PLAN_OPTIONS.values())
 
 #: Current :meth:`PlanResult.to_json` schema.  Version 2 added
 #: ``schedule_family``; version-1 records (no family ⇒ ``"1f1b"``) are
@@ -250,17 +278,11 @@ def plan(
     ``contiguous_fallback``, ``memory_headroom`` for MadPipe;
     ``micro_batches`` for GPipe), so results match the direct calls bit
     for bit.  ``certify=False`` skips the certification gate for any
-    algorithm (the result's ``certificate`` stays ``None``).
+    algorithm (the result's ``certificate`` stays ``None``).  An unknown
+    algorithm or schedule family raises ``ValueError`` and an option the
+    algorithm does not take raises ``TypeError`` (see :func:`plan_options`).
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    if schedule_family not in SCHEDULE_FAMILIES:
-        raise ValueError(
-            f"unknown schedule family {schedule_family!r}; "
-            f"expected one of {SCHEDULE_FAMILIES}"
-        )
+    opts = plan_options(algorithm, dict(opts, schedule_family=schedule_family))
     if trace is True:
         tr = obs.Trace(f"plan:{algorithm}")
     elif isinstance(trace, obs.Trace):  # note: an empty Trace is falsy
@@ -274,9 +296,9 @@ def plan(
     with obs.use_metrics(registry):
         if tr is not None:
             with obs.use_trace(tr):
-                result = _dispatch(chain, platform, algorithm, schedule_family, opts)
+                result = _dispatch(chain, platform, algorithm, opts)
         else:
-            result = _dispatch(chain, platform, algorithm, schedule_family, opts)
+            result = _dispatch(chain, platform, algorithm, opts)
     if outer is not None:
         outer.merge(registry.snapshot())
     result.metrics = registry.snapshot()
@@ -284,9 +306,53 @@ def plan(
     return result
 
 
+def plan_options(
+    algorithm: str, opts: Mapping[str, Any], *, shared: bool = False
+) -> dict[str, Any]:
+    """Check ``opts`` against :data:`PLAN_OPTIONS`; return the ones
+    ``algorithm`` takes.
+
+    Raises ``ValueError`` for an unknown algorithm or schedule family
+    (GPipe takes only ``"1f1b"``) and ``TypeError`` for an option
+    ``algorithm`` does not take.  ``shared=True`` is for one option set
+    that serves several algorithms (a sweep, a CLI command): options
+    only another algorithm takes are dropped (MadPipe's DP ``grid`` for
+    PipeDream), and only a name no algorithm takes raises.  The check is
+    a few set lookups, cheap enough for every served request.
+    """
+    accepted = PLAN_OPTIONS.get(algorithm)
+    if accepted is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    family = opts.get("schedule_family", "1f1b")
+    if family not in SCHEDULE_FAMILIES:
+        raise ValueError(
+            f"unknown schedule family {family!r}; expected one of {SCHEDULE_FAMILIES}"
+        )
+    if algorithm == "gpipe" and family != "1f1b":
+        raise ValueError(
+            f"algorithm 'gpipe' schedules fill-drain rounds, not periodic "
+            f"patterns; it does not support schedule_family={family!r}"
+        )
+    if accepted.issuperset(opts):
+        return dict(opts)
+    unknown = sorted(set(opts) - (_ANY_OPTION if shared else accepted))
+    if unknown:
+        raise TypeError(
+            f"algorithm {algorithm!r} takes no option(s) {unknown}; "
+            f"it takes {sorted(accepted)}"
+        )
+    return {k: v for k, v in opts.items() if k in accepted}
+
+
 def _dispatch(
-    chain: Chain, platform: Platform, algorithm: str, family: str, opts: dict
+    chain: Chain, platform: Platform, algorithm: str, opts: dict
 ) -> PlanResult:
+    """Run ``algorithm`` on options :func:`plan_options` returned (the
+    dict is consumed): :func:`plan` without its per-call trace and
+    metrics snapshot, which the sweep harness calls directly."""
+    family = opts.pop("schedule_family", "1f1b")
     if algorithm != "gpipe":
         # the algorithm owns its certification gate and status
         run = madpipe if algorithm == "madpipe" else pipedream
@@ -302,11 +368,6 @@ def _dispatch(
             schedule_family=family,
         )
     do_certify = opts.pop("certify", True)
-    if family != "1f1b":
-        raise ValueError(
-            f"algorithm 'gpipe' schedules fill-drain rounds, not periodic "
-            f"patterns; it does not support schedule_family={family!r}"
-        )
     res = gpipe(chain, platform, **opts)
     out = PlanResult(
         algorithm=algorithm,
@@ -535,10 +596,12 @@ def sweep(
     ``specs`` is a single spec or an iterable of them (see
     :class:`SweepSpec` for the accepted forms).  ``cache`` takes a
     ready :class:`ResultCache` or just a path.  Remaining keyword
-    arguments pass straight to :func:`repro.experiments.run_grid`
-    (``n_workers``, ``instance_timeout``, ``max_retries``,
-    ``retry_failed``, ``on_exhausted``, ``iterations``, ``grid``,
-    ``ilp_time_limit``, ``schedule_family``, ``verbose``);
+    arguments pass straight to :func:`repro.experiments.run_grid`: its
+    runtime knobs (``n_workers``, ``instance_timeout``, ``max_retries``,
+    ``retry_failed``, ``on_exhausted``, ``verbose``) and the sweep's
+    solver options (``iterations``, ``grid``, ``ilp_time_limit``,
+    ``schedule_family``), which every instance receives filtered by
+    :func:`plan_options` to what its algorithm takes;
     ``trace_path`` streams per-instance span trees to a JSONL file.
     ``schedule_family`` is a solver option, not part of the cache
     identity — keep one cache file per family.
@@ -585,71 +648,6 @@ def sweep(
     return SweepResult(results=results, specs=spec_list, metrics=registry.snapshot())
 
 
-# ------------------------------------------------------------------ serving
-
-
-def serve(
-    *,
-    store: "str | Path | None" = None,
-    memory_entries: int = 1024,
-    max_workers: int = 1,
-    instance_timeout: float | None = None,
-    max_retries: int = 2,
-    retry_backoff_s: float = 0.5,
-    backoff_cap_s: float = BACKOFF_CAP_S,
-    max_pool_restarts: int = 8,
-    warm_start: bool = True,
-    seed: int = 0,
-    resilience: "ResilienceConfig | None" = None,
-) -> "PlanService":
-    """Build a long-lived planning service (see :mod:`repro.serve`).
-
-    The service answers :func:`plan` requests through a fingerprinted
-    two-tier cache (in-process LRU over a persistent JSONL store at
-    ``store``), coalesces identical concurrent requests into one solve,
-    and runs cache misses on a bounded worker pool (``max_workers``
-    processes; ``0`` solves inline on the event loop's thread pool) with
-    the per-request deadline/retry/backoff of :mod:`repro.runtime` (the
-    execution core the sweep shares) and the warm-start context active
-    inside workers.  Served plans are
-    bit-identical — in the :meth:`PlanResult.to_json` sense — to direct
-    cold :func:`plan` calls.
-
-    Retry backoff is capped at ``backoff_cap_s`` and jittered from the
-    service's seeded RNG (``seed``), so fault-injected replays are
-    bit-reproducible; a pool that dies more than ``max_pool_restarts``
-    consecutive times stops rebuilding and the request surfaces
-    :class:`~repro.serve.PoolExhaustedError`.  ``resilience``
-    (a :class:`~repro.serve.ResilienceConfig`) switches on admission
-    control with load shedding (:class:`~repro.serve.OverloadedError`),
-    per-(algorithm, schedule_family) circuit breakers, and degraded-mode
-    planning — certified contiguous-fallback answers marked
-    ``served_from="degraded"`` that never enter the primary cache.
-
-    Usage::
-
-        service = api.serve(store="plans.jsonl")
-        result = await service.submit(chain, platform, algorithm="madpipe")
-        print(service.stats()["counters"]["serve.hits"])
-        await service.close()
-
-    CLI equivalent: ``repro serve`` (JSONL request loop over stdin).
-    """
-    return PlanService(
-        store=store,
-        memory_entries=memory_entries,
-        max_workers=max_workers,
-        instance_timeout=instance_timeout,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        backoff_cap_s=backoff_cap_s,
-        max_pool_restarts=max_pool_restarts,
-        warm_start=warm_start,
-        seed=seed,
-        resilience=resilience,
-    )
-
-
 # placed last: repro.serve pulls the harness/obs layers in but never this
 # module at import time, so the facade can re-export its service surface
 from .serve import (  # noqa: E402  (import cycle guard)
@@ -660,3 +658,8 @@ from .serve import (  # noqa: E402  (import cycle guard)
     PoolExhaustedError,
     ResilienceConfig,
 )
+
+#: Build a long-lived planning service: ``serve(**kwargs)`` is
+#: :class:`~repro.serve.PlanService` itself, so its constructor is the one
+#: declaration of every service knob (see its docstring for usage).
+serve = PlanService

@@ -13,12 +13,12 @@ Usage::
     python -m repro sweep --networks toy8 --procs 2 4 --out grid.jsonl --resume
     python -m repro cache verify grid.jsonl --fix
 
-The sweep runtime flags (``--workers``, ``--resume``, ``--max-retries``,
-``--instance-timeout``, ``--on-error``, ``--grid``, ``--iterations``,
-``--ilp-time-limit``, ``--flush-every``, ``--quiet``, ``--trace``,
-``--no-warm-start``) are defined once in :func:`sweep_options` and
-shared — with identical spelling and semantics — by ``repro sweep`` and
-``scripts/run_paper_sweep.py``.
+Each flag is declared once: the flags several commands take live in
+:data:`_SHARED_FLAGS`, and the solver defaults — which differ on purpose
+between ``schedule``/``certify`` and ``sweep`` — in
+:data:`_SOLVER_DEFAULTS`.  :func:`sweep_options` groups the sweep flags
+for ``repro sweep`` and ``scripts/run_paper_sweep.py``.  Which solver
+options reach which algorithm is :data:`repro.api.PLAN_OPTIONS`'s call.
 """
 
 from __future__ import annotations
@@ -42,6 +42,69 @@ from .viz.report import chain_report, schedule_report
 __all__ = ["main", "sweep_kwargs", "sweep_options"]
 
 _NETWORKS = dict(network_builders(), vgg16=vgg16)
+
+#: Flags more than one command takes, each declared once: flag ->
+#: ``add_argument`` keywords (see :func:`_add_shared`).
+_SHARED_FLAGS = {
+    "--grid": dict(choices=("coarse", "default", "paper"),
+                   help="phase-1 DP discretization preset (madpipe only)"),
+    "--iterations": dict(type=int,
+                         help="phase-1 binary-search iterations (madpipe only)"),
+    "--ilp-time-limit": dict(type=float, metavar="S",
+                             help="phase-2 MILP time limit per probe (madpipe only)"),
+    "--schedule-family": dict(
+        choices=SCHEDULE_FAMILIES, default="1f1b",
+        help="pattern family to build and certify: classic 1F1B or the "
+        "zero-bubble B/W split (serve: the default for requests whose "
+        "'opts' name none, and part of the request fingerprint; sweep: "
+        "not part of the cache identity, so keep one --out file per family)",
+    ),
+    "--workers": dict(
+        type=int, default=1,
+        help="solver worker processes (sweep: 1 = serial; serve: 0 = solve "
+        "inline on a thread)",
+    ),
+    "--instance-timeout": dict(
+        type=float, default=None, metavar="S",
+        help="per-solve wall-clock deadline, enforced in the worker",
+    ),
+    "--max-retries": dict(
+        type=int, default=2,
+        help="retries per crashed/timed-out solve before giving up",
+    ),
+    "--no-warm-start": dict(
+        action="store_true",
+        help="solve from scratch instead of reusing the per-process "
+        "warm-start database (results are bit-identical either way; warm "
+        "is faster on neighboring instances)",
+    ),
+}
+
+#: The solver defaults of each planning command (by flag dest).  They
+#: differ on purpose: ``schedule``/``certify`` plan one instance with the
+#: finer grid and the larger budget, a ``sweep`` solves many quickly.
+_SOLVER_DEFAULTS = {
+    "plan": {"grid": "default", "iterations": 10, "ilp_time_limit": 60.0},
+    "sweep": {"grid": "coarse", "iterations": 8, "ilp_time_limit": 30.0},
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add the :data:`_SHARED_FLAGS` ``flags`` to ``parser`` in order;
+    ``defaults`` (by dest) set the ones the table leaves open."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+    parser.set_defaults(**defaults)
+
+
+def _solver_kwargs(args: argparse.Namespace) -> dict:
+    """The solver options of the ``--grid/--iterations/--ilp-time-limit``
+    flags, as :func:`repro.api.plan` keywords."""
+    return dict(
+        grid=getattr(Discretization, args.grid)(),
+        iterations=args.iterations,
+        ilp_time_limit=args.ilp_time_limit,
+    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -109,16 +172,15 @@ def _print_registry_stats(
 
 def _plan_kwargs(args: argparse.Namespace) -> dict:
     """The :func:`repro.api.plan` keyword arguments of the
-    :func:`_plan_options` flags (MadPipe's knobs for MadPipe only)."""
-    kwargs: dict = {"algorithm": args.algorithm}
-    if args.algorithm == "madpipe":
-        kwargs.update(
-            grid=getattr(Discretization, args.grid)(),
-            iterations=args.iterations,
-            ilp_time_limit=args.ilp_time_limit,
-            memory_headroom=args.memory_headroom,
-        )
-    return kwargs
+    :func:`_plan_options` flags, filtered to the ones the chosen
+    algorithm takes (:func:`repro.api.plan_options`)."""
+    from .api import plan_options
+
+    opts = dict(_solver_kwargs(args), memory_headroom=args.memory_headroom)
+    return dict(
+        algorithm=args.algorithm,
+        **plan_options(args.algorithm, opts, shared=True),
+    )
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -338,46 +400,32 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 
 
 def sweep_options() -> argparse.ArgumentParser:
-    """The canonical sweep runtime flags, defined once.
+    """The canonical sweep runtime flags, grouped once.
 
     ``repro sweep`` and ``scripts/run_paper_sweep.py`` both include this
     parser via ``parents=[sweep_options()]``, so every shared option has
-    exactly one spelling, type and help text.  Callers override defaults
-    with ``parser.set_defaults(...)`` after construction.
+    exactly one spelling, type and help text; the flags other commands
+    also take come from :data:`_SHARED_FLAGS`, the solver defaults from
+    :data:`_SOLVER_DEFAULTS`.  Callers override defaults with
+    ``parser.set_defaults(...)`` after construction.
     """
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="fan instances out over N worker processes (1 = serial)",
-    )
+    _add_shared(p, "--workers")
     p.add_argument(
         "--resume",
         action="store_true",
         help="re-run cached instances whose status is solver_timeout/error "
         "(completed instances are always skipped)",
     )
-    p.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retries per crashed/timed-out instance before giving up",
-    )
-    p.add_argument(
-        "--instance-timeout", type=float, default=None, metavar="S",
-        help="per-instance wall-clock deadline, enforced in the worker",
-    )
+    _add_shared(p, "--max-retries", "--instance-timeout")
     p.add_argument(
         "--on-error", choices=("raise", "record"), default="raise",
         help='after retries: "raise" aborts the sweep, "record" stores a '
         "typed error result and continues",
     )
-    p.add_argument(
-        "--grid", choices=("coarse", "default", "paper"), default="coarse",
-        help="phase-1 DP discretization preset",
+    _add_shared(
+        p, "--grid", "--iterations", "--ilp-time-limit", **_SOLVER_DEFAULTS["sweep"]
     )
-    p.add_argument(
-        "--iterations", type=int, default=8,
-        help="phase-1 binary-search iterations",
-    )
-    p.add_argument("--ilp-time-limit", type=float, default=30.0, metavar="S")
     p.add_argument(
         "--flush-every", type=int, default=8,
         help="cache flush batch size (records per fsync'd append)",
@@ -388,18 +436,7 @@ def sweep_options() -> argparse.ArgumentParser:
         help="append per-instance span trees to PATH (JSONL; inspect with "
         "'repro trace summary PATH')",
     )
-    p.add_argument(
-        "--no-warm-start", action="store_true",
-        help="solve every instance from scratch instead of reusing the "
-        "per-process warm-start database (results are bit-identical "
-        "either way; warm is faster on neighboring grids)",
-    )
-    p.add_argument(
-        "--schedule-family", choices=SCHEDULE_FAMILIES, default="1f1b",
-        help="pattern family to build and certify (like --grid, a solver "
-        "option, not part of the result-cache identity: keep one --out "
-        "cache file per family)",
-    )
+    _add_shared(p, "--no-warm-start", "--schedule-family")
     return p
 
 
@@ -411,9 +448,7 @@ def sweep_kwargs(args: argparse.Namespace) -> dict:
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     return dict(
-        grid=getattr(Discretization, args.grid)(),
-        iterations=args.iterations,
-        ilp_time_limit=args.ilp_time_limit,
+        _solver_kwargs(args),
         schedule_family=args.schedule_family,
         cache=ResultCache(args.out, flush_every=args.flush_every),
         verbose=not args.quiet,
@@ -521,17 +556,10 @@ def _parse_serve_request(line: str, lineno: int) -> "tuple[dict, object, Platfor
 
 
 def _serve_resilience(args: argparse.Namespace):
-    """Build the :class:`ResilienceConfig` for ``repro serve`` flags, or
-    ``None`` when every resilience flag is at its off default."""
+    """The :class:`ResilienceConfig` of the ``repro serve`` flags (their
+    defaults switch every mechanism off, like ``ResilienceConfig()``)."""
     from .api import ResilienceConfig
 
-    if (
-        args.max_concurrency is None
-        and args.deadline_budget is None
-        and args.breaker_threshold is None
-        and not args.degraded
-    ):
-        return None
     return ResilienceConfig(
         max_concurrency=args.max_concurrency,
         max_pending=args.max_pending,
@@ -577,7 +605,6 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
         try:
             obj, chain, platform = _parse_serve_request(line, lineno)
             rid = obj.get("id", lineno)
-            stage = "solve"
             opts = dict(obj.get("opts", {}))
             # the CLI default family applies unless the request names one;
             # the service strips the "1f1b" default from the fingerprint,
@@ -590,7 +617,8 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
                 priority=obj.get("priority", "interactive"),
                 deadline_s=obj.get("deadline_s"),
                 **opts,
-            )
+            )  # raises on an unknown algorithm or option: still a parse error
+            stage = "solve"
             async with gate:
                 reply = await service.handle(request)
         except OverloadedError as exc:
@@ -706,13 +734,8 @@ def _plan_options() -> argparse.ArgumentParser:
     p.add_argument(
         "-a", "--algorithm", choices=("madpipe", "pipedream"), default="madpipe"
     )
-    p.add_argument(
-        "--grid", choices=("coarse", "default", "paper"), default="default"
-    )
-    p.add_argument("--ilp-time-limit", type=float, default=60.0)
-    p.add_argument(
-        "--iterations", type=int, default=10,
-        help="phase-1 binary-search iterations (madpipe only)",
+    _add_shared(
+        p, "--grid", "--ilp-time-limit", "--iterations", **_SOLVER_DEFAULTS["plan"]
     )
     p.add_argument(
         "--memory-headroom", type=float, default=0.0, metavar="FRAC",
@@ -763,11 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "schedule", parents=[plan_options], help="schedule a profile on a platform"
     )
-    p.add_argument(
-        "--schedule-family", choices=SCHEDULE_FAMILIES, default="1f1b",
-        help="pattern family to build and certify: classic 1F1B or the "
-        "zero-bubble B/W split",
-    )
+    _add_shared(p, "--schedule-family")
     p.add_argument(
         "--stats",
         action="store_true",
@@ -879,31 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent plan cache (JSONL); restarting with the same store "
         "serves previously solved plans without re-solving",
     )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="solver worker processes (0 = solve inline on a thread)",
-    )
+    _add_shared(p, "--workers")
     p.add_argument(
         "--concurrency", type=int, default=8,
         help="max requests admitted to the service at once",
     )
-    p.add_argument(
-        "--instance-timeout", type=float, default=None, metavar="S",
-        help="per-request wall-clock deadline, enforced in the worker",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retries per crashed/timed-out solve before reporting an error",
-    )
-    p.add_argument(
-        "--no-warm-start", action="store_true",
-        help="solve every request cold (responses are bit-identical either way)",
-    )
-    p.add_argument(
-        "--schedule-family", choices=SCHEDULE_FAMILIES, default="1f1b",
-        help="default pattern family for requests whose 'opts' do not name "
-        "one; the family is part of the request fingerprint, so cached "
-        "1F1B plans are never served for zero-bubble queries",
+    _add_shared(
+        p, "--instance-timeout", "--max-retries", "--no-warm-start",
+        "--schedule-family",
     )
     p.add_argument(
         "--max-concurrency", type=int, default=None, metavar="N",

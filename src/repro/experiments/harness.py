@@ -23,10 +23,15 @@ solid lines), plus a ``status`` recording how the instance ended:
     certified fallback existed — the quarantined period is withheld
     (``valid_period = inf``), never recorded as valid.
 
-Each algorithm runs its own certification gate and decides its own
-``status`` and ``notes``; :func:`run_instance` only copies them, so a
-sweep agrees with :func:`repro.api.plan`.  A PipeDream partitioning no
-valid schedule fits is ``infeasible`` (``dp_period`` kept).
+:func:`run_instance` plans every instance through the core of
+:func:`repro.api.plan` (``repro.api._dispatch``, the one code path from
+``(algorithm, options)`` to an algorithm call, without ``plan``'s
+per-call trace and metrics snapshot) and only copies the plan's
+``status`` and notes, so a sweep agrees with :func:`repro.api.plan` by
+construction.  Solver options are one set for
+every algorithm of the grid; :data:`repro.api.PLAN_OPTIONS` decides which
+of them each algorithm takes.  A PipeDream partitioning no valid
+schedule fits is ``infeasible`` (``dp_period`` kept).
 
 Sweeps are built to *survive*:
 
@@ -63,9 +68,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .. import obs
-from ..algorithms.madpipe import madpipe
-from ..algorithms.madpipe_dp import Discretization
-from ..algorithms.pipedream import pipedream
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
 from ..jsonl import JsonlCache, parse_lines, strict_loads
@@ -95,6 +97,11 @@ RESULT_STATUSES = ("ok", "degraded", "solver_timeout", "infeasible", "error")
 #: Cached statuses that ``run_grid(..., retry_failed=True)`` re-runs.
 RETRY_STATUSES = ("solver_timeout", "error")
 
+#: The solver options a sweep forwards to every instance.  The rest of
+#: :data:`repro.api.PLAN_OPTIONS` keep the algorithms' defaults in every
+#: sweep, so records cached under the same identity stay comparable.
+_SWEEP_OPTIONS = frozenset(("grid", "iterations", "ilp_time_limit", "schedule_family"))
+
 
 class SweepInstanceError(Exception):
     """One grid instance kept failing after every retry.
@@ -122,7 +129,7 @@ class RunResult:
     n_procs: int
     memory_gb: float
     bandwidth_gbps: float
-    algorithm: str  # "pipedream" | "madpipe"
+    algorithm: str  # one of repro.api.ALGORITHMS
     dp_period: float  # the optimizer's internal estimate (dashed)
     valid_period: float  # certified schedule period (solid); inf if none
     n_stages: int
@@ -156,18 +163,22 @@ def run_instance(
     algorithm: str,
     *,
     network: str = "",
-    grid: Discretization | None = None,
-    iterations: int = 10,
-    ilp_time_limit: float = 60.0,
-    schedule_family: str = "1f1b",
+    **solver_opts,
 ) -> RunResult:
-    """Run one algorithm on one (chain, platform) instance.
+    """Plan one (chain, platform) instance the way :func:`repro.api.plan`
+    does.
 
-    ``schedule_family`` is a solver option like ``grid``/``iterations``:
-    it selects the pattern family (1F1B or zero-bubble B/W split) but is
-    not part of the instance's cache identity — sweeps of different
-    families belong in different cache files.
+    ``solver_opts`` is one option set for every algorithm of a sweep
+    (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``;
+    any other name raises ``TypeError``): each algorithm receives the
+    ones it takes, and the algorithm's own defaults apply to the rest.
+    ``schedule_family`` selects the pattern family (1F1B or zero-bubble
+    B/W split) but is not part of the instance's cache identity — sweeps
+    of different families belong in different cache files.
     """
+    from ..api import _dispatch  # deferred: repro.api imports this module
+
+    opts = _plan_opts(algorithm, solver_opts)
     t0 = time.perf_counter()
     with obs.span(
         "instance",
@@ -177,25 +188,12 @@ def run_instance(
         memory_gb=platform.memory / GB,
         bandwidth_gbps=platform.bandwidth / GBPS,
     ) as inst_span:
-        if algorithm == "pipedream":
-            res = pipedream(chain, platform, schedule_family=schedule_family)
-            n_stages = res.partitioning.n_stages if res.feasible else 0
-        elif algorithm == "madpipe":
-            res = madpipe(
-                chain,
-                platform,
-                grid=grid,
-                iterations=iterations,
-                ilp_time_limit=ilp_time_limit,
-                schedule_family=schedule_family,
-            )
-            n_stages = res.allocation.n_stages if res.allocation is not None else 0
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        res = _dispatch(chain, platform, algorithm, opts)
         inst_span.set(
             status=res.status, period=res.period if res.period != INF else None
         )
     obs.inc("sweep.instances")
+    notes = getattr(res.raw, "notes", ())  # GPipe results carry none
     return RunResult(
         network=network or chain.name,
         n_procs=platform.n_procs,
@@ -204,12 +202,26 @@ def run_instance(
         algorithm=algorithm,
         dp_period=res.dp_period,
         valid_period=res.period,
-        n_stages=n_stages,
+        n_stages=res.raw.n_stages,
         runtime_s=time.perf_counter() - t0,
         sequential=chain.total_compute(),
         status=res.status,
-        failure=None if res.status == "ok" else "; ".join(res.notes) or None,
+        failure=None if res.status == "ok" else "; ".join(notes) or None,
     )
+
+
+def _plan_opts(algorithm: str, solver_opts: dict) -> dict:
+    """The ``solver_opts`` ``algorithm`` takes, checked against
+    :data:`_SWEEP_OPTIONS` and :func:`repro.api.plan_options`."""
+    from ..api import plan_options  # deferred: repro.api imports this module
+
+    unknown = sorted(set(solver_opts) - _SWEEP_OPTIONS)
+    if unknown:
+        raise TypeError(
+            f"a sweep takes no solver option(s) {unknown}; "
+            f"it takes {sorted(_SWEEP_OPTIONS)}"
+        )
+    return plan_options(algorithm, solver_opts, shared=True)
 
 
 def _spec_key(spec: tuple) -> str:
@@ -257,10 +269,6 @@ def run_grid(
     bandwidths_gbps: tuple[float, ...],
     *,
     algorithms: tuple[str, ...] = ("pipedream", "madpipe"),
-    grid: Discretization | None = None,
-    iterations: int = 10,
-    ilp_time_limit: float = 60.0,
-    schedule_family: str = "1f1b",
     cache: "ResultCache | None" = None,
     verbose: bool = False,
     n_workers: int = 1,
@@ -271,13 +279,20 @@ def run_grid(
     on_exhausted: str = "raise",
     trace_path: str | Path | None = None,
     warm_start: bool = False,
+    **solver_opts,
 ) -> list[RunResult]:
     """Run a full scenario grid, replaying cached instances if available.
 
-    ``schedule_family`` selects the pattern family every instance builds
-    (1F1B or the zero-bubble B/W split).  Like ``grid``/``iterations``
-    it is a solver option, not part of the cache identity: sweeps of
-    different families must use different cache files.
+    ``solver_opts`` are the sweep's options of :func:`repro.api.plan`
+    (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``);
+    every instance plans through :func:`run_instance`, which hands each
+    algorithm the ones it takes, and the algorithms' own defaults apply
+    to the rest.  An unknown algorithm or any other option raises before
+    anything runs.  ``schedule_family`` selects the
+    pattern family every instance builds (1F1B or the zero-bubble B/W
+    split); like ``grid``/``iterations`` it is not part of the cache
+    identity: sweeps of different families must use different cache
+    files.
 
     ``n_workers > 1`` dispatches uncached instances to a process pool;
     results come back in the same deterministic (network, P, β, M,
@@ -334,6 +349,8 @@ def run_grid(
         raise ValueError("max_retries must be >= 0")
     if on_exhausted not in ("raise", "record"):
         raise ValueError('on_exhausted must be "raise" or "record"')
+    for algo in algorithms:  # fail fast, not once per instance after retries
+        _plan_opts(algo, solver_opts)
     specs: list[tuple] = [
         (network, p, float(m), float(b), algo)
         for network in networks
@@ -426,8 +443,7 @@ def run_grid(
 
     attempt = functools.partial(
         _run_spec, timeout=instance_timeout, warm_start=warm_start,
-        spans=trace_path is not None, grid=grid, iterations=iterations,
-        ilp_time_limit=ilp_time_limit, schedule_family=schedule_family,
+        spans=trace_path is not None, **solver_opts,
     )
     rng = random.Random(0)  # seeded jitter: same delays on every replay
     pool_ok = n_workers > 1

@@ -1,6 +1,6 @@
 """Profiling substrate: device cost model and profile persistence."""
 
-from .cost_model import LayerNoiseModel, NoiseModel, perturb_chain, profile_model
+from .cost_model import LayerNoiseModel, NoiseModel, profile_model
 from .device import RTX8000, V100, DeviceSpec
 from .io import (
     ProfileError,
@@ -15,7 +15,6 @@ __all__ = [
     "LayerNoiseModel",
     "NoiseModel",
     "ProfileError",
-    "perturb_chain",
     "profile_model",
     "DeviceSpec",
     "V100",

@@ -22,7 +22,7 @@ from ..models.graph import ModelGraph
 from ..models.layers import numel
 from .device import DeviceSpec
 
-__all__ = ["LayerNoiseModel", "NoiseModel", "perturb_chain", "profile_model"]
+__all__ = ["LayerNoiseModel", "NoiseModel", "profile_model"]
 
 _DISTRIBUTIONS = ("lognormal", "uniform")
 
@@ -251,17 +251,6 @@ class LayerNoiseModel(NoiseModel):
             sigma_weight=(base.sigma_weight,) * n_layers,
             distribution=base.distribution,
         )
-
-
-def perturb_chain(
-    chain: Chain,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    *,
-    scale: float = 1.0,
-) -> Chain:
-    """One perturbed copy of ``chain`` sampled from ``noise``."""
-    return noise.apply(chain, noise.draw(rng, 1, chain.L)[0], scale)
 
 
 def profile_model(graph: ModelGraph, device: DeviceSpec, batch_size: int) -> None:

@@ -4,7 +4,11 @@
 run every solve attempt through :func:`run_attempt` (under a
 :func:`deadline`) and space retries with :func:`backoff_delay`.  The
 retry loops stay with their callers: the sweep retries in synchronous
-rounds over a batch, the service per request on the event loop.
+rounds over a batch, the service per request on the event loop.  What
+an attempt solves is the caller's: both hand it a call into
+:mod:`repro.api`'s planner (the service :func:`repro.api.plan`, the
+sweep its core), so the attempt core never sees an algorithm or its
+options — invalid ones were rejected before the first attempt.
 """
 
 from __future__ import annotations

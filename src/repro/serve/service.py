@@ -166,11 +166,23 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 class PlanService:
     """A long-lived planning service over :func:`repro.api.plan`.
 
-    Construct via :func:`repro.api.serve` (the pinned facade) or
-    directly; drive with :meth:`handle` / :meth:`submit` from asyncio
-    code, and :meth:`close` when done.  All coordination state lives on
-    the event loop — :meth:`handle` must always be awaited from the same
-    running loop (the normal asyncio discipline).
+    Construct via :func:`repro.api.serve` (the pinned facade, which is
+    this class) or directly; drive with :meth:`handle` / :meth:`submit`
+    from asyncio code, and :meth:`close` when done.  All coordination
+    state lives on the event loop — :meth:`handle` must always be awaited
+    from the same running loop (the normal asyncio discipline)::
+
+        service = api.serve(store="plans.jsonl")
+        result = await service.submit(chain, platform, algorithm="madpipe")
+        print(service.stats()["counters"]["serve.hits"])
+        await service.close()
+
+    The service answers requests through a fingerprinted two-tier cache
+    (in-process LRU of ``memory_entries`` over the persistent JSONL
+    ``store``) and coalesces identical concurrent requests into one
+    solve.  Served plans are bit-identical — in the
+    :meth:`repro.api.PlanResult.to_json` sense — to direct cold
+    :func:`repro.api.plan` calls.  CLI equivalent: ``repro serve``.
 
     ``max_workers`` bounds the solver pool: ``N >= 1`` dispatches cache
     misses to ``N`` worker processes (each keeps its own per-process
@@ -224,6 +236,9 @@ class PlanService:
             raise ValueError("backoff_cap_s must be > 0")
         if max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
+        from ..api import plan_options  # deferred: repro.api imports this package
+
+        self._plan_options = plan_options
         self.cache = PlanCache(memory_entries, store)
         self.max_workers = max_workers
         self.instance_timeout = instance_timeout
@@ -279,6 +294,13 @@ class PlanService:
         """Build a :class:`PlanRequest` with :func:`repro.api.plan`'s
         keyword conventions.
 
+        The algorithm, the option names and the schedule family are
+        checked by :func:`repro.api.plan_options` first: an unknown
+        algorithm or family raises ``ValueError`` and an option the
+        algorithm does not take raises ``TypeError``, before
+        fingerprinting — so a bad request is never solved, retried,
+        charged to a breaker or answered degraded.
+
         ``schedule_family="1f1b"`` (the default family) is stripped from
         the fingerprinted options so that pre-family stores keep serving:
         a default-family request is the *same* request it was before
@@ -286,10 +308,10 @@ class PlanService:
         options, so a cached 1F1B plan is never served for a zero-bubble
         query (and vice versa).
         """
+        opts = self._plan_options(algorithm, opts)  # a copy, checked
         priority_rank(priority)  # validate eagerly, before the queue sees it
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
-        opts = dict(opts)
         if opts.get("schedule_family") == "1f1b":
             del opts["schedule_family"]
         return PlanRequest(chain, platform, algorithm, opts,

@@ -20,6 +20,7 @@ from repro.experiments import (
     render_fig6,
     render_fig7,
     render_fig8,
+    run_grid,
     run_instance,
     save_results,
 )
@@ -103,6 +104,18 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_instance(uniform8, roomy4, "magic")
 
+    @pytest.mark.parametrize("opts", [
+        {"certify": False}, {"allow_special": False}, {"memory_headroom": 0.2},
+        {"bogus": 1},
+    ])
+    def test_sweep_takes_only_its_solver_options(self, uniform8, roomy4, opts):
+        # options outside the cache identity's reach would be replayed as
+        # default-option hits, so a sweep refuses them before any solve
+        with pytest.raises(TypeError, match="sweep takes no solver option"):
+            run_instance(uniform8, roomy4, "madpipe", **opts)
+        with pytest.raises(TypeError, match="sweep takes no solver option"):
+            run_grid(("toy6",), (2,), (8.0,), (12.0,), **opts)
+
     def test_save_load_roundtrip(self, tmp_path, toy_results):
         path = tmp_path / "r.json"
         save_results(toy_results, path)
@@ -123,15 +136,22 @@ class TestHarness:
         assert reopened.get(toy_results[0].key) is not None
         assert reopened.get(("nope", 1, 1.0, 1.0, "x")) is None
 
-    @pytest.mark.parametrize("memory_gb", [8.0, 0.1], ids=["roomy", "tight"])
-    @pytest.mark.parametrize("algorithm", ["madpipe", "pipedream"])
-    def test_sweep_and_plan_agree(self, algorithm, memory_gb):
+    # 1F1B ids keep their pre-family names ("madpipe-roomy")
+    @pytest.mark.parametrize("algorithm, memory_gb, schedule_family", [
+        pytest.param(algorithm, memory_gb, family,
+                     id="-".join([algorithm, size] + ([family] if family != "1f1b" else [])))
+        for family in ("1f1b", "zero_bubble")
+        for algorithm in ("madpipe", "pipedream")
+        for memory_gb, size in ((8.0, "roomy"), (0.1, "tight"))
+    ])
+    def test_sweep_and_plan_agree(self, algorithm, memory_gb, schedule_family):
         chain, plat = paper_chain("toy8"), Platform.of(2, memory_gb, 12.0)
-        opts = {}
-        if algorithm == "madpipe":
-            opts = dict(grid=Discretization.coarse(), iterations=4, ilp_time_limit=10)
+        # one option set for both algorithms, as in a sweep
+        opts = dict(grid=Discretization.coarse(), iterations=4, ilp_time_limit=10,
+                    schedule_family=schedule_family)
         r = run_instance(chain, plat, algorithm, **opts)
-        res = api.plan(chain, plat, algorithm=algorithm, **opts)
+        res = api.plan(chain, plat, algorithm=algorithm,
+                       **api.plan_options(algorithm, opts, shared=True))
         assert (r.status, r.valid_period, r.dp_period) == (
             res.status, res.period, res.dp_period
         )

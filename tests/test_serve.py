@@ -482,6 +482,32 @@ class TestServeCli:
         # both failures happened before the service: parse-stage errors
         assert all(r["stage"] == "parse" for r in out[:-1] if not r["ok"])
 
+    @pytest.mark.parametrize("degraded", [[], ["--degraded"]], ids=["strict", "degraded"])
+    def test_invalid_request_is_a_parse_error(self, tmp_path, capsys, degraded):
+        # an unknown algorithm or option is a bad request: answered at the
+        # parse stage, never solved, degraded or counted in serve.errors
+        base = {"network": "toy4", "procs": 2, "memory_gb": 8}
+        lines = [
+            dict(base, id=1),
+            dict(base, id=2, algorithm="magic"),
+            dict(base, id=3, opts={"bogus": 1}),
+            dict(base, id=4, algorithm="pipedream", opts={"grid": "coarse"}),
+            dict(base, id=5, opts={"schedule_family": "bogus"}),
+            dict(base, id=6, algorithm="gpipe", opts={"schedule_family": "zero_bubble"}),
+        ]
+        path = tmp_path / "requests.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        rc = cli_main(["serve", str(path), "--workers", "0", "--quiet", *degraded])
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rc == 1
+        by_id = {r["id"]: r for r in out[:-1]}
+        assert by_id[1]["ok"] and by_id[1]["served_from"] == "solve"
+        for rid in (2, 3, 4, 5, 6):
+            assert not by_id[rid]["ok"] and by_id[rid]["stage"] == "parse"
+        counters = out[-1]["stats"]["counters"]
+        assert counters["serve.requests"] == 1
+        assert "serve.errors" not in counters and "serve.degraded" not in counters
+
     def test_inline_chain_served(self, tmp_path, capsys):
         from repro.models import uniform_chain
 

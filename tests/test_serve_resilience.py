@@ -542,6 +542,51 @@ class TickClock:
         return self.t
 
 
+class TestInvalidRequests:
+    """A request no algorithm can answer is rejected by ``request()``
+    before fingerprinting: never solved, retried, charged to a breaker
+    or answered degraded — with or without degraded-mode planning."""
+
+    CASES = [
+        pytest.param("magic", {}, ValueError, id="unknown-algorithm"),
+        pytest.param("madpipe", {"bogus": 1}, TypeError, id="unknown-option"),
+        pytest.param("pipedream", {"grid": Discretization.coarse()}, TypeError,
+                     id="grid-on-pipedream"),
+        pytest.param("madpipe", {"schedule_family": "bogus"}, ValueError,
+                     id="unknown-family"),
+        pytest.param("gpipe", {"schedule_family": "zero_bubble"}, ValueError,
+                     id="zero-bubble-on-gpipe"),
+    ]
+
+    @pytest.mark.parametrize("degraded", [False, True], ids=["strict", "degraded"])
+    @pytest.mark.parametrize("algorithm, opts, error", CASES)
+    def test_rejected_before_any_solve(self, tmp_path, plat, algorithm, opts,
+                                       error, degraded):
+        resilience = ResilienceConfig(
+            degraded_fallback=degraded, breaker_threshold=1, breaker_cooldown_s=10.0
+        )
+
+        async def scenario():
+            async with make_service(tmp_path, resilience=resilience) as service:
+                with pytest.raises(error):
+                    service.request(toy(), plat, algorithm=algorithm, **opts)
+                with pytest.raises(error):
+                    await service.submit(toy(), plat, algorithm=algorithm, **opts)
+                # a valid request still solves normally afterwards
+                good = await service.submit(toy(), plat, **PLAN_OPTS)
+                return good, service.stats()
+
+        good, stats = run(scenario())
+        assert good.status == "ok"
+        counters = stats["counters"]
+        assert counters["serve.requests"] == 1 and counters["serve.solves"] == 1
+        for name in ("serve.errors", "serve.retries", "serve.degraded",
+                     "serve.breaker_trips"):
+            assert name not in counters
+        assert stats["breakers"] == {"madpipe:1f1b": "closed"}
+        assert stats["degraded_plans"] == 0
+
+
 class TestDeadlineBudgets:
     def test_exhausted_budget_raises_without_fallback(self, plat):
         async def scenario():
