@@ -12,32 +12,11 @@ change.
 * ``--suite phase2`` → ``BENCH_phase2.json`` via
   ``benchmarks/bench_phase2_hotpath.py`` (ILP period search and the
   1F1B\\* kernel vs their references);
-* ``--suite obs`` → ``BENCH_obs.json`` via
-  ``benchmarks/bench_obs_overhead.py`` (instrumentation cost of the
-  observability layer in disabled/metrics/traced modes);
-* ``--suite certify`` → ``BENCH_certify.json`` via
-  ``benchmarks/bench_certify.py`` (cost of the discrete-event
-  certification gate and the seeded robustness stress test);
-* ``--suite warm`` → ``BENCH_warm.json`` via
-  ``benchmarks/bench_warm_sweep.py`` (cold vs warm full-grid sweep wall
-  time, probes saved by the warm-start database);
-* ``--suite serve`` → ``BENCH_serve.json`` via
-  ``benchmarks/bench_serve.py`` (plan-service QPS under a Zipf traffic
-  replay vs naive serial ``api.plan``, hit/coalesce rates);
-* ``--suite ingest`` → ``BENCH_ingest.json`` via
-  ``benchmarks/bench_ingest.py`` (measured-profile ingestion +
-  calibration throughput on clean vs damaged traces, byte-identity
-  asserted before reporting);
-* ``--suite zb`` → ``BENCH_zb.json`` via
-  ``benchmarks/bench_zero_bubble.py`` (certified zero-bubble B/W-split
-  periods vs 1F1B\\* on GPT-style chains under tight memory; a strict
-  certified win on at least one budget is asserted before reporting);
-* ``--suite chaos`` → ``BENCH_chaos.json`` via
-  ``benchmarks/bench_chaos.py`` (seeded overload/failure soak of the
-  plan service; all resilience invariants — bit-identity, certified
-  degraded answers, full accounting, bounded recovery, clean store —
-  are asserted before reporting);
-* ``--suite all`` (default) → all of the above.
+* ``--suite all`` (default) → both.
+
+Every other performance number (plan latency, sweep wall time, serve
+QPS, per-layer self time, tracing overhead) comes from the layer ledger,
+``benchmarks/ledger/run.py``.
 
 Usage::
 
@@ -61,15 +40,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import bench_certify  # noqa: E402
-import bench_chaos  # noqa: E402
 import bench_dp_hotpath  # noqa: E402
-import bench_ingest  # noqa: E402
-import bench_obs_overhead  # noqa: E402
 import bench_phase2_hotpath  # noqa: E402
-import bench_serve  # noqa: E402
-import bench_warm_sweep  # noqa: E402
-import bench_zero_bubble  # noqa: E402
 
 
 def _payload(smoke: bool, runs) -> dict:
@@ -125,99 +97,6 @@ def run_phase2(smoke: bool, out_dir: Path) -> None:
     print(f"wrote {out}\n")
 
 
-def run_obs(smoke: bool, out_dir: Path) -> None:
-    if smoke:
-        runs = [
-            bench_obs_overhead.bench_dp("toy8", repeats=1, iterations=4),
-            bench_obs_overhead.bench_onef1b("toy8", calls=50, repeats=1),
-        ]
-    else:
-        runs = bench_obs_overhead.bench_all()
-    out = out_dir / "BENCH_obs.json"
-    out.write_text(json.dumps(_payload(smoke, runs), indent=1) + "\n")
-    for r in runs:
-        print(
-            f"{r['bench']:>8} {r['network']:>10}: disabled {r['disabled_s']:.4f}s"
-            f" metrics {r['metrics_s']:.4f}s traced {r['traced_s']:.4f}s"
-            f" (traced/disabled {r['overhead_traced']:.2f}x)"
-        )
-    print(f"wrote {out}\n")
-
-
-def run_certify(smoke: bool, out_dir: Path) -> None:
-    if smoke:
-        runs = [
-            bench_certify.bench_gate("toy8", repeats=1, iterations=4),
-            bench_certify.bench_verify("toy8", calls=10, repeats=1, iterations=4),
-            bench_certify.bench_robustness(
-                "toy8", samples=8, repeats=1, iterations=4
-            ),
-        ]
-    else:
-        runs = bench_certify.bench_all()
-    out = out_dir / "BENCH_certify.json"
-    out.write_text(json.dumps(_payload(smoke, runs), indent=1) + "\n")
-    for r in runs:
-        if r["bench"] == "gate":
-            print(
-                f"    gate {r['network']:>10}: uncertified {r['uncertified_s']:.4f}s"
-                f" certified {r['certified_s']:.4f}s"
-                f" ({r['overhead_certified']:.2f}x)"
-            )
-        elif r["bench"] == "verify":
-            print(
-                f"  verify {r['network']:>10}: {r['per_call_s'] * 1e3:.2f}ms/call"
-                f" ({r['periods_simulated']} periods simulated)"
-            )
-        else:
-            print(
-                f"  robust {r['network']:>10}: {r['total_s']:.4f}s for"
-                f" {r['samples']} samples"
-                f" ({r['per_sample_s'] * 1e3:.2f}ms/sample)"
-            )
-    print(f"wrote {out}\n")
-
-
-def run_warm(smoke: bool, out_dir: Path) -> None:
-    result = bench_warm_sweep.run_bench(smoke=smoke)
-    out = out_dir / "BENCH_warm.json"
-    out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
-    print(bench_warm_sweep.render(result))
-    print(f"wrote {out}\n")
-
-
-def run_serve(smoke: bool, out_dir: Path) -> None:
-    result = bench_serve.run_bench(smoke=smoke)
-    out = out_dir / "BENCH_serve.json"
-    out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
-    print(bench_serve.render(result))
-    print(f"wrote {out}\n")
-
-
-def run_ingest(smoke: bool, out_dir: Path) -> None:
-    result = bench_ingest.run_bench(smoke=smoke)
-    out = out_dir / "BENCH_ingest.json"
-    out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
-    print(bench_ingest.render(result))
-    print(f"wrote {out}\n")
-
-
-def run_zb(smoke: bool, out_dir: Path) -> None:
-    result = bench_zero_bubble.run_bench(smoke=smoke)
-    out = out_dir / "BENCH_zb.json"
-    out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
-    print(bench_zero_bubble.render(result))
-    print(f"wrote {out}\n")
-
-
-def run_chaos(smoke: bool, out_dir: Path) -> None:
-    result = bench_chaos.run_soak(smoke=smoke)
-    out = out_dir / "BENCH_chaos.json"
-    out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
-    print(bench_chaos.render(result))
-    print(f"wrote {out}\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -227,10 +106,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--suite",
-        choices=(
-            "dp", "phase2", "obs", "certify", "warm", "serve", "ingest", "zb",
-            "chaos", "all",
-        ),
+        choices=("dp", "phase2", "all"),
         default="all",
         help="which benchmark suite(s) to run",
     )
@@ -244,20 +120,6 @@ def main() -> int:
         run_dp(args.smoke, out_dir)
     if args.suite in ("phase2", "all"):
         run_phase2(args.smoke, out_dir)
-    if args.suite in ("obs", "all"):
-        run_obs(args.smoke, out_dir)
-    if args.suite in ("certify", "all"):
-        run_certify(args.smoke, out_dir)
-    if args.suite in ("warm", "all"):
-        run_warm(args.smoke, out_dir)
-    if args.suite in ("serve", "all"):
-        run_serve(args.smoke, out_dir)
-    if args.suite in ("ingest", "all"):
-        run_ingest(args.smoke, out_dir)
-    if args.suite in ("zb", "all"):
-        run_zb(args.smoke, out_dir)
-    if args.suite in ("chaos", "all"):
-        run_chaos(args.smoke, out_dir)
     return 0
 
 

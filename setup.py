@@ -1,17 +1,11 @@
 """Legacy setup shim.
 
-The offline build environment lacks the ``wheel`` package, so PEP 660
-editable installs fail; this file lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, ``pip install -e .`` stops at
+``bdist_wheel``; ``python setup.py develop`` still installs the package
+in editable mode through this file.  All metadata lives in
+``pyproject.toml``.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.22", "scipy>=1.9", "networkx>=2.8"],
-)
+setup()

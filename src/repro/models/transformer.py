@@ -57,7 +57,7 @@ def gpt_chain(
     excluded, so the chain is exactly homogeneous — the decoder *body*
     that GPT pipelines split across stages, and the regime where the
     zero-bubble B/W-split family is provably ahead of 1F1B\\* under tight
-    memory (see ``benchmarks/bench_zero_bubble.py``).
+    memory (see ``tests/test_zero_bubble.py``).
 
     Deterministic and cheap (one block is profiled analytically, no
     hardware), so it is safe to build inside sweep worker processes at

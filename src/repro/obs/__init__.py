@@ -17,7 +17,8 @@ Quick tour::
 Instrumented modules call :func:`obs.span` / :func:`obs.inc`, both of
 which are no-ops (one context-variable lookup) unless a trace/registry
 is installed — the disabled path stays off the solver hot paths'
-critical time (``benchmarks/bench_obs_overhead.py`` tracks this).
+critical time (the layer ledger's ``bench.trace_overhead`` tracks
+the traced/untraced ratio).
 """
 
 from .export import (

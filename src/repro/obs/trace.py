@@ -15,7 +15,7 @@ trace from a :class:`contextvars.ContextVar`.  When no trace is
 installed (the production default) :func:`span` returns a shared
 :data:`NULL_SPAN` singleton whose enter/exit/``set`` are empty methods —
 the whole instrumentation layer then costs one context-variable lookup
-per call site, which the ``bench_obs_overhead`` benchmark keeps honest.
+per call site.
 Hot kernels that cannot afford even that use :func:`active_trace` to
 skip their instrumentation block entirely.
 

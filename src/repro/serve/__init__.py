@@ -25,12 +25,12 @@ service* under concurrent, partially-repeated traffic:
   never cached into the primary store tier).
 
 Entry points: :func:`repro.api.serve` (facade constructor) and the
-``repro serve`` CLI (a JSONL request loop on stdin).  Benchmarked by
-``benchmarks/bench_serve.py`` (``BENCH_serve.json``): QPS under a Zipf
-traffic replay vs naive serial :func:`repro.api.plan`, with every served
-plan asserted bit-identical to a direct cold solve; and soak-tested by
-``benchmarks/bench_chaos.py`` (``BENCH_chaos.json``): seeded fault
-storms with shed/degraded/recovery invariants checked before reporting.
+``repro serve`` CLI (a JSONL request loop on stdin).  Measured by the
+layer ledger's ``serve-zipf`` workload (``benchmarks/ledger/run.py``):
+latency and hit/coalesce ratios under a Zipf traffic replay, every
+answer checked against its expected period; and soak-tested by
+``tests/test_chaos_soak.py``: a seeded fault storm with
+shed/degraded/recovery invariants.
 """
 
 from ..warmstart import canonical_value, request_fingerprint

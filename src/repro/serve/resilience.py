@@ -38,7 +38,7 @@ degraded, never wrongly or unboundedly late.**  Three rings:
 Everything here is deterministic by construction: admission decisions
 depend only on arrival order, breaker transitions only on the injected
 clock + seeded RNG, and the degraded plan is a normal certified
-:func:`repro.api.plan` call.  ``benchmarks/bench_chaos.py`` exploits
+:func:`repro.api.plan` call.  ``tests/test_chaos_soak.py`` exploits
 that to run byte-reproducible overload scenarios.
 """
 

@@ -17,10 +17,10 @@ PlanCache`, a single-flight table of in-progress solves, and a bounded
 Every non-degraded path returns the plan through the same deterministic
 :meth:`repro.api.PlanResult.to_json` payload, so cached, coalesced and
 fresh responses are bit-identical to a direct cold
-:func:`repro.api.plan` call (``benchmarks/bench_serve.py`` asserts this
-before reporting any number).  Degraded responses are explicitly marked
-(``served_from="degraded"``, plan ``status="degraded"``), certified,
-and never written to the primary cache tiers.
+:func:`repro.api.plan` call (``tests/test_serve.py`` asserts this).
+Degraded responses are explicitly marked (``served_from="degraded"``,
+plan ``status="degraded"``), certified, and never written to the
+primary cache tiers.
 
 Resilience runs on :mod:`repro.runtime`, the execution core the sweep
 shares: the worker solves through :func:`repro.runtime.run_attempt`

@@ -5,8 +5,8 @@ ordered list of :class:`ChaosPhase` steps, each naming the requests to
 replay, the :class:`~repro.testing.faults.Fault` rules active while
 they run, how they are issued (sequentially or as a concurrent burst)
 and how far the service's injected clock advances first.  The schedule
-*describes* the storm; a driver (``benchmarks/bench_chaos.py``, or a
-test) executes it against a real :class:`~repro.serve.PlanService` and
+*describes* the storm; a driver (``tests/test_chaos_soak.py``)
+executes it against a real :class:`~repro.serve.PlanService` and
 checks the resilience invariants:
 
 1. every non-degraded reply is bit-identical to a cold

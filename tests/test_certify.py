@@ -70,7 +70,12 @@ class TestPlanCertificate:
     def test_certify_false_skips_gate(self, chain, plat):
         result = plan(chain, plat, algorithm="madpipe", iterations=6, certify=False)
         assert result.certificate is None
-        assert result.feasible  # numerics untouched
+        assert result.feasible
+        # the gate only checks: the certified plan has the same numerics
+        certified = plan(chain, plat, algorithm="madpipe", iterations=6)
+        assert certified.certificate is not None and certified.certificate.ok
+        assert result.period == certified.period
+        assert result.pattern.ops == certified.pattern.ops
 
     def test_certificate_serializes_deterministically(self, chain, plat):
         result = plan(chain, plat, algorithm="madpipe", iterations=6)

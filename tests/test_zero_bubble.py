@@ -11,8 +11,6 @@ strictly below 1F1B\\*'s.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro import api, obs, warmstart
@@ -266,6 +264,32 @@ class TestGptScenarios:
         zb = min_feasible_period_zb(chain, platform, part)
         assert base is not None and zb is not None
         assert zb.period < base.period - 1e-9
+
+    def test_gpt24_planned_win_is_certified(self):
+        """The README's end-to-end claim: the full planner on gpt24, P=8,
+        1.2 GB/GPU returns certified plans for both families and the
+        zero-bubble period is ~20% lower (2.588381 -> 2.071777)."""
+        from repro.algorithms import Discretization
+        from repro.experiments.scenarios import paper_chain
+
+        chain = paper_chain("gpt24")
+        platform = Platform.of(8, 1.2, 12.0)
+        periods = {}
+        for family in ("1f1b", "zero_bubble"):
+            res = api.plan(
+                chain,
+                platform,
+                schedule_family=family,
+                grid=Discretization.coarse(),
+                iterations=8,
+                ilp_time_limit=30.0,
+            )
+            assert res.feasible and res.certificate is not None
+            assert res.certificate.ok, family
+            periods[family] = res.period
+        assert periods["zero_bubble"] < periods["1f1b"]
+        gain = 1.0 - periods["zero_bubble"] / periods["1f1b"]
+        assert gain >= 0.199, periods
 
 
 # ------------------------------------------------ one search, two families
