@@ -1,0 +1,247 @@
+"""Golden outcomes of the complete MadPipe pipeline (phase 1 + phase 2 + gate).
+
+``tests/golden/madpipe_outcomes.json`` pins, for every run, what
+:func:`~repro.algorithms.madpipe.madpipe` returns: ``period``, phase 1's
+``dp_period``, ``status``, ``notes``, the allocation, a digest of
+``pattern_to_dict(pattern)``, the certificate's ``ok``/``mode``/violations
+and its quarantined report, and the phase-2 ``ilp`` status.  The runs
+cover seeded random chains × P ∈ {2, 3, 4} × tight-to-roomy memory × both
+schedule families × ``allow_special`` on/off, plus fault-injected runs:
+every MILP probe timing out (the contiguous-restriction path), and the
+certification gate failing once (quarantine + fallback) or always
+(nothing certifiable).  The DP never returns a non-contiguous allocation
+that leaves a GPU idle, whose contiguous restriction phase 2 can still
+schedule; ``idle_gpu`` runs swap one in for phase 1's allocation so that
+path is pinned too.  Every MILP here finishes far inside its time limit,
+so the answers are deterministic.  Floats are compared exactly:
+JSON stores the shortest repr, which round-trips.
+
+Regenerate only when a change is meant to move MadPipe's selection::
+
+    PYTHONPATH=src python tests/test_madpipe_golden.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib
+import json
+import re
+import tempfile
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
+
+import pytest
+
+from repro.algorithms.madpipe import madpipe
+from repro.algorithms.madpipe_dp import Discretization, DPAllocation
+from repro.core.partition import Partitioning
+from repro.core.platform import Platform
+from repro.core.serialize import allocation_to_dict, pattern_to_dict
+from repro.models.synthetic import random_chain
+from repro.testing import Fault, faults
+
+# the module, not the function ``repro.algorithms`` re-exports by that name
+madpipe_mod = importlib.import_module("repro.algorithms.madpipe")
+
+GOLDEN = Path(__file__).parent / "golden" / "madpipe_outcomes.json"
+
+COARSE = Discretization.coarse()
+FAMILIES = ("1f1b", "zero_bubble")
+
+#: Fault plans of the fault-injected runs, by name.
+FAULTS = {
+    "milp_timeout": [Fault(site="milp_solve", action="timeout", times=-1)],
+    "verify_fail_once": [Fault(site="sim_verify", action="fail", key="madpipe:", times=1)],
+    "verify_fail_always": [Fault(site="sim_verify", action="fail", key="madpipe", times=-1)],
+}
+
+#: Every note ``madpipe()`` can emit; ``{c}`` is the construction label
+#: of the schedule family, pinned for both families, and ``{detail}`` is
+#: free text.
+NOTE_TEMPLATES = (
+    "phase 1 found no memory-feasible allocation",
+    "phase-1 contiguous allocation via {c}",
+    "{c} infeasible for phase-1 allocation",
+    "phase-1 non-contiguous allocation via ILP",
+    "ILP could not schedule phase-1 allocation (infeasible)",
+    "ILP could not schedule phase-1 allocation (timeout)",
+    "ILP time budget exhausted; fell back to the certified {c} contiguous restriction",
+    "contiguous memory-aware candidate won",
+    "certification failed for the chosen pattern; quarantined ({detail})",
+    "{c} fallback failed certification too",
+    "replaced by the certified {c} contiguous fallback",
+)
+LABELS = ("1F1B*", "zero-bubble")
+
+
+def _note_patterns() -> list[re.Pattern]:
+    out = []
+    for template in NOTE_TEMPLATES:
+        for label in LABELS if "{c}" in template else ("",):
+            pieces = template.replace("{c}", label).split("{detail}")
+            out.append(re.compile(".+".join(map(re.escape, pieces))))
+    return out
+
+
+@contextmanager
+def _idle_gpu_phase1():
+    """Make phase 1 with the special processor return layers 1–4 on GPU 0
+    and layers 5–6 and 7–8 as two stages sharing GPU P−1, GPUs 1 … P−2
+    idle: non-contiguous, yet its contiguous restriction fits P ≥ 3."""
+    real = madpipe_mod.algorithm1
+    stages = Partitioning.from_cuts(8, [4, 6]).stages
+    idle_gpu = DPAllocation(stages, (False, True, True))
+
+    def phase1(chain, platform, *, allow_special=True, **opts):
+        res = real(chain, platform, allow_special=allow_special, **opts)
+        if allow_special and res.feasible:
+            res = dataclasses.replace(res, allocation=idle_gpu)
+        return res
+
+    madpipe_mod.algorithm1 = phase1
+    try:
+        yield
+    finally:
+        madpipe_mod.algorithm1 = real
+
+
+def _instances(
+    n_procs=(2, 3, 4), memories=(0.5, 0.8, 1.5), specials=(True, False), seeds=range(4)
+):
+    """``(key, chain, platform, opts)`` of seeded small instances."""
+    for seed in seeds:
+        chain = random_chain(8, seed=seed, decay=0.2)
+        for p in n_procs:
+            for mem in memories:
+                platform = Platform.of(p, mem, 12)
+                for family in FAMILIES:
+                    for special in specials:
+                        key = f"random{seed}|P{p}|mem{mem}|{family}|special={special}"
+                        opts = dict(schedule_family=family, allow_special=special)
+                        yield key, chain, platform, opts
+
+
+def _fault_instances(name: str):
+    # the MILP only runs with the special processor enabled
+    specials = (True,) if name == "milp_timeout" else (True, False)
+    return _instances(n_procs=(2, 4), memories=(0.8, 1.5), specials=specials)
+
+
+def _idle_gpu_instances():
+    return _instances(n_procs=(3, 4), memories=(0.8, 1.5), specials=(True,), seeds=range(2))
+
+
+def _certificate(cert) -> dict | None:
+    if cert is None:
+        return None
+    return {
+        "ok": cert.ok,
+        "mode": cert.mode,
+        "violations": list(cert.violations),
+        "quarantined": None if cert.quarantined is None else list(cert.quarantined.violations),
+    }
+
+
+def _outcome(chain, platform, opts) -> dict:
+    res = madpipe(chain, platform, grid=COARSE, iterations=6, ilp_time_limit=30, **opts)
+    digest = None
+    if res.pattern is not None:
+        text = json.dumps(pattern_to_dict(res.pattern), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+    return {
+        "period": None if res.period == float("inf") else res.period,
+        "dp_period": None if res.dp_period == float("inf") else res.dp_period,
+        "status": res.status,
+        "notes": list(res.notes),
+        "allocation": None if res.allocation is None else allocation_to_dict(res.allocation),
+        "pattern": digest,
+        "certificate": _certificate(res.certificate),
+        "ilp": None if res.ilp is None else res.ilp.status,
+    }
+
+
+def _compute_clean() -> dict:
+    return {key: _outcome(chain, plat, opts) for key, chain, plat, opts in _instances()}
+
+
+def _compute_faulted(name: str, state_root: Path, *, idle_gpu: bool = False) -> dict:
+    """Outcomes under fault plan ``name`` (``"none"``: no plan), on the
+    fault instances or, with ``idle_gpu``, on the idle-GPU phase 1."""
+    out = {}
+    prefix = f"idle_gpu:{name}" if idle_gpu else name
+    cases = _idle_gpu_instances() if idle_gpu else _fault_instances(name)
+    with _idle_gpu_phase1() if idle_gpu else nullcontext():
+        for i, (key, chain, plat, opts) in enumerate(cases):
+            faults.install(FAULTS.get(name, []), state_root / f"{prefix}-{i}")
+            try:
+                out[f"{prefix}|{key}"] = _outcome(chain, plat, opts)
+            finally:
+                faults.clear()
+    return out
+
+
+def _compute() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        faulted = {}
+        for name in FAULTS:
+            faulted.update(_compute_faulted(name, Path(tmp)))
+        for name in ("none", *FAULTS):
+            faulted.update(_compute_faulted(name, Path(tmp), idle_gpu=True))
+    return {"clean": _compute_clean(), "faulted": faulted}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def _first_mismatch(got: dict, want: dict) -> str:
+    assert got.keys() == want.keys()
+    moved = [k for k in want if got[k] != want[k]]
+    return f"{len(moved)} outcomes moved, e.g. {moved[0]}: {got[moved[0]]}" if moved else ""
+
+
+def test_every_note_pinned(golden):
+    """Each note template occurs in the golden (so no branch of the
+    candidate list goes unpinned), and no golden note is unaccounted for."""
+    notes = [
+        n for part in golden.values() for outcome in part.values() for n in outcome["notes"]
+    ]
+    patterns = _note_patterns()
+    unpinned = [p.pattern for p in patterns if not any(p.fullmatch(n) for n in notes)]
+    assert not unpinned, f"note never emitted by a golden run: {unpinned}"
+    unknown = sorted({n for n in notes if not any(p.fullmatch(n) for p in patterns)})
+    assert not unknown, f"note missing from NOTE_TEMPLATES: {unknown}"
+
+
+def test_golden_covers_every_status(golden):
+    statuses = {o["status"] for part in golden.values() for o in part.values()}
+    assert statuses == {"ok", "degraded", "infeasible", "solver_timeout", "error"}
+
+
+def test_clean_outcomes_match_golden(golden):
+    assert not _first_mismatch(_compute_clean(), golden["clean"])
+
+
+@pytest.mark.faultinject
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_faulted_outcomes_match_golden(golden, name, tmp_path):
+    want = {k: v for k, v in golden["faulted"].items() if k.startswith(name + "|")}
+    assert want
+    assert not _first_mismatch(_compute_faulted(name, tmp_path), want)
+
+
+@pytest.mark.faultinject
+@pytest.mark.parametrize("name", ["none", *sorted(FAULTS)])
+def test_idle_gpu_outcomes_match_golden(golden, name, tmp_path):
+    prefix = f"idle_gpu:{name}|"
+    want = {k: v for k, v in golden["faulted"].items() if k.startswith(prefix)}
+    assert want
+    assert not _first_mismatch(_compute_faulted(name, tmp_path, idle_gpu=True), want)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
