@@ -4,20 +4,31 @@ Phase 1 (:func:`repro.algorithms.madpipe_dp.algorithm1`) builds a
 non-contiguous allocation with one special processor by binary-searching
 the target period of the memory-aware dynamic program.
 
-Phase 2 schedules the resulting stage partition exactly:
+Phase 2 schedules an ordered list of candidate allocations exactly:
 
-* contiguous allocations go through the optimal 1F1B\\* construction;
-* non-contiguous allocations go through the periodic-pattern MILP
-  (:mod:`repro.ilp`) with the paper's one-minute budget per probe.
+1. phase 1's allocation — by the family's contiguous construction
+   (1F1B\\* or zero-bubble, optimal for contiguous allocations), else by
+   the periodic-pattern MILP (:mod:`repro.ilp`) with the paper's
+   one-minute budget per probe.  When the MILP runs out of budget
+   without a schedule and the allocation has at most one stage per GPU,
+   its contiguous restriction takes its place;
+2. with ``allow_special``, MadPipe's own contiguous restriction —
+   MadPipe-DP with the special processor disabled, which collapses the
+   ``(t_P, m_P)`` state dimensions and is nearly free — by the
+   contiguous construction.  The DP's special-processor memory is a
+   deliberate *under*-estimate (§4.2.1), so the MILP sometimes needs a
+   much larger period than phase 1 promised; without the special
+   processor the DP's memory model is exact.
 
-Because the DP's special-processor memory is a deliberate
-*under*-estimate (§4.2.1), the ILP sometimes needs a much larger period
-than phase 1 promised.  MadPipe therefore also evaluates its own
-contiguous restriction — MadPipe-DP with the special processor disabled,
-which collapses the ``(t_P, m_P)`` state dimensions and is nearly free —
-schedules it with 1F1B\\*, and returns whichever valid schedule is
-faster.  Set ``contiguous_fallback=False`` for the strict
-phase-1+ILP-only behaviour.
+The lowest period wins; on a tie the earlier candidate wins.  The
+certification gate extends the list: when the winner fails
+discrete-event verification it is quarantined, and the quarantined
+allocation's contiguous restriction, then the contiguous DP's
+allocation, are scheduled and certified in turn until one passes.
+
+The strict paper pipeline is :func:`algorithm1` followed by
+:func:`~repro.ilp.solver.schedule_allocation` or
+:func:`~repro.algorithms.onef1b.contiguous_search`.
 """
 
 from __future__ import annotations
@@ -47,18 +58,24 @@ class MadPipeResult:
     ``period`` is the certified valid-schedule period (the solid line).
     ``ilp`` carries the phase-2 period search (probe trace and timings)
     whenever the phase-1 allocation went through the scheduling MILP.
+    ``allocation``/``pattern``/``period`` are those of the chosen
+    candidate: the lowest period among phase 1's schedule (or, after an
+    MILP budget hit, its contiguous restriction's) and the contiguous
+    DP's, the earlier on a tie — or, after a quarantine, the first
+    certified fallback.
 
     ``status`` classifies the outcome: ``ok`` (certified schedule, clean
     search), ``degraded`` (the schedule is valid, but the MILP exhausted
-    its time budget somewhere — the period carries the certified 1F1B\\*
-    fallback or an uncertified search result, and may be improvable with
-    a larger ``ilp_time_limit`` — *or* the chosen pattern failed
-    certification and was quarantined in favour of the 1F1B\\*
-    fallback), ``solver_timeout`` (no schedule found *and* the failure
-    was the solver budget, not proven infeasibility), ``infeasible``
-    (certified: nothing fits), ``error`` (the chosen pattern failed
-    certification and no fallback could be certified either — the
-    quarantined pattern is withheld, never returned).
+    its time budget somewhere — the period carries a certified
+    contiguous candidate or an uncertified search result, and may be
+    improvable with a larger ``ilp_time_limit`` — *or* the chosen
+    pattern failed certification and was quarantined in favour of a
+    certified contiguous fallback), ``solver_timeout`` (no schedule
+    found *and* the failure was the solver budget, not proven
+    infeasibility), ``infeasible`` (certified: nothing fits), ``error``
+    (the chosen pattern failed certification and no fallback could be
+    certified either — the quarantined pattern is withheld, never
+    returned).
 
     ``certificate`` is the discrete-event certificate of the *returned*
     pattern (``None`` only with ``certify=False``); when a quarantine
@@ -96,7 +113,6 @@ def madpipe(
     grid: Discretization | None = None,
     ilp_time_limit: float = 60.0,
     allow_special: bool = True,
-    contiguous_fallback: bool = True,
     memory_headroom: float = 0.0,
     certify: bool = True,
     schedule_family: str = "1f1b",
@@ -109,7 +125,7 @@ def madpipe(
     ``certify=True`` (the default) runs the returned pattern through the
     discrete-event certification gate: a pattern that fails is
     quarantined — with its violation report on
-    ``result.certificate.quarantined`` — and replaced by the certified
+    ``result.certificate.quarantined`` — and replaced by a certified
     contiguous fallback, never silently returned.
 
     ``schedule_family`` selects the pattern family phase 2 constructs and
@@ -120,137 +136,134 @@ def madpipe(
     """
     search = contiguous_search(schedule_family)
     construction = FAMILIES[schedule_family].label
+
+    dp_opts = dict(iterations=iterations, grid=grid, memory_headroom=memory_headroom)
+
+    def contiguous(allocation: Allocation, kind: str, note: str | None = None):
+        """The candidate ``(allocation, pattern, period, note when chosen)``
+        the contiguous construction makes of ``allocation``, or ``None``."""
+        with obs.span("madpipe.phase2", kind=kind):
+            sched = search(
+                chain, platform, allocation.partitioning, memory_headroom=memory_headroom
+            )
+        return None if sched is None else (allocation, sched.pattern, sched.period, note)
+
     with obs.span(
         "madpipe", n_procs=platform.n_procs, chain=chain.name, L=chain.L
     ) as run_span:
         with obs.span("madpipe.phase1"):
-            phase1 = algorithm1(
-                chain,
-                platform,
-                iterations=iterations,
-                grid=grid,
-                allow_special=allow_special,
-                memory_headroom=memory_headroom,
-            )
+            phase1 = algorithm1(chain, platform, allow_special=allow_special, **dp_opts)
         result = MadPipeResult(phase1=phase1, allocation=None, pattern=None)
+        candidates = []  # in priority order
 
-        if phase1.feasible:
-            allocation = phase1.allocation.to_allocation(platform)
-            if allocation.is_contiguous():
-                # the contiguous construction (1F1B* / zero-bubble) is
-                # optimal for contiguous allocations — no ILP needed
-                with obs.span("madpipe.phase2", kind="onef1b"):
-                    sched = search(
-                        chain, platform, allocation.partitioning,
-                        memory_headroom=memory_headroom,
-                    )
-                if sched is not None:
-                    result.allocation = allocation
-                    result.pattern = sched.pattern
-                    result.period = sched.period
-                    result.notes.append(
-                        f"phase-1 contiguous allocation via {construction}"
-                    )
-                else:
-                    result.notes.append(
-                        f"{construction} infeasible for phase-1 allocation"
-                    )
-            else:
-                with obs.span("madpipe.phase2", kind="ilp"):
-                    ilp = schedule_allocation(
-                        chain, platform, allocation,
-                        time_limit=ilp_time_limit,
-                        memory_headroom=memory_headroom,
-                        schedule_family=schedule_family,
-                    )
-                result.ilp = ilp
-                if ilp.feasible:
-                    result.allocation = allocation
-                    result.pattern = ilp.pattern
-                    result.period = ilp.period
-                    result.notes.append("phase-1 non-contiguous allocation via ILP")
-                else:
-                    result.notes.append(
-                        f"ILP could not schedule phase-1 allocation ({ilp.status})"
-                    )
-                    if (
-                        ilp.status == "timeout"
-                        and allocation.n_stages <= platform.n_procs
-                    ):
-                        # the MILP ran out of budget without proving anything;
-                        # fall back to the certified 1F1B* schedule of the
-                        # allocation's contiguous restriction instead of
-                        # reporting infeasible
-                        obs.inc("madpipe.ilp_fallbacks")
-                        with obs.span("madpipe.phase2", kind="onef1b_fallback"):
-                            sched = search(
-                                chain, platform, allocation.partitioning,
-                                memory_headroom=memory_headroom,
-                            )
-                        if sched is not None:
-                            result.allocation = Allocation.contiguous(
-                                allocation.partitioning
-                            )
-                            result.pattern = sched.pattern
-                            result.period = sched.period
-                            result.notes.append(
-                                "ILP time budget exhausted; fell back to the "
-                                f"certified {construction} contiguous restriction"
-                            )
-        else:
+        if not phase1.feasible:
             result.notes.append("phase 1 found no memory-feasible allocation")
-
-        if contiguous_fallback and allow_special:
-            # MadPipe's contiguous restriction (no special processor): the DP's
-            # memory model is exact for 1F1B*, so this candidate's estimate is
-            # reliable; keep it when it beats the ILP schedule.
-            with obs.span("madpipe.contiguous_fallback"):
-                contig = algorithm1(
-                    chain,
-                    platform,
-                    iterations=iterations,
-                    grid=grid,
-                    allow_special=False,
+        elif (allocation := phase1.allocation.to_allocation(platform)).is_contiguous():
+            candidates.append(contiguous(allocation, "onef1b"))
+            result.notes.append(
+                f"phase-1 contiguous allocation via {construction}" if candidates[-1]
+                else f"{construction} infeasible for phase-1 allocation"
+            )
+        else:
+            with obs.span("madpipe.phase2", kind="ilp"):
+                ilp = result.ilp = schedule_allocation(
+                    chain, platform, allocation,
+                    time_limit=ilp_time_limit,
                     memory_headroom=memory_headroom,
+                    schedule_family=schedule_family,
                 )
-                sched = None
-                if contig.feasible:
-                    alloc = contig.allocation.to_allocation(platform)
-                    sched = search(
-                        chain, platform, alloc.partitioning,
-                        memory_headroom=memory_headroom,
+            if ilp.feasible:
+                candidates.append((allocation, ilp.pattern, ilp.period, None))
+                result.notes.append("phase-1 non-contiguous allocation via ILP")
+            else:
+                result.notes.append(
+                    f"ILP could not schedule phase-1 allocation ({ilp.status})"
+                )
+            # out of budget without proving anything: the allocation's
+            # contiguous restriction takes its place
+            if ilp.status == "timeout" and allocation.n_stages <= platform.n_procs:
+                obs.inc("madpipe.ilp_fallbacks")
+                restriction = Allocation.contiguous(allocation.partitioning)
+                candidates.append(contiguous(restriction, "onef1b_fallback"))
+                if candidates[-1]:
+                    result.notes.append(
+                        "ILP time budget exhausted; fell back to the "
+                        f"certified {construction} contiguous restriction"
                     )
-            if sched is not None and sched.period < result.period:
-                result.allocation = alloc
-                result.pattern = sched.pattern
-                result.period = sched.period
-                result.notes.append("contiguous memory-aware candidate won")
+
+        # the contiguous DP's allocation: phase 1's own without the
+        # special processor, else a second, nearly free DP search
+        if allow_special:
+            with obs.span("madpipe.contiguous_dp"):
+                contig = algorithm1(chain, platform, allow_special=False, **dp_opts)
+        else:
+            contig = phase1
+        contig_alloc = contig.allocation.to_allocation(platform) if contig.feasible else None
+        if allow_special and contig_alloc is not None:
+            candidates.append(contiguous(
+                contig_alloc, "contiguous_dp", "contiguous memory-aware candidate won"
+            ))
+
+        scheduled = [c for c in candidates if c is not None]
+        if scheduled:  # min() keeps the first of equal periods
+            result.allocation, result.pattern, result.period, note = min(
+                scheduled, key=lambda c: c[2]
+            )
+            if note is not None:
+                result.notes.append(note)
 
         # classify the outcome: any phase-2 budget hit taints the result
-        ilp_budget_hit = result.ilp is not None and result.ilp.status in (
-            "timeout",
-            "degraded",
-        )
+        ilp_status = result.ilp.status if result.ilp is not None else None
         if result.pattern is None:
-            result.status = (
-                "solver_timeout"
-                if result.ilp is not None and result.ilp.status == "timeout"
-                else "infeasible"
-            )
-        elif ilp_budget_hit:
+            result.status = "solver_timeout" if ilp_status == "timeout" else "infeasible"
+        elif ilp_status in ("timeout", "degraded"):
             result.status = "degraded"
         else:
             result.status = "ok"
 
-        # mandatory certification gate: the chosen pattern is executed
-        # through the discrete-event verifier before being returned; a
-        # failure quarantines it in favour of the certified 1F1B*
-        # contiguous fallback (never a silent invalid plan)
         if certify:
-            _certification_gate(
-                chain, platform, result, memory_headroom, iterations, grid,
-                schedule_family=schedule_family,
+            result.certificate = cert = certify_pattern(
+                chain, platform, result.pattern, source=f"madpipe:{chain.name}"
             )
+            if not cert.ok:
+                obs.inc("certify.quarantined")
+                result.notes.append(
+                    "certification failed for the chosen pattern; quarantined "
+                    f"({cert.violations[0] if cert.violations else 'no violation detail'})"
+                )
+                # the list's tail, in order: the quarantined allocation's
+                # contiguous restriction, then the contiguous DP's allocation
+                tail = [contig_alloc] if contig_alloc is not None else []
+                if result.n_stages <= platform.n_procs:
+                    tail.insert(0, Allocation.contiguous(result.allocation.partitioning))
+                for fallback in dict.fromkeys(tail):
+                    candidate = contiguous(fallback, "onef1b_quarantine_fallback")
+                    if candidate is None:
+                        continue
+                    fb_cert = certify_pattern(
+                        chain, platform, candidate[1],
+                        source=f"madpipe.fallback:{chain.name}",
+                    )
+                    if not fb_cert.ok:
+                        result.notes.append(
+                            f"{construction} fallback failed certification too"
+                        )
+                        continue
+                    obs.inc("certify.fallbacks")
+                    fb_cert.mode = "fallback"
+                    fb_cert.quarantined = cert
+                    result.allocation, result.pattern, result.period, _ = candidate
+                    result.status = "degraded"
+                    result.certificate = fb_cert
+                    result.notes.append(
+                        f"replaced by the certified {construction} contiguous fallback"
+                    )
+                    break
+                else:  # nothing certifiable: withhold the quarantined pattern
+                    result.allocation = None
+                    result.pattern = None
+                    result.period = INF
+                    result.status = "error"
 
         run_span.set(
             status=result.status,
@@ -260,98 +273,3 @@ def madpipe(
     obs.inc(f"madpipe.status.{result.status}")
     return result
 
-
-def _certification_gate(
-    chain: Chain,
-    platform: Platform,
-    result: MadPipeResult,
-    memory_headroom: float,
-    iterations: int,
-    grid: Discretization | None,
-    *,
-    schedule_family: str,
-) -> None:
-    """Certify ``result.pattern`` in place; quarantine + degrade on failure.
-
-    Fallback partitionings are tried in order: the quarantined
-    allocation's own contiguous restriction (only schedulable when it
-    has at most one stage per GPU), then a fresh contiguous
-    MadPipe-DP plan.  Each fallback pattern must itself pass
-    certification before it replaces the quarantined one.  Fallbacks
-    use the contiguous construction of ``schedule_family``, so they stay
-    within the requested family.
-    """
-    search = contiguous_search(schedule_family)
-    construction = FAMILIES[schedule_family].label
-    cert = certify_pattern(
-        chain, platform, result.pattern, source=f"madpipe:{chain.name}"
-    )
-    if cert.ok:
-        result.certificate = cert
-        return
-
-    obs.inc("certify.quarantined")
-    result.notes.append(
-        f"certification failed for the chosen pattern; quarantined "
-        f"({cert.violations[0] if cert.violations else 'no violation detail'})"
-    )
-
-    def _own_restriction():
-        if (
-            result.allocation is not None
-            and result.allocation.n_stages <= platform.n_procs
-        ):
-            return result.allocation.partitioning
-        return None
-
-    def _contiguous_dp():
-        with obs.span("madpipe.contiguous_fallback", kind="quarantine"):
-            contig = algorithm1(
-                chain,
-                platform,
-                iterations=iterations,
-                grid=grid,
-                allow_special=False,
-                memory_headroom=memory_headroom,
-            )
-        if contig.feasible:
-            return contig.allocation.to_allocation(platform).partitioning
-        return None
-
-    tried = []
-    for provider in (_own_restriction, _contiguous_dp):
-        part = provider()
-        if part is None or part in tried:
-            continue
-        tried.append(part)
-        with obs.span("madpipe.phase2", kind="onef1b_quarantine_fallback"):
-            sched = search(
-                chain, platform, part, memory_headroom=memory_headroom
-            )
-        if sched is None:
-            continue
-        fb_cert = certify_pattern(
-            chain, platform, sched.pattern,
-            source=f"madpipe.fallback:{chain.name}",
-        )
-        if not fb_cert.ok:
-            result.notes.append(f"{construction} fallback failed certification too")
-            continue
-        obs.inc("certify.fallbacks")
-        fb_cert.mode = "fallback"
-        fb_cert.quarantined = cert
-        result.allocation = Allocation.contiguous(part)
-        result.pattern = sched.pattern
-        result.period = sched.period
-        result.status = "degraded"
-        result.certificate = fb_cert
-        result.notes.append(
-            f"replaced by the certified {construction} contiguous fallback"
-        )
-        return
-    # nothing certifiable: withhold the quarantined pattern entirely
-    result.allocation = None
-    result.pattern = None
-    result.period = INF
-    result.status = "error"
-    result.certificate = cert

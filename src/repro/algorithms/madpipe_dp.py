@@ -720,15 +720,20 @@ def algorithm1(
     kwarg is omitted at zero so headroom-unaware evaluators keep
     working).
 
+    ``iterations`` must be at least 1: with no probe the search has no
+    answer, and ``ValueError`` is raised rather than reporting nothing
+    feasible.
+
     Under an active warm-start context (:mod:`repro.warmstart`) and the
     default evaluator, the whole search is memoized by exact instance
-    key — MadPipe re-runs the identical contiguous search for its
-    fallback and certification paths, and sweeps repeat searches across
-    retries — and probes share the context's per-level DP workspace and
-    carry each discovery pass into its value sweep.  A cold search
-    shares one workspace across its own probes only.  All reuse paths
-    return bit-identical results to evaluating every probe afresh.
+    key — sweeps repeat searches across retries — and probes share the
+    context's per-level DP workspace and carry each discovery pass into
+    its value sweep.  A cold search shares one workspace across its own
+    probes only.  All reuse paths return bit-identical results to
+    evaluating every probe afresh.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     dp = dp or madpipe_dp
     dp_opts = {"memory_headroom": memory_headroom} if memory_headroom else {}
     warm = active_warm() if dp is madpipe_dp else None

@@ -274,11 +274,10 @@ def plan(
     ``trace=True`` records a fresh :class:`repro.obs.Trace` onto the
     result; passing an existing ``Trace`` appends to it instead.  Extra
     keyword arguments go to the algorithm verbatim (``iterations``,
-    ``grid``, ``ilp_time_limit``, ``allow_special``,
-    ``contiguous_fallback``, ``memory_headroom`` for MadPipe;
-    ``micro_batches`` for GPipe), so results match the direct calls bit
-    for bit.  ``certify=False`` skips the certification gate for any
-    algorithm (the result's ``certificate`` stays ``None``).  An unknown
+    ``grid``, ``ilp_time_limit``, ``allow_special``, ``memory_headroom``
+    for MadPipe; ``micro_batches`` for GPipe), so results match the
+    direct calls bit for bit.  ``certify=False`` skips the certification
+    gate for any algorithm (the result's ``certificate`` stays ``None``).  An unknown
     algorithm or schedule family raises ``ValueError`` and an option the
     algorithm does not take raises ``TypeError`` (see :func:`plan_options`).
     """

@@ -189,10 +189,14 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     chain = load_chain(args.profile)
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
     trace = obs.Trace(f"schedule:{Path(args.profile).stem}") if args.trace else None
-    result = plan(
-        chain, platform, schedule_family=args.schedule_family, trace=trace,
-        **_plan_kwargs(args),
-    )
+    try:
+        result = plan(
+            chain, platform, schedule_family=args.schedule_family, trace=trace,
+            **_plan_kwargs(args),
+        )
+    except ValueError as exc:  # an out-of-range option, e.g. --iterations 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     pattern, notes = result.pattern, result.raw.notes
     if trace is not None:
         obs.write_chrome_trace(trace, args.trace)

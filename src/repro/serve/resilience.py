@@ -400,7 +400,6 @@ def degraded_opts(opts: Mapping[str, Any]) -> dict[str, Any]:
     """
     kept = {k: v for k, v in opts.items() if k in _DEGRADED_KEPT}
     kept["allow_special"] = False
-    kept["contiguous_fallback"] = False
     return kept
 
 

@@ -20,7 +20,6 @@ def test_contiguous_dp_matches_oracle(seed, mem_gb):
     oracle = best_contiguous(chain, plat)
     res = madpipe(
         chain, plat, grid=FINE, iterations=12, allow_special=False,
-        contiguous_fallback=False,
     )
     if not oracle.feasible:
         assert not res.feasible

@@ -213,6 +213,26 @@ class TestQuarantine:
         assert res.certificate is not None and not res.certificate.ok
 
     @pytest.mark.faultinject
+    @pytest.mark.parametrize("allow_special, searches", [(True, 2), (False, 1)])
+    def test_quarantine_reuses_contiguous_dp(
+        self, chain, tmp_path, allow_special, searches
+    ):
+        """The quarantine falls back on the contiguous-DP allocation the
+        run already has: one DP search per phase-1 run, none in the gate."""
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe", times=-1)],
+            tmp_path,
+        )
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            res = madpipe(
+                chain, Platform.of(4, 1.0, 12), iterations=4,
+                allow_special=allow_special,
+            )
+        assert res.status == "error"
+        assert registry.snapshot()["dp.searches"] == searches
+
+    @pytest.mark.faultinject
     def test_pipedream_instance_quarantined(self, chain, plat, tmp_path):
         faults.install(
             [Fault(site="sim_verify", action="fail", key="pipedream:", times=1)],

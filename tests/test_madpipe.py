@@ -1,10 +1,15 @@
 """End-to-end tests for the complete MadPipe algorithm (phase 1 + 2)."""
 
+import asyncio
+
 import pytest
 
+from repro import api
 from repro.algorithms import Discretization, madpipe, pipedream
+from repro.cli import main as cli_main
 from repro.core import Platform
 from repro.models import random_chain
+from repro.profiling import save_chain
 from repro.sim import verify_pattern
 
 MB = float(2**20)
@@ -76,3 +81,39 @@ class TestMadPipe:
         assert any(
             "1F1B*" in n or "ILP" in n or "candidate" in n for n in res.notes
         )
+
+
+class TestIterationsValidation:
+    """``iterations < 1`` leaves phase 1 without a probe; every entry
+    point must reject it instead of reporting the instance infeasible."""
+
+    def test_madpipe_rejects(self, uniform8, plat4):
+        assert madpipe(uniform8, plat4, iterations=10).period == pytest.approx(6.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="iterations"):
+                madpipe(uniform8, plat4, iterations=bad)
+
+    def test_plan_and_serve_reject(self, uniform8, plat4, tmp_path):
+        with pytest.raises(ValueError, match="iterations"):
+            api.plan(uniform8, plat4, iterations=0)
+
+        async def scenario():
+            async with api.serve(max_workers=0, store=tmp_path / "plans.jsonl") as svc:
+                with pytest.raises(ValueError, match="iterations"):
+                    await svc.handle(svc.request(uniform8, plat4, iterations=0))
+                return svc.stats()["cached_plans"]
+
+        assert asyncio.run(scenario()) == 0  # nothing stored for replay
+
+    def test_cli_schedule_rejects(self, uniform8, tmp_path, capsys):
+        profile = tmp_path / "u8.json"
+        save_chain(uniform8, profile)
+        out_path = tmp_path / "sched.json"
+        rc = cli_main([
+            "schedule", str(profile), "-p", "4", "-m", "1",
+            "--iterations", "0", "-o", str(out_path),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "iterations must be >= 1" in err
+        assert "period" not in out and not out_path.exists()
