@@ -20,14 +20,25 @@ Phase 2 schedules an ordered list of candidate allocations exactly:
    much larger period than phase 1 promised; without the special
    processor the DP's memory model is exact.
 
+Candidate 2 is computed first: its period is the incumbent that caps
+candidate 1's MILP search (``period_cap``).  The MILP then only looks
+for a pattern that beats the incumbent by more than ``CHECK_RTOL``
+(1e-6 relative) and skips the solve outright when the allocation's
+bottleneck bound already reaches that ceiling; near-ties thus go to the
+contiguous candidate on purpose.  A search that refutes every probe
+below the cap ends ``capped``: not a proof of anything, and no budget
+hit, so it neither takes the ILP-timeout path above nor degrades the
+result.  A capped search whose probes hit the time limit still ends
+``timeout``.
+
 The lowest period wins; on a tie the earlier candidate wins.  The
 certification gate extends the list: when the winner fails
 discrete-event verification it is quarantined, and the quarantined
 allocation's contiguous restriction, then the contiguous DP's
 allocation, are scheduled and certified in turn until one passes.
 
-The strict paper pipeline is :func:`algorithm1` followed by
-:func:`~repro.ilp.solver.schedule_allocation` or
+The strict paper pipeline is :func:`algorithm1` followed by the
+uncapped :func:`~repro.ilp.solver.schedule_allocation` or
 :func:`~repro.algorithms.onef1b.contiguous_search`.
 """
 
@@ -57,7 +68,10 @@ class MadPipeResult:
     ``dp_period`` is phase 1's estimate (the dashed line of Fig. 6);
     ``period`` is the certified valid-schedule period (the solid line).
     ``ilp`` carries the phase-2 period search (probe trace and timings)
-    whenever the phase-1 allocation went through the scheduling MILP.
+    whenever the phase-1 allocation went through the scheduling MILP;
+    that search is capped at the contiguous DP candidate's period, which
+    is computed first, so ``ilp.status == "capped"`` means no pattern
+    beat it by more than ``CHECK_RTOL``.
     ``allocation``/``pattern``/``period`` are those of the chosen
     candidate: the lowest period among phase 1's schedule (or, after an
     MILP budget hit, its contiguous restriction's) and the contiguous
@@ -65,10 +79,10 @@ class MadPipeResult:
     certified fallback.
 
     ``status`` classifies the outcome: ``ok`` (certified schedule, clean
-    search), ``degraded`` (the schedule is valid, but the MILP exhausted
-    its time budget somewhere — the period carries a certified
-    contiguous candidate or an uncertified search result, and may be
-    improvable with a larger ``ilp_time_limit`` — *or* the chosen
+    search), ``degraded`` (the schedule is valid, but an MILP that could
+    still have won exhausted its time budget — the period carries a
+    certified contiguous candidate or an uncertified search result, and
+    may be improvable with a larger ``ilp_time_limit`` — *or* the chosen
     pattern failed certification and was quarantined in favour of a
     certified contiguous fallback), ``solver_timeout`` (no schedule
     found *and* the failure was the solver budget, not proven
@@ -154,7 +168,22 @@ def madpipe(
         with obs.span("madpipe.phase1"):
             phase1 = algorithm1(chain, platform, allow_special=allow_special, **dp_opts)
         result = MadPipeResult(phase1=phase1, allocation=None, pattern=None)
-        candidates = []  # in priority order
+
+        # the contiguous DP's allocation first: phase 1's own without the
+        # special processor, else a second, nearly free DP search.  Its
+        # schedule is the incumbent whose period caps the MILP search
+        if allow_special:
+            with obs.span("madpipe.contiguous_dp"):
+                contig = algorithm1(chain, platform, allow_special=False, **dp_opts)
+        else:
+            contig = phase1
+        contig_alloc = contig.allocation.to_allocation(platform) if contig.feasible else None
+        incumbent = None
+        if allow_special and contig_alloc is not None:
+            incumbent = contiguous(
+                contig_alloc, "contiguous_dp", "contiguous memory-aware candidate won"
+            )
+        candidates = []  # in priority order; the incumbent goes last
 
         if not phase1.feasible:
             result.notes.append("phase 1 found no memory-feasible allocation")
@@ -171,6 +200,7 @@ def madpipe(
                     time_limit=ilp_time_limit,
                     memory_headroom=memory_headroom,
                     schedule_family=schedule_family,
+                    period_cap=incumbent[2] if incumbent is not None else INF,
                 )
             if ilp.feasible:
                 candidates.append((allocation, ilp.pattern, ilp.period, None))
@@ -190,19 +220,7 @@ def madpipe(
                         "ILP time budget exhausted; fell back to the "
                         f"certified {construction} contiguous restriction"
                     )
-
-        # the contiguous DP's allocation: phase 1's own without the
-        # special processor, else a second, nearly free DP search
-        if allow_special:
-            with obs.span("madpipe.contiguous_dp"):
-                contig = algorithm1(chain, platform, allow_special=False, **dp_opts)
-        else:
-            contig = phase1
-        contig_alloc = contig.allocation.to_allocation(platform) if contig.feasible else None
-        if allow_special and contig_alloc is not None:
-            candidates.append(contiguous(
-                contig_alloc, "contiguous_dp", "contiguous memory-aware candidate won"
-            ))
+        candidates.append(incumbent)
 
         scheduled = [c for c in candidates if c is not None]
         if scheduled:  # min() keeps the first of equal periods
@@ -213,6 +231,7 @@ def madpipe(
                 result.notes.append(note)
 
         # classify the outcome: any phase-2 budget hit taints the result
+        # (a MILP skipped under the cap never runs, so never taints it)
         ilp_status = result.ilp.status if result.ilp is not None else None
         if result.pattern is None:
             result.status = "solver_timeout" if ilp_status == "timeout" else "infeasible"

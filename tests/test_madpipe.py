@@ -4,10 +4,11 @@ import asyncio
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.algorithms import Discretization, madpipe, pipedream
 from repro.cli import main as cli_main
-from repro.core import Platform
+from repro.core import Allocation, Partitioning, Platform
+from repro.ilp import schedule_allocation
 from repro.models import random_chain
 from repro.profiling import save_chain
 from repro.sim import verify_pattern
@@ -117,3 +118,40 @@ class TestIterationsValidation:
         assert rc == 2
         assert "iterations must be >= 1" in err
         assert "period" not in out and not out_path.exists()
+
+
+class TestPhase2Cap:
+    """The contiguous candidate's period caps the MILP search; the cap
+    decision is on the ``ilp.search`` span, the metrics and ``--stats``."""
+
+    def test_cap_decision_observed(self):
+        chain = random_chain(8, seed=0, decay=0.2)
+        platform = Platform.of(4, 1.5, 12)
+        trace, registry = obs.Trace("cap"), obs.MetricsRegistry()
+        with obs.use_trace(trace), obs.use_metrics(registry):
+            res = madpipe(chain, platform, grid=COARSE, iterations=6)
+        assert res.ilp.status == "capped" and res.status == "ok"
+        [search] = trace.find("ilp.search")
+        assert search.attrs["period_cap"] == res.period  # the contiguous candidate
+        assert search.attrs["capped"] is True
+        assert registry.snapshot()["ilp.status.capped"] == 1
+
+    def test_uncapped_search_span(self, uniform8):
+        special3 = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
+        trace = obs.Trace("free")
+        with obs.use_trace(trace):
+            schedule_allocation(uniform8, Platform.of(2, 1.0, 12), special3)
+        [search] = trace.find("ilp.search")
+        assert search.attrs["period_cap"] is None and search.attrs["capped"] is False
+
+    def test_cli_stats_print_capped(self, tmp_path, capsys):
+        profile = tmp_path / "r0.json"
+        save_chain(random_chain(8, seed=0, decay=0.2), profile)
+        rc = cli_main([
+            "schedule", str(profile), "-p", "4", "-m", "1.5",
+            "--grid", "coarse", "--iterations", "6", "--stats",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "search status: capped" in out
+        assert "result status: ok" in out

@@ -12,9 +12,13 @@ certification gate failing once (quarantine + fallback) or always
 (nothing certifiable).  The DP never returns a non-contiguous allocation
 that leaves a GPU idle, whose contiguous restriction phase 2 can still
 schedule; ``idle_gpu`` runs swap one in for phase 1's allocation so that
-path is pinned too.  Every MILP here finishes far inside its time limit,
-so the answers are deterministic.  Floats are compared exactly:
-JSON stores the shortest repr, which round-trips.
+path is pinned too.  The contiguous DP's period caps the MILP search, so
+a budget-exhausted MILP only falls back to that restriction when there
+is no contiguous candidate: ``idle_gpu_uncapped`` runs also stub the
+contiguous DP infeasible, which leaves the search uncapped.  Every MILP
+here finishes far inside its time limit, so the answers are
+deterministic.  Floats are compared exactly: JSON stores the shortest
+repr, which round-trips.
 
 Regenerate only when a change is meant to move MadPipe's selection::
 
@@ -39,6 +43,7 @@ from repro.algorithms.madpipe_dp import Discretization, DPAllocation
 from repro.core.partition import Partitioning
 from repro.core.platform import Platform
 from repro.core.serialize import allocation_to_dict, pattern_to_dict
+from repro.experiments.scenarios import paper_chain
 from repro.models.synthetic import random_chain
 from repro.testing import Fault, faults
 
@@ -67,6 +72,7 @@ NOTE_TEMPLATES = (
     "phase-1 non-contiguous allocation via ILP",
     "ILP could not schedule phase-1 allocation (infeasible)",
     "ILP could not schedule phase-1 allocation (timeout)",
+    "ILP could not schedule phase-1 allocation (capped)",
     "ILP time budget exhausted; fell back to the certified {c} contiguous restriction",
     "contiguous memory-aware candidate won",
     "certification failed for the chosen pattern; quarantined ({detail})",
@@ -85,11 +91,18 @@ def _note_patterns() -> list[re.Pattern]:
     return out
 
 
+#: Phase-1 stubs, by key prefix: ``uncapped`` also makes the contiguous
+#: DP infeasible.
+STUBS = {"idle_gpu": False, "idle_gpu_uncapped": True}
+
+
 @contextmanager
-def _idle_gpu_phase1():
+def _idle_gpu_phase1(uncapped: bool = False):
     """Make phase 1 with the special processor return layers 1–4 on GPU 0
     and layers 5–6 and 7–8 as two stages sharing GPU P−1, GPUs 1 … P−2
-    idle: non-contiguous, yet its contiguous restriction fits P ≥ 3."""
+    idle: non-contiguous, yet its contiguous restriction fits P ≥ 3.
+    With ``uncapped``, the contiguous DP finds nothing, so no incumbent
+    caps the MILP search."""
     real = madpipe_mod.algorithm1
     stages = Partitioning.from_cuts(8, [4, 6]).stages
     idle_gpu = DPAllocation(stages, (False, True, True))
@@ -98,6 +111,8 @@ def _idle_gpu_phase1():
         res = real(chain, platform, allow_special=allow_special, **opts)
         if allow_special and res.feasible:
             res = dataclasses.replace(res, allocation=idle_gpu)
+        elif uncapped and not allow_special:
+            res = dataclasses.replace(res, allocation=None, period=float("inf"))
         return res
 
     madpipe_mod.algorithm1 = phase1
@@ -166,13 +181,14 @@ def _compute_clean() -> dict:
     return {key: _outcome(chain, plat, opts) for key, chain, plat, opts in _instances()}
 
 
-def _compute_faulted(name: str, state_root: Path, *, idle_gpu: bool = False) -> dict:
+def _compute_faulted(name: str, state_root: Path, *, stub: str | None = None) -> dict:
     """Outcomes under fault plan ``name`` (``"none"``: no plan), on the
-    fault instances or, with ``idle_gpu``, on the idle-GPU phase 1."""
+    fault instances or, with a ``stub`` of :data:`STUBS`, on that
+    idle-GPU phase 1."""
     out = {}
-    prefix = f"idle_gpu:{name}" if idle_gpu else name
-    cases = _idle_gpu_instances() if idle_gpu else _fault_instances(name)
-    with _idle_gpu_phase1() if idle_gpu else nullcontext():
+    prefix = f"{stub}:{name}" if stub else name
+    cases = _idle_gpu_instances() if stub else _fault_instances(name)
+    with _idle_gpu_phase1(STUBS[stub]) if stub else nullcontext():
         for i, (key, chain, plat, opts) in enumerate(cases):
             faults.install(FAULTS.get(name, []), state_root / f"{prefix}-{i}")
             try:
@@ -188,7 +204,9 @@ def _compute() -> dict:
         for name in FAULTS:
             faulted.update(_compute_faulted(name, Path(tmp)))
         for name in ("none", *FAULTS):
-            faulted.update(_compute_faulted(name, Path(tmp), idle_gpu=True))
+            faulted.update(_compute_faulted(name, Path(tmp), stub="idle_gpu"))
+        for name in ("none", "milp_timeout"):
+            faulted.update(_compute_faulted(name, Path(tmp), stub="idle_gpu_uncapped"))
     return {"clean": _compute_clean(), "faulted": faulted}
 
 
@@ -239,7 +257,65 @@ def test_idle_gpu_outcomes_match_golden(golden, name, tmp_path):
     prefix = f"idle_gpu:{name}|"
     want = {k: v for k, v in golden["faulted"].items() if k.startswith(prefix)}
     assert want
-    assert not _first_mismatch(_compute_faulted(name, tmp_path, idle_gpu=True), want)
+    assert not _first_mismatch(_compute_faulted(name, tmp_path, stub="idle_gpu"), want)
+
+
+@pytest.mark.faultinject
+@pytest.mark.parametrize("name", ["none", "milp_timeout"])
+def test_uncapped_outcomes_match_golden(golden, name, tmp_path):
+    """Without a contiguous candidate the MILP search runs uncapped, so a
+    budget-exhausted search still falls back to the contiguous restriction."""
+    prefix = f"idle_gpu_uncapped:{name}|"
+    want = {k: v for k, v in golden["faulted"].items() if k.startswith(prefix)}
+    assert want
+    got = _compute_faulted(name, tmp_path, stub="idle_gpu_uncapped")
+    assert not _first_mismatch(got, want)
+
+
+@contextmanager
+def _uncapped_phase2():
+    """Make MadPipe's MILP search drop its ``period_cap``: the uncapped
+    phase 2 of the strict paper pipeline."""
+    real = madpipe_mod.schedule_allocation
+
+    def uncapped(*args, period_cap=float("inf"), **kwargs):
+        return real(*args, **kwargs)
+
+    madpipe_mod.schedule_allocation = uncapped
+    try:
+        yield
+    finally:
+        madpipe_mod.schedule_allocation = real
+
+
+def _cap_regressions(cases, **solver) -> list[tuple[str, float, float]]:
+    """``(key, capped, uncapped)`` periods where the capped phase 2 loses."""
+    out = []
+    for key, chain, platform, opts in cases:
+        capped = madpipe(chain, platform, **solver, **opts).period
+        with _uncapped_phase2():
+            free = madpipe(chain, platform, **solver, **opts).period
+        if not capped <= free * (1 + 1e-9):
+            out.append((key, capped, free))
+    return out
+
+
+def test_capped_phase2_never_worse_on_seeded_instances():
+    """Differential: capping the MILP at the contiguous candidate's period
+    never worsens MadPipe's period (only ``allow_special`` runs reach the
+    MILP)."""
+    cases = list(_instances(specials=(True,)))
+    solver = dict(grid=COARSE, iterations=6, ilp_time_limit=30)
+    assert not _cap_regressions(cases, **solver)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_capped_phase2_never_worse_on_gpt24(family):
+    """The ledger's gpt24 (P=4, 2 GB) instance, with the ledger's options."""
+    case = ("gpt24", paper_chain("gpt24"), Platform.of(4, 2.0, 12),
+            dict(schedule_family=family))
+    solver = dict(grid=COARSE, iterations=8, ilp_time_limit=30)
+    assert not _cap_regressions([case], **solver)
 
 
 if __name__ == "__main__":
