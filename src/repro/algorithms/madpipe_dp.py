@@ -725,36 +725,24 @@ def algorithm1(
     feasible.
 
     Under an active warm-start context (:mod:`repro.warmstart`) and the
-    default evaluator, the whole search is memoized by exact instance
-    key — sweeps repeat searches across retries — and probes share the
-    context's per-level DP workspace and carry each discovery pass into
-    its value sweep.  A cold search shares one workspace across its own
-    probes only.  All reuse paths return bit-identical results to
-    evaluating every probe afresh.
+    default evaluator, probes share the context's per-level DP workspace
+    across searches and instances and carry each discovery pass into its
+    value sweep.  A cold search shares one workspace across its own
+    probes only.  Both return bit-identical results to evaluating every
+    probe afresh.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     dp = dp or madpipe_dp
     dp_opts = {"memory_headroom": memory_headroom} if memory_headroom else {}
     warm = active_warm() if dp is madpipe_dp else None
-    memo_key = None
     if dp is madpipe_dp:
         dp_opts["workspace"] = {}  # cold: the probes share one rows dict
     if warm is not None:
         g = grid or Discretization.default()
-        fp = chain_fingerprint(chain)
-        memo_key = (
-            fp, platform.n_procs, platform.memory, platform.bandwidth,
-            iterations, (g.n_t, g.n_m, g.n_v), allow_special,
-            memory_headroom,
-        )
-        hit = warm.phase1.hit(memo_key)
-        if hit is not None:
-            obs.inc("warm.dp_reuse")
-            obs.inc("warm.probes_saved", len(hit.history))
-            return hit
         dp_opts["workspace"] = warm.dp_workspace(
-            (fp, platform.n_procs, platform.bandwidth, g.n_t, g.n_m, g.n_v)
+            (chain_fingerprint(chain), platform.n_procs, platform.bandwidth,
+             g.n_t, g.n_m, g.n_v)
         )
         dp_opts["carry"] = True
     t0 = time.perf_counter()
@@ -813,6 +801,4 @@ def algorithm1(
     obs.inc("dp.pruned_cap", best.pruned_cap)
     obs.inc("dp.pruned_mem", best.pruned_mem)
     obs.inc("dp.wall_s", best.wall_time_s)
-    if memo_key is not None:
-        warm.phase1.put(memo_key, best)
     return best

@@ -48,7 +48,6 @@ from ..obs.trace import active_trace
 from ..core.partition import Allocation, Partitioning
 from ..core.pattern import B, CB, CF, F, W, Op, PeriodicPattern, gpu, link, split_backward
 from ..core.platform import Platform
-from ..warmstart import active_warm, chain_fingerprint
 
 __all__ = [
     "GROUP_FIT_RTOL",
@@ -91,8 +90,6 @@ class Family:
     split: bool
     #: candidate periods are kept down to ``lower − candidate_atol``
     candidate_atol: float
-    #: appended to the warm memo key, so families never share entries
-    memo_tag: tuple = ()
 
 
 #: The schedule families, by ``schedule_family`` name: the paper's
@@ -101,9 +98,7 @@ class Family:
 #: partition search is family-agnostic.
 FAMILIES = {
     "1f1b": Family("1F1B*", "onef1b", split=False, candidate_atol=CANDIDATE_ATOL),
-    "zero_bubble": Family(
-        "zero-bubble", "zero_bubble", split=True, candidate_atol=0.0, memo_tag=("zb",)
-    ),
+    "zero_bubble": Family("zero-bubble", "zero_bubble", split=True, candidate_atol=0.0),
 }
 SCHEDULE_FAMILIES = tuple(FAMILIES)
 
@@ -381,14 +376,6 @@ def min_feasible_period(
     ``onef1b.searches`` counter when tracing/metrics are active.  This
     is the innermost loop of every contiguous planner, so the disabled
     path is two context-variable reads before any span machinery runs.
-
-    Under an active warm-start context the search is memoized by exact
-    instance key — the function is a pure deterministic map from
-    (chain, platform, partitioning, build, headroom) to its result, so
-    a hit is bit-identical to recomputing (MadPipe's fallback and
-    certification paths re-run the same search several times per
-    instance, and neighboring sweep instances repeat it across the
-    memory axis whenever the partitioning coincides).
     """
     return _search(
         FAMILIES["1f1b"], chain, platform, partitioning, build, memory_headroom
@@ -403,23 +390,9 @@ def _search(
     build: bool,
     memory_headroom: float,
 ) -> OneF1BResult | None:
-    """The instrumented, warm-memoized search of ``family``; see
-    :func:`min_feasible_period`.  Span, counter and memo-hit names carry
-    the family's ``obs`` prefix; memo keys carry its ``memo_tag``."""
-    warm = active_warm()
-    memo_key = None
-    if warm is not None:
-        memo_key = (
-            chain_fingerprint(chain), platform.n_procs, platform.memory,
-            platform.bandwidth, memory_headroom,
-            tuple((s.start, s.end) for s in partitioning.stages), build,
-        ) + family.memo_tag
-        hit = warm.onef1b.hit(memo_key)
-        if hit is not None:
-            reg = active_metrics()
-            if reg is not None:
-                reg.inc(f"warm.{family.obs}_hits")
-            return hit[0]
+    """The instrumented search of ``family``; see
+    :func:`min_feasible_period`.  Span and counter names carry the
+    family's ``obs`` prefix."""
     platform = platform.with_headroom(memory_headroom)
     tr = active_trace()
     reg = active_metrics()
@@ -438,8 +411,6 @@ def _search(
             )
     if res is not None and reg is not None:
         reg.inc(f"{family.obs}.feasible")
-    if memo_key is not None:
-        warm.onef1b.put(memo_key, (res,))
     return res
 
 

@@ -95,8 +95,7 @@ def min_feasible_period_zb(
     ``partitioning`` fits in memory on every GPU; ``None`` if none works.
 
     The search of :func:`repro.algorithms.onef1b.min_feasible_period`
-    under this family: a ``zero_bubble.period_search`` span,
-    ``zero_bubble.*`` counters and warm memo entries tagged so they never
-    answer a 1F1B\\* search.
+    under this family: a ``zero_bubble.period_search`` span and
+    ``zero_bubble.*`` counters.
     """
     return _search(_FAMILY, chain, platform, partitioning, build, memory_headroom)

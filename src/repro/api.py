@@ -542,10 +542,9 @@ class SweepResult:
         Surfaces what the raw ``metrics`` dict buries — how much work
         the harness *avoided*: ``cache_hits`` (served from the JSONL
         result cache), ``dedup_hits`` (duplicate specs solved once and
-        fanned out), ``retries``, and the per-mechanism ``warm`` reuse
-        counters of :mod:`repro.warmstart` (``dp_reuse``,
-        ``onef1b_hits``, ``skeleton_reuse``, ``probes_saved``,
-        ``bracket_hits`` — absent keys mean the mechanism never fired).
+        fanned out), ``retries``, and the ``warm`` reuse counters of
+        :mod:`repro.warmstart` (``dp_reuse``: DP level expansions carried
+        into the value sweep — absent when nothing was reused).
         """
         m = self.metrics
         return {

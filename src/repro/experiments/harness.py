@@ -330,12 +330,10 @@ def run_grid(
     appends to the same file.
 
     ``warm_start=True`` solves instances against the per-process
-    warm-start database (:mod:`repro.warmstart`): uncached instances are
-    ordered so (network, P, β, algorithm) neighbors run consecutively at
-    *descending* memory — infeasibility certificates transfer downward —
-    and every solver layer reuses its neighbors' exact-key precomputation.
+    warm-start database (:mod:`repro.warmstart`): phase 1 reuses the DP
+    tables of earlier instances with the same (network, P, β, grid).
     Results are bit-identical to a cold sweep; only ``runtime_s`` and the
-    ``warm.*`` counters differ.  The default stays cold for
+    ``warm.dp_reuse`` counter differ.  The default stays cold for
     backward-compatible determinism of per-call counters; the
     :func:`repro.api.sweep` facade and the CLI default to warm.
 
@@ -454,16 +452,6 @@ def run_grid(
                 time.sleep(backoff_delay(round_no, retry_backoff_s, rng))
             round_no += 1
             batch = sorted(remaining)
-            if warm_start:
-                # neighbor order: (network, P, β, algorithm) runs stay
-                # consecutive with memory *descending*, so certified
-                # infeasibility flows from roomy instances to tight ones
-                batch.sort(
-                    key=lambda i: (
-                        specs[i][0], specs[i][1], specs[i][3], specs[i][4],
-                        -specs[i][2], i,
-                    )
-                )
             if not (pool_ok and len(batch) > 1):
                 for i in batch:
                     settle(i, functools.partial(attempt, specs[i]))

@@ -37,7 +37,7 @@ matrices float-for-float as building from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint
@@ -160,12 +160,6 @@ class MilpSkeleton:
     dur_arr: np.ndarray  # durations in t-variable order
     integrality: np.ndarray
     c: np.ndarray
-    # memory-row metadata for capacity retargeting: the rows whose upper
-    # bound is ``M − const`` plus the T- and M-independent ``const`` per
-    # row, and the coefficient-free per-GPU static checks in build order.
-    mem_rows: np.ndarray | None = None
-    mem_const: np.ndarray | None = None
-    static_checks: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def n_ops(self) -> int:
@@ -204,31 +198,6 @@ class MilpSkeleton:
             integrality=self.integrality,
             bounds=Bounds(np.zeros(self.n_vars), ub),
         )
-
-    def retarget(self, capacity: float) -> "MilpSkeleton":
-        """The same skeleton with its memory rows rebound to a new
-        per-GPU ``capacity`` (already derated — pass the output of
-        :func:`repro.core.memory.effective_capacity`).
-
-        Only the memory-row upper bounds involve the capacity, as
-        ``capacity − const``; that expression is recomputed here from
-        the stored constants with the exact float operation of a fresh
-        :func:`build_skeleton`, so the result is float-identical to
-        rebuilding from scratch — including the fresh build's
-        ``ValueError`` when static memory alone exceeds the new
-        capacity (checks replayed in build order with the identical
-        message).  Every other array is shared read-only with ``self``
-        (:meth:`instantiate` copies before mutating).
-        """
-        for p, const in self.static_checks:
-            if const > capacity:
-                raise ValueError(
-                    f"static memory {const:.3g} exceeds capacity on GPU {p}"
-                )
-        row_ub = self.row_ub.copy()
-        if self.mem_rows is not None and len(self.mem_rows):
-            row_ub[self.mem_rows] = capacity - self.mem_const
-        return replace(self, row_ub=row_ub)
 
 
 def build_skeleton(
@@ -325,9 +294,6 @@ def build_skeleton(
 
     M = effective_capacity(platform.memory, memory_headroom)
     split = schedule_family == "zero_bubble"
-    mem_rows: list[int] = []
-    mem_consts: list[float] = []
-    static_checks: list[tuple[int, float]] = []
     for p in sorted(allocation.procs_used()):
         stage_idxs = allocation.stages_on_proc(p)
         static = 0.0
@@ -376,15 +342,11 @@ def build_skeleton(
                         coeffs[var] = coeffs.get(var, 0.0) - ghat * coef
                         const -= ghat * cst
             if coeffs:
-                mem_rows.append(len(rows))
-                mem_consts.append(const)
                 add_row(coeffs, -np.inf, M - const)
-            else:
-                static_checks.append((p, const))
-                if const > M:
-                    raise ValueError(
-                        f"static memory {const:.3g} exceeds capacity on GPU {p}"
-                    )
+            elif const > M:
+                raise ValueError(
+                    f"static memory {const:.3g} exceeds capacity on GPU {p}"
+                )
 
         for s_i in stage_idxs:  # events: F starts, plus B starts when split
             add_event(("F", s_i))
@@ -439,9 +401,6 @@ def build_skeleton(
         dur_arr=dur_arr,
         integrality=integrality,
         c=c,
-        mem_rows=np.array(mem_rows, dtype=np.intp),
-        mem_const=np.array(mem_consts),
-        static_checks=static_checks,
     )
 
 

@@ -44,8 +44,7 @@ record that the solver budget, not the mathematics, decided — callers
 such as :func:`repro.algorithms.madpipe.madpipe` use this to fall back
 to a certified 1F1B\\* schedule instead of silently reporting
 infeasible.  ``capped`` (no pattern below the cap) proves nothing
-either way: only probes HiGHS certified infeasible below the cap reach
-the warm-start frontier, never the cap itself.
+either way.
 The pre-skeleton bisection search is preserved verbatim in
 :mod:`repro.ilp.solver_reference` for benchmarking.
 """
@@ -60,13 +59,11 @@ from scipy.optimize import linprog, milp
 
 from .. import obs
 from ..core.chain import Chain
-from ..core.memory import effective_capacity
 from ..core.partition import Allocation
 from ..core.pattern import Op, PatternError, PeriodicPattern
 from ..core.platform import Platform
 from ..core.tolerances import CHECK_RTOL
 from ..testing import faults
-from ..warmstart import active_warm, chain_fingerprint
 from .formulation import MilpSkeleton, ScheduleMILP, build_milp, build_skeleton
 
 __all__ = [
@@ -474,57 +471,17 @@ def _schedule_allocation(
         # beat it, so no MILP is built or solved
         return result(INF, None)
 
-    # Warm-start database (see repro.warmstart): skeleton templates are
-    # keyed *without* the memory capacity — only memory-row bounds
-    # involve it, and MilpSkeleton.retarget rebinds them float-identically
-    # — and the infeasibility frontier transfers certified-infeasible
-    # probes between instances (feasibility is monotone in T and in the
-    # capacity).  Gated on ``reuse_skeleton`` so the from-scratch
-    # equivalence mode stays exactly from-scratch.
-    warm = active_warm() if reuse_skeleton else None
-    capacity = effective_capacity(platform.memory, memory_headroom)
-    warm_key = None
-    skeleton = None
-    if warm is not None:
-        warm_key = (
-            chain_fingerprint(chain),
-            tuple((s.start, s.end) for s in allocation.stages),
-            tuple(allocation.procs),
-            platform.n_procs,
-            platform.bandwidth,
-            memory_headroom,
-        )
-        if schedule_family != "1f1b":
-            # family-tagged keys never collide with classic entries (the
-            # tuple lengths differ), and classic keys stay unchanged
-            warm_key = warm_key + (schedule_family,)
-        hit = warm.skeletons.hit(warm_key)
-        if hit is not None:
-            tmpl, tmpl_cap = hit
-            obs.inc("warm.skeleton_reuse")
-            if tmpl_cap == capacity:
-                skeleton = tmpl
-            else:
-                try:
-                    skeleton = tmpl.retarget(capacity)
-                except ValueError:
-                    # identical to a fresh build's static-memory abort
-                    return result(INF, None)
-                warm.skeletons.put(warm_key, (skeleton, capacity))
-    if skeleton is None:
-        try:
-            with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):
-                skeleton = build_skeleton(
-                    chain, platform, allocation, memory_headroom=memory_headroom,
-                    schedule_family=schedule_family,
-                )
-            obs.inc("ilp.skeleton_builds")
-        except ValueError:
-            # static memory (weights+buffers) alone exceeds some GPU: no
-            # period can ever be feasible
-            return result(INF, None)
-        if warm is not None:
-            warm.skeletons.put(warm_key, (skeleton, capacity))
+    try:
+        with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):
+            skeleton = build_skeleton(
+                chain, platform, allocation, memory_headroom=memory_headroom,
+                schedule_family=schedule_family,
+            )
+        obs.inc("ilp.skeleton_builds")
+    except ValueError:
+        # static memory (weights+buffers) alone exceeds some GPU: no
+        # period can ever be feasible
+        return result(INF, None)
     probe_skeleton = skeleton if reuse_skeleton else None
 
     memo: dict[float, bool] = {}
@@ -577,25 +534,6 @@ def _schedule_allocation(
         if T in memo:
             obs.inc("ilp.memo_hits")
             return memo[T]
-        if warm is not None and warm.frontier_dominated(warm_key, T, capacity):
-            # a neighbor certified (T', M') infeasible with T ≤ T' and
-            # capacity ≤ M': this probe is infeasible by monotonicity —
-            # record it exactly as a solved infeasible probe would be
-            obs.inc("warm.probes_saved")
-            if not any(p.kind == "milp" for p in trace):
-                obs.inc("warm.bracket_hits")
-            trace.append(
-                ProbeRecord(
-                    period=T,
-                    feasible=False,
-                    build_s=0.0,
-                    solve_s=0.0,
-                    status="infeasible",
-                )
-            )
-            memo[T] = False
-            state["lo"] = max(state["lo"], T)
-            return False
         with obs.span(
             "ilp.probe", T=T, feasibility_only=feasibility_only
         ) as probe_span:
@@ -633,10 +571,6 @@ def _schedule_allocation(
                 lp_jump(x)
         else:
             state["lo"] = max(state["lo"], T)
-            if warm is not None and probe_status == "infeasible":
-                # only HiGHS-certified infeasibility enters the frontier;
-                # "timeout"/"invalid"/"error" never transfer
-                warm.frontier_add(warm_key, T, capacity)
         return ok
 
     # 1. the lower bound itself (roomy instances end here)

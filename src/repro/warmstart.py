@@ -1,58 +1,33 @@
-"""Cross-instance warm starts for the solver stack (ROADMAP item 4).
+"""Cross-instance warm starts for the solver stack.
 
-A sweep solves thousands of *neighboring* instances: the same chain at
-many memory capacities, bandwidths and processor counts.  Each solver
-layer rederives work that a neighboring instance already paid for — the
-DP rebuilds its per-level candidate tensors on every binary-search
-probe, the MILP rebuilds its period-independent skeleton when only the
-memory capacity changed, and every period search re-probes targets a
-neighbor already *certified* infeasible.
-
-This module holds the shared state that lets solves reuse each other,
-under one hard rule: **warm starts never change results**.  Every
-mechanism is either an exact-key memo of a pure deterministic function,
-or a certificate transfer whose soundness is a theorem of the model:
+A sweep solves many *neighboring* instances: the same chain at many
+memory capacities, bandwidths and processor counts.  The MadPipe DP
+(phase 1) rebuilds its per-level candidate tables on every binary-search
+probe, yet those tables depend only on (chain, P, β, grid) — not on the
+probe target, the period cap or the memory capacity.  This module holds
+the one table that lets solves share them:
 
 * ``dp_rows`` — per-level candidate-stage constants and coordinate
   tables of the MadPipe DP
-  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`): pure
-  functions of (chain, P, β, grid), independent of the probe target,
-  the period cap and the memory capacity — shared across probes,
-  searches and instances;
-* ``phase1`` — exact-key memo of whole :func:`algorithm1` searches
-  (same chain, platform, grid, iterations, restriction ⇒ same result;
-  MadPipe runs the identical contiguous search up to three times per
-  instance across its fallback and certification paths);
-* ``onef1b`` — exact-key memo of the pure contiguous minimal-period
-  search of both schedule families (zero-bubble keys carry a tag);
-* ``skeletons`` — MILP skeleton templates keyed *without* the memory
-  capacity: only the memory-row upper bounds ``M − const`` involve
-  ``M``, so :meth:`repro.ilp.formulation.MilpSkeleton.retarget`
-  rebuilds a neighbor's skeleton for a new capacity in O(rows) with
-  float-identical bounds;
-* ``frontier`` — certified-infeasible MILP probes ``(T, M)``.
-  Feasibility of the fixed-period MILP is monotone in ``T`` (shift
-  inequalities only relax) *and* in ``M`` (memory rows only relax), so
-  a probe certified infeasible at ``(T′, M′)`` proves every probe with
-  ``T ≤ T′`` and ``M ≤ M′`` infeasible — those probes are answered
-  from the frontier without invoking HiGHS.  Only HiGHS's *proven*
-  ``infeasible`` status enters the frontier; budget ``timeout``\\ s
-  never do.
+  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`), keyed by
+  (chain, P, β, grid) and shared across probes, searches and instances.
+
+The reuse is exact (deterministic intermediates looked up by exact key),
+so **warm starts never change results**: every other layer — the
+contiguous period search, the MILP skeleton and every MILP probe — runs
+the same code warm or cold.
 
 Activation is explicit and context-local: the sweep harness wraps each
 instance in :func:`activate` when ``run_grid(..., warm_start=True)``;
 everything else (direct :func:`repro.algorithms.madpipe.madpipe` calls,
-``warm_start=False`` sweeps) runs cold and byte-identical to previous
-releases.  The context is a per-process singleton, so serial sweeps
-share one database across instances and pooled sweeps share one per
-worker process.
+``warm_start=False`` sweeps) runs cold.  The context is a per-process
+singleton, so serial sweeps share one database across instances and
+pooled sweeps share one per worker process.
 
-Reuse is reported through the ``warm.*`` counters on the obs registry:
-``warm.dp_reuse`` (DP level-tensor and whole-search reuse),
-``warm.onef1b_hits``, ``warm.skeleton_reuse``, ``warm.probes_saved``
-(DP + MILP probes answered without solving) and ``warm.bracket_hits``
-(period searches whose opening bracket was seeded by a neighbor's
-certificate).
+Warm probes also carry each discovery pass's level expansions into
+the DP's value sweep (``carry=True`` of
+:func:`repro.algorithms.madpipe_dp.madpipe_dp`); the ``warm.dp_reuse``
+counter on the obs registry counts those carried expansions.
 """
 
 from __future__ import annotations
@@ -79,12 +54,6 @@ __all__ = [
     "reset_process_context",
 ]
 
-#: Whole-search memo bound (phase-1 and 1F1B* searches are small; the
-#: bound only guards unbounded growth on very long-lived processes).
-_MEMO_CAP = 256
-#: Skeleton templates are the largest cached objects (dense constraint
-#: matrices); keep only the most recent allocations.
-_SKELETON_CAP = 32
 #: DP workspaces hold ``n_t × l`` tables per level (megabytes at the
 #: paper grid); keep those of the most recent (chain, P, β, grid) keys.
 _DP_ROWS_CAP = 16
@@ -210,28 +179,16 @@ class LRU(OrderedDict):
             self.popitem(last=False)
 
 
-#: Backward-compatible alias (the class predates the serve layer).
-_LRU = LRU
-
-
 class WarmContext:
-    """The per-process warm-start database.
+    """The per-process warm-start database: the DP rows workspace.
 
-    All lookups are exact-key; see the module docstring for why each
-    table is result-preserving.  The context is only ever touched from
-    code running under :func:`activate`, one instance at a time per
-    process, so no locking is needed.
+    The context is only ever touched from code running under
+    :func:`activate`, one instance at a time per process, so no locking
+    is needed.
     """
 
     def __init__(self) -> None:
-        self.dp_rows = _LRU(_DP_ROWS_CAP)
-        self.phase1 = _LRU(_MEMO_CAP)
-        self.onef1b = _LRU(_MEMO_CAP)
-        self.skeletons = _LRU(_SKELETON_CAP)
-        # frontier: key -> list of certified-infeasible (T, capacity) points
-        self.frontier: dict[tuple, list[tuple[float, float]]] = {}
-
-    # -- DP level-tensor workspace -----------------------------------------
+        self.dp_rows = LRU(_DP_ROWS_CAP)
 
     def dp_workspace(self, key: tuple) -> dict:
         """The shared ``_static_rows`` cache for one (chain, P, β, grid)."""
@@ -240,25 +197,6 @@ class WarmContext:
             ws = {}
             self.dp_rows.put(key, ws)
         return ws
-
-    # -- certified-infeasible probe frontier -------------------------------
-
-    def frontier_dominated(self, key: tuple, T: float, capacity: float) -> bool:
-        """Is a probe at ``(T, capacity)`` dominated by a recorded
-        certificate?  Infeasible at ``(T′, M′)`` proves infeasible at
-        every ``T ≤ T′, M ≤ M′`` (feasibility is monotone in both)."""
-        pts = self.frontier.get(key)
-        if not pts:
-            return False
-        return any(T <= Tr and capacity <= Mr for Tr, Mr in pts)
-
-    def frontier_add(self, key: tuple, T: float, capacity: float) -> None:
-        """Record a *certified* infeasible probe, pruning dominated points."""
-        pts = self.frontier.setdefault(key, [])
-        if any(T <= Tr and capacity <= Mr for Tr, Mr in pts):
-            return  # already implied
-        pts[:] = [(Tr, Mr) for Tr, Mr in pts if not (Tr <= T and Mr <= capacity)]
-        pts.append((T, capacity))
 
 
 _active: ContextVar[WarmContext | None] = ContextVar(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import warmstart
 from repro.core import Allocation, Partitioning, Platform
 from repro.core.tolerances import CHECK_RTOL
 from repro.experiments.scenarios import paper_chain
@@ -151,14 +150,6 @@ def _trace(res):
     return [(p.period, p.feasible, p.kind, p.status) for p in res.trace]
 
 
-@pytest.fixture
-def warm():
-    warmstart.reset_process_context()
-    with warmstart.activate(True) as ctx:
-        yield ctx
-    warmstart.reset_process_context()
-
-
 class TestPeriodCap:
     """``period_cap``: only a pattern beating the cap by more than
     CHECK_RTOL counts, and a search that reaches the cap proves nothing."""
@@ -167,22 +158,19 @@ class TestPeriodCap:
     def tight(self):
         return Platform.of(2, 0.7, 12)
 
-    def test_cap_at_lower_bound_solves_nothing(self, chain, special3, tight, warm):
+    def test_cap_at_lower_bound_solves_nothing(self, chain, special3, tight):
         lower = special3.period_lower_bound(chain, tight)
         for cap in (lower, lower * (1 + CHECK_RTOL / 2)):
             res = schedule_allocation(chain, tight, special3, period_cap=cap)
             assert res.status == "capped" and not res.feasible
             assert res.period == float("inf")
             assert res.trace == [] and res.timings["milp_probes"] == 0
-        assert not warm.frontier and not warm.skeletons
 
-    def test_capped_result_beats_the_cap(self, chain, special3, tight, warm):
+    def test_capped_result_beats_the_cap(self, chain, special3, tight):
         free = schedule_allocation(chain, tight, special3, time_limit=20)
         assert free.feasible
         lower = special3.period_lower_bound(chain, tight)
         assert free.period > lower  # so caps near it leave the MILP work to do
-        warm.frontier.clear()  # only the capped searches below may fill it
-        refuted = set()  # (T, capacity) of every probe HiGHS refuted
         # 1 / (1 - CHECK_RTOL) puts the ceiling on free.period: the probe
         # there is feasible, so the search ends capped without refuting it
         for factor in (0.99, 1.0, 1 + 1e-7, 1 / (1 - CHECK_RTOL), 1.001, 1.05, 1.5):
@@ -197,20 +185,8 @@ class TestPeriodCap:
                 assert res.status == "capped"
             if factor >= 1.05:
                 assert res.feasible
-            # a probe the frontier refuted is recorded without a build
-            refuted |= {
-                (p.period, tight.memory) for p in res.trace
-                if p.kind == "milp" and p.status == "infeasible" and p.build_s > 0
-            }
-        # every frontier point is a probe HiGHS itself refuted below its
-        # cap: neither the cap nor the search's ceiling is ever added
-        assert warm.frontier
-        for points in warm.frontier.values():
-            assert set(points) <= refuted
-        before = {k: list(v) for k, v in warm.frontier.items()}
         res = schedule_allocation(chain, tight, special3, period_cap=lower)
         assert res.status == "capped" and res.trace == []
-        assert warm.frontier == before
 
     def test_budget_spent_closing_the_gap_is_not_a_timeout(self, chain, special3, tight):
         """With the ceiling exactly on a feasible period, the probe there

@@ -17,7 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import api, obs, warmstart
@@ -28,7 +27,6 @@ from repro.core.partition import Allocation, Partitioning
 from repro.core.platform import Platform
 from repro.experiments import ResultCache, run_grid, verify_cache
 from repro.experiments.scenarios import paper_chain
-from repro.ilp.formulation import build_skeleton
 from repro.ilp.solver import schedule_allocation
 from repro.models import random_chain, uniform_chain
 from repro.testing import Fault, faults
@@ -48,7 +46,7 @@ N_TOY = 6
 #: Non-contiguous madpipe instance (phase 2 goes through the MILP); the
 #: same seed/platform family as the resilience tests.
 ILP_SEED = 7
-ILP_MEMORIES = (1.0, 0.8, 0.7)  # descending, the warm sweep order
+ILP_MEMORIES = (1.0, 0.8, 0.7)
 
 
 @pytest.fixture(autouse=True)
@@ -77,12 +75,17 @@ def strip_runtime(results):
     return [dataclasses.replace(r, runtime_s=0.0) for r in results]
 
 
+def ilp_probe_sig(res):
+    """The full probe sequence of one MILP period search — identical
+    floats and statuses prove the warm search took the exact same path."""
+    return [(p.period, p.feasible, p.kind, p.status) for p in res.trace]
+
+
 def ilp_trace_sig(res):
-    """The full probe sequence of a MadPipe ILP search — identical floats
-    and statuses prove the warm search took the exact same path."""
+    """:func:`ilp_probe_sig` of a MadPipe result's ILP search, if any."""
     if res.ilp is None:
         return None
-    return [(p.period, p.feasible, p.kind, p.status) for p in res.ilp.trace]
+    return ilp_probe_sig(res.ilp)
 
 
 class TestWarmColdIdentity:
@@ -96,7 +99,7 @@ class TestWarmColdIdentity:
 
     def test_noncontiguous_milp_instances_identical(self):
         """Descending-memory MILP instances: the warm search must take
-        the exact same probe path (frontier-served probes included)."""
+        the exact same probe path."""
         chain = random_chain(12, seed=ILP_SEED, decay=0.2)
 
         def solve_all():
@@ -116,6 +119,38 @@ class TestWarmColdIdentity:
         assert any(sig is not None for *_, sig in cold)  # MILP actually ran
         assert cold == warm
 
+    def test_statuses_identical_under_injected_milp_timeout(self, tmp_path):
+        """Descending-memory searches on one allocation with one MILP
+        probe period timing out on every solve after the first: warm and
+        cold must report the same period and ``status`` per instance (the
+        timed-out probe makes the middle instance ``degraded``)."""
+        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=1 * MB, activation=64 * MB)
+        alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
+        plats = [Platform.of(2, m, 12) for m in (0.7, 0.6, 0.5)]
+
+        def solve_all(warm: bool):
+            faults.install(
+                [Fault(site="milp_solve", action="timeout", key="T=17.9311774",
+                       after=1, times=-1)],
+                tmp_path / f"state-{warm}",
+            )
+            try:
+                with warmstart.activate(warm):
+                    return [
+                        schedule_allocation(chain, p, alloc, time_limit=10)
+                        for p in plats
+                    ]
+            finally:
+                faults.clear()
+
+        cold = solve_all(False)
+        warm = solve_all(True)
+        assert [r.status for r in cold] == ["ok", "degraded", "infeasible"]
+        assert [(r.period, r.status) for r in warm] == [
+            (r.period, r.status) for r in cold
+        ]
+        assert [ilp_probe_sig(r) for r in warm] == [ilp_probe_sig(r) for r in cold]
+
     def test_pooled_warm_matches_serial_cold(self):
         cold = toy_sweep(warm_start=False)
         warmstart.reset_process_context()
@@ -127,14 +162,14 @@ class TestWarmColdIdentity:
         a warm one must not see (or grow) the warm context."""
         toy_sweep(warm_start=True)
         ctx = warmstart.process_context()
-        before = (len(ctx.phase1), len(ctx.onef1b), len(ctx.skeletons))
+        before = {k: sorted(ws) for k, ws in ctx.dp_rows.items()}
+        assert before  # the warm sweep filled the workspace
         with warmstart.activate(True):
             with warmstart.activate(False):
                 assert warmstart.active_warm() is None
             assert warmstart.active_warm() is ctx
         toy_sweep(warm_start=False)
-        after = (len(ctx.phase1), len(ctx.onef1b), len(ctx.skeletons))
-        assert before == after
+        assert {k: sorted(ws) for k, ws in ctx.dp_rows.items()} == before
 
     @pytest.mark.faultinject
     def test_killed_warm_sweep_resumes_to_cold_results(self, tmp_path):
@@ -181,126 +216,7 @@ class TestWarmColdIdentity:
         assert verify_cache(cache_path)["clean"]
 
 
-class TestSkeletonRetarget:
-    @pytest.fixture
-    def noncontig(self):
-        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=1 * MB, activation=64 * MB)
-        alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
-        return chain, alloc
-
-    def test_retarget_matches_fresh_build_bitwise(self, noncontig):
-        chain, alloc = noncontig
-        skel_hi = build_skeleton(chain, Platform.of(2, 4, 12), alloc)
-        fresh_lo = build_skeleton(chain, Platform.of(2, 2, 12), alloc)
-        retargeted = skel_hi.retarget(Platform.of(2, 2, 12).memory)
-        assert np.array_equal(retargeted.row_ub, fresh_lo.row_ub)
-        # everything else is shared with the template, not copied
-        assert retargeted.a_const is skel_hi.a_const
-        assert retargeted.lb_const is skel_hi.lb_const
-        assert retargeted.c is skel_hi.c
-        # and the instantiated models agree float for float
-        m1 = fresh_lo.instantiate(10.0)
-        m2 = retargeted.instantiate(10.0)
-        assert np.array_equal(m1.constraints[0].A, m2.constraints[0].A)
-        assert np.array_equal(m1.constraints[0].ub, m2.constraints[0].ub)
-
-    def test_retarget_replays_static_check_error(self):
-        # zero activations → every memory row is a coefficient-free
-        # static check, the only path that raises at build time
-        chain = uniform_chain(4, u_f=1.0, u_b=2.0, weights=512 * MB, activation=0.0)
-        alloc = Allocation(Partitioning.from_cuts(4, [2]), (0, 1))
-        roomy = build_skeleton(chain, Platform.of(2, 4, 12), alloc)
-        assert roomy.static_checks  # the replay list is populated
-        tiny = Platform.of(2, 0.25, 12)
-        with pytest.raises(ValueError) as fresh_err:
-            build_skeleton(chain, tiny, alloc)
-        with pytest.raises(ValueError) as warm_err:
-            roomy.retarget(tiny.memory)
-        assert str(fresh_err.value) == str(warm_err.value)
-
-    def test_schedule_allocation_reuses_template_across_memories(self, noncontig):
-        chain, alloc = noncontig
-        registry = obs.MetricsRegistry()
-        with warmstart.activate(True), obs.use_metrics(registry):
-            hi = schedule_allocation(chain, Platform.of(2, 4, 12), alloc, time_limit=10)
-            lo = schedule_allocation(chain, Platform.of(2, 2, 12), alloc, time_limit=10)
-        snap = registry.snapshot()
-        assert snap.get("warm.skeleton_reuse", 0) >= 1
-        assert snap.get("ilp.skeleton_builds", 0) == 1
-        # and matches the cold solves exactly
-        cold_hi = schedule_allocation(chain, Platform.of(2, 4, 12), alloc, time_limit=10)
-        cold_lo = schedule_allocation(chain, Platform.of(2, 2, 12), alloc, time_limit=10)
-        for warm_res, cold_res in ((hi, cold_hi), (lo, cold_lo)):
-            assert warm_res.period == cold_res.period
-            assert warm_res.status == cold_res.status
-            assert [(p.period, p.feasible, p.kind, p.status) for p in warm_res.trace] \
-                == [(p.period, p.feasible, p.kind, p.status) for p in cold_res.trace]
-
-
-class TestInfeasibilityFrontier:
-    def test_dominance_and_pruning(self):
-        ctx = warmstart.WarmContext()
-        key = ("k",)
-        ctx.frontier_add(key, 5.0, 8.0)
-        assert ctx.frontier_dominated(key, 5.0, 8.0)
-        assert ctx.frontier_dominated(key, 4.0, 2.0)
-        assert not ctx.frontier_dominated(key, 5.1, 8.0)  # larger T
-        assert not ctx.frontier_dominated(key, 5.0, 8.1)  # larger capacity
-        ctx.frontier_add(key, 4.0, 2.0)  # implied: not stored
-        assert ctx.frontier[key] == [(5.0, 8.0)]
-        ctx.frontier_add(key, 6.0, 9.0)  # dominates: replaces
-        assert ctx.frontier[key] == [(6.0, 9.0)]
-        ctx.frontier_add(key, 7.0, 1.0)  # incomparable: both kept
-        assert len(ctx.frontier[key]) == 2
-
-    def test_frontier_saves_probes_with_identical_results(self):
-        """Descending-memory searches on one allocation: the tighter
-        instance answers probes from the roomier one's certificates."""
-        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=1 * MB, activation=64 * MB)
-        alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
-        plats = [Platform.of(2, m, 12) for m in (0.7, 0.6, 0.5)]
-        cold = [schedule_allocation(chain, p, alloc, time_limit=10) for p in plats]
-        assert any(
-            pr.status == "infeasible" for res in cold for pr in res.trace
-        ), "instance family has no certified-infeasible probes to transfer"
-        registry = obs.MetricsRegistry()
-        with warmstart.activate(True), obs.use_metrics(registry):
-            warm = [schedule_allocation(chain, p, alloc, time_limit=10) for p in plats]
-        assert registry.snapshot().get("warm.probes_saved", 0) >= 1
-        for c, w in zip(cold, warm):
-            assert (c.period, c.status) == (w.period, w.status)
-            assert [(p.period, p.feasible, p.kind, p.status) for p in c.trace] \
-                == [(p.period, p.feasible, p.kind, p.status) for p in w.trace]
-
-    def test_injected_timeouts_never_enter_frontier(self, tmp_path):
-        """A budget timeout is not a certificate: with every MILP solve
-        timing out, the frontier must stay empty."""
-        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=1 * MB, activation=64 * MB)
-        alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
-        faults.install([Fault(site="milp_solve", action="timeout", times=-1)], tmp_path)
-        with warmstart.activate(True) as ctx:
-            res = schedule_allocation(chain, Platform.of(2, 4, 12), alloc, time_limit=10)
-        faults.clear()
-        assert res.status == "timeout"
-        assert not ctx.frontier
-
-
 class TestSearchMemos:
-    def test_algorithm1_memo_returns_identical_result(self):
-        chain = uniform_chain(6)
-        plat = Platform.of(2, 8.0, 12.0)
-        cold = algorithm1(chain, plat, iterations=4, grid=COARSE)
-        registry = obs.MetricsRegistry()
-        with warmstart.activate(True), obs.use_metrics(registry):
-            first = algorithm1(chain, plat, iterations=4, grid=COARSE)
-            second = algorithm1(chain, plat, iterations=4, grid=COARSE)
-        assert second is first  # exact-key memo
-        assert first.period == cold.period
-        assert first.history == cold.history
-        snap = registry.snapshot()
-        assert snap.get("warm.dp_reuse", 0) >= 1
-        assert snap.get("warm.probes_saved", 0) == len(first.history)
-
     def test_memo_key_separates_neighbors(self):
         """Different memory / iterations / restriction must not share a
         memo entry."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import api, obs, warmstart
+from repro import api, obs
 from repro.algorithms.madpipe import madpipe
 from repro.algorithms.onef1b import contiguous_search, min_feasible_period
 from repro.algorithms.zero_bubble import (
@@ -321,34 +321,6 @@ class TestSharedSearch:
         assert reg.get("zero_bubble.searches") == 2
         assert reg.get("zero_bubble.feasible") == 1
         assert reg.get("onef1b.searches") == 0
-
-    def test_warm_hit_counts_zero_bubble(self, tight24):
-        warmstart.reset_process_context()
-        reg = obs.MetricsRegistry()
-        with warmstart.activate(True), obs.use_metrics(reg):
-            first = min_feasible_period_zb(*tight24)
-            again = min_feasible_period_zb(*tight24)
-        assert again is first
-        assert reg.get("warm.zero_bubble_hits") == 1
-        assert reg.get("warm.onef1b_hits") == 0
-        assert reg.get("zero_bubble.searches") == 1
-
-    @pytest.mark.parametrize("first", ["1f1b", "zero_bubble"])
-    def test_memo_never_crosses_families(self, tight24, first):
-        """A memo entry of one family never answers the other's search of
-        the same partitioning."""
-        second = "zero_bubble" if first == "1f1b" else "1f1b"
-        cold = contiguous_search(second)(*tight24)
-        warmstart.reset_process_context()
-        reg = obs.MetricsRegistry()
-        with warmstart.activate(True), obs.use_metrics(reg):
-            contiguous_search(first)(*tight24)
-            warm = contiguous_search(second)(*tight24)
-        assert reg.get("warm.onef1b_hits") == reg.get("warm.zero_bubble_hits") == 0
-        assert (warm.period, warm.groups, warm.memory) == (
-            cold.period, cold.groups, cold.memory
-        )
-        assert warm.pattern.ops.keys() == cold.pattern.ops.keys()
 
 
 class TestFamilyNotes:
