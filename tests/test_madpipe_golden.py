@@ -15,10 +15,13 @@ schedule; ``idle_gpu`` runs swap one in for phase 1's allocation so that
 path is pinned too.  The contiguous DP's period caps the MILP search, so
 a budget-exhausted MILP only falls back to that restriction when there
 is no contiguous candidate: ``idle_gpu_uncapped`` runs also stub the
-contiguous DP infeasible, which leaves the search uncapped.  Every MILP
-here finishes far inside its time limit, so the answers are
-deterministic.  Floats are compared exactly: JSON stores the shortest
-repr, which round-trips.
+contiguous DP infeasible, which leaves the search uncapped.  The
+``headroom`` part plans with ``memory_headroom`` ∈ {0.1, 0.3}: every
+planning layer fits its schedule into the derated capacity while
+certification measures the full one; it holds MILP searches ending
+``ok`` and ``capped``.  Every MILP here finishes far inside its time
+limit, so the answers are deterministic.  Floats are compared exactly:
+JSON stores the shortest repr, which round-trips.
 
 Regenerate only when a change is meant to move MadPipe's selection::
 
@@ -54,6 +57,7 @@ GOLDEN = Path(__file__).parent / "golden" / "madpipe_outcomes.json"
 
 COARSE = Discretization.coarse()
 FAMILIES = ("1f1b", "zero_bubble")
+HEADROOMS = (0.1, 0.3)
 
 #: Fault plans of the fault-injected runs, by name.
 FAULTS = {
@@ -148,6 +152,14 @@ def _idle_gpu_instances():
     return _instances(n_procs=(3, 4), memories=(0.8, 1.5), specials=(True,), seeds=range(2))
 
 
+def _headroom_instances():
+    for headroom in HEADROOMS:
+        for key, chain, plat, opts in _instances(
+            n_procs=(2, 3, 4), memories=(0.8, 1.5), specials=(True,), seeds=range(2)
+        ):
+            yield f"headroom{headroom}|{key}", chain, plat, dict(opts, memory_headroom=headroom)
+
+
 def _certificate(cert) -> dict | None:
     if cert is None:
         return None
@@ -181,6 +193,12 @@ def _compute_clean() -> dict:
     return {key: _outcome(chain, plat, opts) for key, chain, plat, opts in _instances()}
 
 
+def _compute_headroom() -> dict:
+    return {
+        key: _outcome(chain, plat, opts) for key, chain, plat, opts in _headroom_instances()
+    }
+
+
 def _compute_faulted(name: str, state_root: Path, *, stub: str | None = None) -> dict:
     """Outcomes under fault plan ``name`` (``"none"``: no plan), on the
     fault instances or, with a ``stub`` of :data:`STUBS`, on that
@@ -207,7 +225,7 @@ def _compute() -> dict:
             faulted.update(_compute_faulted(name, Path(tmp), stub="idle_gpu"))
         for name in ("none", "milp_timeout"):
             faulted.update(_compute_faulted(name, Path(tmp), stub="idle_gpu_uncapped"))
-    return {"clean": _compute_clean(), "faulted": faulted}
+    return {"clean": _compute_clean(), "faulted": faulted, "headroom": _compute_headroom()}
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +257,17 @@ def test_golden_covers_every_status(golden):
     assert statuses == {"ok", "degraded", "infeasible", "solver_timeout", "error"}
 
 
+def test_headroom_covers_ok_and_capped_milp_searches(golden):
+    ilp = {o["ilp"] for o in golden["headroom"].values()}
+    assert {"ok", "capped"} <= ilp
+
+
 def test_clean_outcomes_match_golden(golden):
     assert not _first_mismatch(_compute_clean(), golden["clean"])
+
+
+def test_headroom_outcomes_match_golden(golden):
+    assert not _first_mismatch(_compute_headroom(), golden["headroom"])
 
 
 @pytest.mark.faultinject
