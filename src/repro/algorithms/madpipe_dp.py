@@ -619,7 +619,6 @@ def madpipe_dp(
     grid: Discretization | None = None,
     period_cap: float = INF,
     allow_special: bool = True,
-    memory_headroom: float = 0.0,
     workspace: dict | None = None,
     carry: bool = False,
 ) -> MadPipeDPResult:
@@ -628,11 +627,7 @@ def madpipe_dp(
     ``period_cap`` prunes candidate stages that cannot beat an incumbent
     period (the cap must over-estimate the optimum; ``inf`` disables).
     ``allow_special=False`` restricts the DP to contiguous allocations
-    (ablation: memory-aware PipeDream).  ``memory_headroom`` reserves a
-    fraction of each GPU (see
-    :func:`repro.core.memory.effective_capacity`): the DP's memory masks
-    and its memory grid both use the derated capacity, so phase 1 only
-    proposes allocations that leave the requested margin.
+    (ablation: memory-aware PipeDream).
 
     ``workspace`` shares the per-level tables that depend on neither
     ``T̂``, the cap nor the memory capacity across evaluations of the
@@ -647,8 +642,7 @@ def madpipe_dp(
     grid = grid or Discretization.default()
     t0 = time.perf_counter()
     dp = _LevelDP(
-        chain, platform.with_headroom(memory_headroom), target, grid,
-        period_cap, allow_special,
+        chain, platform, target, grid, period_cap, allow_special,
         rows_cache=workspace, forward=carry,
     )
     # P-1 normal processors plus the special one; without the special
@@ -705,7 +699,6 @@ def algorithm1(
     iterations: int = 10,
     grid: Discretization | None = None,
     allow_special: bool = True,
-    memory_headroom: float = 0.0,
     dp=None,
 ) -> Algorithm1Result:
     """Algorithm 1: modified binary search over the target period T̂.
@@ -716,9 +709,6 @@ def algorithm1(
     ``dp`` swaps the ``MadPipe-DP(T̂)`` evaluator (same signature and
     result type as :func:`madpipe_dp`) — used by the golden tests and
     benchmarks to drive the search with the reference implementation.
-    A nonzero ``memory_headroom`` is forwarded to the evaluator (the
-    kwarg is omitted at zero so headroom-unaware evaluators keep
-    working).
 
     ``iterations`` must be at least 1: with no probe the search has no
     answer, and ``ValueError`` is raised rather than reporting nothing
@@ -734,10 +724,9 @@ def algorithm1(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     dp = dp or madpipe_dp
-    dp_opts = {"memory_headroom": memory_headroom} if memory_headroom else {}
+    # cold: the probes share one rows dict
+    dp_opts = {"workspace": {}} if dp is madpipe_dp else {}
     warm = active_warm() if dp is madpipe_dp else None
-    if dp is madpipe_dp:
-        dp_opts["workspace"] = {}  # cold: the probes share one rows dict
     if warm is not None:
         g = grid or Discretization.default()
         dp_opts["workspace"] = warm.dp_workspace(

@@ -363,23 +363,16 @@ def min_feasible_period(
     partitioning: Partitioning,
     *,
     build: bool = True,
-    memory_headroom: float = 0.0,
 ) -> OneF1BResult | None:
     """Smallest period at which the 1F1B\\* schedule of ``partitioning``
     fits in memory on every GPU; ``None`` if no period works.
-
-    ``memory_headroom`` derates the capacity the schedule must fit into
-    (see :func:`repro.core.memory.effective_capacity`); the reported
-    per-GPU ``memory`` usage is unaffected.
 
     Instrumented: emits a ``onef1b.period_search`` span and
     ``onef1b.searches`` counter when tracing/metrics are active.  This
     is the innermost loop of every contiguous planner, so the disabled
     path is two context-variable reads before any span machinery runs.
     """
-    return _search(
-        FAMILIES["1f1b"], chain, platform, partitioning, build, memory_headroom
-    )
+    return _search(FAMILIES["1f1b"], chain, platform, partitioning, build)
 
 
 def _search(
@@ -388,12 +381,10 @@ def _search(
     platform: Platform,
     partitioning: Partitioning,
     build: bool,
-    memory_headroom: float,
 ) -> OneF1BResult | None:
     """The instrumented search of ``family``; see
     :func:`min_feasible_period`.  Span and counter names carry the
     family's ``obs`` prefix."""
-    platform = platform.with_headroom(memory_headroom)
     tr = active_trace()
     reg = active_metrics()
     if reg is not None:

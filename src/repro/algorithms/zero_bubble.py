@@ -89,7 +89,6 @@ def min_feasible_period_zb(
     partitioning: Partitioning,
     *,
     build: bool = True,
-    memory_headroom: float = 0.0,
 ) -> ZeroBubbleResult | None:
     """Smallest period at which the zero-bubble split-backward schedule of
     ``partitioning`` fits in memory on every GPU; ``None`` if none works.
@@ -98,4 +97,4 @@ def min_feasible_period_zb(
     under this family: a ``zero_bubble.period_search`` span and
     ``zero_bubble.*`` counters.
     """
-    return _search(_FAMILY, chain, platform, partitioning, build, memory_headroom)
+    return _search(_FAMILY, chain, platform, partitioning, build)

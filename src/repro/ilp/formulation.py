@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint
 
 from ..core.chain import Chain
-from ..core.memory import effective_capacity, stage_memory_breakdown
+from ..core.memory import stage_memory_breakdown
 from ..core.partition import Allocation
 from ..core.pattern import gpu, link, split_backward
 from ..core.platform import Platform
@@ -79,15 +79,14 @@ def _operations(
     chain: Chain,
     platform: Platform,
     allocation: Allocation,
-    *,
-    schedule_family: str = "1f1b",
+    split: bool,
 ) -> tuple[list[OpKey], dict[OpKey, float], dict[OpKey, tuple]]:
     ops: list[OpKey] = []
     dur: dict[OpKey, float] = {}
     res: dict[OpKey, tuple] = {}
     stages, procs = allocation.stages, allocation.procs
     for i, s in enumerate(stages):
-        if schedule_family == "zero_bubble":
+        if split:
             d_b, d_w = split_backward(s.backward(chain))
             stage_ops = (("F", s.forward(chain)), ("B", d_b), ("W", d_w))
         else:
@@ -148,7 +147,6 @@ class MilpSkeleton:
     h_index: dict[OpKey, int]
     y_index: dict[tuple[OpKey, OpKey], int]
     dep_edges: list[tuple[OpKey, OpKey]]
-    max_shift: int
     a_const: np.ndarray  # (n_rows, n_vars)
     t_rows: np.ndarray
     t_cols: np.ndarray
@@ -205,17 +203,12 @@ def build_skeleton(
     platform: Platform,
     allocation: Allocation,
     *,
-    max_shift: int | None = None,
-    memory_headroom: float = 0.0,
     schedule_family: str = "1f1b",
 ) -> MilpSkeleton:
     """Assemble the period-independent part of the MILP for ``allocation``.
 
     Raises ``ValueError`` when static memory (weights + buffers) alone
-    exceeds some GPU's capacity — no period can fix that.  A nonzero
-    ``memory_headroom`` derates every GPU's capacity in the memory rows
-    (see :func:`repro.core.memory.effective_capacity`), so the solved
-    schedule is guaranteed to leave that margin free.
+    exceeds some GPU's capacity — no period can fix that.
 
     ``schedule_family="zero_bubble"`` formulates the split-backward model:
     every stage carries ``F``/``B``/``W`` ops with ``B → W`` dependency
@@ -223,14 +216,13 @@ def build_skeleton(
     are checked after ``B`` starts as well (that is where grad-input
     buffers allocate), and the objective minimizes ``Σ (h_W − h_F)``.
     """
-    if schedule_family not in ("1f1b", "zero_bubble"):
+    from ..algorithms.onef1b import FAMILIES
+
+    if schedule_family not in FAMILIES:
         raise ValueError(f"unknown schedule family {schedule_family!r}")
-    ops, dur, res = _operations(
-        chain, platform, allocation, schedule_family=schedule_family
-    )
+    split = FAMILIES[schedule_family].split
+    ops, dur, res = _operations(chain, platform, allocation, split)
     n_ops = len(ops)
-    if max_shift is None:
-        max_shift = 2 * n_ops  # generous: depth never exceeds the op count
 
     t_index = {o: i for i, o in enumerate(ops)}
     h_index = {o: n_ops + i for i, o in enumerate(ops)}
@@ -292,8 +284,7 @@ def build_skeleton(
             return y_index[(before, after)], 1.0, 0.0
         return y_index[(after, before)], -1.0, 1.0
 
-    M = effective_capacity(platform.memory, memory_headroom)
-    split = schedule_family == "zero_bubble"
+    M = platform.memory
     for p in sorted(allocation.procs_used()):
         stage_idxs = allocation.stages_on_proc(p)
         static = 0.0
@@ -365,7 +356,7 @@ def build_skeleton(
     var_ub = np.empty(n_vars)
     dur_arr = np.array([dur[o] for o in ops])
     for o in ops:
-        var_ub[h_index[o]] = max_shift
+        var_ub[h_index[o]] = 2 * n_ops  # generous: depth never exceeds the op count
     for yi in y_index.values():
         var_ub[yi] = 1.0
 
@@ -389,7 +380,6 @@ def build_skeleton(
         h_index=h_index,
         y_index=y_index,
         dep_edges=dep_edges,
-        max_shift=max_shift,
         a_const=a_const,
         t_rows=t_rows,
         t_cols=t_cols,
@@ -410,25 +400,21 @@ def build_milp(
     allocation: Allocation,
     period: float,
     *,
-    max_shift: int | None = None,
     skeleton: MilpSkeleton | None = None,
-    memory_headroom: float = 0.0,
     schedule_family: str = "1f1b",
 ) -> ScheduleMILP:
     """Assemble the MILP for scheduling ``allocation`` with period ``T``.
 
     Pass a cached ``skeleton`` (from :func:`build_skeleton`) to skip the
     period-independent work; the result is identical either way.
-    ``memory_headroom`` and ``schedule_family`` only matter when no
-    skeleton is supplied (a cached skeleton already has them baked in).
+    ``schedule_family`` only matters when no skeleton is supplied (a
+    cached skeleton already has it baked in).
     """
     if period <= 0:
         raise ValueError("period must be positive")
     if skeleton is None:
         skeleton = build_skeleton(
-            chain, platform, allocation,
-            max_shift=max_shift, memory_headroom=memory_headroom,
-            schedule_family=schedule_family,
+            chain, platform, allocation, schedule_family=schedule_family
         )
     _metric_inc("ilp.model_builds")
     return skeleton.instantiate(period)

@@ -237,21 +237,16 @@ def solve_fixed_period(
     period: float,
     *,
     time_limit: float = 60.0,
-    skeleton: MilpSkeleton | None = None,
-    memory_headroom: float = 0.0,
     schedule_family: str = "1f1b",
 ) -> PeriodicPattern | None:
     """Feasibility MILP at a fixed period; returns a pattern or ``None``.
 
     A time-limit hit without an incumbent is reported as infeasible
-    (conservative, as in the paper's one-minute ILP budget).  Pass a
-    cached ``skeleton`` to skip the period-independent model build.
+    (conservative, as in the paper's one-minute ILP budget).
     """
     try:
         model = build_milp(
-            chain, platform, allocation, period,
-            skeleton=skeleton, memory_headroom=memory_headroom,
-            schedule_family=schedule_family,
+            chain, platform, allocation, period, schedule_family=schedule_family
         )
     except ValueError:
         return None  # static memory alone exceeds capacity
@@ -355,7 +350,6 @@ def schedule_allocation(
     max_probes: int = 20,
     time_limit: float = 60.0,
     reuse_skeleton: bool = True,
-    memory_headroom: float = 0.0,
     schedule_family: str = "1f1b",
     period_cap: float = INF,
 ) -> ILPScheduleResult:
@@ -365,11 +359,9 @@ def schedule_allocation(
     MILP can certify feasible.  See the module docstring for the search
     strategy; ``reuse_skeleton=False`` rebuilds every probe's model from
     scratch (same probes, same answer — kept for the equivalence test).
-    ``memory_headroom`` derates the capacity of the MILP's memory rows
-    (and the 1F1B\\* bracketing hint), so the schedule leaves the
-    requested per-GPU margin.  ``schedule_family="zero_bubble"``
-    formulates split-backward (F/B/W) models instead; the bracketing
-    hint then comes from the zero-bubble contiguous construction.
+    ``schedule_family="zero_bubble"`` formulates split-backward (F/B/W)
+    models instead; the bracketing hint then comes from the zero-bubble
+    contiguous construction.
 
     ``period_cap`` is the period of a schedule the caller already has:
     the search only looks for patterns below ``period_cap·(1 −
@@ -400,7 +392,6 @@ def schedule_allocation(
             max_probes,
             time_limit,
             reuse_skeleton,
-            memory_headroom,
             schedule_family,
             period_cap,
             search_span,
@@ -425,7 +416,6 @@ def _schedule_allocation(
     max_probes: int,
     time_limit: float,
     reuse_skeleton: bool,
-    memory_headroom: float,
     schedule_family: str,
     period_cap: float,
     search_span,
@@ -474,8 +464,7 @@ def _schedule_allocation(
     try:
         with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):
             skeleton = build_skeleton(
-                chain, platform, allocation, memory_headroom=memory_headroom,
-                schedule_family=schedule_family,
+                chain, platform, allocation, schedule_family=schedule_family
             )
         obs.inc("ilp.skeleton_builds")
     except ValueError:
@@ -540,8 +529,7 @@ def _schedule_allocation(
             t0 = time.perf_counter()
             model = build_milp(
                 chain, platform, allocation, T,
-                skeleton=probe_skeleton, memory_headroom=memory_headroom,
-                schedule_family=schedule_family,
+                skeleton=probe_skeleton, schedule_family=schedule_family,
             )
             t1 = time.perf_counter()
             pattern, x, probe_status = _solve_model(
@@ -586,8 +574,7 @@ def _schedule_allocation(
         from ..algorithms.onef1b import contiguous_search
 
         star = contiguous_search(schedule_family)(
-            chain, platform, allocation.partitioning,
-            build=False, memory_headroom=memory_headroom,
+            chain, platform, allocation.partitioning, build=False
         )
         if star is not None and lower < star.period < top:
             ladder.append(star.period)

@@ -258,10 +258,10 @@ class TestDPWorkspace:
         workspace: dict = {}
         seen = set()
         for memory in (16.0, 8.0, 4.0, 2.0):
-            platform = Platform.of(4, memory, 12.0)
             for headroom in (0.0, 0.2):
+                platform = Platform.of(4, memory, 12.0).with_headroom(headroom)
                 for target, cap in ((u / 4, INF), (u / 2, u * 0.3)):
-                    kw = dict(grid=COARSE, period_cap=cap, memory_headroom=headroom)
+                    kw = dict(grid=COARSE, period_cap=cap)
                     warm = madpipe_dp(
                         chain, platform, target, workspace=workspace, carry=True, **kw
                     )
