@@ -518,15 +518,20 @@ class PlanService:
             payload = self._payload(request, fingerprint, timeout)
             self._active_solves += 1
             self._peak_active = max(self._peak_active, self._active_solves)
+            pool = self._executor()
             try:
                 plan_json, counts, _ = await loop.run_in_executor(
-                    self._executor(), _solve_in_worker, payload
+                    pool, _solve_in_worker, payload
                 )
             except BrokenProcessPool as exc:
                 # a worker died hard (SIGKILL/os._exit): rebuild the pool
                 # and charge one attempt, like the sweep harness — but cap
-                # consecutive rebuilds so a flapping pool cannot storm
+                # consecutive rebuilds so a flapping pool cannot storm.
+                # Every attempt in flight sees the same death; only the
+                # first, whose pool is still current, counts and rebuilds
                 last = exc
+                if pool is not self._pool:
+                    continue
                 self.registry.inc("serve.pool_restarts")
                 self._pool_failures += 1
                 self._shutdown_pool()

@@ -146,13 +146,15 @@ def _plan() -> tuple[list[Fault], Path] | None:
 def _bump(state: Path, index: int) -> int:
     """Count one matching call for fault ``index``; returns the new total.
 
-    Appends a single byte under ``O_APPEND`` so concurrent processes
-    never lose counts; the file size *is* the call sequence number.
+    Appends a single byte under ``O_APPEND``, which places each write at
+    the end atomically, so concurrent processes never lose counts; the
+    descriptor's own offset after the write *is* the call sequence
+    number (the file size may already include another process's byte).
     """
     fd = os.open(state / f"fault{index}.cnt", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         os.write(fd, b"x")
-        return os.fstat(fd).st_size
+        return os.lseek(fd, 0, os.SEEK_CUR)
     finally:
         os.close(fd)
 

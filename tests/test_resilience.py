@@ -8,6 +8,7 @@ the way the taxonomy promises instead of crashing or lying.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -77,6 +78,11 @@ def result_map(results):
     }
 
 
+def _bump_many(state: Path, n: int, barrier, out: Path) -> None:
+    barrier.wait()  # start together so the appends interleave
+    out.write_text(" ".join(str(faults._bump(state, 0)) for _ in range(n)))
+
+
 class TestFaultPlumbing:
     def test_inert_without_plan(self):
         assert faults.fire("worker", key="anything") is None
@@ -94,6 +100,22 @@ class TestFaultPlumbing:
         assert faults.fire("worker", key="resnet50|4|8.0") is None
         with pytest.raises(FaultInjected):
             faults.fire("worker", key="toy5|2|0.5|12.0|madpipe")
+
+    def test_call_numbers_unique_across_processes(self, tmp_path):
+        n_procs, n_bumps = 4, 200
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(n_procs)
+        outs = [tmp_path / f"seq{i}" for i in range(n_procs)]
+        procs = [
+            ctx.Process(target=_bump_many, args=(tmp_path, n_bumps, barrier, out))
+            for out in outs
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(60)
+        seqs = sorted(int(s) for out in outs for s in out.read_text().split())
+        assert seqs == list(range(1, n_procs * n_bumps + 1))
 
     def test_bad_fault_rejected(self):
         with pytest.raises(ValueError):

@@ -401,6 +401,33 @@ class TestKillAndRestart:
         assert stats["counters"]["serve.errors"] == 1
 
     @pytest.mark.faultinject
+    def test_one_worker_death_is_one_pool_restart(self, tmp_path, plat):
+        # every request in flight sees the same BrokenProcessPool: only
+        # the first to see it rebuilds the pool and counts the death, the
+        # others just retry, so one death never exhausts the restart cap
+        chains = [toy(L) for L in (3, 4, 5, 6)]
+        faults.install(
+            [Fault(site="serve_worker", action="exit", times=1)],
+            tmp_path / "faults",
+        )
+
+        async def scenario():
+            async with make_service(
+                tmp_path, max_workers=2, max_retries=2, retry_backoff_s=0.01,
+                max_pool_restarts=1,
+            ) as service:
+                replies = await asyncio.gather(*(
+                    service.handle(service.request(chain, plat, **PLAN_OPTS))
+                    for chain in chains
+                ))
+                return replies, service.stats()
+
+        replies, stats = run(scenario())
+        assert [r.result.status for r in replies] == ["ok"] * 4
+        assert stats["counters"]["serve.solves"] == 4
+        assert stats["counters"]["serve.pool_restarts"] == 1
+
+    @pytest.mark.faultinject
     def test_transient_worker_crash_retried(self, tmp_path, plat):
         chain = toy(5)
         faults.install(
