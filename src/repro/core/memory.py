@@ -31,8 +31,9 @@ def effective_capacity(memory: float, headroom: float = 0.0) -> float:
     """Capacity (bytes) left for *planning* after reserving a safety margin.
 
     ``headroom`` is the fraction of each GPU reserved for profile drift,
-    fragmentation and allocator overhead: the planners (DP, MILP skeleton,
-    1F1B*) fit their schedules into ``memory * (1 - headroom)`` while
+    fragmentation and allocator overhead.  ``madpipe()`` plans on
+    :meth:`~repro.core.platform.Platform.with_headroom`, so every planning
+    layer fits its schedule into ``memory * (1 - headroom)``, while
     certification still measures margins against the full capacity.
     ``headroom = 0`` returns ``memory`` unchanged (bit-identical default).
     """

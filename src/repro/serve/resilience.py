@@ -392,11 +392,12 @@ def degraded_opts(opts: Mapping[str, Any]) -> dict[str, Any]:
 
     Keeps the family/grid/headroom context of the original request and
     forces MadPipe's contiguous restriction: ``allow_special=False``
-    collapses the DP's special-processor dimensions (nearly free) and
-    yields a contiguous allocation scheduled by the family's exact
+    collapses the DP's special-processor dimensions (a small fraction of
+    the states, though not of the time, of a full phase 1) and yields a
+    contiguous allocation scheduled by the family's exact
     1F1B\\*-style construction — no MILP anywhere — which then passes the
     ordinary certification gate.  This is the same certified fallback
-    plan the PR 5 quarantine degrades to.
+    plan a quarantined MadPipe pattern degrades to.
     """
     kept = {k: v for k, v in opts.items() if k in _DEGRADED_KEPT}
     kept["allow_special"] = False
