@@ -24,7 +24,7 @@ is the same construction with each stage's backward split into
 test also checks the W tail ``d_W`` of the item it absorbs, and memory
 adds one grad-input buffer ``ĝ = a_end`` per stage.  For 1F1B\\* the tail
 and ``ĝ`` are absent, so both families share the grouping kernel, the
-search, the pattern builder and the instrumented, memoized wrapper.
+search, the pattern builder and the instrumented wrapper.
 
 The minimal-period search is the inner loop of every contiguous planner
 (``pipedream``, ``best_contiguous``, MadPipe's contiguous fallback), so it

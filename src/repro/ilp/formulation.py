@@ -31,8 +31,7 @@ variable classes) once per allocation, and
 :meth:`MilpSkeleton.instantiate` fills in the few T-scaled coefficients
 (``±T`` on shift and disjunction variables, ``d_a − T`` disjunction
 bounds, ``T − d_o`` start-time bounds) in O(nnz) per probe.
-:func:`build_milp` is the composition of the two and produces the same
-matrices float-for-float as building from scratch.
+:func:`build_milp` is the composition of the two, for one-off models.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from ..core.memory import stage_memory_breakdown
 from ..core.partition import Allocation
 from ..core.pattern import gpu, link, split_backward
 from ..core.platform import Platform
-from ..obs.metrics import inc as _metric_inc
 
 __all__ = ["ScheduleMILP", "MilpSkeleton", "build_skeleton", "build_milp"]
 
@@ -168,8 +166,8 @@ class MilpSkeleton:
         return len(self.c)
 
     def instantiate(self, period: float) -> ScheduleMILP:
-        """The full MILP at ``period`` — identical float-for-float to a
-        from-scratch build."""
+        """The full MILP at ``period``.  The skeleton is not modified, so
+        one skeleton serves every period of a search."""
         if period <= 0:
             raise ValueError("period must be positive")
         T = period
@@ -400,21 +398,12 @@ def build_milp(
     allocation: Allocation,
     period: float,
     *,
-    skeleton: MilpSkeleton | None = None,
     schedule_family: str = "1f1b",
 ) -> ScheduleMILP:
-    """Assemble the MILP for scheduling ``allocation`` with period ``T``.
-
-    Pass a cached ``skeleton`` (from :func:`build_skeleton`) to skip the
-    period-independent work; the result is identical either way.
-    ``schedule_family`` only matters when no skeleton is supplied (a
-    cached skeleton already has it baked in).
+    """Assemble the MILP for scheduling ``allocation`` with period ``T``:
+    :func:`build_skeleton` instantiated at ``period``.  A caller probing
+    several periods builds the skeleton once and instantiates it per
+    period instead.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if skeleton is None:
-        skeleton = build_skeleton(
-            chain, platform, allocation, schedule_family=schedule_family
-        )
-    _metric_inc("ilp.model_builds")
+    skeleton = build_skeleton(chain, platform, allocation, schedule_family=schedule_family)
     return skeleton.instantiate(period)

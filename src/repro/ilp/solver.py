@@ -7,11 +7,10 @@ in ``T`` — any pattern valid at ``T`` stays valid at ``T' > T`` (shift
 inequalities only relax, disjunction rows are T-free once the binaries
 are fixed, memory rows do not involve ``T``) — which the search exploits:
 
-* probe outcomes are memoized and every probe lands on the period
-  skeleton cached per allocation (:func:`repro.ilp.build_skeleton`), so
-  nothing is rebuilt from scratch; probes above the lower bound run
-  with a zero objective (feasibility only), letting HiGHS stop at its
-  first incumbent;
+* every probe instantiates the period skeleton built once per
+  allocation (:func:`repro.ilp.build_skeleton`); probes above the lower
+  bound run with a zero objective (feasibility only), letting HiGHS
+  stop at its first incumbent;
 * the bracket starts from the bottleneck lower bound and *gallops*
   upward (with the 1F1B\\* period of the allocation's contiguous
   restriction as an extra probe point when it exists) instead of jumping
@@ -22,6 +21,10 @@ are fixed, memory rows do not involve ``T``) — which the search exploits:
   configuration, which typically collapses the bracket in one step;
 * the remaining gap is certified with asymmetric probes just below the
   incumbent (falling back to bisection when they keep succeeding).
+
+No period is probed twice: a ladder rung is probed only above every
+refuted period, and a gap probe lies strictly inside the open bracket
+(every refuted period at or below it, every feasible one at or above).
 
 A caller that already holds a schedule passes its period as
 ``period_cap``: only a pattern beating it by more than ``CHECK_RTOL``
@@ -324,21 +327,9 @@ def _reoptimize_period(
     if not res.success or res.x is None:
         return None
     T_lp = float(res.x[t_col])
-    pattern = PeriodicPattern(allocation=allocation, period=T_lp)
-    for o in skeleton.ops:
-        kind, index = o
-        pattern.add(
-            Op(
-                kind=kind,
-                index=index,
-                resource=skeleton.resources[o],
-                start=float(res.x[t_index[o]]),
-                duration=dur[o],
-                shift=h[o],
-            )
-        )
-    pattern.normalize()
-    return T_lp, pattern
+    x = x.copy()
+    x[:n_ops] = res.x[:n_ops]  # the t columns lead both variable layouts
+    return T_lp, _extract_pattern(skeleton.instantiate(T_lp), x, allocation)
 
 
 def schedule_allocation(
@@ -349,7 +340,6 @@ def schedule_allocation(
     rel_tol: float = 5e-3,
     max_probes: int = 20,
     time_limit: float = 60.0,
-    reuse_skeleton: bool = True,
     schedule_family: str = "1f1b",
     period_cap: float = INF,
 ) -> ILPScheduleResult:
@@ -357,11 +347,9 @@ def schedule_allocation(
 
     The returned period is within ``rel_tol`` of the smallest period the
     MILP can certify feasible.  See the module docstring for the search
-    strategy; ``reuse_skeleton=False`` rebuilds every probe's model from
-    scratch (same probes, same answer — kept for the equivalence test).
-    ``schedule_family="zero_bubble"`` formulates split-backward (F/B/W)
-    models instead; the bracketing hint then comes from the zero-bubble
-    contiguous construction.
+    strategy.  ``schedule_family="zero_bubble"`` formulates
+    split-backward (F/B/W) models instead; the bracketing hint then comes
+    from the zero-bubble contiguous construction.
 
     ``period_cap`` is the period of a schedule the caller already has:
     the search only looks for patterns below ``period_cap·(1 −
@@ -384,239 +372,202 @@ def schedule_allocation(
         contiguous=allocation.is_contiguous(),
         period_cap=period_cap if period_cap != INF else None,
     ) as search_span:
-        res = _schedule_allocation(
-            chain,
-            platform,
-            allocation,
-            rel_tol,
-            max_probes,
-            time_limit,
-            reuse_skeleton,
-            schedule_family,
-            period_cap,
-            search_span,
-        )
-    obs.inc("ilp.searches")
-    t = res.timings
-    obs.inc("ilp.milp_probes", t["milp_probes"])
-    obs.inc("ilp.milp_timeouts", t["milp_timeouts"])
-    obs.inc("ilp.lp_jumps", t["lp_jumps"])
-    obs.inc("ilp.lp_failures", t["lp_failures"])
-    obs.inc("ilp.build_s", t["build_s"])
-    obs.inc("ilp.solve_s", t["solve_s"])
-    obs.inc(f"ilp.status.{res.status}")
-    return res
+        lower = allocation.period_lower_bound(chain, platform)
+        seq = _sequential_period(chain, platform, allocation)
+        # the search's upper end: a pattern must beat the cap by more than
+        # CHECK_RTOL to count, so one found at ``top`` itself is no better
+        top = min(seq, period_cap * (1 - CHECK_RTOL))
+        capped = top < seq  # the cap, not the sequential period, bounds the search
+        trace: list[ProbeRecord] = []
 
-
-def _schedule_allocation(
-    chain: Chain,
-    platform: Platform,
-    allocation: Allocation,
-    rel_tol: float,
-    max_probes: int,
-    time_limit: float,
-    reuse_skeleton: bool,
-    schedule_family: str,
-    period_cap: float,
-    search_span,
-) -> ILPScheduleResult:
-    """The uninstrumented period search; see :func:`schedule_allocation`."""
-    lower = allocation.period_lower_bound(chain, platform)
-    seq = _sequential_period(chain, platform, allocation)
-    # the search's upper end: a pattern must beat the cap by more than
-    # CHECK_RTOL to count, so one found at ``top`` itself is no better
-    top = min(seq, period_cap * (1 - CHECK_RTOL))
-    capped = top < seq  # the cap, not the sequential period, bounds the search
-    trace: list[ProbeRecord] = []
-
-    def result(
-        period: float, pattern: PeriodicPattern | None, *, exhausted: bool = False
-    ) -> ILPScheduleResult:
-        # any time-limit hit means the outcome is budget-, not
-        # mathematics-limited: feasible → "degraded", infeasible →
-        # "timeout" (never a silent "infeasible"); so does a probe budget
-        # that ran out before the search reached its upper end.  A clean
-        # search that refutes everything below the cap proves nothing
-        # beyond it: "capped"
-        if capped and period >= top:
-            period, pattern = INF, None
-        timed_out = any(p.kind == "milp" and p.status == "timeout" for p in trace)
-        if pattern is not None:
-            status = "degraded" if timed_out else "ok"
-        elif timed_out or exhausted:
-            status = "timeout"
-        else:
-            status = "capped" if capped else "infeasible"
-        res = ILPScheduleResult(period, pattern, trace, status)
-        search_span.set(
-            status=status,
-            period=period if period != INF else None,
-            milp_probes=res.timings["milp_probes"],
-            capped=status == "capped",
-        )
-        return res
-
-    if capped and lower >= top:
-        # the bottleneck bound already reaches the cap: no pattern can
-        # beat it, so no MILP is built or solved
-        return result(INF, None)
-
-    try:
-        with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):
-            skeleton = build_skeleton(
-                chain, platform, allocation, schedule_family=schedule_family
+        def result(
+            period: float, pattern: PeriodicPattern | None, *, exhausted: bool = False
+        ) -> ILPScheduleResult:
+            # any time-limit hit means the outcome is budget-, not
+            # mathematics-limited: feasible → "degraded", infeasible →
+            # "timeout" (never a silent "infeasible"); so does a probe budget
+            # that ran out before the search reached its upper end.  A clean
+            # search that refutes everything below the cap proves nothing
+            # beyond it: "capped"
+            if capped and period >= top:
+                period, pattern = INF, None
+            timed_out = any(p.kind == "milp" and p.status == "timeout" for p in trace)
+            if pattern is not None:
+                status = "degraded" if timed_out else "ok"
+            elif timed_out or exhausted:
+                status = "timeout"
+            else:
+                status = "capped" if capped else "infeasible"
+            res = ILPScheduleResult(period, pattern, trace, status)
+            t = res.timings
+            search_span.set(
+                status=status,
+                period=period if period != INF else None,
+                milp_probes=t["milp_probes"],
+                capped=status == "capped",
             )
-        obs.inc("ilp.skeleton_builds")
-    except ValueError:
-        # static memory (weights+buffers) alone exceeds some GPU: no
-        # period can ever be feasible
-        return result(INF, None)
-    probe_skeleton = skeleton if reuse_skeleton else None
+            obs.inc("ilp.searches")
+            obs.inc("ilp.milp_probes", t["milp_probes"])
+            obs.inc("ilp.milp_timeouts", t["milp_timeouts"])
+            obs.inc("ilp.lp_jumps", t["lp_jumps"])
+            obs.inc("ilp.lp_failures", t["lp_failures"])
+            obs.inc("ilp.build_s", t["build_s"])
+            obs.inc("ilp.solve_s", t["solve_s"])
+            obs.inc(f"ilp.status.{status}")
+            return res
 
-    memo: dict[float, bool] = {}
-    state = {"lo": lower, "hi": INF, "pattern": None}
-
-    def n_milp_probes() -> int:
-        return sum(1 for p in trace if p.kind == "milp")
-
-    def lp_jump(x: np.ndarray) -> None:
-        t0 = time.perf_counter()
-        jump_status = "ok"
-        with obs.span("ilp.lp_jump") as jump_span:
-            try:
-                out = _reoptimize_period(
-                    skeleton, allocation, x, max(lower, state["lo"])
-                )
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-                # SciPy rejects a malformed LP with ValueError; overflow /
-                # division artifacts surface as ArithmeticError subclasses
-                out, jump_status = None, "error"
-            if out is None and jump_status == "ok":
-                jump_status = "infeasible"
-            if out is not None:
-                T_lp, pattern = out
-                if T_lp < state["hi"] * (1 - 1e-12):
-                    try:
-                        pattern.validate(chain, platform)
-                        pattern.check_memory(chain, platform, tol=CHECK_RTOL)
-                    except PatternError:
-                        out, jump_status = None, "invalid"
-                    else:
-                        state["hi"], state["pattern"] = T_lp, pattern
-            solve_s = time.perf_counter() - t0
-            jump_span.set(
-                T=state["hi"], status=jump_status,
-                feasible=out is not None, solve_s=solve_s,
-            )
-        trace.append(
-            ProbeRecord(
-                period=state["hi"],
-                feasible=out is not None,
-                build_s=0.0,
-                solve_s=solve_s,
-                kind="lp",
-                status=jump_status,
-            )
-        )
-
-    def probe(T: float, *, jump: bool = True, feasibility_only: bool = True) -> bool:
-        if T in memo:
-            obs.inc("ilp.memo_hits")
-            return memo[T]
-        with obs.span(
-            "ilp.probe", T=T, feasibility_only=feasibility_only
-        ) as probe_span:
-            t0 = time.perf_counter()
-            model = build_milp(
-                chain, platform, allocation, T,
-                skeleton=probe_skeleton, schedule_family=schedule_family,
-            )
-            t1 = time.perf_counter()
-            pattern, x, probe_status = _solve_model(
-                chain, platform, allocation, model, time_limit,
-                feasibility_only=feasibility_only,
-            )
-            ok = pattern is not None
-            build_s, solve_s = t1 - t0, time.perf_counter() - t1
-            probe_span.set(
-                build_s=build_s, solve_s=solve_s,
-                status=probe_status, feasible=ok,
-            )
-        trace.append(
-            ProbeRecord(
-                period=T,
-                feasible=ok,
-                build_s=build_s,
-                solve_s=solve_s,
-                status=probe_status,
-            )
-        )
-        memo[T] = ok
-        if ok:
-            if T < state["hi"]:
-                state["hi"], state["pattern"] = T, pattern
-            if jump:
-                lp_jump(x)
-        else:
-            state["lo"] = max(state["lo"], T)
-        return ok
-
-    # 1. the lower bound itself (roomy instances end here)
-    if probe(lower, jump=False, feasibility_only=False):
-        return result(lower, state["pattern"])
-
-    # 2. bracket a feasible upper bound: a contiguous-construction hint
-    #    (1F1B* or zero-bubble, matching the family), then an accelerating
-    #    gallop from the lower bound, up to ``top`` (the sequential period
-    #    or, tighter, the cap)
-    ladder: list[float] = []
-    if allocation.n_stages <= platform.n_procs:
-        from ..algorithms.onef1b import contiguous_search
-
-        star = contiguous_search(schedule_family)(
-            chain, platform, allocation.partitioning, build=False
-        )
-        if star is not None and lower < star.period < top:
-            ladder.append(star.period)
-    step = GALLOP_FACTOR
-    g = lower * step
-    while g < top * 0.999:
-        ladder.append(g)
-        step *= step  # exponent doubles: 1.25, 1.25^2, 1.25^4, …
-        g = g * step
-    ladder = sorted(set(ladder)) + [top]
-
-    for T in ladder:
-        if T <= state["lo"]:
-            continue
-        if n_milp_probes() >= max_probes:  # budget gone before ``top``
-            return result(INF, None, exhausted=True)
-        if probe(T):
-            break
-        if T >= top:
+        if capped and lower >= top:
+            # the bottleneck bound already reaches the cap: no pattern can
+            # beat it, so no MILP is built or solved
             return result(INF, None)
-    if state["pattern"] is None:  # every rung lies at or below a refuted period
-        return result(INF, None)
 
-    # 3. certify the gap: asymmetric probes just under the incumbent close
-    #    it in one infeasible probe; repeated feasible ones (the incumbent
-    #    was far from optimal and the LP jump could not shrink it) fall
-    #    back to plain bisection
-    streak = 0
-    while True:
-        lo, hi = state["lo"], state["hi"]
-        if hi - lo <= rel_tol * lo:
-            break
-        if n_milp_probes() >= max_probes:
-            # budget gone with the gap open: nothing is proven below the cap
-            return result(hi, state["pattern"], exhausted=True)
-        T = hi / (1 + rel_tol) if streak < 2 else 0.5 * (lo + hi)
-        if not lo < T < hi:
-            T = 0.5 * (lo + hi)
-            if not lo < T < hi:
+        try:
+            with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):
+                skeleton = build_skeleton(
+                    chain, platform, allocation, schedule_family=schedule_family
+                )
+            obs.inc("ilp.skeleton_builds")
+        except ValueError:
+            # static memory (weights+buffers) alone exceeds some GPU: no
+            # period can ever be feasible
+            return result(INF, None)
+
+        state = {"lo": lower, "hi": INF, "pattern": None}
+
+        def n_milp_probes() -> int:
+            return sum(1 for p in trace if p.kind == "milp")
+
+        def lp_jump(x: np.ndarray) -> None:
+            t0 = time.perf_counter()
+            jump_status = "ok"
+            with obs.span("ilp.lp_jump") as jump_span:
+                try:
+                    out = _reoptimize_period(
+                        skeleton, allocation, x, max(lower, state["lo"])
+                    )
+                except (ValueError, ArithmeticError, np.linalg.LinAlgError):
+                    # SciPy rejects a malformed LP with ValueError; overflow /
+                    # division artifacts surface as ArithmeticError subclasses
+                    out, jump_status = None, "error"
+                if out is None and jump_status == "ok":
+                    jump_status = "infeasible"
+                if out is not None:
+                    T_lp, pattern = out
+                    if T_lp < state["hi"] * (1 - 1e-12):
+                        try:
+                            pattern.validate(chain, platform)
+                            pattern.check_memory(chain, platform, tol=CHECK_RTOL)
+                        except PatternError:
+                            out, jump_status = None, "invalid"
+                        else:
+                            state["hi"], state["pattern"] = T_lp, pattern
+                solve_s = time.perf_counter() - t0
+                jump_span.set(
+                    T=state["hi"], status=jump_status,
+                    feasible=out is not None, solve_s=solve_s,
+                )
+            trace.append(
+                ProbeRecord(
+                    period=state["hi"],
+                    feasible=out is not None,
+                    build_s=0.0,
+                    solve_s=solve_s,
+                    kind="lp",
+                    status=jump_status,
+                )
+            )
+
+        def probe(T: float, *, jump: bool = True, feasibility_only: bool = True) -> bool:
+            with obs.span(
+                "ilp.probe", T=T, feasibility_only=feasibility_only
+            ) as probe_span:
+                t0 = time.perf_counter()
+                model = skeleton.instantiate(T)
+                t1 = time.perf_counter()
+                pattern, x, probe_status = _solve_model(
+                    chain, platform, allocation, model, time_limit,
+                    feasibility_only=feasibility_only,
+                )
+                ok = pattern is not None
+                build_s, solve_s = t1 - t0, time.perf_counter() - t1
+                probe_span.set(
+                    build_s=build_s, solve_s=solve_s,
+                    status=probe_status, feasible=ok,
+                )
+            trace.append(
+                ProbeRecord(
+                    period=T,
+                    feasible=ok,
+                    build_s=build_s,
+                    solve_s=solve_s,
+                    status=probe_status,
+                )
+            )
+            if ok:
+                if T < state["hi"]:
+                    state["hi"], state["pattern"] = T, pattern
+                if jump:
+                    lp_jump(x)
+            else:
+                state["lo"] = max(state["lo"], T)
+            return ok
+
+        # 1. the lower bound itself (roomy instances end here)
+        if probe(lower, jump=False, feasibility_only=False):
+            return result(lower, state["pattern"])
+
+        # 2. bracket a feasible upper bound: a contiguous-construction hint
+        #    (1F1B* or zero-bubble, matching the family), then an accelerating
+        #    gallop from the lower bound, up to ``top`` (the sequential period
+        #    or, tighter, the cap)
+        ladder: list[float] = []
+        if allocation.n_stages <= platform.n_procs:
+            from ..algorithms.onef1b import contiguous_search
+
+            star = contiguous_search(schedule_family)(
+                chain, platform, allocation.partitioning, build=False
+            )
+            if star is not None and lower < star.period < top:
+                ladder.append(star.period)
+        step = GALLOP_FACTOR
+        g = lower * step
+        while g < top * 0.999:
+            ladder.append(g)
+            step *= step  # exponent doubles: 1.25, 1.25^2, 1.25^4, …
+            g = g * step
+        ladder = sorted(set(ladder)) + [top]
+
+        for T in ladder:
+            if T <= state["lo"]:
+                continue
+            if n_milp_probes() >= max_probes:  # budget gone before ``top``
+                return result(INF, None, exhausted=True)
+            if probe(T):
                 break
-        if probe(T):
-            streak += 1
-        else:
-            streak = 0
-    return result(state["hi"], state["pattern"])
+            if T >= top:
+                return result(INF, None)
+        if state["pattern"] is None:  # every rung lies at or below a refuted period
+            return result(INF, None)
+
+        # 3. certify the gap: asymmetric probes just under the incumbent close
+        #    it in one infeasible probe; repeated feasible ones (the incumbent
+        #    was far from optimal and the LP jump could not shrink it) fall
+        #    back to plain bisection
+        streak = 0
+        while True:
+            lo, hi = state["lo"], state["hi"]
+            if hi - lo <= rel_tol * lo:
+                break
+            if n_milp_probes() >= max_probes:
+                # budget gone with the gap open: nothing is proven below the cap
+                return result(hi, state["pattern"], exhausted=True)
+            T = hi / (1 + rel_tol) if streak < 2 else 0.5 * (lo + hi)
+            if not lo < T < hi:
+                T = 0.5 * (lo + hi)
+                if not lo < T < hi:
+                    break
+            if probe(T):
+                streak += 1
+            else:
+                streak = 0
+        return result(state["hi"], state["pattern"])

@@ -2,13 +2,15 @@
 
 The vectorized 1F1B\\* kernel must be *bit-identical* to
 ``onef1b_reference`` (periods, group assignments, memory maps, even the
-error messages); the skeleton-reuse ILP path must reproduce the
-from-scratch probe trajectory exactly; and the fast period search must
-agree with the reference bisection to within the certification band.
+error messages); a skeleton instantiated at any period must equal a
+fresh ``build_milp`` at that period exactly; and the fast period search
+must agree with the reference bisection to within the certification
+band.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.algorithms.bruteforce import best_contiguous, best_special
@@ -26,7 +28,12 @@ from repro.algorithms.onef1b_reference import (
 )
 from repro.core import Allocation, Partitioning, Platform
 from repro.core.memory import stage_memory
-from repro.ilp import schedule_allocation, schedule_allocation_reference
+from repro.ilp import (
+    build_milp,
+    build_skeleton,
+    schedule_allocation,
+    schedule_allocation_reference,
+)
 from repro.models import random_chain, uniform_chain
 
 MB = float(2**20)
@@ -140,14 +147,22 @@ class TestIlpFastPath:
         alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
         return chain, Platform.of(2, 4.0, 12), alloc
 
-    def test_skeleton_reuse_is_bit_identical(self, noncontig):
-        """Cached-skeleton probes must retrace the from-scratch search:
-        same period, same probe count, same probe outcomes."""
+    def test_skeleton_instances_are_bit_identical(self, noncontig):
+        """One skeleton instantiated at several periods, a repeat among
+        them, matches a fresh ``build_milp`` at each period exactly:
+        constraint matrix, row bounds, variable bounds and costs."""
         chain, plat, alloc = noncontig
-        reuse = schedule_allocation(chain, plat, alloc)
-        scratch = schedule_allocation(chain, plat, alloc, reuse_skeleton=False)
-        assert reuse.period == scratch.period
-        assert reuse.probes == scratch.probes
+        for family in ("1f1b", "zero_bubble"):
+            skeleton = build_skeleton(chain, plat, alloc, schedule_family=family)
+            for T in (20.0, 13.5, 31.25, 20.0):
+                got = skeleton.instantiate(T)
+                want = build_milp(chain, plat, alloc, T, schedule_family=family)
+                (g,), (w,) = got.constraints, want.constraints
+                assert np.array_equal(g.A, w.A)
+                assert np.array_equal(g.lb, w.lb) and np.array_equal(g.ub, w.ub)
+                assert np.array_equal(got.bounds.lb, want.bounds.lb)
+                assert np.array_equal(got.bounds.ub, want.bounds.ub)
+                assert np.array_equal(got.c, want.c)
 
     def test_fast_agrees_with_reference_bisection(self, noncontig):
         """Both searches certify to rel_tol, so they agree within the
