@@ -46,7 +46,7 @@ from ..core.chain import Chain
 from ..obs.metrics import active_metrics
 from ..obs.trace import active_trace
 from ..core.partition import Allocation, Partitioning
-from ..core.pattern import B, CB, CF, F, W, Op, PeriodicPattern, gpu, link, split_backward
+from ..core.pattern import B, CB, CF, F, W, Op, PeriodicPattern, allocation_ops, split_backward
 from ..core.platform import Platform
 
 __all__ = [
@@ -140,16 +140,15 @@ class Item:
 def extended_items(
     chain: Chain, platform: Platform, allocation: Allocation
 ) -> list[Item]:
-    """The ≤ 2N−1 items of the transformed chain (stages ∪ cut boundaries)."""
+    """The ≤ 2N−1 items of the transformed chain (stages ∪ cut
+    boundaries), in chain order, read from the allocation's
+    :func:`~repro.core.pattern.allocation_ops`."""
+    ops = allocation_ops(chain, platform, allocation, split=False)
     items: list[Item] = []
-    stages = allocation.stages
-    for i, stage in enumerate(stages):
-        items.append(
-            Item("stage", i, stage.forward(chain), stage.backward(chain))
-        )
-        if i < len(stages) - 1 and allocation.procs[i] != allocation.procs[i + 1]:
-            half = chain.activation(stage.end) / platform.bandwidth
-            items.append(Item("comm", i, half, half))
+    for i in range(allocation.n_stages):
+        items.append(Item("stage", i, ops[(F, i)][0], ops[(B, i)][0]))
+        if (CF, i) in ops:
+            items.append(Item("comm", i, ops[(CF, i)][0], ops[(CB, i)][0]))
     return items
 
 
@@ -288,11 +287,11 @@ def _build_pattern(
     at the same shift."""
     if not allocation.is_contiguous():
         raise ValueError(f"{family.label} requires a contiguous allocation")
+    ops = allocation_ops(chain, platform, allocation, split=family.split)
     items = extended_items(chain, platform, allocation)
     groups = _item_groups(items, period, family)
 
     pattern = PeriodicPattern(allocation=allocation, period=period)
-    procs = allocation.procs
     t = 0.0
     # walk groups from the front of the chain (largest group number first)
     i = 0
@@ -305,33 +304,24 @@ def _build_pattern(
         tf = t
         for item in items[i:j]:
             kind = F if item.kind == "stage" else CF
-            pattern.add(
-                Op(kind, item.index, _resource(item, procs), tf, item.u_f, 0)
-            )
-            tf += item.u_f
-        # backwards immediately after, reverse order, shift g-1
+            d, res = ops[(kind, item.index)]
+            pattern.add(Op(kind, item.index, res, tf, d, 0))
+            tf += d
+        # backwards immediately after, reverse order, shift g-1; a split
+        # stage's W runs right after its B, off the backward chain
         tb = tf
         for item in reversed(items[i:j]):
-            res = _resource(item, procs)
-            if item.kind == "stage" and family.split:
-                d_b, d_w = split_backward(item.u_b)
-                pattern.add(Op(B, item.index, res, tb, d_b, g - 1))
-                pattern.add(Op(W, item.index, res, tb + d_b, d_w, g - 1))
-                tb += d_b
-            else:
-                kind = B if item.kind == "stage" else CB
-                pattern.add(Op(kind, item.index, res, tb, item.u_b, g - 1))
-                tb += item.u_b
+            kind = B if item.kind == "stage" else CB
+            d, res = ops[(kind, item.index)]
+            pattern.add(Op(kind, item.index, res, tb, d, g - 1))
+            if kind == B and family.split:
+                d_w, _ = ops[(W, item.index)]
+                pattern.add(Op(W, item.index, res, tb + d, d_w, g - 1))
+            tb += d
         t = tf  # next group's forwards connect right after our last forward
         i = j
     pattern.normalize()
     return pattern
-
-
-def _resource(item: Item, procs: tuple[int, ...]) -> tuple:
-    if item.kind == "stage":
-        return gpu(procs[item.index])
-    return link(procs[item.index], procs[item.index + 1])
 
 
 # small per-size cache for the hot enumeration loops (best_contiguous

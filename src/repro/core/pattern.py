@@ -45,6 +45,8 @@ __all__ = [
     "is_comm",
     "SPLIT_FRACTION",
     "split_backward",
+    "allocation_ops",
+    "dependency_edges",
 ]
 
 # Operation kinds: stage compute and boundary communications.  ``W`` is
@@ -131,6 +133,69 @@ def link(p: int, q: int) -> tuple:
     return ("link", min(p, q), max(p, q))
 
 
+OpKey = tuple[str, int]
+
+
+def allocation_ops(
+    chain: Chain, platform: Platform, allocation: Allocation, *, split: bool
+) -> dict[OpKey, tuple[float, tuple]]:
+    """The operations of ``allocation``: ``(kind, index) -> (duration,
+    resource)``, in the MILP's op order.
+
+    Every stage ``i`` runs ``F_i`` (its forward) and ``B_i`` (its
+    backward) on its GPU; with ``split`` the backward becomes ``B_i`` +
+    ``W_i`` (:func:`split_backward`).  Every cut between two GPUs, after
+    stage ``i``, carries ``CF_i`` and ``CB_i`` of duration ``a_i / β`` on
+    their link.  This table is the one op model of the planners, the
+    validator, the eager simulator and the robustness stress.
+    """
+    ops: dict[OpKey, tuple[float, tuple]] = {}
+    stages, procs = allocation.stages, allocation.procs
+    for i, s in enumerate(stages):
+        res = gpu(procs[i])
+        ops[(F, i)] = (s.forward(chain), res)
+        if split:
+            d_b, d_w = split_backward(s.backward(chain))
+            ops[(B, i)] = (d_b, res)
+            ops[(W, i)] = (d_w, res)
+        else:
+            ops[(B, i)] = (s.backward(chain), res)
+    for i in range(len(stages) - 1):
+        if procs[i] != procs[i + 1]:
+            half = chain.activation(stages[i].end) / platform.bandwidth
+            ops[(CF, i)] = ops[(CB, i)] = (half, link(procs[i], procs[i + 1]))
+    return ops
+
+
+def dependency_edges(ops, n_stages: int) -> list[tuple[OpKey, OpKey]]:
+    """Same-batch dependency edges between the op keys of ``ops`` (any
+    container of keys, e.g. a pattern's ops or :func:`allocation_ops`)
+    over ``n_stages`` stages (Fig. 1 semantics, lifted to stages):
+    ``F_i → (CF_i →) F_{i+1}``, ``F_N → B_N``, ``B_{i+1} → (CB_i →) B_i``,
+    and ``F_i → B_i`` (a stage's backward needs its own stored
+    activations).  When a stage carries a split backward, its grad-weight
+    op adds ``B_i → W_i`` — ``W`` has no downstream dependents, it only
+    frees the grad-input buffer.
+    """
+    edges: list[tuple[OpKey, OpKey]] = []
+    for i in range(n_stages - 1):
+        if (CF, i) in ops:
+            edges.append(((F, i), (CF, i)))
+            edges.append(((CF, i), (F, i + 1)))
+        else:
+            edges.append(((F, i), (F, i + 1)))
+        if (CB, i) in ops:
+            edges.append(((B, i + 1), (CB, i)))
+            edges.append(((CB, i), (B, i)))
+        else:
+            edges.append(((B, i + 1), (B, i)))
+    for i in range(n_stages):
+        edges.append(((F, i), (B, i)))
+        if (W, i) in ops:
+            edges.append(((B, i), (W, i)))
+    return edges
+
+
 class PatternError(ValueError):
     """Raised when a pattern violates the periodic-schedule semantics."""
 
@@ -207,32 +272,16 @@ class PeriodicPattern:
 
     # -- dependency structure -------------------------------------------------
 
-    def dependency_edges(self) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-        """Same-batch dependency edges between op keys (Fig. 1 semantics,
-        lifted to stages): ``F_i → (CF_i →) F_{i+1}``, ``F_N → B_N``,
-        ``B_{i+1} → (CB_i →) B_i``, and ``F_i → B_i`` (a stage's backward
-        needs its own stored activations).  When a stage carries a split
-        backward, its grad-weight op adds ``B_i → W_i`` — ``W`` has no
-        downstream dependents, it only frees the grad-input buffer.
-        """
-        n = self.allocation.n_stages
-        edges: list[tuple[tuple[str, int], tuple[str, int]]] = []
-        for i in range(n - 1):
-            if (CF, i) in self.ops:
-                edges.append(((F, i), (CF, i)))
-                edges.append(((CF, i), (F, i + 1)))
-            else:
-                edges.append(((F, i), (F, i + 1)))
-            if (CB, i) in self.ops:
-                edges.append(((B, i + 1), (CB, i)))
-                edges.append(((CB, i), (B, i)))
-            else:
-                edges.append(((B, i + 1), (B, i)))
-        for i in range(n):
-            edges.append(((F, i), (B, i)))
-            if (W, i) in self.ops:
-                edges.append(((B, i), (W, i)))
-        return edges
+    def op_table(self, chain: Chain, platform: Platform) -> dict[OpKey, tuple[float, tuple]]:
+        """:func:`allocation_ops` of this pattern's allocation, split when
+        the pattern carries any ``W`` op: the ops it must consist of."""
+        split = any(kind == W for kind, _ in self.ops)
+        return allocation_ops(chain, platform, self.allocation, split=split)
+
+    def dependency_edges(self) -> list[tuple[OpKey, OpKey]]:
+        """Same-batch dependency edges between op keys; see
+        :func:`dependency_edges`."""
+        return dependency_edges(self.ops, self.allocation.n_stages)
 
     # -- validation -----------------------------------------------------------
 
@@ -243,41 +292,42 @@ class PeriodicPattern:
         self._validate_resources(tol)
 
     def _validate_structure(self, chain: Chain, platform: Platform, tol: float) -> None:
+        """Compare the pattern's ops with :meth:`op_table`: the same op
+        set, each op on its resource with its duration (within
+        ``tol·max(1, d)``), and every start in ``[0, T)``.  A pattern
+        with any ``W`` op is read as a split backward, which must then
+        cover every stage."""
         alloc = self.allocation
         alloc.validate(chain, platform)
-        n = alloc.n_stages
-        for i in range(n):
-            for kind in (F, B):
-                if (kind, i) not in self.ops:
-                    raise PatternError(f"missing op {kind}{i}")
-        # split-backward patterns are all-or-nothing: either every stage
-        # has a W op (zero-bubble family) or none does (classic 1F1B)
-        n_w = sum(1 for key in self.ops if key[0] == W)
-        if n_w and n_w != n:
-            raise PatternError(
-                f"split backward must cover every stage: {n_w} W ops for {n} stages"
-            )
-        for i in range(n - 1):
-            cut = alloc.procs[i] != alloc.procs[i + 1]
-            for kind in (CF, CB):
-                present = (kind, i) in self.ops
-                if cut and not present:
-                    raise PatternError(f"missing communication {kind}{i}")
-                if not cut and present:
-                    raise PatternError(f"spurious communication {kind}{i}")
+        table = self.op_table(chain, platform)
+        for kind, i in table:
+            if (kind, i) in self.ops:
+                continue
+            if kind == W:
+                n_w = sum(1 for key in self.ops if key[0] == W)
+                raise PatternError(
+                    f"split backward must cover every stage: {n_w} W ops for "
+                    f"{alloc.n_stages} stages"
+                )
+            what = "communication" if is_comm(kind) else "op"
+            raise PatternError(f"missing {what} {kind}{i}")
         for op in self.ops.values():
+            if op.kind not in OP_KINDS:
+                raise PatternError(f"{op} has unregistered kind {op.kind!r}")
+            if op.key not in table:
+                what = "communication" if is_comm(op.kind) else "op"
+                raise PatternError(f"spurious {what} {op.kind}{op.index}")
+            duration, resource = table[op.key]
             if op.start < -tol or op.start >= self.period + tol:
                 raise PatternError(f"{op} starts outside [0, {self.period})")
             if op.duration > self.period + tol:
                 raise PatternError(f"{op} is longer than the period")
-            if op.kind not in OP_KINDS:
-                raise PatternError(f"{op} has unregistered kind {op.kind!r}")
-            if is_compute(op.kind):
-                expected = gpu(alloc.procs[op.index])
-            else:
-                expected = link(alloc.procs[op.index], alloc.procs[op.index + 1])
-            if op.resource != expected:
-                raise PatternError(f"{op} on wrong resource (expected {expected})")
+            if op.resource != resource:
+                raise PatternError(f"{op} on wrong resource (expected {resource})")
+            if abs(op.duration - duration) > tol * max(1.0, duration):
+                raise PatternError(
+                    f"{op} duration differs from the chain's {duration:.6g}s"
+                )
 
     def _validate_dependencies(self, tol: float) -> None:
         T = self.period

@@ -44,12 +44,10 @@ from scipy.optimize import Bounds, LinearConstraint
 from ..core.chain import Chain
 from ..core.memory import stage_memory_breakdown
 from ..core.partition import Allocation
-from ..core.pattern import gpu, link, split_backward
+from ..core.pattern import OpKey, allocation_ops, dependency_edges
 from ..core.platform import Platform
 
 __all__ = ["ScheduleMILP", "MilpSkeleton", "build_skeleton", "build_milp"]
-
-OpKey = tuple[str, int]
 
 
 @dataclass
@@ -71,58 +69,6 @@ class ScheduleMILP:
     @property
     def n_vars(self) -> int:
         return len(self.c)
-
-
-def _operations(
-    chain: Chain,
-    platform: Platform,
-    allocation: Allocation,
-    split: bool,
-) -> tuple[list[OpKey], dict[OpKey, float], dict[OpKey, tuple]]:
-    ops: list[OpKey] = []
-    dur: dict[OpKey, float] = {}
-    res: dict[OpKey, tuple] = {}
-    stages, procs = allocation.stages, allocation.procs
-    for i, s in enumerate(stages):
-        if split:
-            d_b, d_w = split_backward(s.backward(chain))
-            stage_ops = (("F", s.forward(chain)), ("B", d_b), ("W", d_w))
-        else:
-            stage_ops = (("F", s.forward(chain)), ("B", s.backward(chain)))
-        for kind, d in stage_ops:
-            key = (kind, i)
-            ops.append(key)
-            dur[key] = d
-            res[key] = gpu(procs[i])
-    for i in range(len(stages) - 1):
-        if procs[i] == procs[i + 1]:
-            continue
-        half = chain.activation(stages[i].end) / platform.bandwidth
-        for kind in ("CF", "CB"):
-            key = (kind, i)
-            ops.append(key)
-            dur[key] = half
-            res[key] = link(procs[i], procs[i + 1])
-    return ops, dur, res
-
-
-def _dependencies(allocation: Allocation, res: dict[OpKey, tuple]) -> list[tuple[OpKey, OpKey]]:
-    n = allocation.n_stages
-    edges: list[tuple[OpKey, OpKey]] = []
-    for i in range(n - 1):
-        if ("CF", i) in res:
-            edges.append((("F", i), ("CF", i)))
-            edges.append((("CF", i), ("F", i + 1)))
-            edges.append((("B", i + 1), ("CB", i)))
-            edges.append((("CB", i), ("B", i)))
-        else:
-            edges.append((("F", i), ("F", i + 1)))
-            edges.append((("B", i + 1), ("B", i)))
-    for i in range(n):
-        edges.append((("F", i), ("B", i)))
-        if ("W", i) in res:
-            edges.append((("B", i), ("W", i)))
-    return edges
 
 
 @dataclass
@@ -205,21 +151,28 @@ def build_skeleton(
 ) -> MilpSkeleton:
     """Assemble the period-independent part of the MILP for ``allocation``.
 
+    The ops (in variable order), their durations and resources are
+    :func:`~repro.core.pattern.allocation_ops`, and the dependency rows
+    are :func:`~repro.core.pattern.dependency_edges` of that table.
     Raises ``ValueError`` when static memory (weights + buffers) alone
     exceeds some GPU's capacity — no period can fix that.
 
-    ``schedule_family="zero_bubble"`` formulates the split-backward model:
-    every stage carries ``F``/``B``/``W`` ops with ``B → W`` dependency
-    rows, activations are freed by ``W`` instead of ``B``, memory events
-    are checked after ``B`` starts as well (that is where grad-input
-    buffers allocate), and the objective minimizes ``Σ (h_W − h_F)``.
+    ``schedule_family="zero_bubble"`` formulates the split-backward model
+    (the table with ``split=True``): every stage carries ``F``/``B``/``W``
+    ops with ``B → W`` dependency rows, activations are freed by ``W``
+    instead of ``B``, memory events are checked after ``B`` starts as
+    well (that is where grad-input buffers allocate), and the objective
+    minimizes ``Σ (h_W − h_F)``.
     """
     from ..algorithms.onef1b import FAMILIES
 
     if schedule_family not in FAMILIES:
         raise ValueError(f"unknown schedule family {schedule_family!r}")
     split = FAMILIES[schedule_family].split
-    ops, dur, res = _operations(chain, platform, allocation, split)
+    table = allocation_ops(chain, platform, allocation, split=split)
+    ops = list(table)
+    dur = {o: d for o, (d, _) in table.items()}
+    res = {o: r for o, (_, r) in table.items()}
     n_ops = len(ops)
 
     t_index = {o: i for i, o in enumerate(ops)}
@@ -256,7 +209,7 @@ def build_skeleton(
         lb_scales.append(lb_scale)
 
     # dependencies: T*(h_v - h_u) + t_v - t_u >= d_u
-    dep_edges = _dependencies(allocation, res)
+    dep_edges = dependency_edges(table, allocation.n_stages)
     for u, v in dep_edges:
         r = len(rows)
         t_entries.append((r, h_index[v], 1.0))

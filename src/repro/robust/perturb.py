@@ -150,20 +150,13 @@ class RobustnessReport:
 def _op_durations(
     chain: Chain, platform: Platform, pattern: PeriodicPattern
 ) -> dict[tuple[str, int], float]:
-    """Durations every op of ``pattern`` would have under ``chain``
-    (the same convention the planners use: stage forward/backward for
-    compute, ``a_l / β`` per transfer direction for communication)."""
-    alloc = pattern.allocation
-    dur: dict[tuple[str, int], float] = {}
-    for key in pattern.ops:
-        kind, i = key
-        if kind == "F":
-            dur[key] = alloc.stages[i].forward(chain)
-        elif kind == "B":
-            dur[key] = alloc.stages[i].backward(chain)
-        else:  # CF / CB on the boundary after stage i
-            dur[key] = chain.activation(alloc.stages[i].end) / platform.bandwidth
-    return dur
+    """Duration of every op of ``pattern`` under ``chain``, read from
+    the pattern's op table (:func:`~repro.core.pattern.allocation_ops`):
+    a pattern with ``W`` ops splits each backward into ``B`` (grad-input
+    half) and ``W`` (grad-weight half), otherwise ``B`` is the whole
+    backward."""
+    table = pattern.op_table(chain, platform)
+    return {key: table[key][0] for key in pattern.ops}
 
 
 def _required_stretch(

@@ -75,6 +75,10 @@ from .store import PlanCache, PlanStore
 
 __all__ = ["PlanRequest", "PlanService", "ServeReply"]
 
+#: Request latencies :meth:`PlanService.stats` takes percentiles over
+#: (the most recent ones).
+LATENCY_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -207,8 +211,9 @@ class PlanService:
     alongside the merged solver counters from workers; a
     ``serve.request`` span is recorded per request when a trace is
     installed in the calling context.  :meth:`stats` adds queue depth
-    and p50/p95/max latency over a sliding window — queue wait happens
-    inside :meth:`handle`'s measurement, so percentiles include it.
+    and p50/p95/max latency over the last :data:`LATENCY_WINDOW`
+    requests — queue wait happens inside :meth:`handle`'s measurement,
+    so percentiles include it.
     """
 
     def __init__(
@@ -223,7 +228,6 @@ class PlanService:
         backoff_cap_s: float = BACKOFF_CAP_S,
         max_pool_restarts: int = 8,
         warm_start: bool = True,
-        latency_window: int = 4096,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
         resilience: ResilienceConfig | None = None,
@@ -274,7 +278,7 @@ class PlanService:
         self._inflight: dict[str, asyncio.Future] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_failures = 0  # consecutive BrokenProcessPool deaths
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._active_solves = 0
         self._peak_active = 0
         self._closed = False

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..core.chain import Chain
 from ..core.memory import stage_memory_breakdown
 from ..core.partition import Allocation
-from ..core.pattern import gpu, link
+from ..core.pattern import OpKey, allocation_ops, dependency_edges
 from ..core.platform import Platform
 
 __all__ = ["EagerReport", "eager_1f1b"]
@@ -45,6 +45,10 @@ def eager_1f1b(
 ) -> EagerReport:
     """Run eager 1F1B on a contiguous allocation for ``n_batches``.
 
+    The ops, their durations and resources are the allocation's
+    :func:`~repro.core.pattern.allocation_ops` (``B`` the whole
+    backward), and an op is ready once its predecessors along
+    :func:`~repro.core.pattern.dependency_edges` are done for its batch.
     ``depth`` limits the number of batches in flight (default: the number
     of stages, PipeDream's choice).  The steady-state period is measured
     between consecutive completions in the second half of the run.
@@ -56,36 +60,16 @@ def eager_1f1b(
         depth = n
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    stages, procs = allocation.stages, allocation.procs
 
-    durations: dict[tuple[str, int], float] = {}
-    resources: dict[tuple[str, int], tuple] = {}
-    for i, s in enumerate(stages):
-        durations[("F", i)] = s.forward(chain)
-        durations[("B", i)] = s.backward(chain)
-        resources[("F", i)] = resources[("B", i)] = gpu(procs[i])
-        if i < n - 1 and procs[i] != procs[i + 1]:
-            half = chain.activation(s.end) / platform.bandwidth
-            durations[("CF", i)] = durations[("CB", i)] = half
-            resources[("CF", i)] = resources[("CB", i)] = link(procs[i], procs[i + 1])
-
-    def preds(kind: str, i: int) -> list[tuple[str, int]]:
-        if kind == "F":
-            if i == 0:
-                return []
-            return [("CF", i - 1)] if ("CF", i - 1) in durations else [("F", i - 1)]
-        if kind == "CF":
-            return [("F", i)]
-        if kind == "B":
-            own = [("F", i)]
-            if i == n - 1:
-                return own
-            nxt = [("CB", i)] if ("CB", i) in durations else [("B", i + 1)]
-            return own + nxt
-        return [("B", i + 1)]  # CB
+    ops = allocation_ops(chain, platform, allocation, split=False)
+    preds: dict[OpKey, list[OpKey]] = {key: [] for key in ops}
+    succs: dict[OpKey, list[OpKey]] = {key: [] for key in ops}
+    for u, v in dependency_edges(ops, n):
+        preds[v].append(u)
+        succs[u].append(v)
 
     done: dict[tuple[str, int, int], float] = {}  # (kind, stage, batch) -> end time
-    free_at: dict[tuple, float] = {r: 0.0 for r in set(resources.values())}
+    free_at: dict[tuple, float] = {r: 0.0 for _, r in ops.values()}
     injected = 0
     completed = 0
     completion_times: list[float] = []
@@ -95,27 +79,9 @@ def eager_1f1b(
     ready: list[tuple[float, int, int, str, int]] = []
 
     def push(kind: str, i: int, batch: int) -> None:
-        t = max((done[(k, j, batch)] for (k, j) in preds(kind, i)), default=0.0)
+        t = max((done[(k, j, batch)] for (k, j) in preds[(kind, i)]), default=0.0)
         prio = 0 if kind in ("B", "CB") else 1
         heapq.heappush(ready, (t, prio, batch, kind, i))
-
-    def succs(kind: str, i: int) -> list[tuple[str, int]]:
-        out = []
-        if kind == "F":
-            if i < n - 1:
-                out.append(("CF", i) if ("CF", i) in durations else ("F", i + 1))
-            if i == n - 1:
-                out.append(("B", i))
-            else:
-                out.append(("B", i))  # F_i is also a prerequisite of B_i
-        elif kind == "CF":
-            out.append(("F", i + 1))
-        elif kind == "B":
-            if i > 0:
-                out.append(("CB", i - 1) if ("CB", i - 1) in durations else ("B", i - 1))
-        else:  # CB
-            out.append(("B", i))
-        return out
 
     scheduled: set[tuple[str, int, int]] = set()
 
@@ -123,7 +89,7 @@ def eager_1f1b(
         key = (kind, i, batch)
         if key in scheduled:
             return
-        if all((k, j, batch) in done for (k, j) in preds(kind, i)):
+        if all((k, j, batch) in done for (k, j) in preds[(kind, i)]):
             scheduled.add(key)
             push(kind, i, batch)
 
@@ -134,16 +100,16 @@ def eager_1f1b(
 
     while ready:
         t_ready, _prio, batch, kind, i = heapq.heappop(ready)
-        r = resources[(kind, i)]
+        d, r = ops[(kind, i)]
         start = max(t_ready, free_at[r])
-        end = start + durations[(kind, i)]
+        end = start + d
         # another ready op on this resource might start earlier: re-queue if
         # something strictly better exists (simple non-preemptive policy:
         # accept; the heap order already prefers earlier-ready backwards)
         free_at[r] = end
         done[(kind, i, batch)] = end
         executions.append((kind, i, batch, start, end))
-        for sk, sj in succs(kind, i):
+        for sk, sj in succs[(kind, i)]:
             try_push(sk, sj, batch)
         if kind == "B" and i == 0:
             completed += 1

@@ -1,10 +1,12 @@
 """Mutation tests for the discrete-event verifier.
 
 The certification gate is only as strong as :func:`repro.sim.verify_pattern`;
-these tests mutate a known-valid pattern in the four canonical ways a
-buggy planner could break one — misplacing an op, dropping a dependency
-edge (a communication op), inflating a duration, overfilling a GPU — and
-require the verifier to reject every mutant while accepting the original.
+these tests mutate a known-valid pattern in the canonical ways a buggy
+planner could break one — misplacing an op, dropping a dependency edge
+(a communication op), inflating a duration, overfilling a GPU, and
+claiming a duration the chain does not give (caught only by comparing
+the pattern with the allocation's op table) — and require the verifier
+to reject every mutant while accepting the original.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ import dataclasses
 
 import pytest
 
+from repro.algorithms.madpipe import madpipe
+from repro.algorithms.madpipe_dp import Discretization
 from repro.algorithms.pipedream import pipedream
 from repro.core.pattern import PatternError, PeriodicPattern
 from repro.core.platform import Platform
+from repro.models.synthetic import random_chain
+from repro.robust import certify_pattern
 from repro.sim import verify_pattern
 
 MB = float(2**20)
@@ -99,6 +105,64 @@ class TestVerifierMutations:
             verify_pattern(chain, platform, mutant)
 
 
+def assert_rejected(chain, platform, mutant, match=None):
+    """``verify_pattern`` raises on ``mutant`` and the certification gate
+    refuses it."""
+    with pytest.raises(PatternError, match=match):
+        verify_pattern(chain, platform, mutant)
+    assert not certify_pattern(chain, platform, mutant).ok
+
+
+class TestDurationMutations:
+    """Every op's duration must be the one the allocation's op table
+    gives for the chain: a pattern that under-claims an op's time can
+    still pass the dependency, overlap and memory checks, so only the
+    table comparison catches it."""
+
+    def test_halved_backward_rejected(self, planned):
+        chain, platform, pattern = planned
+        b = pattern.ops[("B", 1)]
+        mutant = mutate(pattern, {("B", 1): dict(duration=0.5 * b.duration)})
+        assert_rejected(chain, platform, mutant, match="duration")
+
+    def test_lengthened_transfer_rejected(self, milp_planned):
+        """Lengthen the activation transfer with the most room after it by
+        half that room: it still meets its successor and clears its link."""
+        chain, platform, pattern = milp_planned
+        room = {k: _room_after(pattern, k) for k in pattern.ops if k[0] == "CF"}
+        key = max(room, key=room.get)
+        assert room[key] > 0
+        longer = pattern.ops[key].duration + 0.5 * room[key]
+        mutant = mutate(pattern, {key: dict(duration=longer)})
+        assert_rejected(chain, platform, mutant, match="duration")
+
+
+@pytest.fixture
+def milp_planned():
+    """A certified MadPipe pattern from the MILP (non-contiguous), whose
+    start times leave room after some transfers."""
+    chain = random_chain(10, seed=0, decay=0.2)
+    platform = Platform(3, 1.5e9, 4e9)
+    res = madpipe(chain, platform, grid=Discretization.coarse(), iterations=4)
+    assert res.certificate.ok and not res.pattern.allocation.is_contiguous()
+    return chain, platform, res.pattern
+
+
+def _room_after(pattern: PeriodicPattern, key) -> float:
+    """Time op ``key`` could grow by before it delays a dependent op or
+    reaches the next op on its resource."""
+    T, op = pattern.period, pattern.ops[key]
+    room = [T - op.duration]
+    for u, v in pattern.dependency_edges():
+        if u == key:
+            w = pattern.ops[v]
+            room.append((w.shift - op.shift) * T + w.start - op.start - op.duration)
+    for other in pattern.ops.values():
+        if other is not op and other.resource == op.resource:
+            room.append((other.start - op.start) % T - op.duration)
+    return min(room)
+
+
 @pytest.fixture
 def zb_planned(uniform8, roomy4):
     """A certified-valid zero-bubble (chain, platform, pattern) triple."""
@@ -140,6 +204,24 @@ class TestSplitBackwardMutations:
         mutant = mutate(pattern, {key: dict(start=b.start, shift=b.shift)})
         with pytest.raises(PatternError):
             verify_pattern(chain, platform, mutant)
+
+    def test_moved_split_rejected(self, zb_planned):
+        """A stage whose backward is split at another share than the
+        family's disagrees with the op table, even with W moved so that
+        both ops keep their order, their sum and W's end.  (At the 2BP
+        share of one half, swapping B's and W's durations is a no-op, so
+        the split moves by a quarter of the backward instead.)"""
+        chain, platform, pattern = zb_planned
+        i = next(k[1] for k in pattern.ops if k[0] == "W")
+        b, w = pattern.ops[("B", i)], pattern.ops[("W", i)]
+        assert b.duration == w.duration
+        q = 0.5 * b.duration
+        mutant = mutate(pattern, {
+            ("B", i): dict(duration=b.duration + q),
+            ("W", i): dict(start=w.start + q, duration=w.duration - q),
+        })
+        mutant.normalize()
+        assert_rejected(chain, platform, mutant, match="duration")
 
     def test_grad_buffer_overfill_rejected(self, zb_planned):
         """The capacity check must count the grad-input buffer held from

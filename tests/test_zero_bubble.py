@@ -291,6 +291,30 @@ class TestGptScenarios:
         gain = 1.0 - periods["zero_bubble"] / periods["1f1b"]
         assert gain >= 0.199, periods
 
+    def test_robustness_reads_split_backward(self):
+        """The stress test reads a zero-bubble pattern's ``B`` as the
+        grad-input half and ``W`` as the grad-weight half: at zero noise
+        the certified plan needs no stretch (reading ``B`` as the whole
+        backward asked for 2x on this plan)."""
+        from repro.algorithms import Discretization
+        from repro.experiments.scenarios import paper_chain
+        from repro.robust.perturb import _op_durations, _required_stretch
+
+        chain = paper_chain("gpt24")
+        platform = Platform.of(4, 2.0, 12.0)
+        res = api.plan(
+            chain,
+            platform,
+            schedule_family="zero_bubble",
+            grid=Discretization.coarse(),
+            iterations=6,
+        )
+        assert res.certificate.ok and W in {k[0] for k in res.pattern.ops}
+        dur = _op_durations(chain, platform, res.pattern)
+        assert _required_stretch(res.pattern, dur) == pytest.approx(1.0, abs=1e-9)
+        report = api.certify(chain, platform, res, samples=8, seed=0).robustness
+        assert report.worst_sample_sim_violations == 0
+
 
 # ------------------------------------------------ one search, two families
 
