@@ -12,15 +12,24 @@ Phase 2 schedules an ordered list of candidate allocations exactly:
    one-minute budget per probe.  When the MILP runs out of budget
    without a schedule and the allocation has at most one stage per GPU,
    its contiguous restriction takes its place;
-2. with ``allow_special``, MadPipe's own contiguous restriction —
+2. with ``allow_special``, MadPipe's own contiguous candidate from
    MadPipe-DP with the special processor disabled, which collapses the
-   ``(t_P, m_P)`` state dimensions — by the contiguous construction.
-   That second search is cheap in states (under 2% of phase 1's on the
-   ledger's ResNet instances) but not in time (about 18% of phase 1's
-   wall time there).  The DP's special-processor memory is a
-   deliberate *under*-estimate (§4.2.1), so the MILP sometimes needs a
-   much larger period than phase 1 promised; without the special
-   processor the DP's memory model is exact.
+   ``(t_P, m_P)`` state dimensions.  That second search is cheap in
+   states (under 2% of phase 1's on the ledger's ResNet instances) but
+   not in time (about 18% of phase 1's wall time there).  The DP's
+   special-processor memory is a deliberate *under*-estimate (§4.2.1),
+   so the MILP sometimes needs a much larger period than phase 1
+   promised; without the special processor the DP's memory model is
+   exact.
+
+A contiguous DP search's candidate is ranked, not taken on trust: the
+DP rates allocations by its discretized period, which misses their
+certified period by up to about ±10%, and its probes visit several
+distinct feasible allocations (``Algorithm1Result.visited``).  Each is
+scheduled by the contiguous construction — optimal per partitioning
+(Prop. 1) — and the lowest period wins, the DP's own pick on a tie;
+only the winner's pattern is built.  The same rule picks phase 1's
+candidate when ``allow_special`` is off.
 
 Candidate 2 is computed first: its period is the incumbent that caps
 candidate 1's MILP search (``period_cap``).  The MILP then only looks
@@ -36,12 +45,14 @@ result.  A capped search whose probes hit the time limit still ends
 The lowest period wins; on a tie the earlier candidate wins.  The
 certification gate extends the list: when the winner fails
 discrete-event verification it is quarantined, and the quarantined
-allocation's contiguous restriction, then the contiguous DP's
-allocation, are scheduled and certified in turn until one passes.
+allocation's contiguous restriction, then the ranked contiguous
+candidate's allocation, are scheduled and certified in turn until one
+passes.
 
 The strict paper pipeline is :func:`algorithm1` followed by the
 uncapped :func:`~repro.ilp.solver.schedule_allocation` or
-:func:`~repro.algorithms.onef1b.contiguous_search`.
+:func:`~repro.algorithms.onef1b.contiguous_search` of its own
+``allocation``.
 """
 
 from __future__ import annotations
@@ -71,14 +82,18 @@ class MadPipeResult:
     ``period`` is the certified valid-schedule period (the solid line).
     ``ilp`` carries the phase-2 period search (probe trace and timings)
     whenever the phase-1 allocation went through the scheduling MILP;
-    that search is capped at the contiguous DP candidate's period, which
+    that search is capped at the contiguous candidate's period, which
     is computed first, so ``ilp.status == "capped"`` means no pattern
-    beat it by more than ``CHECK_RTOL``.
+    beat it by more than ``CHECK_RTOL``.  The contiguous candidate is
+    the lowest-period schedule among the allocations the contiguous DP
+    search visited (``phase1.visited`` without ``allow_special``), the
+    DP's own pick on a tie; ``dp_period`` stays the DP's estimate for
+    its pick.
     ``allocation``/``pattern``/``period`` are those of the chosen
     candidate: the lowest period among phase 1's schedule (or, after an
     MILP budget hit, its contiguous restriction's) and the contiguous
-    DP's, the earlier on a tie — or, after a quarantine, the first
-    certified fallback.
+    candidate's, the earlier on a tie — or, after a quarantine, the
+    first certified fallback.
 
     ``status`` classifies the outcome: ``ok`` (certified schedule, clean
     search), ``degraded`` (the schedule is valid, but an MILP that could
@@ -165,6 +180,33 @@ def madpipe(
             sched = search(chain, plan_on, allocation.partitioning)
         return None if sched is None else (allocation, sched.pattern, sched.period, note)
 
+    def ranked(dp: Algorithm1Result, kind: str, note: str | None = None):
+        """The candidate of a contiguous DP search: the allocation its
+        probes visited with the lowest period under the contiguous
+        construction, the DP's own pick on a tie, or ``None``.  Only the
+        winner's pattern is built."""
+        if not dp.feasible:
+            return None
+        visited = [dp.allocation, *(a for a in dp.visited if a != dp.allocation)]
+        with obs.span("madpipe.phase2", kind=kind, ranked=len(visited)) as sp:
+            best = best_alloc = winner = None
+            for i, dp_alloc in enumerate(visited):
+                allocation = dp_alloc.to_allocation(platform)
+                sched = search(
+                    chain, plan_on, allocation.partitioning, build=len(visited) == 1
+                )
+                if sched is not None and (best is None or sched.period < best.period):
+                    best, best_alloc, winner = sched, allocation, i
+            obs.inc("madpipe.contiguous_ranked", len(visited))
+            sp.set(winner=winner)
+            if best is None:
+                return None
+            if winner > 0:
+                obs.inc("madpipe.rank_wins")
+            if best.pattern is None:
+                best = search(chain, plan_on, best_alloc.partitioning)
+        return best_alloc, best.pattern, best.period, note
+
     with obs.span(
         "madpipe", n_procs=platform.n_procs, chain=chain.name, L=chain.L
     ) as run_span:
@@ -172,27 +214,26 @@ def madpipe(
             phase1 = algorithm1(chain, plan_on, allow_special=allow_special, **dp_opts)
         result = MadPipeResult(phase1=phase1, allocation=None, pattern=None)
 
-        # the contiguous DP's allocation first: phase 1's own without the
-        # special processor, else a second DP search (few states, but
-        # about 18% of phase 1's wall time).  Its schedule is the
-        # incumbent whose period caps the MILP search
+        # the contiguous candidate first, ranked over the allocations a DP
+        # search without the special processor visited: phase 1's own, else
+        # a second search (few states, but about 18% of phase 1's wall
+        # time).  Its schedule is the incumbent whose period caps the MILP
         if allow_special:
             with obs.span("madpipe.contiguous_dp"):
                 contig = algorithm1(chain, plan_on, allow_special=False, **dp_opts)
-        else:
-            contig = phase1
-        contig_alloc = contig.allocation.to_allocation(platform) if contig.feasible else None
-        incumbent = None
-        if allow_special and contig_alloc is not None:
-            incumbent = contiguous(
-                contig_alloc, "contiguous_dp", "contiguous memory-aware candidate won"
+            contig_cand = incumbent = ranked(
+                contig, "contiguous_dp", "contiguous memory-aware candidate won"
             )
+        else:
+            contig_cand, incumbent = ranked(phase1, "onef1b"), None
         candidates = []  # in priority order; the incumbent goes last
 
         if not phase1.feasible:
             result.notes.append("phase 1 found no memory-feasible allocation")
         elif (allocation := phase1.allocation.to_allocation(platform)).is_contiguous():
-            candidates.append(contiguous(allocation, "onef1b"))
+            candidates.append(
+                contiguous(allocation, "onef1b") if allow_special else contig_cand
+            )
             result.notes.append(
                 f"phase-1 contiguous allocation via {construction}" if candidates[-1]
                 else f"{construction} infeasible for phase-1 allocation"
@@ -254,8 +295,8 @@ def madpipe(
                     f"({cert.violations[0] if cert.violations else 'no violation detail'})"
                 )
                 # the list's tail, in order: the quarantined allocation's
-                # contiguous restriction, then the contiguous DP's allocation
-                tail = [contig_alloc] if contig_alloc is not None else []
+                # contiguous restriction, then the contiguous candidate's
+                tail = [contig_cand[0]] if contig_cand is not None else []
                 if result.n_stages <= platform.n_procs:
                     tail.insert(0, Allocation.contiguous(result.allocation.partitioning))
                 for fallback in dict.fromkeys(tail):

@@ -686,6 +686,9 @@ class Algorithm1Result:
     wall_time_s: float = 0.0  # total phase-1 wall time
     pruned_cap: int = 0  # cap-pruned candidates, summed over probes
     pruned_mem: int = 0  # memory-pruned candidates, summed over probes
+    # the distinct feasible allocations the probes returned, in probe
+    # order; ``allocation`` is one of them
+    visited: list[DPAllocation] = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
@@ -705,6 +708,11 @@ def algorithm1(
 
     For each probe, ``min(T, T̂)`` is a lower bound of the optimal
     ``T̂*`` and ``max(T, T̂)`` an upper bound; the next probe bisects.
+    ``period``/``allocation`` are the DP's own pick: the lowest DP period
+    over the probes, the earliest on a tie.  ``visited`` lists every
+    distinct feasible allocation the probes returned, in probe order, so
+    a caller can rank them by another measure (MadPipe ranks them by
+    their certified period).
 
     ``dp`` swaps the ``MadPipe-DP(T̂)`` evaluator (same signature and
     result type as :func:`madpipe_dp`) — used by the golden tests and
@@ -767,6 +775,8 @@ def algorithm1(
             best.states += res.states
             best.pruned_cap += res.pruned_cap
             best.pruned_mem += res.pruned_mem
+            if res.feasible and res.allocation not in best.visited:
+                best.visited.append(res.allocation)
             if res.feasible and res.effective_period < best.period:
                 best.period = res.effective_period
                 best.target = That

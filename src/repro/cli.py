@@ -142,6 +142,12 @@ def _print_registry_stats(
             f"pruned {snap.get('dp.pruned_cap', 0)} candidates by period cap, "
             f"{snap.get('dp.pruned_mem', 0)} by memory"
         )
+    if snap.get("madpipe.contiguous_ranked"):
+        print(
+            f"contiguous ranking: {snap['madpipe.contiguous_ranked']} visited "
+            f"allocations scored; one beat the DP's pick in "
+            f"{snap.get('madpipe.rank_wins', 0)} of {snap.get('madpipe.runs', 0)} runs"
+        )
     if snap.get("ilp.searches"):
         line = (
             f"phase-2 ILP: {snap.get('ilp.milp_probes', 0)} MILP probes "
@@ -179,6 +185,7 @@ def _plan_kwargs(args: argparse.Namespace) -> dict:
     opts = dict(_solver_kwargs(args), memory_headroom=args.memory_headroom)
     return dict(
         algorithm=args.algorithm,
+        schedule_family=args.schedule_family,
         **plan_options(args.algorithm, opts, shared=True),
     )
 
@@ -190,10 +197,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
     trace = obs.Trace(f"schedule:{Path(args.profile).stem}") if args.trace else None
     try:
-        result = plan(
-            chain, platform, schedule_family=args.schedule_family, trace=trace,
-            **_plan_kwargs(args),
-        )
+        result = plan(chain, platform, trace=trace, **_plan_kwargs(args))
     except ValueError as exc:  # an out-of-range option, e.g. --iterations 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -340,7 +344,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         noise = calibration.noise
     registry = obs.MetricsRegistry()
     with obs.use_metrics(registry):
-        result = plan(chain, platform, **_plan_kwargs(args))
+        try:
+            result = plan(chain, platform, **_plan_kwargs(args))
+        except ValueError as exc:  # an out-of-range option, e.g. --iterations 0
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         cert = certify(
             chain,
             platform,
@@ -363,6 +371,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "bandwidth_gbps": args.bandwidth_gbps,
         },
         "memory_headroom": args.memory_headroom,
+        "schedule_family": args.schedule_family,
         "status": status,
         "period": result.period if result.feasible else None,
         "certificate": cert.to_dict(),
@@ -389,7 +398,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         print(text)
     if args.stats:
-        _print_registry_stats(registry.snapshot(), None)
+        _print_registry_stats(registry.snapshot(), None, args.schedule_family)
     return 0 if cert.ok else 1
 
 
@@ -739,7 +748,8 @@ def _plan_options() -> argparse.ArgumentParser:
         "-a", "--algorithm", choices=("madpipe", "pipedream"), default="madpipe"
     )
     _add_shared(
-        p, "--grid", "--ilp-time-limit", "--iterations", **_SOLVER_DEFAULTS["plan"]
+        p, "--grid", "--ilp-time-limit", "--iterations", "--schedule-family",
+        **_SOLVER_DEFAULTS["plan"],
     )
     p.add_argument(
         "--memory-headroom", type=float, default=0.0, metavar="FRAC",
@@ -790,7 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "schedule", parents=[plan_options], help="schedule a profile on a platform"
     )
-    _add_shared(p, "--schedule-family")
     p.add_argument(
         "--stats",
         action="store_true",

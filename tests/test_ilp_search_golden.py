@@ -7,9 +7,13 @@ trace record's ``(kind, period, feasible, status)`` — the whole probe
 trajectory, timings left out.  The allocations are phase 1's
 non-contiguous ones on seeded random chains × P ∈ {2, 3, 4} ×
 tight-to-roomy memory (coarse grid, 6 iterations); each is searched in
-both schedule families, uncapped and capped at the period of the
-contiguous DP candidate, as :func:`~repro.algorithms.madpipe.madpipe`
-computes it.  The searches end ``ok``, ``capped`` and ``infeasible``.
+both schedule families, uncapped and capped at the contiguous period
+of the contiguous DP's own pick (``algorithm1(allow_special=False)``'s
+``allocation``).  :func:`~repro.algorithms.madpipe.madpipe` caps its
+search lower, at the best allocation that DP search visited; this file
+pins the search against a fixed cap, so it stays byte-identical when
+only the ranking moves.  The searches end ``ok``, ``capped`` and
+``infeasible``.
 Every MILP finishes far inside its time limit, so the trajectories are
 deterministic.  Floats are compared exactly: JSON stores the shortest
 repr, which round-trips.

@@ -23,6 +23,11 @@ certification measures the full one; it holds MILP searches ending
 limit, so the answers are deterministic.  Floats are compared exactly:
 JSON stores the shortest repr, which round-trips.
 
+Differential tests beside the golden run ``madpipe()`` again with the
+MILP search uncapped, or with the contiguous candidate held to the
+contiguous DP's own pick instead of the best allocation its probes
+visited, and check the period never gets worse.
+
 Regenerate only when a change is meant to move MadPipe's selection::
 
     PYTHONPATH=src python tests/test_madpipe_golden.py
@@ -41,13 +46,17 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.algorithms.bruteforce import best_contiguous
 from repro.algorithms.madpipe import madpipe
 from repro.algorithms.madpipe_dp import Discretization, DPAllocation
+from repro.cli import main as cli_main
 from repro.core.partition import Partitioning
 from repro.core.platform import Platform
 from repro.core.serialize import allocation_to_dict, pattern_to_dict
 from repro.experiments.scenarios import paper_chain
 from repro.models.synthetic import random_chain
+from repro.profiling import save_chain
 from repro.testing import Fault, faults
 
 # the module, not the function ``repro.algorithms`` re-exports by that name
@@ -315,16 +324,44 @@ def _uncapped_phase2():
         madpipe_mod.schedule_allocation = real
 
 
-def _cap_regressions(cases, **solver) -> list[tuple[str, float, float]]:
-    """``(key, capped, uncapped)`` periods where the capped phase 2 loses."""
+@contextmanager
+def _dp_pick_only():
+    """Make MadPipe's contiguous candidate the contiguous DP's own pick:
+    the DP search reports no other visited allocation to rank."""
+    real = madpipe_mod.algorithm1
+
+    def pick_only(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, visited=[res.allocation] if res.feasible else [])
+
+    madpipe_mod.algorithm1 = pick_only
+    try:
+        yield
+    finally:
+        madpipe_mod.algorithm1 = real
+
+
+def _regressions(cases, baseline, **solver) -> list[tuple[str, float, float]]:
+    """``(key, period, baseline period)`` where ``madpipe()`` loses to its
+    run under the ``baseline`` context."""
     out = []
     for key, chain, platform, opts in cases:
-        capped = madpipe(chain, platform, **solver, **opts).period
-        with _uncapped_phase2():
-            free = madpipe(chain, platform, **solver, **opts).period
-        if not capped <= free * (1 + 1e-9):
-            out.append((key, capped, free))
+        period = madpipe(chain, platform, **solver, **opts).period
+        with baseline():
+            base = madpipe(chain, platform, **solver, **opts).period
+        if not period <= base * (1 + 1e-9):
+            out.append((key, period, base))
     return out
+
+
+GOLDEN_SOLVER = dict(grid=COARSE, iterations=6, ilp_time_limit=30)
+#: The ledger's solver options.
+LEDGER_SOLVER = dict(grid=COARSE, iterations=8, ilp_time_limit=30)
+
+
+def _gpt24(n_procs: int, memory_gb: float, family: str):
+    return (f"gpt24|P{n_procs}|mem{memory_gb}|{family}", paper_chain("gpt24"),
+            Platform.of(n_procs, memory_gb, 12), dict(schedule_family=family))
 
 
 def test_capped_phase2_never_worse_on_seeded_instances():
@@ -332,17 +369,114 @@ def test_capped_phase2_never_worse_on_seeded_instances():
     never worsens MadPipe's period (only ``allow_special`` runs reach the
     MILP)."""
     cases = list(_instances(specials=(True,)))
-    solver = dict(grid=COARSE, iterations=6, ilp_time_limit=30)
-    assert not _cap_regressions(cases, **solver)
+    assert not _regressions(cases, _uncapped_phase2, **GOLDEN_SOLVER)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_capped_phase2_never_worse_on_gpt24(family):
     """The ledger's gpt24 (P=4, 2 GB) instance, with the ledger's options."""
-    case = ("gpt24", paper_chain("gpt24"), Platform.of(4, 2.0, 12),
-            dict(schedule_family=family))
-    solver = dict(grid=COARSE, iterations=8, ilp_time_limit=30)
-    assert not _cap_regressions([case], **solver)
+    assert not _regressions([_gpt24(4, 2.0, family)], _uncapped_phase2, **LEDGER_SOLVER)
+
+
+def test_ranked_candidate_never_worse_on_seeded_instances():
+    """Differential: ranking the contiguous DP's visited allocations never
+    worsens MadPipe's period against keeping the DP's own pick, with and
+    without the special processor."""
+    assert not _regressions(list(_instances()), _dp_pick_only, **GOLDEN_SOLVER)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ranked_candidate_never_worse_on_gpt24(family):
+    """The ledger's gpt24 (P=8, 1 GB) instance, where ranking wins."""
+    assert not _regressions([_gpt24(8, 1.0, family)], _dp_pick_only, **LEDGER_SOLVER)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_procs, memory_gb", [(2, 1.0), (3, 0.6), (3, 1.2), (4, 0.8)])
+def test_ranked_candidate_between_dp_pick_and_oracle(seed, n_procs, memory_gb):
+    """Oracle: without the special processor MadPipe's answer is its
+    contiguous candidate, which lies between the DP's own pick and the
+    exhaustive contiguous optimum (1F1B\\* is optimal per partitioning)."""
+    chain = random_chain(9, seed=seed, decay=0.2)
+    platform = Platform.of(n_procs, memory_gb, 12)
+    opts = dict(GOLDEN_SOLVER, allow_special=False)
+    ranked = madpipe(chain, platform, **opts).period
+    with _dp_pick_only():
+        pick = madpipe(chain, platform, **opts).period
+    oracle = best_contiguous(chain, platform).period
+    assert oracle <= ranked * (1 + 1e-9) and ranked <= pick * (1 + 1e-9)
+
+
+#: Ledger instances whose contiguous candidate moves under ranking:
+#: ``(network, P, memory in GB, family) -> ranked period``.
+RANKED_PERIODS = {
+    ("gpt24", 8, 1.0, "1f1b"): 2.5935894495999987,  # DP pick: 3.105015672853333
+    ("gpt24", 8, 1.0, "zero_bubble"): 2.583172782933333,  # 2.5884111162666654
+    ("resnet101", 8, 6.0, "1f1b"): 0.46869474752609536,  # 0.5022310641980954
+}
+
+
+@pytest.mark.parametrize("instance", sorted(RANKED_PERIODS), ids=str)
+def test_ranked_periods_on_ledger_instances(instance):
+    network, n_procs, memory_gb, family = instance
+    registry = obs.MetricsRegistry()
+    with obs.use_metrics(registry):
+        res = madpipe(paper_chain(network), Platform.of(n_procs, memory_gb, 12),
+                      schedule_family=family, **LEDGER_SOLVER)
+    snap = registry.snapshot()
+    assert res.status == "ok" and res.certificate.ok
+    assert res.period == RANKED_PERIODS[instance]
+    assert snap["madpipe.rank_wins"] == 1
+    if family == "zero_bubble":
+        # the incumbent reaches the MILP allocation's bottleneck bound, so
+        # the capped search refutes nothing by MILP
+        assert res.ilp.status == "capped" and res.ilp.probes == []
+        assert snap.get("ilp.milp_probes", 0) == 0
+
+
+def test_schedule_stats_report_the_ranking(tmp_path, capsys):
+    profile = tmp_path / "gpt24.json"
+    save_chain(paper_chain("gpt24"), profile)
+    rc = cli_main([
+        "schedule", str(profile), "-p", "8", "-m", "1", "--grid", "coarse",
+        "--iterations", "8", "--schedule-family", "zero_bubble", "--stats",
+    ])
+    assert rc == 0
+    assert (
+        "contiguous ranking: 3 visited allocations scored; "
+        "one beat the DP's pick in 1 of 1 runs"
+    ) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("allow_special", [True, False])
+def test_dp_pick_wins_ties(allow_special, monkeypatch):
+    """When every visited allocation scores the same period, the DP's own
+    pick is the contiguous candidate."""
+    chain, platform = paper_chain("gpt24"), Platform.of(8, 1.0, 12)
+    real_search = madpipe_mod.contiguous_search
+
+    def flat_search(family):
+        search = real_search(family)
+
+        def flat(*args, **kwargs):
+            res = search(*args, **kwargs)
+            return None if res is None else dataclasses.replace(res, period=1.0)
+
+        return flat
+
+    monkeypatch.setattr(madpipe_mod, "contiguous_search", flat_search)
+    registry = obs.MetricsRegistry()
+    with obs.use_metrics(registry):
+        res = madpipe(chain, platform, allow_special=allow_special, certify=False,
+                      **LEDGER_SOLVER)
+    contig = res.phase1 if not allow_special else madpipe_mod.algorithm1(
+        chain, platform, allow_special=False, grid=COARSE, iterations=8
+    )
+    assert len(contig.visited) > 1
+    snap = registry.snapshot()
+    assert snap["madpipe.contiguous_ranked"] == len(contig.visited)
+    assert snap.get("madpipe.rank_wins", 0) == 0
+    assert res.allocation == contig.allocation.to_allocation(platform)
 
 
 if __name__ == "__main__":

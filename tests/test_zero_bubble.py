@@ -11,6 +11,8 @@ strictly below 1F1B\\*'s.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import api, obs
@@ -388,3 +390,23 @@ def test_schedule_stats_prints_zero_bubble_searches(tmp_path, capsys):
     assert "zero-bubble: " in out and " period searches, " in out
     assert "replaced by the zero-bubble fallback" in out
     assert "1F1B*" not in out
+
+
+def test_certify_takes_schedule_family(tmp_path):
+    """``repro certify --schedule-family zero_bubble`` plans, certifies and
+    stress-tests a zero-bubble plan, and records the family."""
+    profile = tmp_path / "chain.json"
+    save_chain(uniform_chain(8, u_f=1.0, u_b=2.0, weights=4e6, activation=8e6), profile)
+    args = [
+        "certify", str(profile), "-p", "4", "-m", "8", "--grid", "coarse",
+        "--iterations", "4", "--schedule-family", "zero_bubble", "--samples", "4",
+    ]
+    assert cli_main(args + ["-o", str(tmp_path / "c1.json")]) == 0
+    assert cli_main(args + ["-o", str(tmp_path / "c2.json")]) == 0
+    text = (tmp_path / "c1.json").read_text()
+    assert text == (tmp_path / "c2.json").read_text()
+    payload = json.loads(text)
+    assert payload["schedule_family"] == "zero_bubble"
+    assert payload["certificate"]["ok"] and payload["certificate"]["robustness"]
+    # an out-of-range option is an error exit, as for ``repro schedule``
+    assert cli_main(args + ["--iterations", "0"]) == 2
