@@ -142,6 +142,13 @@ def _print_registry_stats(
             f"pruned {snap.get('dp.pruned_cap', 0)} candidates by period cap, "
             f"{snap.get('dp.pruned_mem', 0)} by memory"
         )
+    if snap.get("madpipe.runs"):
+        print(
+            f"phase-1 bracket: {snap.get('madpipe.bracketed', 0)} of "
+            f"{snap['madpipe.runs']} runs bracketed by the contiguous candidate's "
+            f"period, {snap.get('madpipe.bracket_empty', 0)} found nothing below it; "
+            f"{snap.get('dp.rescue_probes', 0)} rescue probes"
+        )
     if snap.get("madpipe.contiguous_ranked"):
         print(
             f"contiguous ranking: {snap['madpipe.contiguous_ranked']} visited "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
@@ -212,6 +213,52 @@ class TestPruningCounters:
             totals[0] += res.pruned_cap
             totals[1] += res.pruned_mem
         assert min(totals) > 0  # both counters are exercised
+
+
+class TestColumnTrimming:
+    """The fast path keeps only the cuts whose ``U(k, l)`` is under the
+    period cap; results and counters must not notice."""
+
+    CHAIN = random_chain(12, seed=5, decay=0.15)
+    PLATFORM = Platform.of(4, 2.0, 12)
+
+    def check(self, cap, **opts):
+        chain, platform = self.CHAIN, self.PLATFORM
+        target = chain.total_compute() / 3
+        for allow_special in (True, False):
+            fast = madpipe_dp(chain, platform, target, grid=COARSE, period_cap=cap,
+                              allow_special=allow_special, **opts)
+            ref = madpipe_dp_reference(chain, platform, target, grid=COARSE,
+                                       period_cap=cap, allow_special=allow_special)
+            assert_identical(fast, ref)
+            assert (fast.states, fast.pruned_cap, fast.pruned_mem) == recount_pruning(
+                chain, platform, target, COARSE, cap, allow_special
+            )
+        return fast
+
+    def test_cap_below_every_layer(self):
+        """``jm = 0`` at every level: the root's cuts are all pruned."""
+        u = self.CHAIN._cum_u
+        cap = 0.5 * float(np.diff(u).min())
+        res = self.check(cap)
+        assert not res.feasible and res.states == 1 and res.pruned_mem == 0
+
+    @pytest.mark.parametrize("k, l", [(1, 6), (4, 12), (9, 9)])
+    def test_cap_equal_to_a_stage_load(self, k, l):
+        """A cut whose ``U(k, l)`` equals the cap is over it (strict ``<``)."""
+        u = self.CHAIN._cum_u
+        self.check(float(u[l] - u[k - 1]))
+
+    @pytest.mark.parametrize("scale", [0.0, 0.45, 0.7])
+    def test_warm_carry_path(self, scale):
+        """Discovery expansions carried into the value sweep, over a shared
+        workspace whose rows were built under another cap."""
+        u = self.CHAIN._cum_u
+        cap = scale * float(u[-1]) or 0.5 * float(np.diff(u).min())
+        workspace = {}
+        madpipe_dp(self.CHAIN, self.PLATFORM, float(u[-1]) / 2, grid=COARSE,
+                   workspace=workspace)
+        self.check(cap, workspace=workspace, carry=True)
 
 
 class TestParallelHarness:

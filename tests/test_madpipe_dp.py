@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.core import Platform
 from repro.models import random_chain
@@ -131,3 +132,31 @@ class TestAlgorithm1:
         tiny = Platform.of(2, 1 * MB / 2**30, 12)
         res = algorithm1(uniform8, tiny, iterations=4, grid=COARSE)
         assert not res.feasible
+
+    def test_upper_brackets_every_probe(self, cnnlike16, roomy4):
+        """With ``upper`` every probe is capped and none targets a period
+        above it; ``upper=inf`` is the paper's search."""
+        paper = algorithm1(cnnlike16, roomy4, iterations=6, grid=COARSE)
+        assert algorithm1(cnnlike16, roomy4, iterations=6, grid=COARSE,
+                          upper=float("inf")).history == paper.history
+        upper = paper.period * 1.05
+        res = algorithm1(cnnlike16, roomy4, iterations=6, grid=COARSE, upper=upper)
+        assert res.feasible and all(t <= upper for t, _ in res.history)
+        assert res.pruned_cap > paper.pruned_cap
+
+    @pytest.mark.parametrize("upper, rescues", [(float("inf"), 1), (10.0, 0)])
+    def test_only_an_unbracketed_search_is_rescued(self, uniform8, upper, rescues):
+        tiny = Platform.of(2, 1 * MB / 2**30, 12)
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            res = algorithm1(uniform8, tiny, iterations=4, grid=COARSE, upper=upper)
+        assert not res.feasible and len(res.history) == 4 + rescues
+        assert registry.snapshot().get("dp.rescue_probes", 0) == rescues
+
+    def test_search_span_records_upper(self, cnnlike16, roomy4):
+        trace = obs.Trace()
+        with obs.use_trace(trace):
+            algorithm1(cnnlike16, roomy4, iterations=2, grid=COARSE)
+            algorithm1(cnnlike16, roomy4, iterations=2, grid=COARSE, upper=0.5)
+        spans = trace.find("madpipe.algorithm1")
+        assert [s.attrs["upper"] for s in spans] == [None, 0.5]
