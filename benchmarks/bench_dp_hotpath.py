@@ -17,9 +17,10 @@ from __future__ import annotations
 import time
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
-from repro.algorithms.madpipe_dp_reference import madpipe_dp_reference
 from repro.core.platform import Platform
 from repro.experiments.scenarios import paper_chain
+
+from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
 
 GRIDS = {
     "coarse": Discretization.coarse,

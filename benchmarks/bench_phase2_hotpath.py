@@ -4,8 +4,8 @@ Two suites, mirroring ``bench_dp_hotpath.py``:
 
 * **ilp** — :func:`repro.ilp.schedule_allocation` (skeleton reuse,
   gallop bracketing, LP jumps, feasibility-only probes) raced against
-  :func:`repro.ilp.schedule_allocation_reference` (the pre-skeleton
-  scratch-build bisection) on the paper's non-contiguous ResNet-50
+  :func:`tests.oracles.solver_reference.schedule_allocation_reference`
+  (the pre-skeleton scratch-build bisection) on the paper's non-contiguous ResNet-50
   instances — every (P, bandwidth, grid, memory) sweep point whose
   phase-1 allocation actually uses the special processor.  The two
   searches certify to the same ``rel_tol`` band but take different
@@ -30,11 +30,13 @@ from itertools import combinations
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1
 from repro.algorithms.onef1b import min_feasible_period
-from repro.algorithms.onef1b_reference import min_feasible_period_reference
 from repro.core.partition import Partitioning
 from repro.core.platform import Platform
 from repro.experiments.scenarios import paper_chain
-from repro.ilp import schedule_allocation, schedule_allocation_reference
+from repro.ilp import schedule_allocation
+
+from tests.oracles.onef1b_reference import min_feasible_period_reference
+from tests.oracles.solver_reference import schedule_allocation_reference
 
 GRIDS = {"coarse": Discretization.coarse, "default": Discretization.default}
 

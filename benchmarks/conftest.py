@@ -8,12 +8,17 @@ tables are also written to ``results/figN.txt``.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from _util import GRID_PATH, REDUCED
+from _util import GRID_PATH, REDUCED, REPO_ROOT
 
 from repro.algorithms import Discretization
 from repro.experiments import RunResult, load_results, run_grid
+
+# the hot-path suites import their oracles from tests.oracles
+sys.path.insert(0, str(REPO_ROOT))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import Discretization, Platform, madpipe
+from repro import Discretization, Platform
+from repro.algorithms import madpipe
 from repro.profiling import load_chain
 
 # A hand-written profile: times in seconds, sizes in bytes, as a real

@@ -10,7 +10,8 @@ interleaves their forwards and backwards to keep the memory peak low
 Run:  python examples/noncontiguous_allocation.py
 """
 
-from repro import Chain, Discretization, LayerProfile, Platform, madpipe, pipedream
+from repro import Chain, Discretization, LayerProfile, Platform, pipedream
+from repro.algorithms import madpipe
 from repro.core import GB
 from repro.viz import render_gantt
 

@@ -14,13 +14,13 @@ from repro import (
     Platform,
     V100,
     linearize,
-    madpipe,
     pipedream,
     profile_model,
     render_gantt,
     resnet50,
     verify_pattern,
 )
+from repro.algorithms import madpipe
 
 
 def main() -> None:

@@ -15,11 +15,11 @@ from repro import (
     Platform,
     V100,
     linearize,
-    madpipe,
     pipedream,
     profile_model,
     resnet50,
 )
+from repro.algorithms import madpipe
 from repro.core import GB
 
 

@@ -20,7 +20,7 @@ QPS, per-layer self time, tracing overhead) comes from the layer ledger,
 
 Usage::
 
-    PYTHONPATH=src:benchmarks python scripts/bench_report.py [--smoke] [--suite dp|phase2|all]
+    python scripts/bench_report.py [--smoke] [--suite dp|phase2|all]
 
 ``--smoke`` shrinks every suite to a single quick instance (used by CI
 to keep the script from rotting).
@@ -37,6 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # the suites import tests.oracles
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 

@@ -13,15 +13,7 @@ Public API tour (see also :mod:`repro.api`, the stable facade)::
     print(result.period, result.status)
     repro.verify_pattern(chain, platform, result.pattern)
     repro.obs.write_chrome_trace(result.trace, "plan.json")
-
-Deprecated top-level names (``repro.madpipe``,
-``repro.schedule_allocation``) still resolve — through a module
-``__getattr__`` that emits one :class:`DeprecationWarning` per name per
-process — but new code should go through :func:`repro.api.plan` or
-import the algorithm modules directly.
 """
-
-import warnings as _warnings
 
 from . import api, obs
 from .algorithms import (
@@ -79,43 +71,7 @@ from .profiling import V100, DeviceSpec, load_chain, profile_model, save_chain
 from .sim import eager_1f1b, simulate, verify_pattern
 from .viz import render_gantt
 
-__version__ = "1.1.0"
-
-#: Deprecated top-level re-exports and where they now live.
-_DEPRECATED = {
-    "madpipe": ("repro.algorithms.madpipe", "madpipe"),
-    "schedule_allocation": ("repro.ilp.solver", "schedule_allocation"),
-}
-#: Names that have already warned this process (tests reset this).
-_DEPRECATION_WARNED: set = set()
-
-
-def __getattr__(name: str):
-    """Resolve deprecated top-level names lazily, warning once per name.
-
-    The resolved object is cached into the module namespace, so the
-    second access never re-enters this hook (and never re-warns).
-    """
-    try:
-        mod_name, attr = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    if name not in _DEPRECATION_WARNED:
-        _DEPRECATION_WARNED.add(name)
-        _warnings.warn(
-            f"'repro.{name}' is deprecated; use repro.api.plan(...) or "
-            f"import it from {mod_name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(mod_name), attr)
-    globals()[name] = value
-    return value
-
+__version__ = "2.0.0"
 
 __all__ = [
     "api",
@@ -139,7 +95,6 @@ __all__ = [
     "algorithm1",
     "gpipe",
     "hybrid",
-    "madpipe",
     "madpipe_dp",
     "min_feasible_period",
     "pipedream",
@@ -154,7 +109,6 @@ __all__ = [
     "Platform",
     "Stage",
     "stage_memory",
-    "schedule_allocation",
     "coarsen",
     "densenet121",
     "generate_traces",

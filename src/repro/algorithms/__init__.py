@@ -1,6 +1,5 @@
 """Scheduling algorithms: 1F1B*, PipeDream baseline, MadPipe, GPipe."""
 
-from .bruteforce import BruteForceResult, best_contiguous, best_special
 from .gpipe import GPipeResult, gpipe, gpipe_period
 from .hybrid import HybridResult, group_sizes, hybrid, scale_chain_for_group
 from .madpipe import SCHEDULE_FAMILIES, MadPipeResult, madpipe
@@ -17,9 +16,6 @@ from .pipedream import PipeDreamResult, pipedream, pipedream_partition
 from .zero_bubble import ZeroBubbleResult, build_pattern_zb, min_feasible_period_zb
 
 __all__ = [
-    "BruteForceResult",
-    "best_contiguous",
-    "best_special",
     "GPipeResult",
     "HybridResult",
     "group_sizes",

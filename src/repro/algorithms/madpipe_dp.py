@@ -48,7 +48,7 @@ stratified by ``l``.  States are packed into a single integer key
    over candidates ordered ``k = l … 1`` × (normal, special)
    reproduces the naive scan's tie-breaking exactly, so results are
    bit-identical to
-   :func:`repro.algorithms.madpipe_dp_reference.madpipe_dp_reference`.
+   ``madpipe_dp_reference`` (``tests/oracles/madpipe_dp_reference.py``).
 
 A level expansion does no float work per state.  Every float quantity
 of a ``(state, k)`` candidate depends on one grid coordinate and the cut

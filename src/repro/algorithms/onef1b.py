@@ -32,7 +32,7 @@ is implemented as a NumPy kernel: candidate periods come from prefix-sum
 range sums, group assignment runs batched across *all* candidates at once,
 and per-processor memory is evaluated vectorized from the chain's cached
 prefix arrays.  The original pure-Python 1F1B\\* implementation is
-preserved in :mod:`repro.algorithms.onef1b_reference` and golden tests pin
+preserved in ``tests/oracles/onef1b_reference.py`` and golden tests pin
 the kernel to it bit-for-bit.
 """
 
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 # Feasibility tolerances, shared by the NumPy kernel and the reference
-# implementation (onef1b_reference) so both make bit-identical decisions.
+# implementation (tests/oracles/onef1b_reference.py) so both make bit-identical decisions.
 #: Relative slack when packing items into a group: a group fits in ``T``
 #: when its load is ≤ ``T·(1 + GROUP_FIT_RTOL)``.
 GROUP_FIT_RTOL = 1e-12
@@ -417,7 +417,7 @@ def _period_search(
     ``cumsum``, group assignment from the batched kernel across all
     candidates, and memory feasibility from one array comparison — for
     1F1B\\* all with float arithmetic identical to
-    :func:`repro.algorithms.onef1b_reference.min_feasible_period_reference`.
+    ``min_feasible_period_reference`` (``tests/oracles/onef1b_reference.py``).
 
     Two early exits bracket the batched scan, both justified by memory
     monotonicity (greedy domination: raising ``T`` can only merge groups,

@@ -36,10 +36,7 @@ emitted (see the quarantine semantics in the README).
 Everything here delegates to the underlying algorithm modules without
 altering numerics: ``plan(chain, platform, algorithm="madpipe")``
 returns bit-identical periods/patterns to calling
-:func:`repro.algorithms.madpipe.madpipe` directly.  The deeper modules
-remain importable, but their top-level re-exports (``repro.madpipe``,
-``repro.schedule_allocation``) are deprecated in favor of this facade —
-see the deprecation policy in the README.
+:func:`repro.algorithms.madpipe.madpipe` directly.
 
 Observability::
 

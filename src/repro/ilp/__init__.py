@@ -7,7 +7,6 @@ from .solver import (
     schedule_allocation,
     solve_fixed_period,
 )
-from .solver_reference import schedule_allocation_reference
 
 __all__ = [
     "MilpSkeleton",
@@ -17,6 +16,5 @@ __all__ = [
     "ILPScheduleResult",
     "ProbeRecord",
     "schedule_allocation",
-    "schedule_allocation_reference",
     "solve_fixed_period",
 ]

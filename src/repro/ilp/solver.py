@@ -49,7 +49,7 @@ to a certified 1F1B\\* schedule instead of silently reporting
 infeasible.  ``capped`` (no pattern below the cap) proves nothing
 either way.
 The pre-skeleton bisection search is preserved verbatim in
-:mod:`repro.ilp.solver_reference` for benchmarking.
+``tests/oracles/solver_reference.py`` for benchmarking.
 """
 
 from __future__ import annotations

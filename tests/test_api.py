@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and the top-level deprecation shims."""
+"""The stable ``repro.api`` facade and the top-level names removed in 2.0.0."""
 
 from __future__ import annotations
 
@@ -129,38 +129,13 @@ class TestSweep:
 
 
 class TestDeprecationShims:
-    def _reset(self, name):
-        repro._DEPRECATION_WARNED.discard(name)
-        repro.__dict__.pop(name, None)  # drop the cached resolution
-
-    def test_warns_exactly_once(self):
-        self._reset("madpipe")
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            f = repro.madpipe
-            g = repro.madpipe
-        deprecations = [x for x in w if issubclass(x.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.madpipe" in str(deprecations[0].message)
-        assert f is g is madpipe
-
-    def test_schedule_allocation_shim(self):
-        from repro.ilp.solver import schedule_allocation
-
-        self._reset("schedule_allocation")
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            shim = repro.schedule_allocation
-        assert shim is schedule_allocation
-        assert any(issubclass(x.category, DeprecationWarning) for x in w)
-
-    def test_star_import_still_exports_them(self):
-        assert "madpipe" in repro.__all__
-        assert "schedule_allocation" in repro.__all__
-
-    def test_unknown_attribute(self):
+    @pytest.mark.parametrize(
+        "name", ["definitely_not_a_thing", "madpipe", "schedule_allocation"]
+    )
+    def test_unknown_attribute(self, name):
+        # repro.madpipe / repro.schedule_allocation were removed in 2.0.0
         with pytest.raises(AttributeError, match="no attribute"):
-            repro.definitely_not_a_thing
+            getattr(repro, name)
 
     def test_internal_imports_do_not_warn(self):
         """The instrumented modules import from submodules, so merely

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.algorithms import Discretization, madpipe, pipedream
-from repro.algorithms.bruteforce import best_contiguous, best_special
 from repro.core import Platform
 from repro.models import random_chain
+
+from tests.oracles.bruteforce import best_contiguous, best_special
 
 FINE = Discretization(101, 21, 101)
 

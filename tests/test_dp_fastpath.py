@@ -4,7 +4,7 @@ The vectorized solver (:func:`repro.algorithms.madpipe_dp.madpipe_dp`)
 must return *identical* results — same ``dp_period``, same allocation,
 same ``effective_period``, same reachable-state count — as the
 kept-for-reference recursive implementation
-(:func:`repro.algorithms.madpipe_dp_reference.madpipe_dp_reference`),
+(:func:`tests.oracles.madpipe_dp_reference.madpipe_dp_reference`),
 across randomized chains, platforms, targets and grids.  Likewise the
 parallel experiment harness must reproduce the serial results, and the
 JSONL result cache must round-trip and migrate the legacy format.
@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
-from repro.algorithms.madpipe_dp_reference import madpipe_dp_reference
 from repro.core import Platform
 from repro.experiments import ResultCache, load_results, run_grid, save_results
 from repro.models import random_chain, uniform_chain
+
+from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
 
 INF = float("inf")
 COARSE = Discretization.coarse()

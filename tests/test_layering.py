@@ -1,15 +1,19 @@
 """Layering guard: the serving, profile and core layers never import the
-experiment harness.
+experiment harness, and the package never reaches into the tests.
 
 ``repro.runtime`` (deadline, backoff, per-attempt setup) and
 ``repro.jsonl`` (the hardened JSONL cache) sit below both front-ends;
 ``repro.serve`` and ``repro.profiles`` build on them, not on
-``repro.experiments``.
+``repro.experiments``.  The exact oracles live in ``tests.oracles``:
+nothing under ``src/repro`` imports them, and ``import repro`` loads none.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,22 @@ def test_guard_sees_relative_imports():
     # the resolver must catch the form the old modules used
     src = SRC / "serve" / "store.py"
     assert "repro.jsonl.JsonlCache" in imported_modules(src)
+
+
+def test_no_tests_import():
+    bad = {str(path.relative_to(SRC)): m
+           for path in SRC.rglob("*.py") for m in imported_modules(path)
+           if m == "tests" or m.startswith("tests.")}
+    assert bad == {}
+
+
+def test_import_loads_no_oracle():
+    code = (
+        "import sys, repro; print(sorted(m for m in sys.modules "
+        "if m.endswith(('_reference', 'bruteforce'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,8 @@ from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.core import Platform
 from repro.models import random_chain
 
+from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
+
 MB = float(2**20)
 COARSE = Discretization.coarse()
 
@@ -86,6 +88,20 @@ class TestMadPipeDP:
         )
         assert capped.feasible
         assert capped.dp_period <= free.dp_period * 1.5 + 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the p == 0 base case (_LevelDP._base_p0, and the reference's "
+        "p == 0 branch) ignores period_cap: the last special stage takes every "
+        "remaining layer whatever its load",
+    )
+    @pytest.mark.parametrize("dp", [madpipe_dp, madpipe_dp_reference],
+                             ids=["fast", "reference"])
+    def test_period_cap_bounds_the_answer(self, dp, cnnlike16, roomy4):
+        u = cnnlike16.total_compute()
+        period_cap = u / 8 * (1 + 1e-9)
+        res = dp(cnnlike16, roomy4, u / 4, grid=COARSE, period_cap=period_cap)
+        assert not res.feasible or res.dp_period < period_cap
 
 
 class TestAlgorithm1:

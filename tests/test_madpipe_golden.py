@@ -50,7 +50,6 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.algorithms.bruteforce import best_contiguous
 from repro.algorithms.madpipe import madpipe
 from repro.algorithms.madpipe_dp import Discretization, DPAllocation
 from repro.cli import main as cli_main
@@ -61,6 +60,8 @@ from repro.experiments.scenarios import paper_chain
 from repro.models.synthetic import random_chain
 from repro.profiling import save_chain
 from repro.testing import Fault, faults
+
+from tests.oracles.bruteforce import best_contiguous
 
 # the module, not the function ``repro.algorithms`` re-exports by that name
 madpipe_mod = importlib.import_module("repro.algorithms.madpipe")

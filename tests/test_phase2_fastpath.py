@@ -13,7 +13,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.algorithms.bruteforce import best_contiguous, best_special
 from repro.algorithms.onef1b import (
     CANDIDATE_ATOL,
     GROUP_FIT_RTOL,
@@ -22,19 +21,17 @@ from repro.algorithms.onef1b import (
     extended_items,
     min_feasible_period,
 )
-from repro.algorithms.onef1b_reference import (
+from repro.core import Allocation, Partitioning, Platform
+from repro.core.memory import stage_memory
+from repro.ilp import build_milp, build_skeleton, schedule_allocation
+from repro.models import random_chain, uniform_chain
+
+from tests.oracles.bruteforce import best_contiguous, best_special
+from tests.oracles.onef1b_reference import (
     assign_groups_reference,
     min_feasible_period_reference,
 )
-from repro.core import Allocation, Partitioning, Platform
-from repro.core.memory import stage_memory
-from repro.ilp import (
-    build_milp,
-    build_skeleton,
-    schedule_allocation,
-    schedule_allocation_reference,
-)
-from repro.models import random_chain, uniform_chain
+from tests.oracles.solver_reference import schedule_allocation_reference
 
 MB = float(2**20)
 
