@@ -5,14 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-GRID_PATH = REPO_ROOT / "results" / "paper_grid.json"
-
-REDUCED = dict(
-    networks=("resnet50",),
-    procs=(2, 4, 8),
-    memories_gb=(4.0, 8.0, 12.0, 16.0),
-    bandwidths_gbps=(12.0,),
-)
 
 
 def write_figure(name: str, text: str) -> None:

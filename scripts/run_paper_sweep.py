@@ -1,23 +1,27 @@
 #!/usr/bin/env python
-"""Run the full paper evaluation grid (§5) and cache results to JSON.
+"""Run the paper's evaluation grid (§5) and render Figs. 6-8 from it.
 
-Produces ``results/paper_grid.json`` with every (network, P, M, β,
-algorithm) instance needed by Figs. 6, 7 and 8.  Instances already in the
-cache are skipped, so a killed sweep resumes from where it stopped;
-``--resume`` additionally re-runs cached instances that previously ended
-in ``solver_timeout``/``error``.  Crashed or deadline-blowing instances
-are retried ``--max-retries`` times with exponential backoff before the
-sweep records a typed error result and moves on.
+The one producer of ``results/paper_grid.jsonl``: every (network, P, M,
+β, algorithm) instance Figs. 6, 7 and 8 need, planned in one
+:func:`repro.api.sweep` call, then ``fig6.txt``, ``fig7.txt`` and
+``fig8.txt`` rendered from the sweep's results next to ``--out``.
+Instances already in the cache are replayed, not solved: on the
+committed cache the script solves nothing and re-renders the figures
+byte for byte, and a killed sweep resumes from where it stopped.
+``--resume`` additionally re-runs cached instances that previously
+ended in ``solver_timeout``/``error``.  Crashed or deadline-blowing
+instances are retried ``--max-retries`` times with exponential backoff
+before the sweep records a typed error result and moves on.
 
 All runtime flags are the canonical sweep options shared with
 ``repro sweep`` (defined once in :func:`repro.cli.sweep_options` and
-turned into ``run_grid`` arguments by :func:`repro.cli.sweep_kwargs`);
+turned into ``api.sweep`` arguments by :func:`repro.cli.sweep_kwargs`);
 this script only adds ``--fast`` and fixes the grid axes to the paper's.
 
 Usage::
 
-    python scripts/run_paper_sweep.py [--fast] [--resume] [--workers N]
-        [--max-retries N] [--instance-timeout S] [--trace PATH]
+    python scripts/run_paper_sweep.py [--fast --out PATH] [--resume]
+        [--workers N] [--max-retries N] [--instance-timeout S] [--trace PATH]
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from repro import obs
+from repro import api
 from repro.cli import sweep_kwargs, sweep_options
 from repro.experiments import (
     FIG8_PROCS,
@@ -34,8 +39,31 @@ from repro.experiments import (
     PAPER_MEMORIES_GB,
     PAPER_NETWORKS,
     PAPER_PROCS,
-    run_grid,
+    fig6_data,
+    fig7_data,
+    fig8_data,
+    render_fig6,
+    render_fig7,
+    render_fig8,
 )
+
+DEFAULT_OUT = "results/paper_grid.jsonl"
+
+
+def paper_specs() -> list[api.SweepSpec]:
+    """Figs. 6 & 7's full (network, P, M, β) grid, then Fig. 8's
+    intermediate processor counts at β = 12."""
+    return [
+        api.SweepSpec(
+            PAPER_NETWORKS, PAPER_PROCS, PAPER_MEMORIES_GB, PAPER_BANDWIDTHS_GBPS
+        ),
+        api.SweepSpec(
+            PAPER_NETWORKS,
+            [p for p in FIG8_PROCS if p not in PAPER_PROCS],
+            (4, 8, 12, 16),
+            12,
+        ),
+    ]
 
 
 def main() -> int:
@@ -43,48 +71,37 @@ def main() -> int:
         description=__doc__, parents=[sweep_options()]
     )
     parser.add_argument(
-        "--fast", action="store_true", help="reduced grid for quick checks"
+        "--fast", action="store_true",
+        help="reduced grid for quick checks (needs its own --out)",
     )
     parser.add_argument(
-        "--out", default="results/paper_grid.json", help="cache file path"
+        "--out", default=DEFAULT_OUT,
+        help="cache file path; fig6/7/8.txt are written next to it",
     )
     # paper defaults: keep going on exhausted instances, record them typed
     parser.set_defaults(on_error="record")
     args = parser.parse_args()
+    if args.fast and args.out == DEFAULT_OUT:
+        parser.error("--fast needs its own --out: the figures are written next to it")
 
-    kwargs = sweep_kwargs(args)
-    cache = kwargs["cache"]
-    registry = obs.MetricsRegistry()
-
+    specs = (
+        api.SweepSpec("resnet50", (2, 4), (4, 8, 16), 12) if args.fast
+        else paper_specs()
+    )
     t0 = time.time()
-    with obs.use_metrics(registry):
-        if args.fast:
-            run_grid(("resnet50",), (2, 4), (4.0, 8.0, 16.0), (12.0,), **kwargs)
-        else:
-            # Figs. 6 & 7: full (network, P, M, beta) grid
-            run_grid(
-                PAPER_NETWORKS,
-                PAPER_PROCS,
-                tuple(float(m) for m in PAPER_MEMORIES_GB),
-                tuple(float(b) for b in PAPER_BANDWIDTHS_GBPS),
-                **kwargs,
-            )
-            # Fig. 8: intermediate processor counts at beta = 12
-            extra_procs = tuple(p for p in FIG8_PROCS if p not in PAPER_PROCS)
-            run_grid(
-                PAPER_NETWORKS,
-                extra_procs,
-                (4.0, 8.0, 12.0, 16.0),
-                (12.0,),
-                **kwargs,
-            )
-    print(f"sweep done in {time.time() - t0:.0f}s, {len(cache)} cached instances")
-    if not args.quiet and len(registry):
-        counters = registry.counters()
-        print(
-            "counters: "
-            + " ".join(f"{k}={v}" for k, v in sorted(counters.items())[:8])
-        )
+    result = api.sweep(specs, **sweep_kwargs(args))
+    print(f"sweep done in {time.time() - t0:.0f}s, {len(result)} instances")
+    print(result.render_summary())
+    print("counters: " + " ".join(f"{k}={v}" for k, v in sorted(result.metrics.items())))
+
+    out_dir = Path(args.out).parent
+    for name, text in (
+        ("fig6.txt", render_fig6(fig6_data(result.results, "resnet50"))),
+        ("fig7.txt", render_fig7(fig7_data(result.results))),
+        ("fig8.txt", render_fig8(fig8_data(result.results))),
+    ):
+        (out_dir / name).write_text(text)
+    print(f"figures: {', '.join(str(out_dir / n) for n in ('fig6.txt', 'fig7.txt', 'fig8.txt'))}")
     if args.trace:
         print(f"trace: {args.trace} (see 'repro trace summary {args.trace}')")
     return 0

@@ -128,9 +128,9 @@ class MadPipeResult:
     returned).
 
     ``certificate`` is the discrete-event certificate of the *returned*
-    pattern (``None`` only with ``certify=False``); when a quarantine
-    happened, ``certificate.quarantined`` carries the rejected
-    pattern's violation report.
+    pattern (every run is certified); when a quarantine happened,
+    ``certificate.quarantined`` carries the rejected pattern's violation
+    report.
     """
 
     phase1: Algorithm1Result
@@ -169,7 +169,6 @@ def madpipe(
     ilp_time_limit: float = 60.0,
     allow_special: bool = True,
     memory_headroom: float = 0.0,
-    certify: bool = True,
     schedule_family: str = "1f1b",
 ) -> MadPipeResult:
     """Run the complete MadPipe pipeline on one (chain, platform) instance.
@@ -179,8 +178,8 @@ def madpipe(
     (DP, contiguous searches, MILP) fits its schedule into
     ``memory · (1 − headroom)`` per GPU, while the certification gate
     and its fallbacks' certificates measure the full ``platform``.
-    ``certify=True`` (the default) runs the returned pattern through the
-    discrete-event certification gate: a pattern that fails is
+    Every returned pattern goes through the discrete-event
+    certification gate: a pattern that fails is
     quarantined — with its violation report on
     ``result.certificate.quarantined`` — and replaced by a certified
     contiguous fallback, never silently returned.
@@ -321,53 +320,52 @@ def madpipe(
         else:
             result.status = "ok"
 
-        if certify:
-            result.certificate = cert = certify_pattern(
-                chain, platform, result.pattern, source=f"madpipe:{chain.name}"
+        result.certificate = cert = certify_pattern(
+            chain, platform, result.pattern, source=f"madpipe:{chain.name}"
+        )
+        if not cert.ok:
+            obs.inc("certify.quarantined")
+            result.notes.append(
+                "certification failed for the chosen pattern; quarantined "
+                f"({cert.violations[0] if cert.violations else 'no violation detail'})"
             )
-            if not cert.ok:
-                obs.inc("certify.quarantined")
-                result.notes.append(
-                    "certification failed for the chosen pattern; quarantined "
-                    f"({cert.violations[0] if cert.violations else 'no violation detail'})"
+            # the list's tail, in order: the quarantined allocation's
+            # contiguous restriction, then the contiguous candidate,
+            # whose schedule is already at hand
+            tail = {}
+            if result.n_stages <= platform.n_procs:
+                tail[Allocation.contiguous(result.allocation.partitioning)] = None
+            if contig_cand is not None:
+                tail[contig_cand[0]] = contig_cand
+            for fallback, candidate in tail.items():
+                if candidate is None:
+                    candidate = contiguous(fallback, "onef1b_quarantine_fallback")
+                if candidate is None:
+                    continue
+                fb_cert = certify_pattern(
+                    chain, platform, candidate[1],
+                    source=f"madpipe.fallback:{chain.name}",
                 )
-                # the list's tail, in order: the quarantined allocation's
-                # contiguous restriction, then the contiguous candidate,
-                # whose schedule is already at hand
-                tail = {}
-                if result.n_stages <= platform.n_procs:
-                    tail[Allocation.contiguous(result.allocation.partitioning)] = None
-                if contig_cand is not None:
-                    tail[contig_cand[0]] = contig_cand
-                for fallback, candidate in tail.items():
-                    if candidate is None:
-                        candidate = contiguous(fallback, "onef1b_quarantine_fallback")
-                    if candidate is None:
-                        continue
-                    fb_cert = certify_pattern(
-                        chain, platform, candidate[1],
-                        source=f"madpipe.fallback:{chain.name}",
-                    )
-                    if not fb_cert.ok:
-                        result.notes.append(
-                            f"{construction} fallback failed certification too"
-                        )
-                        continue
-                    obs.inc("certify.fallbacks")
-                    fb_cert.mode = "fallback"
-                    fb_cert.quarantined = cert
-                    result.allocation, result.pattern, result.period, _ = candidate
-                    result.status = "degraded"
-                    result.certificate = fb_cert
+                if not fb_cert.ok:
                     result.notes.append(
-                        f"replaced by the certified {construction} contiguous fallback"
+                        f"{construction} fallback failed certification too"
                     )
-                    break
-                else:  # nothing certifiable: withhold the quarantined pattern
-                    result.allocation = None
-                    result.pattern = None
-                    result.period = INF
-                    result.status = "error"
+                    continue
+                obs.inc("certify.fallbacks")
+                fb_cert.mode = "fallback"
+                fb_cert.quarantined = cert
+                result.allocation, result.pattern, result.period, _ = candidate
+                result.status = "degraded"
+                result.certificate = fb_cert
+                result.notes.append(
+                    f"replaced by the certified {construction} contiguous fallback"
+                )
+                break
+            else:  # nothing certifiable: withhold the quarantined pattern
+                result.allocation = None
+                result.pattern = None
+                result.period = INF
+                result.status = "error"
 
         run_span.set(
             status=result.status,

@@ -46,7 +46,7 @@ class PipeDreamResult:
     ``status`` is ``ok``, ``infeasible`` (no partitioning, or no valid
     schedule for it) or ``error`` (the pattern failed certification and
     is withheld: PipeDream has no fallback), with the reason in
-    ``notes``; ``certificate`` is ``None`` only with ``certify=False``.
+    ``notes``; ``certificate`` is always set (every run is certified).
     """
 
     partitioning: Partitioning | None
@@ -134,13 +134,12 @@ def pipedream(
     platform: Platform,
     *,
     schedule_family: str = "1f1b",
-    certify: bool = True,
 ) -> PipeDreamResult:
     """Full baseline: PipeDream DP, then the family's contiguous
     construction (1F1B\\* by default) for a valid schedule.
 
-    ``certify=True`` (the default) runs the pattern through the
-    discrete-event certification gate; a failing pattern is withheld
+    The pattern always goes through the discrete-event certification
+    gate; a failing pattern is withheld
     (status ``error``, counted as ``certify.quarantined``).
     """
     search = contiguous_search(schedule_family)
@@ -154,15 +153,14 @@ def pipedream(
             result.notes.append(f"no valid {schedule_family} schedule for the partitioning")
     if result.schedule is None:
         result.status = "infeasible"
-    if certify:
-        result.certificate = certify_pattern(
-            chain, platform, result.pattern, source=f"pipedream:{chain.name}"
+    result.certificate = certify_pattern(
+        chain, platform, result.pattern, source=f"pipedream:{chain.name}"
+    )
+    if not result.certificate.ok:
+        obs.inc("certify.quarantined")
+        result.schedule = None
+        result.status = "error"
+        result.notes.append(
+            "certification failed: " + "; ".join(result.certificate.violations)
         )
-        if not result.certificate.ok:
-            obs.inc("certify.quarantined")
-            result.schedule = None
-            result.status = "error"
-            result.notes.append(
-                "certification failed: " + "; ".join(result.certificate.violations)
-            )
     return result

@@ -119,15 +119,15 @@ __all__ = [
 
 #: The keyword options :func:`plan` takes for each algorithm (besides
 #: ``algorithm`` and ``trace``), read once from the algorithm's
-#: signature.  ``certify`` and ``schedule_family`` are always accepted:
-#: for GPipe the facade implements both (only the ``"1f1b"`` family).
+#: signature.  ``schedule_family`` is always accepted: for GPipe the
+#: facade implements it (only the ``"1f1b"`` family).
 #: The sweep, the CLI and the plan service all check options against
 #: this one table (:func:`plan_options`).
 PLAN_OPTIONS: dict[str, frozenset[str]] = {
     name: frozenset(
         p.name for p in inspect.signature(fn).parameters.values()
         if p.kind is inspect.Parameter.KEYWORD_ONLY
-    ) | {"certify", "schedule_family"}
+    ) | {"schedule_family"}
     for name, fn in (("madpipe", madpipe), ("pipedream", pipedream), ("gpipe", gpipe))
 }
 
@@ -156,10 +156,11 @@ class PlanResult:
     snapshot; ``trace`` is populated when tracing was requested.
 
     ``certificate`` is the discrete-event certificate of the returned
-    schedule (``None`` only when planning ran with ``certify=False``).
-    Pattern-producing algorithms get a ``verified`` (or, after a
-    quarantine, ``fallback``) certificate; GPipe's fill-drain rounds
-    have no periodic pattern and get a ``skipped`` one.
+    schedule: every plan is certified (``None`` only on a record read
+    back without one).  Pattern-producing algorithms get a ``verified``
+    (or, after a quarantine, ``fallback``) certificate; GPipe's
+    fill-drain rounds have no periodic pattern and get a ``skipped``
+    one.
     """
 
     algorithm: str
@@ -273,8 +274,7 @@ def plan(
     keyword arguments go to the algorithm verbatim (``iterations``,
     ``grid``, ``ilp_time_limit``, ``allow_special``, ``memory_headroom``
     for MadPipe; ``micro_batches`` for GPipe), so results match the
-    direct calls bit for bit.  ``certify=False`` skips the certification
-    gate for any algorithm (the result's ``certificate`` stays ``None``).  An unknown
+    direct calls bit for bit.  Every plan is certified.  An unknown
     algorithm or schedule family raises ``ValueError`` and an option the
     algorithm does not take raises ``TypeError`` (see :func:`plan_options`).
     """
@@ -363,21 +363,16 @@ def _dispatch(
             certificate=res.certificate,
             schedule_family=family,
         )
-    do_certify = opts.pop("certify", True)
     res = gpipe(chain, platform, **opts)
-    out = PlanResult(
+    return PlanResult(
         algorithm=algorithm,
         period=res.period,
         dp_period=res.period,  # GPipe has no separate optimizer estimate
         pattern=None,  # fill-drain rounds, not a periodic pattern
         status="ok" if res.feasible else "infeasible",
         raw=res,
+        certificate=Certificate(ok=True, mode="skipped", source=f"gpipe:{chain.name}"),
     )
-    if do_certify:
-        out.certificate = Certificate(
-            ok=True, mode="skipped", source=f"gpipe:{chain.name}"
-        )
-    return out
 
 
 def certify(

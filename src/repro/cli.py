@@ -461,7 +461,7 @@ def sweep_options() -> argparse.ArgumentParser:
 
 
 def sweep_kwargs(args: argparse.Namespace) -> dict:
-    """The :func:`repro.experiments.run_grid` keyword arguments of the
+    """The :func:`repro.api.sweep` keyword arguments of the
     :func:`sweep_options` flags, including the result cache opened at
     ``args.out`` (its parent directory is created)."""
     from .experiments import ResultCache
@@ -483,41 +483,32 @@ def sweep_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments import run_grid
+    from .api import SweepSpec, sweep
 
-    kwargs = sweep_kwargs(args)
+    try:
+        kwargs = sweep_kwargs(args)
+    except ValueError as exc:  # a JSON-array --out: refused, left untouched
+        print(f"error: {exc}")
+        return 2
     cache = kwargs["cache"]
     if cache.quarantined:
         print(
             f"warning: quarantined {len(cache.quarantined)} corrupt cache "
             f"line(s); kept {len(cache)} valid record(s)"
         )
-    registry = obs.MetricsRegistry()
+    spec = SweepSpec(
+        args.networks, args.procs, args.memories, args.bandwidths, args.algorithms
+    )
     try:
-        with obs.use_metrics(registry):
-            results = run_grid(
-                tuple(args.networks),
-                tuple(args.procs),
-                tuple(args.memories),
-                tuple(args.bandwidths),
-                algorithms=tuple(args.algorithms),
-                **kwargs,
-            )
+        result = sweep(spec, **kwargs)
     except KeyboardInterrupt:
         print(f"\ninterrupted; {len(cache)} instance(s) cached in {args.out}")
         print("re-run with --resume to continue")
         return 130
-    from .api import SweepResult
-
-    n_bad = sum(1 for r in results if r is not None and r.status != "ok")
-    print(f"sweep done: {len(results)} instance(s), {n_bad} not ok, cache {args.out}")
-    summary = SweepResult(
-        results=[r for r in results if r is not None],
-        specs=[],
-        metrics=registry.snapshot(),
-    )
+    n_bad = sum(1 for r in result.results if r.status != "ok")
+    print(f"sweep done: {len(result)} instance(s), {n_bad} not ok, cache {args.out}")
     if not args.quiet:
-        print(summary.render_summary())
+        print(result.render_summary())
     if args.trace:
         print(f"trace: {args.trace} (see 'repro trace summary {args.trace}')")
     return 0
@@ -719,7 +710,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
     from .experiments import ResultCache, verify_cache
 
-    report = verify_cache(args.cache)
+    try:
+        report = verify_cache(args.cache)
+    except ValueError as exc:  # a JSON array: refused, left untouched
+        print(f"error: {exc}")
+        return 2
     print(f"{report['path']}: format={report['format']} records={report['records']}")
     if report["statuses"]:
         hist = ", ".join(f"{k}={v}" for k, v in sorted(report["statuses"].items()))
@@ -983,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = cache_sub.add_parser(
         "verify", help="audit a cache file; exit 1 if it is not clean"
     )
-    pv.add_argument("cache", help="cache file path (JSONL or legacy JSON array)")
+    pv.add_argument("cache", help="cache file path (JSONL)")
     pv.add_argument(
         "--fix",
         action="store_true",

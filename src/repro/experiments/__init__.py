@@ -19,7 +19,6 @@ from .harness import (
     load_results,
     run_grid,
     run_instance,
-    save_results,
     verify_cache,
 )
 from .scenarios import (
@@ -49,7 +48,6 @@ __all__ = [
     "load_results",
     "run_grid",
     "run_instance",
-    "save_results",
     "verify_cache",
     "FIG8_PROCS",
     "PAPER_BANDWIDTHS_GBPS",

@@ -48,10 +48,9 @@ Sweeps are built to *survive*:
   service shares;
 * :class:`ResultCache` persists results to an *append-only* JSON-Lines
   file through :class:`repro.jsonl.JsonlCache` (fsync'd batched
-  appends, quarantine of corrupt lines into a ``.quarantine`` sidecar);
-  legacy JSON-array caches are migrated atomically (temp file +
-  rename), and :func:`verify_cache` audits a cache file without
-  touching it.
+  appends, quarantine of corrupt lines into a ``.quarantine`` sidecar),
+  and :func:`verify_cache` audits a cache file without touching it.
+  A JSON-array file (the format before 3.0.0) is refused, untouched.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from pathlib import Path
 from .. import obs
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
-from ..jsonl import JsonlCache, parse_lines, strict_loads
+from ..jsonl import JsonlCache, parse_lines
 from ..runtime import InstanceTimeoutError, backoff_delay, run_attempt
 from ..testing import faults
 from .scenarios import paper_chain
@@ -82,7 +81,6 @@ __all__ = [
     "InstanceTimeoutError",
     "run_instance",
     "run_grid",
-    "save_results",
     "load_results",
     "JsonlCache",
     "ResultCache",
@@ -539,39 +537,32 @@ def _to_jsonable(r: RunResult) -> dict:
     return d
 
 
-def save_results(results: list[RunResult], path: str | Path) -> None:
-    """Persist results as a JSON array (``inf`` encoded as ``null``).
-
-    This is the legacy bulk format; :class:`ResultCache` writes JSONL.
-    """
-    payload = [_to_jsonable(r) for r in results]
-    Path(path).write_text(json.dumps(payload, indent=1))
+def _read_jsonl(path: Path) -> str:
+    """The text of a result file; a JSON array (first byte ``[``, the
+    format before 3.0.0) raises ``ValueError`` before anything parses
+    or rewrites it, since line-by-line loading would quarantine every
+    line and the next flush would overwrite the file."""
+    text = path.read_text()
+    if text.lstrip().startswith("["):
+        raise ValueError(
+            f"{path} is a JSON array; result files are JSONL since 3.0.0. "
+            "Convert it with: python -c \"import json, sys; "
+            "[print(json.dumps(r)) for r in json.load(open(sys.argv[1]))]\" "
+            "OLD.json > NEW.jsonl"
+        )
+    return text
 
 
 def load_results(path: str | Path) -> list[RunResult]:
-    """Load results written by :func:`save_results` *or* by the JSONL
-    :class:`ResultCache` — the format is sniffed from the first byte.
+    """Load the records of a JSONL :class:`ResultCache` file.
 
     Strict: a corrupt line, a NaN/Infinity constant or a malformed
     record raises ``ValueError`` naming the offending line, instead of
-    propagating garbage into the figure generators.  Use
-    :class:`ResultCache` (which quarantines and recovers) or
+    propagating garbage into the figure generators, and so does a JSON
+    array.  Use :class:`ResultCache` (which quarantines and recovers) or
     :func:`verify_cache` for damaged files.
     """
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if not stripped:
-        return []
-    if stripped[0] == "[":
-        payload = strict_loads(text)
-        out = []
-        for i, d in enumerate(payload):
-            try:
-                out.append(_record_from_dict(d))
-            except ValueError as exc:
-                raise ValueError(f"{path}: record {i}: {exc}") from exc
-        return out
-    records, bad = parse_lines(text, _record_from_dict)
+    records, bad = parse_lines(_read_jsonl(Path(path)), _record_from_dict)
     if bad:
         lineno, why, _ = bad[0]
         raise ValueError(f"{path}:{lineno}: corrupt cache line: {why}")
@@ -586,10 +577,12 @@ class ResultCache(JsonlCache):
 
     The :class:`JsonlCache` hardening applies: fsync'd batched appends,
     quarantine + recovery of corrupt lines, atomic dedup rewrites.  A
-    cache file in the legacy :func:`save_results` JSON-array format is
-    migrated to JSONL atomically (temp file + rename) on the first
-    flush.
+    JSON-array file raises ``ValueError`` on open and stays untouched.
     """
+
+    def _load(self) -> None:
+        _read_jsonl(self.path)  # refuse a JSON array before quarantining it
+        super()._load()
 
     def _encode(self, record: RunResult) -> dict:
         return _to_jsonable(record)
@@ -600,20 +593,16 @@ class ResultCache(JsonlCache):
     def _key(self, record: RunResult) -> tuple:
         return record.key
 
-    def _load_legacy(self, text: str) -> bool:
-        for r in load_results(self.path):
-            self._data[r.key] = r
-        return True
-
 
 def verify_cache(path: str | Path) -> dict:
     """Audit a cache file without modifying it.
 
-    Returns a report dict: ``format`` (``jsonl`` / ``legacy`` /
-    ``empty`` / ``missing``), ``records`` (valid), ``corrupt`` (list of
+    Returns a report dict: ``format`` (``jsonl`` / ``empty`` /
+    ``missing``), ``records`` (valid), ``corrupt`` (list of
     ``(lineno, reason)``), ``duplicate_keys``, ``statuses`` (histogram)
     and ``clean`` (no corruption, no duplicates, proper trailing
-    newline).  Surfaced as ``repro cache verify``.
+    newline).  A JSON array raises ``ValueError``.  Surfaced as ``repro
+    cache verify``.
     """
     path = Path(path)
     report: dict = {
@@ -627,25 +616,16 @@ def verify_cache(path: str | Path) -> dict:
     }
     if not path.exists():
         return report
-    text = path.read_text()
-    stripped = text.lstrip()
-    if not stripped:
+    text = _read_jsonl(path)
+    if not text.strip():
         report["format"] = "empty"
         report["clean"] = True
         return report
-    if stripped[0] == "[":
-        report["format"] = "legacy"
-        try:
-            records = load_results(path)
-        except ValueError as exc:
-            report["corrupt"].append((0, str(exc)))
-            records = []
-    else:
-        report["format"] = "jsonl"
-        records, bad = parse_lines(text, _record_from_dict)
-        report["corrupt"] = [(lineno, why) for lineno, why, _ in bad]
-        if not text.endswith("\n"):
-            report["corrupt"].append((text.count("\n") + 1, "missing trailing newline"))
+    report["format"] = "jsonl"
+    records, bad = parse_lines(text, _record_from_dict)
+    report["corrupt"] = [(lineno, why) for lineno, why, _ in bad]
+    if not text.endswith("\n"):
+        report["corrupt"].append((text.count("\n") + 1, "missing trailing newline"))
     keys = Counter(r.key for r in records)
     report["statuses"] = dict(Counter(r.status for r in records))
     report["records"] = len(records)

@@ -83,8 +83,8 @@ class JsonlCache:
     and the valid remainder is kept; the first subsequent flush rewrites
     the file clean.  Duplicate keys resolve last-write-wins.  Concurrent
     processes may append to the same cache (each flush is one
-    ``O_APPEND`` write); only migration/repair rewrites, which assumes a
-    single writer.
+    ``O_APPEND`` write); only repair rewrites, which assumes a single
+    writer.
     """
 
     def __init__(self, path: str | Path, *, flush_every: int = 1):
@@ -94,7 +94,6 @@ class JsonlCache:
         self.flush_every = flush_every
         self._data: dict = {}
         self._pending: list = []
-        self._legacy = False
         self._needs_rewrite = False
         self.quarantined: list[tuple[int, str, str]] = []  # (lineno, reason, line)
         if self.path.exists():
@@ -114,21 +113,9 @@ class JsonlCache:
         """Hashable cache key of one record."""
         raise NotImplementedError
 
-    def _load_legacy(self, text: str) -> bool:
-        """Hook for pre-JSONL formats (first byte ``[``).  Return ``True``
-        after populating ``_data`` to mark the file for atomic migration
-        on the next flush; the base class knows no legacy format."""
-        return False
-
     def _load(self) -> None:
         text = self.path.read_text()
-        stripped = text.lstrip()
-        if not stripped:
-            return
-        if stripped[0] == "[" and self._load_legacy(text):
-            # legacy format: all-or-nothing (the atomic migration
-            # guarantees we never see a half-written one)
-            self._legacy = True
+        if not text.strip():
             return
         records, self.quarantined = parse_lines(text, self._decode)
         for r in records:
@@ -170,17 +157,16 @@ class JsonlCache:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        self._legacy = False
         self._needs_rewrite = False
 
     def flush(self) -> None:
-        """Write buffered records out (rewriting legacy/damaged files once).
+        """Write buffered records out (rewriting a damaged file once).
 
-        Pure reads never rewrite: migration and corruption repair happen
-        only when there is something new to persist.
+        Pure reads never rewrite: corruption repair happens only when
+        there is something new to persist.
         """
         if self._pending:
-            if self._legacy or self._needs_rewrite:
+            if self._needs_rewrite:
                 self._rewrite_atomic()
             else:
                 payload = "".join(

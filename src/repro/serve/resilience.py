@@ -381,9 +381,9 @@ class CircuitBreaker:
 
 
 #: The only ``plan()`` options a degraded solve keeps.  Everything else
-#: (``ilp_time_limit``, ``certify=False``, algorithm-specific knobs of a
-#: non-MadPipe request) either does not apply to the contiguous fallback
-#: or would weaken its guarantees.
+#: (``ilp_time_limit``, algorithm-specific knobs of a non-MadPipe
+#: request) either does not apply to the contiguous fallback or would
+#: weaken its guarantees.
 _DEGRADED_KEPT = ("iterations", "grid", "memory_headroom", "schedule_family")
 
 

@@ -1,10 +1,12 @@
-"""ResultCache integrity: corruption recovery, migration, concurrency."""
+"""ResultCache integrity: corruption recovery, format refusal, concurrency."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.experiments import (
     ResultCache,
     RunResult,
     load_results,
-    save_results,
     verify_cache,
 )
 from repro.experiments.harness import _to_jsonable
@@ -93,6 +94,20 @@ class TestTruncation:
         cache.flush()
         assert verify_cache(path)["clean"]
 
+    def test_interrupted_rewrite_leaves_original_valid(self, tmp_path):
+        # a stale temp file from a killed repair rewrite must not break
+        # loads, nor the next rewrite, which reuses its name
+        path = tmp_path / "c.jsonl"
+        fill(path, 2)
+        path.write_text(path.read_text()[:-1])  # no trailing newline: next flush rewrites
+        (tmp_path / f"c.jsonl.tmp{os.getpid()}").write_text('{"half": ')
+        cache = ResultCache(path)
+        assert len(cache) == 2
+        cache.put(mk(2))
+        cache.flush()
+        assert len(ResultCache(path)) == 3 and verify_cache(path)["clean"]
+        assert not list(tmp_path.glob("*.tmp*"))
+
     def test_missing_trailing_newline_never_concatenates(self, tmp_path):
         path = tmp_path / "c.jsonl"
         fill(path, 2)
@@ -141,33 +156,33 @@ class TestQuarantineSidecar:
         assert sum(t.count("# line") for t in before.values()) == first.n_quarantined
 
 
-class TestMigration:
-    def test_legacy_array_migrates_atomically(self, tmp_path):
+class TestJsonArray:
+    def test_json_array_refused_untouched(self, tmp_path, capsys):
+        # the format before 3.0.0: loading it line by line would
+        # quarantine every line and the next flush would overwrite it
         path = tmp_path / "c.json"
-        save_results([mk(0), mk(1)], path)
-        cache = ResultCache(path)
-        assert len(cache) == 2
-        assert path.read_text().lstrip().startswith("[")  # pure read: untouched
+        path.write_text(json.dumps([_to_jsonable(mk(0)), _to_jsonable(mk(1))], indent=1))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="JSON array"):
+            ResultCache(path)
+        with pytest.raises(ValueError, match="JSON array") as refused:
+            load_results(path)
+        assert cli_main(["cache", "verify", str(path), "--fix"]) == 2
+        assert cli_main(["sweep", "--networks", "toy6", "--procs", "2",
+                         "--memories", "1", "--bandwidths", "12", "--out", str(path)]) == 2
+        assert capsys.readouterr().out.count("JSON array") == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # no sidecar, no temp
 
-        cache.put(mk(2))
-        cache.flush()
-        text = path.read_text()
-        assert not text.lstrip().startswith("[")  # migrated to JSONL
-        assert verify_cache(path)["format"] == "jsonl"
-        assert len(ResultCache(path)) == 3
-        # no stale temp file left behind
-        assert not list(tmp_path.glob("*.tmp*"))
-
-    def test_interrupted_migration_leaves_original_valid(self, tmp_path):
-        # a stale temp file from a killed migration must not break loads
-        path = tmp_path / "c.json"
-        save_results([mk(0)], path)
-        (tmp_path / f"c.json.tmp{os.getpid()}").write_text('{"half": ')
-        cache = ResultCache(path)
-        assert len(cache) == 1
-        cache.put(mk(1))
-        cache.flush()
-        assert len(ResultCache(path)) == 2
+        # the conversion the error names yields the same records as JSONL
+        code = str(refused.value).split('python -c "', 1)[1].split('"', 1)[0]
+        converted = tmp_path / "c.jsonl"
+        converted.write_text(subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True, text=True, check=True,
+        ).stdout)
+        assert load_results(converted) == [mk(0), mk(1)]
+        assert verify_cache(converted)["clean"]
 
 
 class TestDuplicates:

@@ -67,15 +67,11 @@ class TestPlanCertificate:
         assert result.certificate is not None and result.certificate.ok
         assert result.certificate.mode == "skipped"
 
-    def test_certify_false_skips_gate(self, chain, plat):
-        result = plan(chain, plat, algorithm="madpipe", iterations=6, certify=False)
-        assert result.certificate is None
-        assert result.feasible
-        # the gate only checks: the certified plan has the same numerics
-        certified = plan(chain, plat, algorithm="madpipe", iterations=6)
-        assert certified.certificate is not None and certified.certificate.ok
-        assert result.period == certified.period
-        assert result.pattern.ops == certified.pattern.ops
+    def test_certify_option_rejected(self, chain, plat):
+        # every plan is certified: there is no option to skip the gate
+        for algorithm in ("madpipe", "pipedream", "gpipe"):
+            with pytest.raises(TypeError, match="certify"):
+                plan(chain, plat, algorithm=algorithm, certify=False)
 
     def test_certificate_serializes_deterministically(self, chain, plat):
         result = plan(chain, plat, algorithm="madpipe", iterations=6)

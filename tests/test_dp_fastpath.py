@@ -7,7 +7,7 @@ kept-for-reference recursive implementation
 (:func:`tests.oracles.madpipe_dp_reference.madpipe_dp_reference`),
 across randomized chains, platforms, targets and grids.  Likewise the
 parallel experiment harness must reproduce the serial results, and the
-JSONL result cache must round-trip and migrate the legacy format.
+JSONL result cache must round-trip.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.core import Platform
-from repro.experiments import ResultCache, load_results, run_grid, save_results
+from repro.experiments import ResultCache, run_grid
 from repro.models import random_chain, uniform_chain
 
 from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
@@ -329,22 +329,6 @@ class TestJSONLCache:
         cache.flush()
         assert len(path.read_text().splitlines()) == 4
 
-    def test_legacy_migration(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        old = [mk("net", 2, float(i), 12.0, "madpipe", 0.5, INF) for i in range(3)]
-        save_results(old, path)
-        assert path.read_text().lstrip().startswith("[")
-        cache = ResultCache(path)
-        assert len(cache) == 3
-        assert cache.get(old[0].key).valid_period == INF
-        cache.put(mk("net", 4, 1.0, 12.0, "madpipe", 0.4, 0.5))
-        assert not path.read_text().lstrip().startswith("[")
-        assert len(load_results(path)) == 4
-        # read-only opens never rewrite the legacy file
-        save_results(old, path)
-        ResultCache(path).flush()
-        assert path.read_text().lstrip().startswith("[")
-
     def test_duplicate_keys_keep_latest(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path)
@@ -353,10 +337,3 @@ class TestJSONLCache:
         reopened = ResultCache(path)
         assert len(reopened) == 1
         assert reopened.get(("net", 2, 4.0, 12.0, "madpipe")).valid_period == 0.45
-
-    def test_load_results_sniffs_both_formats(self, tmp_path):
-        rows = [mk("n", 2, 1.0, 12.0, "madpipe", 0.5, 0.6)]
-        legacy, jsonl = tmp_path / "a.json", tmp_path / "b.jsonl"
-        save_results(rows, legacy)
-        ResultCache(jsonl).put(rows[0])
-        assert load_results(legacy)[0].key == load_results(jsonl)[0].key

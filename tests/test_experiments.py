@@ -22,7 +22,6 @@ from repro.experiments import (
     render_fig8,
     run_grid,
     run_instance,
-    save_results,
 )
 
 INF = float("inf")
@@ -116,15 +115,15 @@ class TestHarness:
         with pytest.raises(TypeError, match="sweep takes no solver option"):
             run_grid(("toy6",), (2,), (8.0,), (12.0,), **opts)
 
-    def test_save_load_roundtrip(self, tmp_path, toy_results):
-        path = tmp_path / "r.json"
-        save_results(toy_results, path)
-        loaded = load_results(path)
-        assert len(loaded) == len(toy_results)
-        assert {r.key for r in loaded} == {r.key for r in toy_results}
-        inf_points = [r for r in loaded if not r.feasible]
-        assert len(inf_points) == 1
-        assert inf_points[0].valid_period == INF
+    def test_jsonl_roundtrip(self, tmp_path, toy_results):
+        path = tmp_path / "r.jsonl"
+        with ResultCache(path) as cache:
+            for r in toy_results:
+                cache.put(r)
+        assert load_results(path) == toy_results  # inf periods survive as null
+        reopened = ResultCache(path)
+        assert [reopened.get(r.key) for r in toy_results] == toy_results
+        assert [r.valid_period for r in toy_results if not r.feasible] == [INF]
 
     def test_result_cache(self, tmp_path, toy_results):
         path = tmp_path / "cache.json"

@@ -599,8 +599,7 @@ def test_dp_pick_wins_ties(allow_special, monkeypatch):
     monkeypatch.setattr(madpipe_mod, "contiguous_search", flat_search)
     registry = obs.MetricsRegistry()
     with obs.use_metrics(registry):
-        res = madpipe(chain, platform, allow_special=allow_special, certify=False,
-                      **LEDGER_SOLVER)
+        res = madpipe(chain, platform, allow_special=allow_special, **LEDGER_SOLVER)
     contig = res.phase1 if not allow_special else madpipe_mod.algorithm1(
         chain, platform, allow_special=False, grid=COARSE, iterations=8
     )

@@ -1,9 +1,9 @@
 """Regression tests for the reproduced paper claims (§5.2).
 
-These run against the cached sweep ``results/paper_grid.json`` when it
-exists (produced by ``scripts/run_paper_sweep.py``) and are skipped
-otherwise — they protect the EXPERIMENTS.md conclusions against
-algorithm regressions.
+These run against the cached sweep ``results/paper_grid.jsonl`` when it
+exists (produced by ``scripts/run_paper_sweep.py``, which also renders
+``results/fig6-8.txt`` from it) and are skipped otherwise — they protect
+the EXPERIMENTS.md conclusions against algorithm regressions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments import fig6_data, fig7_data, fig8_data, load_results
 
-GRID = Path(__file__).resolve().parent.parent / "results" / "paper_grid.json"
+GRID = Path(__file__).resolve().parent.parent / "results" / "paper_grid.jsonl"
 
 pytestmark = pytest.mark.skipif(
     not GRID.exists(), reason="run scripts/run_paper_sweep.py first"
@@ -86,6 +86,14 @@ class TestFig7Claims:
         ]
         assert math.exp(sum(logs) / len(logs)) >= 1.05
 
+    def test_tight_memory_advantage_does_not_vanish(self, results):
+        """The ≤8 GB geomean stays within 5% of the >8 GB one, or above."""
+        low, high = [], []
+        for rows in fig7_data(results).values():
+            for m, ratio, _n in rows:
+                (low if m <= 8 else high).append(math.log(ratio))
+        assert math.exp(sum(low) / len(low)) >= 0.95 * math.exp(sum(high) / len(high))
+
 
 class TestFig8Claims:
     def test_scaling_at_roomy_memory(self, results):
@@ -109,6 +117,18 @@ class TestFig8Claims:
                 if shared:
                     p = shared[-1]
                     assert hi_s[p] >= lo_s[p] * 1.2
+
+    def test_most_memory_scales_at_least_as_well_as_least(self, results):
+        """At the largest P, MadPipe's speedup at the network's largest
+        memory is at least its speedup at the smallest."""
+        data = fig8_data(results)
+        for net in {k[0] for k in data}:
+            mems = sorted(m for n, m, algo in data if n == net and algo == "madpipe")
+            most = dict(data[(net, mems[-1], "madpipe")])
+            least = dict(data[(net, mems[0], "madpipe")])
+            p = max(most)
+            if p in least:
+                assert most[p] >= least[p] - 1e-9, f"{net}: P={p}"
 
     def test_madpipe_scales_at_least_as_well_as_pipedream(self, results):
         """Aggregate P=8, M≥12 comparison (the paper's scalability claim)."""

@@ -709,17 +709,16 @@ class TestDegradedOpts:
         opts = dict(
             iterations=8, grid=Discretization.coarse(), memory_headroom=0.9,
             schedule_family="zero_bubble", ilp_time_limit=60.0,
-            allow_special=True, certify=False,
+            allow_special=True,
         )
         out = degraded_opts(opts)
         assert out["iterations"] == 8
         assert out["schedule_family"] == "zero_bubble"
         assert out["allow_special"] is False
         assert "contiguous_fallback" not in out
-        # budget/certification overrides of the original request must
-        # not weaken the fallback's guarantees
+        # a budget override of the original request must not weaken
+        # the fallback's guarantees
         assert "ilp_time_limit" not in out
-        assert "certify" not in out
 
 
 # ------------------------------------------------------- chaos schedule
