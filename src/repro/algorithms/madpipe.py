@@ -16,13 +16,13 @@ Phase 2 schedules an ordered list of candidate allocations exactly:
    its contiguous restriction takes its place;
 2. with ``allow_special``, MadPipe's own contiguous candidate from
    MadPipe-DP with the special processor disabled, which collapses the
-   ``(t_P, m_P)`` state dimensions.  That search is cheap in states
-   (about 3% of bracketed phase 1's on the ledger's ResNet instances)
-   but not in time (about 40% of its wall time there).  The DP's
-   special-processor memory is a deliberate *under*-estimate (§4.2.1),
-   so the MILP sometimes needs a much larger period than phase 1
-   promised; without the special processor the DP's memory model is
-   exact.
+   ``(t_P, m_P)`` state dimensions.  That search runs the DP's dense
+   contiguous kernel: on the ledger's ResNet instances it visits about
+   3% of bracketed phase 1's states and takes about 12% of its wall
+   time.  The DP's special-processor memory is a deliberate
+   *under*-estimate (§4.2.1), so the MILP sometimes needs a much larger
+   period than phase 1 promised; without the special processor the DP's
+   memory model is exact.
 
 A contiguous DP search's candidate is ranked, not taken on trust: the
 DP rates allocations by its discretized period, which misses their

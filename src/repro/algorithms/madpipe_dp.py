@@ -29,49 +29,62 @@ Implementation
 --------------
 The DP is evaluated *iteratively* and *vectorized* — there is no Python
 recursion and no ``sys.setrecursionlimit``.  Every transition moves to a
-strictly smaller layer index ``l``, so the reachable state graph is
-stratified by ``l``.  States are packed into a single integer key
-``((((l·(P+1) + p)·n_t + it)·n_m + im)·n_v + iv`` and processed one
-*level* (all states sharing ``l``) at a time:
+strictly smaller layer index ``l``, so the state graph is stratified by
+``l`` and solved one *level* (all states sharing ``l``) at a time.  Two
+kernels do this; :func:`madpipe_dp` picks one by ``allow_special``.
+Both are bit-identical to ``madpipe_dp_reference``
+(``tests/oracles/madpipe_dp_reference.py``), ``states`` included: the
+number of grid states reachable from the root, exactly the states the
+memoized recursion evaluates.
+
+Every float quantity of a ``(state, k)`` candidate depends on one grid
+coordinate and the cut ``k`` only: ``V ⊕ U(k,l) ⊕ C``, ``g``,
+``mem(k,l,g)`` and the snapped ``iv2`` on ``iv``; ``t_P + U``, ``it2``
+and ``max(t_P + U, C)`` on ``it``; ``m_P + mem(k,l,g−1)`` and ``im2`` on
+``(im, iv)``.  Both kernels compute these once per probe as small
+*coordinate tables*, with the same operations on the same operands as a
+per-state evaluation.  ``U(k,l)`` never decreases as the cut moves left
+and ``t_P ≥ 0``, so only each level's first ``jm`` cuts, those with
+``U(k,l)`` under the period cap, can yield a candidate: the tables cover
+those columns only.  First-minimum ``argmin`` over candidates ordered
+``k = l … 1`` (normal before special) reproduces the naive scan's
+tie-breaking.  The pruning counters count one per rejected ``(state,
+k)`` candidate of a reachable state.
+
+**With the special processor** (:class:`_LevelDP`), states are packed
+into one integer key ``((((l·(P+1) + p)·n_t + it)·n_m + im)·n_v + iv``
+and only reachable ones are touched:
 
 1. a **downward reachability sweep** (``l = L … 1``) expands whole
    levels as 2-D ``(state, k)`` arrays, scattering the valid children
    into one flat bitmap over the packed key space, so each level's
-   sorted key array is a single ``flatnonzero`` (no sorting or dedup
-   passes);
+   sorted key array is a single ``flatnonzero``;
 2. an **upward value sweep** (``l = 1 … L``) re-expands each reachable
-   level, gathers child values by direct indexing into a dense value
-   table over the packed key space (level 0 is prefilled closed-form;
-   lower levels are solved first, so every lookup hits a written
-   entry), and reduces the interleaved ``(normal, special)`` candidate
-   matrix with one ``argmin`` per level.  First-minimum ``argmin``
-   over candidates ordered ``k = l … 1`` × (normal, special)
-   reproduces the naive scan's tie-breaking exactly, so results are
-   bit-identical to
-   ``madpipe_dp_reference`` (``tests/oracles/madpipe_dp_reference.py``).
+   level, gathers child values from a dense value table over the packed
+   key space (level 0 is prefilled closed-form; lower levels are solved
+   first) and reduces the interleaved ``(normal, special)`` candidate
+   matrix with one ``argmin`` per level.
 
-A level expansion does no float work per state.  Every float quantity
-of a ``(state, k)`` candidate depends on one grid coordinate and the cut
-``k`` only: ``V ⊕ U(k,l) ⊕ C``, ``g``, ``mem(k,l,g)`` and the snapped
-``iv2`` on ``iv``; ``t_P + U``, ``it2`` and ``max(t_P + U, C)`` on
-``it``; ``m_P + mem(k,l,g−1)`` and ``im2`` on ``(im, iv)``.  These are
-built once per level and probe as small *coordinate tables*
-(``n_v × jm``, ``n_t × jm``, ``n_m·n_v × jm``) — the same operations on
-the same operands as a per-state evaluation, so bit-identical — and
-both sweeps expand a level by gathering table rows and adding packed-key
-offsets.  ``U(k,l)`` never decreases as the cut moves left and
-``t_P ≥ 0``, so only the first ``jm`` cuts, those with ``U(k,l)`` under
-the period cap, can yield a candidate: tables and expansions cover
-those columns only.  The tables that depend on neither ``T̂``, the period cap nor
-the memory capacity (``V + U``, ``t_P + U`` and its snapped/packed
-``it2``, ``max(t_P + U, C)``) live in a rows cache that one
-:func:`algorithm1` search shares across its probes and a warm workspace
-shares across searches and instances.
+A level's tables (``n_v × jm``, ``n_t × jm``, ``n_m·n_v × jm``) are
+built on first use and expanded by row gathers plus packed-key offsets.
 
-Only *reachable* grid states are ever touched, exactly as in the
-memoized recursion; candidate stages whose load already exceeds a known
-upper bound (``period_cap``) are pruned in bulk.  The pruning counters
-count one per rejected ``(state, k)`` candidate.
+**Without the special processor** (:func:`_contiguous`), every state
+keeps ``it = im = 0``, so the DP lives on ``(l, p, iv)``: at most
+``(P+1)·n_v`` states per level.  The kernel builds one probe's tables
+for all levels at once, in whole-array operations over the kept cuts;
+one upward loop fills a dense ``(L+1, P+1, n_v)`` value table, one
+gather and one ``argmin``/``min`` over a ``(P, n_v, jm)`` candidate
+matrix per level; a downward pass over the reachable states then counts
+``states`` and the pruned candidates, and the traceback reads the stored
+``argmin`` decisions.  Its values are those of every grid state, which
+equal the reachable ones' exactly, since a state's value depends on the
+state alone.
+
+The tables that depend on neither ``T̂``, the period cap nor the memory
+capacity (``V + U``; ``t_P + U``, its snapped and packed ``it2`` and
+``max(t_P + U, C)``; the contiguous kernel's per-cut constants) live in
+a *workspace* dict that one :func:`algorithm1` search shares across its
+probes and a warm-start context shares across searches and instances.
 """
 
 from __future__ import annotations
@@ -187,6 +200,25 @@ class MadPipeDPResult:
         return self.allocation is not None
 
 
+def _delay_tables(That, V_grid, v_step, VU, U, dw3, da, comm, b1, b2) -> tuple:
+    """``g``, ``mem(k, l, g)`` and the snapped ``iv2`` of ``V ⊕ U(k,l) ⊕
+    C(k-1)`` over ``(iv, cut)``, shaped like ``VU``; the other operands are
+    per cut (``b2`` may be a scalar).  Both kernels build their ``iv``
+    tables here, with the reference's float operations elementwise."""
+    cVU = np.ceil(VU / That - 1e-9)
+    g = np.maximum(cVU, 1.0)
+    mem_g = dw3 + g * da
+    mem_g += b1
+    mem_g += b2
+    # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
+    cV = np.ceil(V_grid / That - 1e-9)[:, None]
+    r1 = np.where(cV == cVU, VU, That * cV + U)
+    cr1 = np.ceil(r1 / That - 1e-9)
+    V2 = np.where(cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm)
+    iv2 = np.minimum(np.ceil(V2 / v_step - 1e-9), len(V_grid) - 1).astype(np.int64)
+    return g, mem_g, iv2
+
+
 class _Rows(NamedTuple):
     """Level constants independent of ``T̂``, ``M`` and the cap (see
     :meth:`_LevelDP._static_rows`); ``(l,)`` rows over ``k = l … 1``."""
@@ -205,8 +237,7 @@ class _Rows(NamedTuple):
     local_s: np.ndarray  # (n_t, l) max(t_P + U, C)
 
 
-@dataclass
-class _Tables:
+class _Tables(NamedTuple):
     """One probe's per-coordinate tables for one level (see
     :meth:`_LevelDP._tables`); every array has ``jm`` columns over the
     cuts ``k = l … l − jm + 1`` whose ``U(k, l)`` is under the cap."""
@@ -216,16 +247,17 @@ class _Tables:
     local_n: np.ndarray  # (jm,) max(U, C)
     cap_fail_n: int  # cuts over the period cap (same for every state)
     mem_fail_n: np.ndarray  # (n_v,) memory rejects among the cap passes
-    cap_ok_s: np.ndarray | None = None  # (n_t, jm) t_P + U < cap
-    cap_pass_s: np.ndarray | None = None  # (n_t,) row sums of cap_ok_s
-    mem_ok_s: np.ndarray | None = None  # (n_m·n_v, jm) m_P + mem(g-1) fits
-    imv2: np.ndarray | None = None  # (n_m·n_v, jm) im2·S_m + iv2
-    kit2: np.ndarray | None = None  # (n_t, jm) (k-1)·S_l + it2·S_t
-    local_s: np.ndarray | None = None  # (n_t, jm) max(t_P + U, C)
+    cap_ok_s: np.ndarray  # (n_t, jm) t_P + U < cap
+    cap_pass_s: np.ndarray  # (n_t,) row sums of cap_ok_s
+    mem_ok_s: np.ndarray  # (n_m·n_v, jm) m_P + mem(g-1) fits
+    imv2: np.ndarray  # (n_m·n_v, jm) im2·S_m + iv2
+    kit2: np.ndarray  # (n_t, jm) (k-1)·S_l + it2·S_t
+    local_s: np.ndarray  # (n_t, jm) max(t_P + U, C)
 
 
 class _LevelDP:
-    """One MadPipe-DP(T̂) evaluation, batched level by level.
+    """One MadPipe-DP(T̂) evaluation with the special processor, batched
+    level by level.
 
     Packed state key layout (most→least significant digit):
     ``l · S_l + p · S_p + it · S_t + im · S_m + iv``.
@@ -238,7 +270,6 @@ class _LevelDP:
         target: float,
         grid: Discretization,
         period_cap: float,
-        allow_special: bool,
         rows_cache: dict | None = None,
         forward: bool = False,
     ):
@@ -246,7 +277,6 @@ class _LevelDP:
         self.beta = platform.bandwidth
         self.That = target
         self.cap = period_cap
-        self.allow_special = allow_special
 
         t_max = chain.total_compute()
         v_max = t_max + chain.total_comm(self.beta)
@@ -276,9 +306,10 @@ class _LevelDP:
 
         # per-level static candidate rows, index j = l - k (k descending);
         # pure functions of (chain, beta, strides, grid), so a workspace may
-        # share one dict across probes, searches and instances.  Nothing
-        # that depends on M, the headroom, T̂ or the cap may go in there.
-        self._rows: dict[int, _Rows] = {} if rows_cache is None else rows_cache
+        # share one dict across probes, searches and instances (keyed by l;
+        # the contiguous kernel keeps its _Cuts there under _CUTS = 0).
+        # Nothing that depends on M, the headroom, T̂ or the cap may go in.
+        self._rows: dict = {} if rows_cache is None else rows_cache
         # this probe's per-coordinate tables, shared by discover and reduce
         self._tabs: dict[int, _Tables] = {}
         # warm mode: carry the discovery pass's expansions into reduce()
@@ -356,48 +387,34 @@ class _LevelDP:
         U, dw3, da, comm, b1 = (a[:jm] for a in rows[:5])
         b2, kb, VU, t2 = rows.b2, rows.kb[:jm], rows.VU[:, :jm], rows.t2[:, :jm]
 
-        cVU = np.ceil(VU / That - 1e-9)
-        g = np.maximum(cVU, 1.0)
-        mem_g = dw3 + g * da
-        mem_g += b1
-        mem_g += b2
-
-        # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
-        cV = np.ceil(self.V_grid / That - 1e-9)
-        r1 = np.where(cV[:, None] == cVU, VU, That * cV[:, None] + U[None, :])
-        cr1 = np.ceil(r1 / That - 1e-9)
-        V2 = np.where(
-            cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm
+        g, mem_g, iv2 = _delay_tables(
+            That, self.V_grid, self.v_step, VU, U, dw3, da, comm, b1, b2
         )
-        iv2 = np.minimum(np.ceil(V2 / self.v_step - 1e-9), self.iv_top).astype(np.int64)
 
         # normal processor: child (k-1, p-1, it, im, iv2); every kept cut
         # passes the cap, which also subsumes the naive loop's break
         mem_ok_n = mem_g <= M + _EPS
+        # special processor: child (k-1, p, it2, im2, iv2); the (im, iv)
+        # tables keep row im·n_v + iv
+        mem_gm1 = dw3 + (g - 1.0) * da
+        mem_gm1 += b1
+        mem_gm1 += b2
+        m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, l)
+        im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(np.int64)
+        cap_ok_s = t2 < cap
         tab = _Tables(
             valid_n=mem_ok_n,
             kiv2=kb + iv2,
             local_n=rows.local_n[:jm],
             cap_fail_n=l - jm,
             mem_fail_n=np.count_nonzero(~mem_ok_n, axis=1),
+            cap_ok_s=cap_ok_s,
+            cap_pass_s=np.count_nonzero(cap_ok_s, axis=1),
+            mem_ok_s=(m2 <= M + _EPS).reshape(self.S_t, jm),
+            imv2=(im2 * self.S_m + iv2).reshape(self.S_t, jm),
+            kit2=np.ascontiguousarray(rows.kit2[:, :jm]),
+            local_s=np.ascontiguousarray(rows.local_s[:, :jm]),
         )
-
-        if self.allow_special:
-            # special processor: child (k-1, p, it2, im2, iv2); the (im, iv)
-            # tables keep row im·n_v + iv
-            mem_gm1 = dw3 + (g - 1.0) * da
-            mem_gm1 += b1
-            mem_gm1 += b2
-            m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, l)
-            im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(
-                np.int64
-            )
-            tab.cap_ok_s = t2 < cap
-            tab.cap_pass_s = np.count_nonzero(tab.cap_ok_s, axis=1)
-            tab.mem_ok_s = (m2 <= M + _EPS).reshape(self.S_t, jm)
-            tab.imv2 = (im2 * self.S_m + iv2).reshape(self.S_t, jm)
-            tab.kit2 = np.ascontiguousarray(rows.kit2[:, :jm])
-            tab.local_s = np.ascontiguousarray(rows.local_s[:, :jm])
         self._tabs[l] = tab
         return tab
 
@@ -415,8 +432,7 @@ class _LevelDP:
         validity masks, packed child keys and local costs, shaped
         ``(n_states, jm)`` with ``k`` descending along axis 1 (the cuts
         under the cap, see :meth:`_tables`) — row gathers from
-        :meth:`_tables` plus integer key offsets.  Without the special
-        processor its three entries are ``None``.
+        :meth:`_tables` plus integer key offsets.
 
         ``count=True`` accumulates the pruning counters, one per
         rejected ``(state, k)`` candidate (the expansion runs once per
@@ -435,9 +451,6 @@ class _LevelDP:
         if count:
             self.pruned_cap += n * tab.cap_fail_n
             self.pruned_mem += int(tab.mem_fail_n.take(iv).sum())
-
-        if not self.allow_special:
-            return valid_n, child_n, tab.local_n, None, None, None
         valid_s = tab.cap_ok_s.take(it, axis=0)
         valid_s &= tab.mem_ok_s.take(imv, axis=0)
         child_s = tab.kit2.take(it, axis=0)
@@ -462,9 +475,7 @@ class _LevelDP:
         m = 3.0 * float(self.cumW[l]) + (g - 1.0) * float(self.cumA[l])
         if l < self.L:
             m = m + 2.0 * float(self.act[l])
-        feasible = (m_P + m <= self.M + _EPS) if self.allow_special else np.zeros(
-            len(keys), dtype=bool
-        )
+        feasible = m_P + m <= self.M + _EPS
         vals = np.where(feasible, U_1l + t_P, INF)
         return vals, feasible
 
@@ -498,9 +509,7 @@ class _LevelDP:
             exp = self._expand(l, keys_b, count=True)
             valid_n, child_n, _, valid_s, child_s, _ = exp
             if self._forward:
-                nbytes = sum(
-                    a.nbytes for a in exp if isinstance(a, np.ndarray)
-                )
+                nbytes = sum(a.nbytes for a in exp)
                 if self._fwd_bytes + nbytes <= _FORWARD_BUDGET:
                     self._fwd[l] = exp
                     self._fwd_bytes += nbytes
@@ -508,8 +517,7 @@ class _LevelDP:
             # level-0 children land in the bitmap too, but their segment
             # is never read back (T(0, ·) is closed-form in reduce())
             seen[child_n[valid_n]] = True
-            if valid_s is not None:
-                seen[child_s[valid_s]] = True
+            seen[child_s[valid_s]] = True
 
     def reduce(self) -> None:
         """Upward sweep: solve every reachable level bottom-up.
@@ -584,18 +592,13 @@ class _LevelDP:
             return np.full(nb, INF), none, none.astype(bool), none
         sub_n = dense.take(child_n)
         cand_n = np.where(valid_n, np.maximum(local_n[None, :], sub_n), INF)
-        rows = np.arange(nb)
-        if valid_s is None:
-            # every special candidate would be INF, so the first
-            # minimum over the normal ones alone picks the same k
-            jk = np.argmin(cand_n, axis=1)
-            return cand_n[rows, jk], jk, np.zeros(nb, dtype=bool), child_n[rows, jk]
         sub_s = dense.take(child_s)
         cand_s = np.where(valid_s, np.maximum(local_s, sub_s), INF)
         cand = np.empty((nb, 2 * jm), dtype=float)
         cand[:, 0::2] = cand_n  # naive scan order: k desc,
         cand[:, 1::2] = cand_s  # normal before special
         j = np.argmin(cand, axis=1)
+        rows = np.arange(nb)
         jk = j >> 1
         spec = (j & 1).astype(bool)
         child = np.where(spec, child_s[rows, jk], child_n[rows, jk])
@@ -635,6 +638,148 @@ class _LevelDP:
         return period, stages, special
 
 
+# -- the contiguous kernel -------------------------------------------------
+
+#: Workspace key of the contiguous kernel's :class:`_Cuts`.  The special
+#: kernel keys its ``_Rows`` by level ``l ≥ 1`` in the same dict; level 0
+#: has no cuts, so its key is free.
+_CUTS = 0
+
+
+class _Cuts(NamedTuple):
+    """Candidate-stage constants of every level for the contiguous kernel
+    (see :func:`_cuts`): flat arrays over the columns ``(k, l)``, level
+    after level, ``k = l … 1`` inside level ``l`` (the order of
+    :class:`_Rows`).  Pure functions of (chain, β, P, grid)."""
+
+    start: np.ndarray  # (L+2,) first column of level l; start[L+1] = N
+    U: np.ndarray  # U(k, l)
+    dw3: np.ndarray  # 3·W(k, l)
+    da: np.ndarray  # Σ a_{i-1} over k..l
+    comm: np.ndarray  # C(k-1) = 2·a^{(k-1)}/β, zero at k == 1
+    b1: np.ndarray  # first-boundary buffers 2·a^{(k-1)}
+    b2: np.ndarray  # last-boundary buffers 2·a^{(l)}, zero at l == L
+    local: np.ndarray  # max(U, C): the stage's local period
+    base: np.ndarray  # (k-1)·(P+1)·n_v: level k−1 in the value table
+    VU: np.ndarray  # (n_v, N) V + U
+
+
+def _cuts(chain: Chain, beta: float, P: int, V_grid: np.ndarray) -> _Cuts:
+    """The :class:`_Cuts` of one (chain, β, P, grid), built in whole-array
+    operations that repeat :meth:`_LevelDP._static_rows`' per element."""
+    L = chain.L
+    sizes = np.arange(L + 1)  # level l has l cuts
+    start = np.zeros(L + 2, dtype=np.int64)
+    start[1:] = np.cumsum(sizes)
+    ls = np.repeat(sizes, sizes)
+    ks = ls - (np.arange(len(ls)) - start[ls])
+    act = chain._act
+    U = chain._cum_u[ls] - chain._cum_u[ks - 1]
+    a_in = np.where(ks > 1, act[ks - 1], 0.0)
+    comm = 2.0 * a_in / beta
+    return _Cuts(
+        start=start,
+        U=U,
+        dw3=3.0 * (chain._cum_w[ls] - chain._cum_w[ks - 1]),
+        da=chain._cum_a_in[ls] - chain._cum_a_in[ks - 1],
+        comm=comm,
+        b1=2.0 * a_in,
+        b2=np.where(ls < L, 2.0 * act[ls], 0.0),
+        local=np.maximum(U, comm),
+        base=(ks - 1) * ((P + 1) * len(V_grid)),
+        VU=V_grid[:, None] + U[None, :],
+    )
+
+
+def _contiguous(
+    chain: Chain,
+    platform: Platform,
+    That: float,
+    grid: Discretization,
+    cap: float,
+    workspace: dict | None,
+) -> tuple[float, list[Stage], int, int, int]:
+    """MadPipe-DP(T̂) without the special processor, as a dense sweep.
+
+    Every state keeps ``it = im = 0``, so the DP lives on ``(l, p, iv)``.
+    The probe's tables cover every level at once, in the columns whose
+    ``U(k, l)`` is under the cap (``U`` never decreases along ``k = l …
+    1``, so those are each level's first ``jm_l``); their float operations
+    are :meth:`_LevelDP._tables`' on the same operands, hence
+    bit-identical.  The upward loop fills the value table ``T[l, p, iv]``
+    level by level, with one first-minimum ``argmin`` over the
+    ``(p, iv) × k`` candidate matrix (``k`` descending, the naive scan's
+    tie-break); the downward pass walks the reachable states only for
+    the counters.  Returns ``(period, stages, states, pruned_cap,
+    pruned_mem)``.
+    """
+    L, P, n_v = chain.L, platform.n_procs, grid.n_v
+    v_step = (chain.total_compute() + chain.total_comm(platform.bandwidth)) / (n_v - 1)
+    V_grid = np.arange(n_v) * v_step
+    cuts = workspace.get(_CUTS) if workspace is not None else None
+    if cuts is None:
+        cuts = _cuts(chain, platform.bandwidth, P, V_grid)
+        if workspace is not None:
+            workspace[_CUTS] = cuts
+
+    keep = cuts.U < cap
+    sel = np.flatnonzero(keep)
+    # level l's kept cuts are columns off[l] … off[l+1]-1 of the tables
+    off = np.concatenate(([0], np.cumsum(keep)))[cuts.start].tolist()
+    _, mem, iv2 = _delay_tables(
+        That, V_grid, v_step, cuts.VU[:, sel],
+        *(a[sel] for a in (cuts.U, cuts.dw3, cuts.da, cuts.comm, cuts.b1, cuts.b2)),
+    )
+    ok = mem <= platform.memory + _EPS  # (n_v, n_kept)
+    child = cuts.base[sel] + iv2  # flat index of (k-1, 0, iv2)
+    # a cut that fails the memory check costs INF whatever its child's value
+    cost = np.where(ok, cuts.local[sel], INF)
+
+    # upward: T(0, p, iv) = it·t_step = 0; a p == 0 state with layers left
+    # could only close the chain on the special processor
+    T = np.empty((L + 1, P + 1, n_v))
+    T[0] = 0.0
+    T[1:, 0] = INF
+    flat = T.reshape(-1)
+    p_off = (np.arange(P) * n_v)[:, None, None]  # child p − 1 = 0 … P − 1
+    arg = np.zeros((L + 1, P, n_v), dtype=np.intp)
+    for l in range(1, L + 1):
+        a, b = off[l], off[l + 1]
+        if a == b:  # every cut is over the period cap
+            T[l, 1:] = INF
+            continue
+        cand = flat.take(child[:, a:b] + p_off)  # (P, n_v, jm)
+        np.maximum(cost[:, a:b], cand, out=cand)
+        arg[l] = cand.argmin(axis=2)
+        T[l, 1:] = cand.min(axis=2)
+
+    # downward: the reachable states and their rejected candidates
+    seen = np.zeros((L + 1, P + 1, n_v), dtype=bool)
+    seen[L, P, 0] = True
+    reach = seen.reshape(-1)
+    states = pruned_cap = pruned_mem = 0
+    for l in range(L, 0, -1):
+        states += int(np.count_nonzero(seen[l]))
+        pm1, iv = np.nonzero(seen[l, 1:])
+        if not len(iv):
+            continue
+        a, b = off[l], off[l + 1]
+        pruned_cap += len(iv) * (l - (b - a))
+        valid = ok[iv, a:b]
+        pruned_mem += valid.size - int(np.count_nonzero(valid))
+        reach[(child[iv, a:b] + (pm1 * n_v)[:, None])[valid]] = True
+
+    period = float(T[L, P, 0])
+    stages: list[Stage] = []
+    l, p, iv = L, P, 0
+    while period < INF and l:
+        j = int(arg[l, p - 1, iv])
+        stages.append(Stage(l - j, l))
+        l, p, iv = l - j - 1, p - 1, int(iv2[iv, off[l] + j])
+    stages.reverse()
+    return period, stages, states, pruned_cap, pruned_mem
+
+
 def madpipe_dp(
     chain: Chain,
     platform: Platform,
@@ -651,13 +796,19 @@ def madpipe_dp(
     ``period_cap`` prunes candidate stages that cannot beat an incumbent
     period (the cap must over-estimate the optimum; ``inf`` disables).
     ``allow_special=False`` restricts the DP to contiguous allocations
-    (ablation: memory-aware PipeDream).
+    (ablation: memory-aware PipeDream, and MadPipe's contiguous
+    candidate); it runs the dense contiguous kernel, the default runs the
+    special-processor kernel (module docstring).  ``states`` counts the
+    grid states reachable from the root.
 
-    ``workspace`` shares the per-level tables that depend on neither
-    ``T̂``, the cap nor the memory capacity across evaluations of the
-    same (chain, P, β, grid); ``carry=True`` (warm starts) also carries
-    the discovery pass's expansions into the value sweep, trading memory
-    for the second expansion.  The result is bit-identical either way
+    ``workspace`` is a dict shared across evaluations of the same
+    (chain, P, β, grid): each kernel keeps there the tables that depend
+    on neither ``T̂``, the cap nor the memory capacity, under its own
+    keys, so both may share one dict.  ``carry=True`` (warm starts) makes
+    the special-processor kernel carry its discovery pass's expansions
+    into the value sweep, trading memory for the second expansion
+    (counter ``warm.dp_reuse``); the contiguous kernel has no second
+    expansion and ignores it.  The result is bit-identical either way
     (both are exact reuse of deterministic intermediates; golden tests
     enforce it).
     """
@@ -665,36 +816,30 @@ def madpipe_dp(
         raise ValueError("target period must be positive")
     grid = grid or Discretization.default()
     t0 = time.perf_counter()
-    dp = _LevelDP(
-        chain, platform, target, grid, period_cap, allow_special,
-        rows_cache=workspace, forward=carry,
-    )
-    # P-1 normal processors plus the special one; without the special
-    # processor all P processors are normal.
-    p0 = platform.n_procs - 1 if allow_special else platform.n_procs
-    root = chain.L * dp.S_l + p0 * dp.S_p
-    period, stages, special = dp.solve(root)
-    wall = time.perf_counter() - t0
-    if dp.forwarded:
-        obs.inc("warm.dp_reuse", dp.forwarded)
-    if period == INF:
-        return MadPipeDPResult(
-            target,
-            INF,
-            None,
-            states=dp.states,
-            wall_time_s=wall,
-            pruned_cap=dp.pruned_cap,
-            pruned_mem=dp.pruned_mem,
+    if allow_special:
+        dp = _LevelDP(
+            chain, platform, target, grid, period_cap,
+            rows_cache=workspace, forward=carry,
         )
+        # P-1 normal processors plus the special one
+        root = chain.L * dp.S_l + (platform.n_procs - 1) * dp.S_p
+        period, stages, special = dp.solve(root)
+        states, pruned_cap, pruned_mem = dp.states, dp.pruned_cap, dp.pruned_mem
+        if dp.forwarded:
+            obs.inc("warm.dp_reuse", dp.forwarded)
+    else:
+        period, stages, states, pruned_cap, pruned_mem = _contiguous(
+            chain, platform, target, grid, period_cap, workspace
+        )
+        special = [False] * len(stages)
     return MadPipeDPResult(
         target,
         period,
-        DPAllocation(tuple(stages), tuple(special)),
-        states=dp.states,
-        wall_time_s=wall,
-        pruned_cap=dp.pruned_cap,
-        pruned_mem=dp.pruned_mem,
+        DPAllocation(tuple(stages), tuple(special)) if period < INF else None,
+        states=states,
+        wall_time_s=time.perf_counter() - t0,
+        pruned_cap=pruned_cap,
+        pruned_mem=pruned_mem,
     )
 
 

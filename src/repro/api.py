@@ -535,8 +535,9 @@ class SweepResult:
         the harness *avoided*: ``cache_hits`` (served from the JSONL
         result cache), ``dedup_hits`` (duplicate specs solved once and
         fanned out), ``retries``, and the ``warm`` reuse counters of
-        :mod:`repro.warmstart` (``dp_reuse``: DP level expansions carried
-        into the value sweep — absent when nothing was reused).
+        :mod:`repro.warmstart` (``dp_reuse``: level expansions the
+        special-processor DP carried into its value sweep; the contiguous
+        DP carries none — absent when nothing was reused).
         """
         m = self.metrics
         return {

@@ -331,8 +331,9 @@ def run_grid(
     warm-start database (:mod:`repro.warmstart`): phase 1 reuses the DP
     tables of earlier instances with the same (network, P, β, grid).
     Results are bit-identical to a cold sweep; only ``runtime_s`` and the
-    ``warm.dp_reuse`` counter differ.  The default stays cold for
-    backward-compatible determinism of per-call counters; the
+    ``warm.dp_reuse`` counter (expansions the special-processor DP
+    carried; the contiguous DP carries none) differ.  The default stays
+    cold for backward-compatible determinism of per-call counters; the
     :func:`repro.api.sweep` facade and the CLI default to warm.
 
     Duplicate specs (e.g. a grid with repeated memory values) are solved

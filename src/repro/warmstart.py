@@ -7,10 +7,12 @@ probe, yet those tables depend only on (chain, P, β, grid) — not on the
 probe target, the period cap or the memory capacity.  This module holds
 the one table that lets solves share them:
 
-* ``dp_rows`` — per-level candidate-stage constants and coordinate
-  tables of the MadPipe DP
-  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`), keyed by
-  (chain, P, β, grid) and shared across probes, searches and instances.
+* ``dp_rows`` — the MadPipe DP workspace: the per-level candidate-stage
+  constants and coordinate tables of the special-processor kernel
+  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`) and the
+  per-cut constants of the contiguous kernel
+  (:func:`repro.algorithms.madpipe_dp._cuts`), keyed by (chain, P, β,
+  grid) and shared across probes, searches and instances.
 
 The reuse is exact (deterministic intermediates looked up by exact key),
 so **warm starts never change results**: every other layer — the
@@ -24,10 +26,13 @@ everything else (direct :func:`repro.algorithms.madpipe.madpipe` calls,
 singleton, so serial sweeps share one database across instances and
 pooled sweeps share one per worker process.
 
-Warm probes also carry each discovery pass's level expansions into
-the DP's value sweep (``carry=True`` of
+Warm probes of the special-processor kernel also carry each discovery
+pass's level expansions into the DP's value sweep (``carry=True`` of
 :func:`repro.algorithms.madpipe_dp.madpipe_dp`); the ``warm.dp_reuse``
-counter on the obs registry counts those carried expansions.
+counter on the obs registry counts those carried expansions.  The
+contiguous kernel (``allow_special=False``, MadPipe's contiguous
+candidate and PipeDream-style searches) has no discovery pass to carry,
+so it adds nothing to the counter.
 """
 
 from __future__ import annotations
@@ -191,7 +196,7 @@ class WarmContext:
         self.dp_rows = LRU(_DP_ROWS_CAP)
 
     def dp_workspace(self, key: tuple) -> dict:
-        """The shared ``_static_rows`` cache for one (chain, P, β, grid)."""
+        """The shared DP workspace for one (chain, P, β, grid)."""
         ws = self.dp_rows.hit(key)
         if ws is None:
             ws = {}

@@ -39,6 +39,13 @@ def assert_identical(fast, ref):
         assert fast.allocation.special == ref.allocation.special
 
 
+#: Seeded random chains plus a uniform one, whose candidates tie.
+CONTIGUOUS_CHAINS = [
+    random_chain(7 + 2 * seed, seed=seed, decay=0.15 + 0.05 * seed, name=f"random{seed}")
+    for seed in range(5)
+] + [uniform_chain(9, weights=2**24, activation=2**25)]
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_chains(self, seed):
@@ -64,16 +71,34 @@ class TestGoldenEquivalence:
             madpipe_dp_reference(chain, platform, target, grid=grid),
         )
 
-    def test_contiguous_mode(self):
-        chain = random_chain(12, seed=3, decay=0.25)
-        platform = Platform.of(4, 2.0, 12)
-        target = chain.total_compute() / 4
-        assert_identical(
-            madpipe_dp(chain, platform, target, grid=COARSE, allow_special=False),
-            madpipe_dp_reference(
-                chain, platform, target, grid=COARSE, allow_special=False
-            ),
-        )
+    @pytest.mark.parametrize("n_procs", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "chain", CONTIGUOUS_CHAINS, ids=[c.name for c in CONTIGUOUS_CHAINS]
+    )
+    def test_contiguous_mode(self, chain, n_procs):
+        """The dense contiguous kernel (``allow_special=False``) against the
+        naive DP, counters recounted by a scalar loop: three targets; caps
+        none, one stage's exact load and below every layer (``jm = 0``);
+        and a platform too small for any stage.  The uniform chain's many
+        equal candidates pin the first-minimum tie-break."""
+        u, L = chain._cum_u, chain.L
+        total = float(u[-1])
+        caps = (INF, float(u[L - 1] - u[1]), 0.5 * float(np.diff(u).min()))
+        outcomes = set()
+        for memory in (1.0, 2.0, 2**-20):
+            platform = Platform.of(n_procs, memory, 12)
+            for target in (total / n_procs, total / 2, total):
+                for cap in caps:
+                    fast = madpipe_dp(chain, platform, target, grid=COARSE,
+                                      period_cap=cap, allow_special=False)
+                    ref = madpipe_dp_reference(chain, platform, target, grid=COARSE,
+                                               period_cap=cap, allow_special=False)
+                    assert_identical(fast, ref)
+                    assert (fast.states, fast.pruned_cap, fast.pruned_mem) == (
+                        recount_pruning(chain, platform, target, COARSE, cap, False)
+                    )
+                    outcomes.add((memory, fast.feasible))
+        assert (2.0, True) in outcomes and (2**-20, True) not in outcomes
 
     def test_period_cap(self):
         chain = random_chain(12, seed=5, decay=0.15)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import min_feasible_period, pipedream
-from repro.algorithms.madpipe_dp import Discretization, madpipe_dp
+from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.algorithms.onef1b import Item, assign_groups
 from repro.core import Chain, LayerProfile, Partitioning, Platform
 
@@ -175,6 +176,36 @@ class TestMadPipeDPProperties:
         # load-based period is a true lower bound of the DP value
         concrete = alloc.to_allocation(platform)
         assert res.dp_period >= concrete.period_lower_bound(chain, platform) - 1e-6
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        chains(min_layers=3, max_layers=10),
+        st.integers(1, 4),
+        st.sampled_from([0.25, 1.0, 1024.0]),
+    )
+    def test_time_scaling(self, c, allow_special, chain, n_procs, memory_gb):
+        """Scaling every duration by a power of two ``c`` (compute times by
+        ``c``, bandwidth by ``1/c``) is exact in floating point and leaves
+        every ratio the DP rounds unchanged: the search makes the same
+        decisions, and its periods scale by exactly ``c``."""
+        scaled = Chain(
+            [dataclasses.replace(x, u_f=c * x.u_f, u_b=c * x.u_b) for x in chain.layers],
+            chain.input_activation,
+        )
+        platform = Platform.of(n_procs, memory_gb, 12)
+        scaled_platform = Platform(n_procs, platform.memory, platform.bandwidth / c)
+        opts = dict(iterations=5, grid=COARSE, allow_special=allow_special)
+        base = algorithm1(chain, platform, **opts)
+        res = algorithm1(scaled, scaled_platform, **opts)
+        assert res.allocation == base.allocation
+        assert res.visited == base.visited
+        assert (res.states, res.pruned_cap, res.pruned_mem) == (
+            base.states, base.pruned_cap, base.pruned_mem
+        )
+        assert res.period == c * base.period
+        assert res.history == [(c * t, c * p) for t, p in base.history]
 
 
 class TestSerializationProperties:

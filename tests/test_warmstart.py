@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import api, obs, warmstart
@@ -249,30 +250,64 @@ class TestSearchMemos:
 
 
 class TestDPWorkspace:
-    def test_workspace_shared_across_memory_budgets(self):
-        """The DP workspace key carries no memory term, so a workspace
-        filled at one capacity (or headroom) must serve every other one:
-        each evaluation equals its cold twin field for field."""
-        chain = paper_chain("resnet50")
+    @staticmethod
+    def evaluations(chain):
+        """16 DP evaluations of one (chain, P, β, grid) that differ in
+        memory capacity, headroom, target and cap."""
         u = chain.total_compute()
-        workspace: dict = {}
-        seen = set()
         for memory in (16.0, 8.0, 4.0, 2.0):
             for headroom in (0.0, 0.2):
                 platform = Platform.of(4, memory, 12.0).with_headroom(headroom)
                 for target, cap in ((u / 4, INF), (u / 2, u * 0.3)):
-                    kw = dict(grid=COARSE, period_cap=cap)
-                    warm = madpipe_dp(
-                        chain, platform, target, workspace=workspace, carry=True, **kw
-                    )
-                    cold = madpipe_dp(chain, platform, target, **kw)
-                    assert warm.dp_period == cold.dp_period
-                    assert warm.allocation == cold.allocation
-                    assert warm.states == cold.states
-                    assert warm.pruned_cap == cold.pruned_cap
-                    assert warm.pruned_mem == cold.pruned_mem
-                    seen.add((cold.states, cold.pruned_mem))
+                    yield platform, target, cap
+
+    @staticmethod
+    def warm_equals_cold(chain, platform, target, cap, workspace, allow_special):
+        kw = dict(grid=COARSE, period_cap=cap, allow_special=allow_special)
+        warm = madpipe_dp(chain, platform, target, workspace=workspace, carry=True, **kw)
+        cold = madpipe_dp(chain, platform, target, **kw)
+        for f in dataclasses.fields(cold):
+            if f.name != "wall_time_s":
+                assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+        return cold
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_workspace_shared_across_memory_budgets(self, allow_special):
+        """The DP workspace key carries no memory term, so a workspace
+        filled at one capacity (or headroom) must serve every other one:
+        each evaluation equals its cold twin field for field."""
+        chain = paper_chain("resnet50")
+        workspace: dict = {}
+        seen = set()
+        for platform, target, cap in self.evaluations(chain):
+            cold = self.warm_equals_cold(
+                chain, platform, target, cap, workspace, allow_special
+            )
+            seen.add((cold.states, cold.pruned_mem))
         assert workspace and len(seen) == 16  # every budget searched differently
+
+    def test_both_kernels_share_one_workspace(self):
+        """A warm ``madpipe()`` runs the contiguous and the special-processor
+        kernel on one workspace dict.  Interleaved, every evaluation still
+        equals its cold twin, and neither kernel's cached tables depend on
+        M, the headroom, T̂ or the cap: filled in the opposite order, whose
+        first evaluation differs in all four, the workspace ends equal."""
+        chain = paper_chain("resnet50")
+        evaluations = list(self.evaluations(chain))
+        spaces = []
+        for order in (evaluations, evaluations[::-1]):
+            workspace: dict = {}
+            for platform, target, cap in order:
+                for allow_special in (False, True):
+                    self.warm_equals_cold(
+                        chain, platform, target, cap, workspace, allow_special
+                    )
+            spaces.append(workspace)
+        first, second = spaces
+        assert first.keys() == second.keys() and len(first) > 1
+        for key, tables in first.items():
+            for a, b in zip(tables, second[key], strict=True):
+                assert np.array_equal(a, b), key
 
 
 class TestSweepDedupAndTrace:
