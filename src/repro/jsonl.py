@@ -138,6 +138,13 @@ class JsonlCache:
     def get(self, key):
         return self._data.get(key)
 
+    def __contains__(self, key) -> bool:
+        return key in self._data
+
+    def keys(self):
+        """Live view of the keys of every record held."""
+        return self._data.keys()
+
     def put(self, record) -> None:
         key = self._key(record)
         if key in self._data:

@@ -197,7 +197,7 @@ def _check_store(store: Path, fingerprints: dict) -> dict:
     reopened = PlanStore(store)
     degraded_in_store = 0
     mismatched = 0
-    for fingerprint in list(reopened._data):
+    for fingerprint in list(reopened.keys()):
         plan = reopened.get_plan(fingerprint)
         if plan.get("status") == "degraded":
             degraded_in_store += 1
@@ -206,7 +206,7 @@ def _check_store(store: Path, fingerprints: dict) -> dict:
             mismatched += 1
     quarantine = store.with_name(store.name + ".quarantine")
     return {
-        "records": len(reopened._data),
+        "records": len(reopened),
         "degraded_in_store": degraded_in_store,
         "mismatched": mismatched,
         "quarantined": quarantine.exists(),
