@@ -18,7 +18,7 @@ Phase 2 schedules an ordered list of candidate allocations exactly:
    MadPipe-DP with the special processor disabled, which collapses the
    ``(t_P, m_P)`` state dimensions.  That search runs the DP's dense
    contiguous kernel: on the ledger's ResNet instances it visits about
-   3% of bracketed phase 1's states and takes about 12% of its wall
+   3% of bracketed phase 1's states and takes about 15% of its wall
    time.  The DP's special-processor memory is a deliberate
    *under*-estimate (§4.2.1), so the MILP sometimes needs a much larger
    period than phase 1 promised; without the special processor the DP's

@@ -59,7 +59,9 @@ and only reachable ones are touched:
    levels as 2-D ``(state, k)`` arrays, scattering the valid children
    into one flat bitmap over the packed key space, so each level's
    sorted key array is a single ``flatnonzero``;
-2. an **upward value sweep** (``l = 1 … L``) re-expands each reachable
+2. a **closing check** (:meth:`_LevelDP.closes`) decides feasibility
+   from reachability alone, and an infeasible probe stops here;
+3. an **upward value sweep** (``l = 1 … L``) re-expands each reachable
    level, gathers child values from a dense value table over the packed
    key space (level 0 is prefilled closed-form; lower levels are solved
    first) and reduces the interleaved ``(normal, special)`` candidate
@@ -68,17 +70,33 @@ and only reachable ones are touched:
 A level's tables (``n_v × jm``, ``n_t × jm``, ``n_m·n_v × jm``) are
 built on first use and expanded by row gathers plus packed-key offsets.
 
+The closing check is exact.  A state's value is a min over its valid
+candidates of the max of finite local costs and its child's value, so
+the root's value is finite exactly when a path of valid candidates leads
+from it to a *closing* state: a level-0 state (``T(0, ·)`` is the
+special processor's finite load), or a ``p == 0`` state whose
+single-stage base case fits in memory.  The reachability sweep scatters
+exactly the valid candidates, so the level-0 segment of its bitmap plus
+the reachable ``p == 0`` states' base cases decide it without reading a
+value.  ``states`` and both pruning counters come from the reachability
+sweep, so skipping the value sweep changes no field of the result.  Most
+low-``T̂`` and bracketed probes are infeasible, and the value sweep is
+about half of a probe.
+
 **Without the special processor** (:func:`_contiguous`), every state
 keeps ``it = im = 0``, so the DP lives on ``(l, p, iv)``: at most
 ``(P+1)·n_v`` states per level.  The kernel builds one probe's tables
 for all levels at once, in whole-array operations over the kept cuts;
-one upward loop fills a dense ``(L+1, P+1, n_v)`` value table, one
-gather and one ``argmin``/``min`` over a ``(P, n_v, jm)`` candidate
-matrix per level; a downward pass over the reachable states then counts
-``states`` and the pruned candidates, and the traceback reads the stored
-``argmin`` decisions.  Its values are those of every grid state, which
-equal the reachable ones' exactly, since a state's value depends on the
-state alone.
+a downward pass over the reachable states counts ``states`` and the
+pruned candidates first, and ends the probe when no level-0 state is
+reachable (a ``p == 0`` state with layers left cannot close the chain
+without the special processor, so level 0 is the only closing level).
+Otherwise one upward loop fills a dense ``(L+1, P+1, n_v)`` value table,
+one gather and one ``argmin``/``min`` over a ``(P, n_v, jm)`` candidate
+matrix per level, and the traceback reads the stored ``argmin``
+decisions.  Its values are those of every grid state, which equal the
+reachable ones' exactly, since a state's value depends on the state
+alone.
 
 The tables that depend on neither ``T̂``, the period cap nor the memory
 capacity (``V + U``; ``t_P + U``, its snapped and packed ``it2`` and
@@ -189,6 +207,9 @@ class MadPipeDPResult:
     wall_time_s: float = 0.0  # solver wall time (diagnostics)
     pruned_cap: int = 0  # candidates rejected by the period cap
     pruned_mem: int = 0  # candidates rejected by the memory check
+    # whether the value sweep ran: False when the reachability pass proved
+    # that nothing closes the chain (diagnostics)
+    swept: bool = True
 
     @property
     def effective_period(self) -> float:
@@ -329,6 +350,8 @@ class _LevelDP:
         self.states = 0
         self.pruned_cap = 0
         self.pruned_mem = 0
+        self.reached_level0 = False
+        self.swept = False  # whether solve() ran the value sweep
 
     # -- per-level tables ---------------------------------------------------
 
@@ -514,10 +537,25 @@ class _LevelDP:
                     self._fwd[l] = exp
                     self._fwd_bytes += nbytes
                     del self._tabs[l]  # reduce() will not re-expand
-            # level-0 children land in the bitmap too, but their segment
-            # is never read back (T(0, ·) is closed-form in reduce())
+            # level-0 children land in the bitmap too; reduce() never reads
+            # their segment back (T(0, ·) is closed-form), closes() does
             seen[child_n[valid_n]] = True
             seen[child_s[valid_s]] = True
+        self.reached_level0 = bool(seen[:S_l].any())
+
+    def closes(self) -> bool:
+        """Whether the root's value is finite, from reachability alone:
+        whether :meth:`discover` reached a level-0 state or a ``p == 0``
+        state whose :meth:`_base_p0` is feasible (exact, see the module
+        docstring).  A probe it refutes skips :meth:`reduce`."""
+        if self.reached_level0:
+            return True
+        for l in range(1, self.L + 1):
+            keys = self.level_keys[l]
+            keys = keys[(keys // self.S_p) % (self.P + 1) == 0]
+            if len(keys) and self._base_p0(l, keys)[1].any():
+                return True
+        return False
 
     def reduce(self) -> None:
         """Upward sweep: solve every reachable level bottom-up.
@@ -606,6 +644,9 @@ class _LevelDP:
 
     def solve(self, root: int) -> tuple[float, list[Stage], list[bool]]:
         self.discover(root)
+        self.swept = self.closes()
+        if not self.swept:  # carried expansions, if any, go unused
+            return INF, [], []
         self.reduce()
         S_l = self.S_l
         stages: list[Stage] = []
@@ -698,7 +739,7 @@ def _contiguous(
     grid: Discretization,
     cap: float,
     workspace: dict | None,
-) -> tuple[float, list[Stage], int, int, int]:
+) -> tuple[float, list[Stage], int, int, int, bool]:
     """MadPipe-DP(T̂) without the special processor, as a dense sweep.
 
     Every state keeps ``it = im = 0``, so the DP lives on ``(l, p, iv)``.
@@ -706,12 +747,13 @@ def _contiguous(
     ``U(k, l)`` is under the cap (``U`` never decreases along ``k = l …
     1``, so those are each level's first ``jm_l``); their float operations
     are :meth:`_LevelDP._tables`' on the same operands, hence
-    bit-identical.  The upward loop fills the value table ``T[l, p, iv]``
-    level by level, with one first-minimum ``argmin`` over the
-    ``(p, iv) × k`` candidate matrix (``k`` descending, the naive scan's
-    tie-break); the downward pass walks the reachable states only for
-    the counters.  Returns ``(period, stages, states, pruned_cap,
-    pruned_mem)``.
+    bit-identical.  A downward pass walks the reachable states for the
+    counters; when none of them is a level-0 state, nothing closes the
+    chain and the probe returns ``INF`` without a value sweep.  Otherwise
+    the upward loop fills the value table ``T[l, p, iv]`` level by level,
+    with one first-minimum ``argmin`` over the ``(p, iv) × k`` candidate
+    matrix (``k`` descending, the naive scan's tie-break).  Returns
+    ``(period, stages, states, pruned_cap, pruned_mem, swept)``.
     """
     L, P, n_v = chain.L, platform.n_procs, grid.n_v
     v_step = (chain.total_compute() + chain.total_comm(platform.bandwidth)) / (n_v - 1)
@@ -732,26 +774,6 @@ def _contiguous(
     )
     ok = mem <= platform.memory + _EPS  # (n_v, n_kept)
     child = cuts.base[sel] + iv2  # flat index of (k-1, 0, iv2)
-    # a cut that fails the memory check costs INF whatever its child's value
-    cost = np.where(ok, cuts.local[sel], INF)
-
-    # upward: T(0, p, iv) = it·t_step = 0; a p == 0 state with layers left
-    # could only close the chain on the special processor
-    T = np.empty((L + 1, P + 1, n_v))
-    T[0] = 0.0
-    T[1:, 0] = INF
-    flat = T.reshape(-1)
-    p_off = (np.arange(P) * n_v)[:, None, None]  # child p − 1 = 0 … P − 1
-    arg = np.zeros((L + 1, P, n_v), dtype=np.intp)
-    for l in range(1, L + 1):
-        a, b = off[l], off[l + 1]
-        if a == b:  # every cut is over the period cap
-            T[l, 1:] = INF
-            continue
-        cand = flat.take(child[:, a:b] + p_off)  # (P, n_v, jm)
-        np.maximum(cost[:, a:b], cand, out=cand)
-        arg[l] = cand.argmin(axis=2)
-        T[l, 1:] = cand.min(axis=2)
 
     # downward: the reachable states and their rejected candidates
     seen = np.zeros((L + 1, P + 1, n_v), dtype=bool)
@@ -768,6 +790,30 @@ def _contiguous(
         valid = ok[iv, a:b]
         pruned_mem += valid.size - int(np.count_nonzero(valid))
         reach[(child[iv, a:b] + (pm1 * n_v)[:, None])[valid]] = True
+    # only a level-0 state closes the chain (T(l ≥ 1, 0, ·) is INF below),
+    # so the root's value is finite exactly when one is reachable
+    if not seen[0].any():
+        return INF, [], states, pruned_cap, pruned_mem, False
+
+    # upward: T(0, p, iv) = it·t_step = 0; a p == 0 state with layers left
+    # could only close the chain on the special processor.  A cut that
+    # fails the memory check costs INF whatever its child's value.
+    cost = np.where(ok, cuts.local[sel], INF)
+    T = np.empty((L + 1, P + 1, n_v))
+    T[0] = 0.0
+    T[1:, 0] = INF
+    flat = T.reshape(-1)
+    p_off = (np.arange(P) * n_v)[:, None, None]  # child p − 1 = 0 … P − 1
+    arg = np.zeros((L + 1, P, n_v), dtype=np.intp)
+    for l in range(1, L + 1):
+        a, b = off[l], off[l + 1]
+        if a == b:  # every cut is over the period cap
+            T[l, 1:] = INF
+            continue
+        cand = flat.take(child[:, a:b] + p_off)  # (P, n_v, jm)
+        np.maximum(cost[:, a:b], cand, out=cand)
+        arg[l] = cand.argmin(axis=2)
+        T[l, 1:] = cand.min(axis=2)
 
     period = float(T[L, P, 0])
     stages: list[Stage] = []
@@ -777,7 +823,7 @@ def _contiguous(
         stages.append(Stage(l - j, l))
         l, p, iv = l - j - 1, p - 1, int(iv2[iv, off[l] + j])
     stages.reverse()
-    return period, stages, states, pruned_cap, pruned_mem
+    return period, stages, states, pruned_cap, pruned_mem, True
 
 
 def madpipe_dp(
@@ -807,7 +853,9 @@ def madpipe_dp(
     keys, so both may share one dict.  ``carry=True`` (warm starts) makes
     the special-processor kernel carry its discovery pass's expansions
     into the value sweep, trading memory for the second expansion
-    (counter ``warm.dp_reuse``); the contiguous kernel has no second
+    (counter ``warm.dp_reuse``, the carried expansions a value sweep
+    consumed: a probe whose reachability pass proves it infeasible skips
+    its sweep and drops them); the contiguous kernel has no second
     expansion and ignores it.  The result is bit-identical either way
     (both are exact reuse of deterministic intermediates; golden tests
     enforce it).
@@ -825,10 +873,11 @@ def madpipe_dp(
         root = chain.L * dp.S_l + (platform.n_procs - 1) * dp.S_p
         period, stages, special = dp.solve(root)
         states, pruned_cap, pruned_mem = dp.states, dp.pruned_cap, dp.pruned_mem
+        swept = dp.swept
         if dp.forwarded:
             obs.inc("warm.dp_reuse", dp.forwarded)
     else:
-        period, stages, states, pruned_cap, pruned_mem = _contiguous(
+        period, stages, states, pruned_cap, pruned_mem, swept = _contiguous(
             chain, platform, target, grid, period_cap, workspace
         )
         special = [False] * len(stages)
@@ -840,6 +889,7 @@ def madpipe_dp(
         wall_time_s=time.perf_counter() - t0,
         pruned_cap=pruned_cap,
         pruned_mem=pruned_mem,
+        swept=swept,
     )
 
 
@@ -901,6 +951,10 @@ def algorithm1(
     ``dp.rescue_probes``).  A search that finds something keeps the
     paper's trajectory exactly.
 
+    Each probe's ``madpipe.dp`` span records ``swept``, and the counter
+    ``dp.value_sweeps_skipped`` counts the probes whose reachability pass
+    proved them infeasible, so they skipped their value sweep.
+
     ``dp`` swaps the ``MadPipe-DP(T̂)`` evaluator (same signature and
     result type as :func:`madpipe_dp`) — used by the golden tests and
     benchmarks to drive the search with the reference implementation.
@@ -935,9 +989,11 @@ def algorithm1(
     ub = min(seq, upper)
     That = lb
     best = Algorithm1Result(INF, That, None)
+    skipped = 0  # probes whose value sweep was skipped
 
     def probe(That: float, period_cap: float) -> float:
         """One ``MadPipe-DP(T̂)`` evaluation, folded into ``best``."""
+        nonlocal skipped
         with obs.span("madpipe.dp", target=That) as probe_span:
             res = dp(
                 chain,
@@ -954,7 +1010,9 @@ def algorithm1(
                 pruned_cap=res.pruned_cap,
                 pruned_mem=res.pruned_mem,
                 feasible=res.feasible,
+                swept=res.swept,
             )
+        skipped += not res.swept
         best.history.append((That, res.dp_period))
         best.states += res.states
         best.pruned_cap += res.pruned_cap
@@ -996,6 +1054,7 @@ def algorithm1(
     best.wall_time_s = time.perf_counter() - t0
     obs.inc("dp.searches")
     obs.inc("dp.probes", len(best.history))
+    obs.inc("dp.value_sweeps_skipped", skipped)
     obs.inc("dp.states", best.states)
     obs.inc("dp.pruned_cap", best.pruned_cap)
     obs.inc("dp.pruned_mem", best.pruned_mem)

@@ -536,8 +536,9 @@ class SweepResult:
         result cache), ``dedup_hits`` (duplicate specs solved once and
         fanned out), ``retries``, and the ``warm`` reuse counters of
         :mod:`repro.warmstart` (``dp_reuse``: level expansions the
-        special-processor DP carried into its value sweep; the contiguous
-        DP carries none — absent when nothing was reused).
+        special-processor DP carried into a value sweep that consumed
+        them, so an infeasible probe, whose sweep is skipped, adds none;
+        the contiguous DP carries none — absent when nothing was reused).
         """
         m = self.metrics
         return {

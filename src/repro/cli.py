@@ -137,7 +137,8 @@ def _print_registry_stats(
         print(
             f"phase-1 DP: {snap.get('dp.states', 0)} states over "
             f"{snap.get('dp.probes', 0)} probes "
-            f"({snap.get('dp.searches', 0)} searches), "
+            f"({snap.get('dp.searches', 0)} searches, "
+            f"{snap.get('dp.value_sweeps_skipped', 0)} value sweeps skipped), "
             f"{snap.get('dp.wall_s', 0.0):.2f}s wall, "
             f"pruned {snap.get('dp.pruned_cap', 0)} candidates by period cap, "
             f"{snap.get('dp.pruned_mem', 0)} by memory"

@@ -332,9 +332,11 @@ def run_grid(
     tables of earlier instances with the same (network, P, β, grid).
     Results are bit-identical to a cold sweep; only ``runtime_s`` and the
     ``warm.dp_reuse`` counter (expansions the special-processor DP
-    carried; the contiguous DP carries none) differ.  The default stays
-    cold for backward-compatible determinism of per-call counters; the
-    :func:`repro.api.sweep` facade and the CLI default to warm.
+    carried into a value sweep that consumed them: an infeasible probe
+    skips its sweep and adds none; the contiguous DP carries none)
+    differ.  The default stays cold for backward-compatible determinism
+    of per-call counters; the :func:`repro.api.sweep` facade and the CLI
+    default to warm.
 
     Duplicate specs (e.g. a grid with repeated memory values) are solved
     once and fanned out, counted as ``sweep.dedup_hits``.

@@ -29,7 +29,9 @@ pooled sweeps share one per worker process.
 Warm probes of the special-processor kernel also carry each discovery
 pass's level expansions into the DP's value sweep (``carry=True`` of
 :func:`repro.algorithms.madpipe_dp.madpipe_dp`); the ``warm.dp_reuse``
-counter on the obs registry counts those carried expansions.  The
+counter on the obs registry counts the carried expansions a value sweep
+consumed.  A probe whose discovery pass proves it infeasible skips its
+value sweep and drops what it carried unused, uncounted.  The
 contiguous kernel (``allow_special=False``, MadPipe's contiguous
 candidate and PipeDream-style searches) has no discovery pass to carry,
 so it adds nothing to the counter.

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.core import Platform
 from repro.experiments import ResultCache, run_grid
@@ -239,6 +240,59 @@ class TestPruningCounters:
             totals[0] += res.pruned_cap
             totals[1] += res.pruned_mem
         assert min(totals) > 0  # both counters are exercised
+
+
+class TestClosingCheck:
+    """Both kernels decide feasibility from the reachability pass alone and
+    skip the value sweep when no reachable state closes the chain: a
+    level-0 state, or a ``p == 0`` state whose special-processor base
+    case fits.  Skipping changes no field of the result."""
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    @pytest.mark.parametrize("n_procs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, seed, n_procs, allow_special):
+        """Tight memories (fractions of the chain's one-stage footprint),
+        three targets, caps none / one stage's load / below every layer.
+        Under the special kernel at P = 1 the root is itself a ``p == 0``
+        state, so only the base case can close the chain; a check that
+        reads only level 0 refutes those feasible probes."""
+        chain = random_chain(6 + 2 * seed, seed=seed, decay=0.1 + 0.1 * seed)
+        u, L = chain._cum_u, chain.L
+        caps = (INF, float(u[L - 1] - u[1]), 0.5 * float(np.diff(u).min()))
+        footprint = 3.0 * float(chain._cum_w[-1]) + float(chain._cum_a_in[-1])
+        outcomes = set()
+        for share in (0.2, 0.4, 1.0):
+            platform = Platform(n_procs, share * footprint, 12e9)
+            for target in (u[-1] / n_procs, u[-1] / 2, u[-1]):
+                for cap in caps:
+                    opts = dict(grid=COARSE, period_cap=cap, allow_special=allow_special)
+                    fast = madpipe_dp(chain, platform, target, **opts)
+                    ref = madpipe_dp_reference(chain, platform, target, **opts)
+                    assert_identical(fast, ref)
+                    assert (fast.states, fast.pruned_cap, fast.pruned_mem) == (
+                        recount_pruning(chain, platform, target, COARSE, cap,
+                                        allow_special)
+                    )
+                    assert fast.swept == fast.feasible
+                    outcomes.add(fast.feasible)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_counter_and_span(self, allow_special):
+        """``dp.value_sweeps_skipped`` counts a search's infeasible probes,
+        and each ``madpipe.dp`` span says whether its probe swept."""
+        chain = random_chain(12, seed=1, decay=0.15)
+        platform = Platform.of(4, 1.0, 12)
+        registry, trace = obs.MetricsRegistry(), obs.Trace()
+        with obs.use_metrics(registry), obs.use_trace(trace):
+            res = algorithm1(chain, platform, iterations=8, grid=COARSE,
+                             allow_special=allow_special,
+                             upper=0.5 * chain.total_compute())
+        swept = [T < INF for _, T in res.history]
+        assert 0 < swept.count(False) < len(swept)
+        assert registry.get("dp.value_sweeps_skipped") == swept.count(False)
+        assert [s.attrs["swept"] for s in trace.find("madpipe.dp")] == swept
 
 
 class TestColumnTrimming:

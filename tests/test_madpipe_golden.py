@@ -578,6 +578,11 @@ def test_schedule_stats_report_the_ranking(tmp_path, capsys):
         "phase-1 bracket: 1 of 1 runs bracketed by the contiguous candidate's "
         "period, 1 found nothing below it; 0 rescue probes"
     ) in out
+    # the bracketed search's 8 probes all fail, each without a value sweep
+    assert (
+        "phase-1 DP: 19925 states over 16 probes "
+        "(2 searches, 11 value sweeps skipped), "
+    ) in out
 
 
 @pytest.mark.parametrize("allow_special", [True, False])
