@@ -51,12 +51,14 @@ instances, not guaranteed.
 The incumbent also caps candidate 1's MILP search (``period_cap``).
 The MILP then only looks for a pattern that beats the incumbent by more
 than ``CHECK_RTOL`` (1e-6 relative) and skips the solve outright when
-the allocation's bottleneck bound already reaches that ceiling;
-near-ties thus go to the contiguous candidate on purpose.  A search
-that refutes every probe below the cap ends ``capped``: not a proof of
-anything, and no budget hit, so it neither takes the ILP-timeout path
-above nor degrades the result.  A capped search whose probes hit the
-time limit still ends ``timeout``.
+the allocation's bottleneck bound is within the search's ``rel_tol``
+(5e-3) of that ceiling, since the incumbent then already meets the
+search's own tolerance; near-ties, up to that tolerance, thus go to the
+contiguous candidate on purpose.  A search that refutes every probe
+below the cap ends ``capped``: not a proof of anything, and no budget
+hit, so it neither takes the ILP-timeout path above nor degrades the
+result.  A capped search whose probes hit the time limit still ends
+``timeout``.
 
 The lowest period wins; on a tie the earlier candidate wins.  The
 certification gate extends the list: when the winner fails

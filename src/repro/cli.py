@@ -162,6 +162,7 @@ def _print_registry_stats(
             f"({snap.get('ilp.milp_timeouts', 0)} hit the time limit), "
             f"{snap.get('ilp.lp_jumps', 0)} LP jumps "
             f"({snap.get('ilp.lp_failures', 0)} failed), "
+            f"{snap.get('ilp.searches_skipped', 0)} searches skipped, "
             f"build {snap.get('ilp.build_s', 0.0):.3f}s, "
             f"solve {snap.get('ilp.solve_s', 0.0):.3f}s"
         )
@@ -587,6 +588,7 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
     import asyncio
 
     from .api import (
+        PLAN_SCHEMA_VERSION,
         CircuitOpenError,
         DeadlineExceededError,
         OverloadedError,
@@ -668,7 +670,12 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
             "period": reply.result.period if reply.result.feasible else None,
         }
         if args.emit_plans:
-            response["plan"] = reply.result.to_json()
+            # the cache entry's wire form, not re-encoded; a record an older
+            # build stored is re-encoded at this build's schema version
+            plan = reply.payload
+            if plan.get("version") != PLAN_SCHEMA_VERSION:
+                plan = reply.result.to_json()
+            response["plan"] = plan
         emit(response)
 
     async with service:

@@ -30,9 +30,14 @@ A caller that already holds a schedule passes its period as
 ``period_cap``: only a pattern beating it by more than ``CHECK_RTOL``
 is worth finding, so the search's upper end becomes
 ``top = min(sequential period, cap·(1 − CHECK_RTOL))``.  When the
-bottleneck lower bound already reaches ``top``, no MILP is built or
-solved; otherwise the ladder and the contiguous hint stop at ``top``.
-The default ``period_cap=inf`` leaves the search exactly as above.
+bottleneck lower bound is within ``rel_tol`` of that ceiling
+(``lower·(1 + rel_tol) ≥ top``), the held schedule already meets the
+search's own contract — the MILP can certify nothing below ``lower``,
+and the held period is at most ``lower·(1 + rel_tol)/(1 − CHECK_RTOL)``
+— so the search returns ``capped`` without building or solving a MILP
+(``rel_tol=0`` skips only when ``lower`` reaches ``top`` itself);
+otherwise the ladder and the contiguous hint stop at ``top``.  The
+default ``period_cap=inf`` leaves the search exactly as above.
 
 Every probe and LP jump is recorded as a :class:`ProbeRecord` with
 build/solve timings and a ``status`` naming how it ended (``ok``,
@@ -353,17 +358,23 @@ def schedule_allocation(
 
     ``period_cap`` is the period of a schedule the caller already has:
     the search only looks for patterns below ``period_cap·(1 −
-    CHECK_RTOL)`` and reports ``capped`` when there is none, without any
-    MILP when the bottleneck bound reaches that ceiling.  The default
-    ``inf`` is the paper's uncapped search.  A search whose
-    ``max_probes`` run out before it reaches its upper end without a
-    pattern reports ``timeout``, not ``infeasible``.
+    CHECK_RTOL)`` and reports ``capped`` when there is none.  When the
+    bottleneck bound ``lower`` is within ``rel_tol`` of that ceiling
+    (``lower·(1 + rel_tol) ≥ period_cap·(1 − CHECK_RTOL)``) it reports
+    ``capped`` without any MILP: the caller's period is then at most
+    ``lower·(1 + rel_tol)/(1 − CHECK_RTOL)``, and no MILP can certify a
+    period below ``lower``, so the held schedule already meets the
+    ``rel_tol`` promise.  The default ``inf`` is the paper's uncapped
+    search.  A search whose ``max_probes`` run out before it reaches its
+    upper end without a pattern reports ``timeout``, not ``infeasible``.
 
     Instrumented: the whole search runs under an ``ilp.search`` span
-    (with ``period_cap``, ``None`` when infinite, and ``capped``), each
+    (with ``period_cap``, ``None`` when infinite, ``capped``, and
+    ``skipped`` when the bound ended it before any MILP), each
     MILP probe/LP jump emits its own span with build/solve attributes,
     and the probe totals land on the metrics registry
-    (``ilp.milp_probes``, ``ilp.build_s``, ``ilp.status.<status>``, …)
+    (``ilp.milp_probes``, ``ilp.build_s``, ``ilp.status.<status>``,
+    ``ilp.searches_skipped``, …)
     when one is active.
     """
     with obs.span(
@@ -381,7 +392,11 @@ def schedule_allocation(
         trace: list[ProbeRecord] = []
 
         def result(
-            period: float, pattern: PeriodicPattern | None, *, exhausted: bool = False
+            period: float,
+            pattern: PeriodicPattern | None,
+            *,
+            exhausted: bool = False,
+            skipped: bool = False,
         ) -> ILPScheduleResult:
             # any time-limit hit means the outcome is budget-, not
             # mathematics-limited: feasible → "degraded", infeasible →
@@ -405,8 +420,11 @@ def schedule_allocation(
                 period=period if period != INF else None,
                 milp_probes=t["milp_probes"],
                 capped=status == "capped",
+                skipped=skipped,
             )
             obs.inc("ilp.searches")
+            if skipped:
+                obs.inc("ilp.searches_skipped")
             obs.inc("ilp.milp_probes", t["milp_probes"])
             obs.inc("ilp.milp_timeouts", t["milp_timeouts"])
             obs.inc("ilp.lp_jumps", t["lp_jumps"])
@@ -416,10 +434,11 @@ def schedule_allocation(
             obs.inc(f"ilp.status.{status}")
             return res
 
-        if capped and lower >= top:
-            # the bottleneck bound already reaches the cap: no pattern can
-            # beat it, so no MILP is built or solved
-            return result(INF, None)
+        if capped and lower * (1 + rel_tol) >= top:
+            # the bottleneck bound is within rel_tol of the ceiling: the
+            # schedule the caller holds already meets the search's contract,
+            # so no MILP is built or solved
+            return result(INF, None, skipped=True)
 
         try:
             with obs.span("ilp.build_skeleton", n_stages=allocation.n_stages):

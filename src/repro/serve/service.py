@@ -194,13 +194,17 @@ class ServeReply:
     ``served_from`` is ``"solve"`` (fresh), ``"memory"`` / ``"store"``
     (cache tier), ``"coalesced"`` (shared another request's solve) or
     ``"degraded"`` (the certified contiguous fallback answered because
-    the full solve was short-circuited or failed).
+    the full solve was short-circuited or failed).  ``payload`` is the
+    cache entry's wire form of the plan, shared with the cache: treat it
+    as read-only.  It equals ``result.to_json()`` except for a store
+    record written by an older build, which keeps its schema version.
     """
 
     result: Any  # repro.api.PlanResult
     fingerprint: str
     served_from: str
     latency_s: float
+    payload: dict
 
     @property
     def cached(self) -> bool:
@@ -467,6 +471,7 @@ class PlanService:
             fingerprint=fingerprint,
             served_from=served_from,
             latency_s=latency,
+            payload=cached.payload,
         )
 
     async def _resolve(

@@ -1,12 +1,14 @@
 """Tests for the phase-2 scheduling MILP (§4.3)."""
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import Allocation, Partitioning, Platform
 from repro.core.tolerances import CHECK_RTOL
 from repro.experiments.scenarios import paper_chain
 from repro.ilp import build_milp, schedule_allocation, solve_fixed_period
-from repro.models import uniform_chain
+from repro.models import random_chain, uniform_chain
 from repro.sim import verify_pattern
 
 MB = float(2**20)
@@ -157,6 +159,15 @@ def _trace(res):
     return [(p.period, p.feasible, p.kind, p.status) for p in res.trace]
 
 
+REL_TOL = 5e-3  # schedule_allocation's default
+
+
+def _band_top(lower: float, rel_tol: float = REL_TOL) -> float:
+    """The largest cap whose search is skipped: ``lower·(1 + rel_tol)``
+    reaches ``cap·(1 − CHECK_RTOL)``."""
+    return lower * (1 + rel_tol) / (1 - CHECK_RTOL)
+
+
 class TestPeriodCap:
     """``period_cap``: only a pattern beating the cap by more than
     CHECK_RTOL counts, and a search that reaches the cap proves nothing."""
@@ -222,6 +233,82 @@ class TestPeriodCap:
         )
         assert _trace(inf) == _trace(plain)
         assert (inf.period, inf.status) == (plain.period, plain.status)
+
+    # A cap within rel_tol of the bottleneck bound ends the search before
+    # any MILP: the caller's schedule already meets the search's own
+    # rel_tol promise.
+
+    def _observed(self, *args, **kwargs):
+        trace, registry = obs.Trace("skip"), obs.MetricsRegistry()
+        with obs.use_trace(trace), obs.use_metrics(registry):
+            res = schedule_allocation(*args, **kwargs)
+        [search] = trace.find("ilp.search")
+        return res, search.attrs, registry.snapshot()
+
+    def test_cap_inside_the_band_solves_nothing(self, chain, special3, tight):
+        lower = special3.period_lower_bound(chain, tight)
+        for cap in (lower * (1 + CHECK_RTOL), lower * (1 + REL_TOL / 2),
+                    _band_top(lower)):
+            assert lower < cap
+            res, attrs, snap = self._observed(chain, tight, special3, period_cap=cap)
+            assert res.status == "capped" and res.period == float("inf")
+            assert res.trace == [] and res.timings["milp_probes"] == 0
+            assert attrs["skipped"] is True and attrs["capped"] is True
+            assert snap["ilp.searches_skipped"] == 1
+            assert snap.get("ilp.skeleton_builds", 0) == 0
+
+    def test_cap_just_above_the_band_probes(self, chain, special3, tight):
+        lower = special3.period_lower_bound(chain, tight)
+        cap = _band_top(lower) * (1 + 1e-6)
+        res, attrs, snap = self._observed(
+            chain, tight, special3, time_limit=20, period_cap=cap
+        )
+        assert res.timings["milp_probes"] >= 1
+        assert attrs["skipped"] is False
+        assert "ilp.searches_skipped" not in snap
+
+    def test_zero_rel_tol_skips_only_at_the_bound(self, chain, special3, tight):
+        """``rel_tol=0`` is the rule before the band: skip only when the
+        bound reaches the ceiling itself."""
+        lower = special3.period_lower_bound(chain, tight)
+        for cap in (lower, lower * (1 + CHECK_RTOL / 2)):
+            res = schedule_allocation(chain, tight, special3, rel_tol=0, period_cap=cap)
+            assert res.status == "capped" and res.trace == []
+        res = schedule_allocation(
+            chain, tight, special3, rel_tol=0, time_limit=20,
+            period_cap=lower * (1 + REL_TOL / 2),
+        )
+        assert res.timings["milp_probes"] >= 1
+
+    def test_skip_keeps_the_rel_tol_promise(self):
+        """Seeded property: whenever the exit fires, the cap (the caller's
+        period) is within ``rel_tol`` of the uncapped search's period, and
+        it fires exactly when the bound reaches into the band."""
+        rng = np.random.default_rng(0)
+        fired = probed = 0
+        for seed in range(10):
+            chain = random_chain(8, seed=seed, decay=0.2)
+            platform = Platform.of(2, float(rng.choice([1.0, 1.5, 1024.0])), 12)
+            a, b = sorted(rng.choice(np.arange(1, 8), size=2, replace=False))
+            alloc = Allocation(Partitioning.from_cuts(8, [int(a), int(b)]), (0, 1, 0))
+            lower = alloc.period_lower_bound(chain, platform)
+            cap = lower * (1 + rng.uniform(0, 2 * REL_TOL))
+            registry = obs.MetricsRegistry()
+            with obs.use_metrics(registry):
+                res = schedule_allocation(
+                    chain, platform, alloc, time_limit=20, period_cap=cap
+                )
+            skipped = registry.get("ilp.searches_skipped") == 1
+            assert skipped == (lower * (1 + REL_TOL) >= cap * (1 - CHECK_RTOL))
+            if not skipped:
+                probed += 1
+                continue
+            fired += 1
+            assert res.status == "capped" and res.trace == []
+            free = schedule_allocation(chain, platform, alloc, time_limit=20)
+            assert free.period >= lower * (1 - CHECK_RTOL)
+            assert cap <= free.period * (1 + REL_TOL) / (1 - CHECK_RTOL)
+        assert fired and probed
 
 
 class TestSpecialProcessorInterleaving:

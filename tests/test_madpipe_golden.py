@@ -425,6 +425,41 @@ def test_capped_phase2_never_worse_on_gpt24(family):
     assert not _regressions([_gpt24(4, 2.0, family)], _uncapped_phase2, **LEDGER_SOLVER)
 
 
+def test_milp_skipped_within_rel_tol_on_gpt24():
+    """The ledger's gpt24 (P=4, 2 GB) 1F1B\\* instance: phase 1's
+    allocation has a bottleneck bound within the MILP search's
+    ``rel_tol`` of the contiguous candidate's period, so the search is
+    skipped and the candidate stands (two MILP probes used to find a
+    pattern 0.004 % below it)."""
+    registry = obs.MetricsRegistry()
+    with obs.use_metrics(registry):
+        res = madpipe(paper_chain("gpt24"), Platform.of(4, 2.0, 12), **LEDGER_SOLVER)
+    snap = registry.snapshot()
+    assert res.status == "ok" and res.certificate.ok
+    assert res.period == 3.1050156728533316
+    assert res.ilp.status == "capped" and res.ilp.trace == []
+    assert snap.get("ilp.milp_probes", 0) == 0
+    assert snap["ilp.searches_skipped"] == 1
+
+
+def test_schedule_stats_report_skipped_searches(tmp_path, capsys):
+    profile = tmp_path / "gpt24.json"
+    save_chain(paper_chain("gpt24"), profile)
+    rc = cli_main([
+        "schedule", str(profile), "-p", "4", "-m", "2", "-b", "12",
+        "--grid", "coarse", "--iterations", "8", "--stats",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert re.search(
+        r"^phase-2 ILP: 0 MILP probes \(0 hit the time limit\), 0 LP jumps "
+        r"\(0 failed\), 1 searches skipped, build 0\.000s, solve 0\.000s, "
+        r"search status: capped$",
+        out, re.MULTILINE,
+    )
+    assert "certificate: ok" in out
+
+
 def test_ranked_candidate_never_worse_on_seeded_instances():
     """Differential: ranking the contiguous DP's visited allocations never
     worsens MadPipe's period against keeping the DP's own pick, with and

@@ -685,6 +685,25 @@ class TestServeCli:
             reloaded = api.PlanResult.from_json(response["plan"])
             assert reloaded.status == response["status"]
 
+    def test_emitted_plan_is_the_cached_payload(self, tmp_path, capsys):
+        """``--emit-plans`` writes the cache entry's payload: every tier
+        emits the same bytes for one request, and they are the bytes of
+        ``PlanResult.to_json()``."""
+        plans: dict[str, dict[str, str]] = {}
+        for _ in range(2):  # solve + coalesced, then store + memory
+            rc, responses, _ = self.cli(tmp_path, capsys, "--emit-plans")
+            assert rc == 0
+            for r in responses:
+                plans.setdefault(r["fingerprint"], {})[r["served_from"]] = (
+                    json.dumps(r["plan"], sort_keys=True)
+                )
+        tiers = {tier for by_tier in plans.values() for tier in by_tier}
+        assert tiers == {"solve", "coalesced", "store", "memory"}
+        for by_tier in plans.values():
+            [text] = set(by_tier.values())
+            encoded = api.PlanResult.from_json(json.loads(text)).to_json()
+            assert text == json.dumps(encoded, sort_keys=True)
+
     def test_bad_request_reported_not_fatal(self, tmp_path, capsys):
         path = tmp_path / "requests.jsonl"
         path.write_text(
