@@ -19,7 +19,9 @@ Checks, in order:
 6. the resilience surface is pinned: the typed overload errors are
    exported, ``ResilienceConfig()`` defaults disable every mechanism,
    ``serve()`` accepts the resilience knobs, and a degraded reply is
-   an explicit ``status="degraded"`` with a real certificate.
+   an explicit ``status="degraded"`` with a real certificate;
+7. names removed in 4.0.0 stay removed: ``repro.algorithms.hybrid``
+   does not import and ``repro`` has no ``hybrid`` attribute.
 
 Exit code 0 on success; any failure raises and exits non-zero.
 
@@ -186,6 +188,18 @@ def main() -> int:
     assert degraded.result.certificate is not None
     assert degraded.result.certificate.ok, "degraded reply lacks ok certificate"
     print("resilience ok: typed errors, inert defaults, certified degraded reply")
+
+    # 7. the hybrid data+pipeline planner was removed in 4.0.0
+    import importlib
+
+    try:
+        importlib.import_module("repro.algorithms.hybrid")
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise AssertionError("repro.algorithms.hybrid still imports")
+    assert not hasattr(repro, "hybrid"), "repro.hybrid still exists"
+    print("removed in 4.0.0: repro.algorithms.hybrid, repro.hybrid")
 
     print("public API check passed")
     return 0

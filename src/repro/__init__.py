@@ -22,7 +22,6 @@ from .algorithms import (
     PipeDreamResult,
     algorithm1,
     gpipe,
-    hybrid,
     madpipe_dp,
     min_feasible_period,
     pipedream,
@@ -71,7 +70,7 @@ from .profiling import V100, DeviceSpec, load_chain, profile_model, save_chain
 from .sim import eager_1f1b, simulate, verify_pattern
 from .viz import render_gantt
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "api",
@@ -94,7 +93,6 @@ __all__ = [
     "PipeDreamResult",
     "algorithm1",
     "gpipe",
-    "hybrid",
     "madpipe_dp",
     "min_feasible_period",
     "pipedream",

@@ -1,7 +1,6 @@
 """Scheduling algorithms: 1F1B*, PipeDream baseline, MadPipe, GPipe."""
 
 from .gpipe import GPipeResult, gpipe, gpipe_period
-from .hybrid import HybridResult, group_sizes, hybrid, scale_chain_for_group
 from .madpipe import SCHEDULE_FAMILIES, MadPipeResult, madpipe
 from .madpipe_dp import (
     Algorithm1Result,
@@ -17,10 +16,6 @@ from .zero_bubble import ZeroBubbleResult, build_pattern_zb, min_feasible_period
 
 __all__ = [
     "GPipeResult",
-    "HybridResult",
-    "group_sizes",
-    "hybrid",
-    "scale_chain_for_group",
     "gpipe",
     "gpipe_period",
     "MadPipeResult",

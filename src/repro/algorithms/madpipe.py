@@ -287,6 +287,11 @@ def madpipe(
             if ilp.feasible:
                 candidates.append((allocation, ilp.pattern, ilp.period, None))
                 result.notes.append("phase-1 non-contiguous allocation via ILP")
+            elif ilp.skipped:
+                result.notes.append(
+                    "ILP skipped: phase-1 allocation's bottleneck bound is within "
+                    "rel_tol of the contiguous candidate's period"
+                )
             else:
                 result.notes.append(
                     f"ILP could not schedule phase-1 allocation ({ilp.status})"

@@ -133,10 +133,6 @@ _EPS = 1e-9
 _NO_CHILD = -1  # decision sentinel: stage closes the chain (p == 0 base)
 _NO_DEC = -2  # decision sentinel: state is infeasible
 
-#: Byte budget for carrying discovery-pass expansions into the value
-#: sweep (warm mode): levels past the budget are simply re-expanded.
-_FORWARD_BUDGET = 256 << 20
-
 
 @dataclass(frozen=True)
 class Discretization:
@@ -292,7 +288,6 @@ class _LevelDP:
         grid: Discretization,
         period_cap: float,
         rows_cache: dict | None = None,
-        forward: bool = False,
     ):
         self.L, self.P, self.M = chain.L, platform.n_procs, platform.memory
         self.beta = platform.bandwidth
@@ -333,12 +328,6 @@ class _LevelDP:
         self._rows: dict = {} if rows_cache is None else rows_cache
         # this probe's per-coordinate tables, shared by discover and reduce
         self._tabs: dict[int, _Tables] = {}
-        # warm mode: carry the discovery pass's expansions into reduce()
-        # (both passes expand identical key sets — see reduce()'s docstring)
-        self._forward = forward
-        self._fwd: dict[int, tuple] = {}
-        self._fwd_bytes = 0
-        self.forwarded = 0
 
         # per-level solved state: packed keys (sorted), values, decisions
         self.level_keys: list[np.ndarray | None] = [None] * (self.L + 1)
@@ -529,14 +518,9 @@ class _LevelDP:
             keys_b = keys[p >= 1]
             if not len(keys_b):
                 continue
-            exp = self._expand(l, keys_b, count=True)
-            valid_n, child_n, _, valid_s, child_s, _ = exp
-            if self._forward:
-                nbytes = sum(a.nbytes for a in exp)
-                if self._fwd_bytes + nbytes <= _FORWARD_BUDGET:
-                    self._fwd[l] = exp
-                    self._fwd_bytes += nbytes
-                    del self._tabs[l]  # reduce() will not re-expand
+            valid_n, child_n, _, valid_s, child_s, _ = self._expand(
+                l, keys_b, count=True
+            )
             # level-0 children land in the bitmap too; reduce() never reads
             # their segment back (T(0, ·) is closed-form), closes() does
             seen[child_n[valid_n]] = True
@@ -597,13 +581,8 @@ class _LevelDP:
                 best_spec[idx0[feas0]] = True
             maskB = ~mask0
             if maskB.any():
-                keys_b = keys[maskB]
-                exp = self._fwd.pop(l, None)
-                if exp is None:
-                    exp = self._expand(l, keys_b)
-                    del self._tabs[l]
-                else:
-                    self.forwarded += 1
+                exp = self._expand(l, keys[maskB])
+                del self._tabs[l]
                 bv, jk, spec, child = self._best(exp, dense)
                 vals[maskB] = bv
                 idxB = np.flatnonzero(maskB)
@@ -645,7 +624,7 @@ class _LevelDP:
     def solve(self, root: int) -> tuple[float, list[Stage], list[bool]]:
         self.discover(root)
         self.swept = self.closes()
-        if not self.swept:  # carried expansions, if any, go unused
+        if not self.swept:
             return INF, [], []
         self.reduce()
         S_l = self.S_l
@@ -835,7 +814,6 @@ def madpipe_dp(
     period_cap: float = INF,
     allow_special: bool = True,
     workspace: dict | None = None,
-    carry: bool = False,
 ) -> MadPipeDPResult:
     """Evaluate ``MadPipe-DP(T̂)`` (§4.2.2).
 
@@ -850,14 +828,8 @@ def madpipe_dp(
     ``workspace`` is a dict shared across evaluations of the same
     (chain, P, β, grid): each kernel keeps there the tables that depend
     on neither ``T̂``, the cap nor the memory capacity, under its own
-    keys, so both may share one dict.  ``carry=True`` (warm starts) makes
-    the special-processor kernel carry its discovery pass's expansions
-    into the value sweep, trading memory for the second expansion
-    (counter ``warm.dp_reuse``, the carried expansions a value sweep
-    consumed: a probe whose reachability pass proves it infeasible skips
-    its sweep and drops them); the contiguous kernel has no second
-    expansion and ignores it.  The result is bit-identical either way
-    (both are exact reuse of deterministic intermediates; golden tests
+    keys, so both may share one dict.  The result does not depend on
+    whether a workspace is passed or what it already holds (golden tests
     enforce it).
     """
     if target <= 0:
@@ -865,17 +837,12 @@ def madpipe_dp(
     grid = grid or Discretization.default()
     t0 = time.perf_counter()
     if allow_special:
-        dp = _LevelDP(
-            chain, platform, target, grid, period_cap,
-            rows_cache=workspace, forward=carry,
-        )
+        dp = _LevelDP(chain, platform, target, grid, period_cap, rows_cache=workspace)
         # P-1 normal processors plus the special one
         root = chain.L * dp.S_l + (platform.n_procs - 1) * dp.S_p
         period, stages, special = dp.solve(root)
         states, pruned_cap, pruned_mem = dp.states, dp.pruned_cap, dp.pruned_mem
         swept = dp.swept
-        if dp.forwarded:
-            obs.inc("warm.dp_reuse", dp.forwarded)
     else:
         period, stages, states, pruned_cap, pruned_mem, swept = _contiguous(
             chain, platform, target, grid, period_cap, workspace
@@ -965,10 +932,10 @@ def algorithm1(
 
     Under an active warm-start context (:mod:`repro.warmstart`) and the
     default evaluator, probes share the context's per-level DP workspace
-    across searches and instances and carry each discovery pass into its
-    value sweep.  A cold search shares one workspace across its own
-    probes only.  Both return bit-identical results to evaluating every
-    probe afresh.
+    across searches and instances; a cold search shares one workspace
+    across its own probes only.  Warm and cold probes run the same code,
+    and both return bit-identical results to evaluating every probe
+    afresh.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
@@ -982,7 +949,6 @@ def algorithm1(
             (chain_fingerprint(chain), platform.n_procs, platform.bandwidth,
              g.n_t, g.n_m, g.n_v)
         )
-        dp_opts["carry"] = True
     t0 = time.perf_counter()
     lb = chain.total_compute() / platform.n_procs
     seq = chain.total_compute() + chain.total_comm(platform.bandwidth)

@@ -534,11 +534,7 @@ class SweepResult:
         Surfaces what the raw ``metrics`` dict buries — how much work
         the harness *avoided*: ``cache_hits`` (served from the JSONL
         result cache), ``dedup_hits`` (duplicate specs solved once and
-        fanned out), ``retries``, and the ``warm`` reuse counters of
-        :mod:`repro.warmstart` (``dp_reuse``: level expansions the
-        special-processor DP carried into a value sweep that consumed
-        them, so an infeasible probe, whose sweep is skipped, adds none;
-        the contiguous DP carries none — absent when nothing was reused).
+        fanned out) and ``retries``.
         """
         m = self.metrics
         return {
@@ -547,11 +543,6 @@ class SweepResult:
             "cache_hits": int(m.get("sweep.cache_hits", 0)),
             "dedup_hits": int(m.get("sweep.dedup_hits", 0)),
             "retries": int(m.get("sweep.retries", 0)),
-            "warm": {
-                k.split(".", 1)[1]: int(v)
-                for k, v in sorted(m.items())
-                if k.startswith("warm.")
-            },
         }
 
     def render_summary(self) -> str:
@@ -565,10 +556,6 @@ class SweepResult:
         )
         if s["retries"]:
             line += f", {s['retries']} retried"
-        if s["warm"]:
-            line += " | warm: " + " ".join(
-                f"{k}={v}" for k, v in s["warm"].items()
-            )
         return line
 
     def __len__(self) -> int:
@@ -599,9 +586,10 @@ def sweep(
     identity — keep one cache file per family.
 
     ``warm_start`` (default on) solves neighboring instances against the
-    per-process warm-start database (:mod:`repro.warmstart`): results
-    stay bit-identical to a cold sweep — only wall time and the
-    ``warm.*`` counters in ``metrics`` change.  Pass
+    per-process warm-start database (:mod:`repro.warmstart`), whose DP
+    rows workspace is shared across instances: results and the counts in
+    ``metrics`` stay identical to a cold sweep — only wall time (and the
+    ``*_s`` timers) changes.  Pass
     ``warm_start=False`` (CLI: ``--no-warm-start``) for from-scratch
     solves, e.g. when timing single instances.
     """

@@ -329,14 +329,11 @@ def run_grid(
 
     ``warm_start=True`` solves instances against the per-process
     warm-start database (:mod:`repro.warmstart`): phase 1 reuses the DP
-    tables of earlier instances with the same (network, P, β, grid).
-    Results are bit-identical to a cold sweep; only ``runtime_s`` and the
-    ``warm.dp_reuse`` counter (expansions the special-processor DP
-    carried into a value sweep that consumed them: an infeasible probe
-    skips its sweep and adds none; the contiguous DP carries none)
-    differ.  The default stays cold for backward-compatible determinism
-    of per-call counters; the :func:`repro.api.sweep` facade and the CLI
-    default to warm.
+    rows workspace of earlier instances with the same (network, P, β,
+    grid).  Results and counts are identical to a cold sweep; only
+    ``runtime_s`` and the ``*_s`` timers differ.  The default stays cold because a warm sweep
+    leaves that workspace alive in the process after it returns; the
+    :func:`repro.api.sweep` facade and the CLI default to warm.
 
     Duplicate specs (e.g. a grid with repeated memory values) are solved
     once and fanned out, counted as ``sweep.dedup_hits``.

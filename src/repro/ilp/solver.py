@@ -122,13 +122,16 @@ class ILPScheduleResult:
     never a proof of infeasibility, and never ``infeasible`` or
     ``timeout``).  A capped search that does find a pattern reports
     ``ok``/``degraded``, and its period is always below
-    ``period_cap·(1 − CHECK_RTOL)``.
+    ``period_cap·(1 − CHECK_RTOL)``.  ``skipped``: the search ended
+    ``capped`` before building any MILP, because the bottleneck bound was
+    already within ``rel_tol`` of the cap.
     """
 
     period: float
     pattern: PeriodicPattern | None
     trace: list[ProbeRecord] = field(default_factory=list)
     status: str = "ok"
+    skipped: bool = False
 
     @property
     def probes(self) -> list[tuple[float, bool]]:
@@ -413,7 +416,7 @@ def schedule_allocation(
                 status = "timeout"
             else:
                 status = "capped" if capped else "infeasible"
-            res = ILPScheduleResult(period, pattern, trace, status)
+            res = ILPScheduleResult(period, pattern, trace, status, skipped)
             t = res.timings
             search_span.set(
                 status=status,

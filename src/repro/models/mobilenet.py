@@ -3,7 +3,7 @@
 A purely sequential network (every tensor is a serialization point) with
 a very different cost profile from the ResNets: almost no weights, lots
 of memory-bound depthwise kernels — a useful stress case for the memory
-model and the hybrid planner.
+model.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ the one table that lets solves share them:
   grid) and shared across probes, searches and instances.
 
 The reuse is exact (deterministic intermediates looked up by exact key),
-so **warm starts never change results**: every other layer — the
-contiguous period search, the MILP skeleton and every MILP probe — runs
-the same code warm or cold.
+so **warm starts never change results**: warm and cold probes run the
+same DP code, and a warm one only finds more of its rows already built.
+Every other layer — the contiguous period search, the MILP skeleton and
+every MILP probe — runs the same code warm or cold.
 
 Activation is explicit and context-local: the sweep harness wraps each
 instance in :func:`activate` when ``run_grid(..., warm_start=True)``;
@@ -25,16 +26,6 @@ everything else (direct :func:`repro.algorithms.madpipe.madpipe` calls,
 ``warm_start=False`` sweeps) runs cold.  The context is a per-process
 singleton, so serial sweeps share one database across instances and
 pooled sweeps share one per worker process.
-
-Warm probes of the special-processor kernel also carry each discovery
-pass's level expansions into the DP's value sweep (``carry=True`` of
-:func:`repro.algorithms.madpipe_dp.madpipe_dp`); the ``warm.dp_reuse``
-counter on the obs registry counts the carried expansions a value sweep
-consumed.  A probe whose discovery pass proves it infeasible skips its
-value sweep and drops what it carried unused, uncounted.  The
-contiguous kernel (``allow_special=False``, MadPipe's contiguous
-candidate and PipeDream-style searches) has no discovery pass to carry,
-so it adds nothing to the counter.
 """
 
 from __future__ import annotations

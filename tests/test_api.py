@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import warnings
 from pathlib import Path
 
@@ -130,12 +131,17 @@ class TestSweep:
 
 class TestDeprecationShims:
     @pytest.mark.parametrize(
-        "name", ["definitely_not_a_thing", "madpipe", "schedule_allocation"]
+        "name", ["definitely_not_a_thing", "madpipe", "schedule_allocation", "hybrid"]
     )
     def test_unknown_attribute(self, name):
-        # repro.madpipe / repro.schedule_allocation were removed in 2.0.0
+        # repro.madpipe / repro.schedule_allocation were removed in 2.0.0,
+        # repro.hybrid in 4.0.0
         with pytest.raises(AttributeError, match="no attribute"):
             getattr(repro, name)
+
+    def test_hybrid_module_removed(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.algorithms.hybrid")
 
     def test_internal_imports_do_not_warn(self):
         """The instrumented modules import from submodules, so merely

@@ -331,14 +331,14 @@ class TestColumnTrimming:
 
     @pytest.mark.parametrize("scale", [0.0, 0.45, 0.7])
     def test_warm_carry_path(self, scale):
-        """Discovery expansions carried into the value sweep, over a shared
-        workspace whose rows were built under another cap."""
+        """The warm path: a shared workspace whose rows were built under
+        another cap and target."""
         u = self.CHAIN._cum_u
         cap = scale * float(u[-1]) or 0.5 * float(np.diff(u).min())
         workspace = {}
         madpipe_dp(self.CHAIN, self.PLATFORM, float(u[-1]) / 2, grid=COARSE,
                    workspace=workspace)
-        self.check(cap, workspace=workspace, carry=True)
+        self.check(cap, workspace=workspace)
 
 
 class TestParallelHarness:

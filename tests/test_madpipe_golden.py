@@ -91,6 +91,8 @@ NOTE_TEMPLATES = (
     "ILP could not schedule phase-1 allocation (infeasible)",
     "ILP could not schedule phase-1 allocation (timeout)",
     "ILP could not schedule phase-1 allocation (capped)",
+    "ILP skipped: phase-1 allocation's bottleneck bound is within rel_tol of the "
+    "contiguous candidate's period",
     "ILP time budget exhausted; fell back to the certified {c} contiguous restriction",
     "contiguous memory-aware candidate won",
     "certification failed for the chosen pattern; quarantined ({detail})",
@@ -437,9 +439,15 @@ def test_milp_skipped_within_rel_tol_on_gpt24():
     snap = registry.snapshot()
     assert res.status == "ok" and res.certificate.ok
     assert res.period == 3.1050156728533316
-    assert res.ilp.status == "capped" and res.ilp.trace == []
+    assert res.ilp.status == "capped" and res.ilp.trace == [] and res.ilp.skipped
     assert snap.get("ilp.milp_probes", 0) == 0
     assert snap["ilp.searches_skipped"] == 1
+    # the notes name the skip, not an ILP attempt that never ran
+    assert res.notes[:2] == [
+        "ILP skipped: phase-1 allocation's bottleneck bound is within rel_tol "
+        "of the contiguous candidate's period",
+        "contiguous memory-aware candidate won",
+    ]
 
 
 def test_schedule_stats_report_skipped_searches(tmp_path, capsys):
@@ -457,6 +465,7 @@ def test_schedule_stats_report_skipped_searches(tmp_path, capsys):
         r"search status: capped$",
         out, re.MULTILINE,
     )
+    assert "ILP skipped: " in out and "ILP could not schedule" not in out
     assert "certificate: ok" in out
 
 

@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import min_feasible_period, pipedream
+from repro.algorithms.madpipe import madpipe
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.algorithms.onef1b import Item, assign_groups
 from repro.core import Chain, LayerProfile, Partitioning, Platform
+from repro.models import random_chain
 
 MB = float(2**20)
 COARSE = Discretization.coarse()
@@ -207,6 +209,42 @@ class TestMadPipeDPProperties:
         assert res.period == c * base.period
         assert res.history == [(c * t, c * p) for t, p in base.history]
 
+    @pytest.mark.parametrize("family", ["1f1b", "zero_bubble"])
+    def test_time_scaling_certified_period(self, family):
+        """The same law end to end: ``madpipe()`` (phase 1, the contiguous
+        search, the MILP and the certification gate) on seeded small
+        chains returns the same status and allocation, and a certified
+        period scaled by exactly ``c``.  The instances cover MILP searches
+        ending ``ok`` and ``capped``, so HiGHS's answers scale exactly too."""
+        opts = dict(iterations=6, grid=COARSE, ilp_time_limit=30, schedule_family=family)
+        ilp_statuses = set()
+        for seed in range(4):
+            chain = random_chain(8, seed=seed, decay=0.2)
+            for n_procs in (2, 3, 4):
+                for memory_gb in (0.8, 1.5):
+                    platform = Platform.of(n_procs, memory_gb, 12)
+                    base = madpipe(chain, platform, **opts)
+                    if base.ilp is not None:
+                        ilp_statuses.add(base.ilp.status)
+                    for c in (2.0, 0.5):
+                        scaled = Chain(
+                            [dataclasses.replace(x, u_f=c * x.u_f, u_b=c * x.u_b)
+                             for x in chain.layers],
+                            chain.input_activation, name=chain.name,
+                        )
+                        res = madpipe(
+                            scaled, Platform(n_procs, platform.memory, platform.bandwidth / c),
+                            **opts,
+                        )
+                        key = (seed, n_procs, memory_gb, c)
+                        assert res.status == base.status, key
+                        assert res.allocation == base.allocation, key
+                        assert res.period == c * base.period, key
+                        if base.pattern is not None:
+                            assert res.certificate.ok and base.certificate.ok, key
+                            assert res.certificate.period == c * base.certificate.period, key
+        assert {"ok", "capped"} <= ilp_statuses
+
 
 class TestSerializationProperties:
     @settings(max_examples=25, deadline=None)
@@ -268,17 +306,3 @@ class TestOplusProperties:
         assert self._oplus(x, lo, That) <= self._oplus(x, hi, That) + 1e-9
 
 
-class TestHybridProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(chains(min_layers=3, max_layers=8), st.integers(2, 8))
-    def test_group_scaling_preserves_weights_and_shards_compute(self, chain, r):
-        from repro.algorithms import scale_chain_for_group
-
-        beta = 12 * 2**30
-        scaled = scale_chain_for_group(chain, r, beta)
-        assert scaled.L == chain.L
-        for l in range(1, chain.L + 1):
-            assert scaled.weight(l) == chain.weight(l)
-            assert scaled.u_f(l) == pytest.approx(chain.u_f(l) / r)
-            assert scaled.u_b(l) >= chain.u_b(l) / r - 1e-12
-        assert scaled.U_f(1, chain.L) == pytest.approx(chain.U_f(1, chain.L) / r)

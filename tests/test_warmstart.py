@@ -264,7 +264,7 @@ class TestDPWorkspace:
     @staticmethod
     def warm_equals_cold(chain, platform, target, cap, workspace, allow_special):
         kw = dict(grid=COARSE, period_cap=cap, allow_special=allow_special)
-        warm = madpipe_dp(chain, platform, target, workspace=workspace, carry=True, **kw)
+        warm = madpipe_dp(chain, platform, target, workspace=workspace, **kw)
         cold = madpipe_dp(chain, platform, target, **kw)
         for f in dataclasses.fields(cold):
             if f.name != "wall_time_s":
@@ -366,12 +366,16 @@ class TestSweepDedupAndTrace:
 
 class TestApiSurface:
     def test_sweep_warm_default_and_counters(self, tmp_path):
+        warmstart.reset_process_context()
         res = api.sweep(
             ("toy5", 2, (0.25, 0.5, 1.0), 12.0, "madpipe"),
             grid=COARSE, iterations=4, ilp_time_limit=10.0,
         )
         assert len(res) == 3
-        assert any(k.startswith("warm.") for k in res.metrics)
+        # warm by default: the sweep filled the process's DP workspace
+        assert len(warmstart.process_context().dp_rows) > 0
+        assert not any(k.startswith("warm.") for k in res.metrics)
+        assert "warm" not in res.summary()
 
     def test_sweep_warm_off_matches(self, tmp_path):
         warm = api.sweep(
@@ -384,6 +388,7 @@ class TestApiSurface:
             grid=COARSE, iterations=4, ilp_time_limit=10.0, warm_start=False,
         )
         assert not any(k.startswith("warm.") for k in cold.metrics)
+        assert not warmstart.process_context().dp_rows  # cold touched none
         assert strip_runtime(warm.results) == strip_runtime(cold.results)
 
     def test_cli_no_warm_start_flag(self, tmp_path, capsys):
