@@ -1,15 +1,14 @@
-"""Shared benchmark setup.
+"""Shared benchmark setup: the repository root on ``sys.path``.
 
-The figure benchmarks write their rendered tables to ``results/``; Figs.
-6-8 come from ``scripts/run_paper_sweep.py`` instead, which renders them
-from the paper grid it sweeps.
+The hot-path suites import their oracles from ``tests.oracles``, and
+``pytest benchmarks/ledger`` loads this file too.
 """
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
-from _util import REPO_ROOT
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# the hot-path suites import their oracles from tests.oracles
 sys.path.insert(0, str(REPO_ROOT))

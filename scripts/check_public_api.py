@@ -21,7 +21,12 @@ Checks, in order:
    ``serve()`` accepts the resilience knobs, and a degraded reply is
    an explicit ``status="degraded"`` with a real certificate;
 7. names removed in 4.0.0 stay removed: ``repro.algorithms.hybrid``
-   does not import and ``repro`` has no ``hybrid`` attribute.
+   does not import and ``repro`` has no ``hybrid`` attribute;
+8. names removed in 5.0.0 stay removed: ``repro.serve`` has no
+   ``CachedPlan`` (nor ``repro.serve.store`` its ``decode_plan``),
+   ``ServeReply`` no ``payload`` field, ``PlanStore``
+   no ``get_cached``/``get_plan``/``put_plan`` and ``PlanCache`` no
+   ``flush_every`` parameter.
 
 Exit code 0 on success; any failure raises and exits non-zero.
 
@@ -200,6 +205,24 @@ def main() -> int:
         raise AssertionError("repro.algorithms.hybrid still imports")
     assert not hasattr(repro, "hybrid"), "repro.hybrid still exists"
     print("removed in 4.0.0: repro.algorithms.hybrid, repro.hybrid")
+
+    # 8. the plan cache holds each plan once, decoded: the payload copy
+    # and its accessors were removed in 5.0.0
+    import dataclasses
+
+    import repro.serve as serve
+
+    assert not hasattr(serve, "CachedPlan"), "repro.serve.CachedPlan still exists"
+    assert not hasattr(serve.store, "decode_plan"), "serve.store.decode_plan still exists"
+    reply_fields = {f.name for f in dataclasses.fields(serve.ServeReply)}
+    assert "payload" not in reply_fields, "ServeReply.payload still exists"
+    for name in ("get_cached", "get_plan", "put_plan"):
+        assert not hasattr(serve.PlanStore, name), f"PlanStore.{name} still exists"
+    assert "flush_every" not in inspect.signature(serve.PlanCache).parameters, (
+        "PlanCache(flush_every=) still exists"
+    )
+    print("removed in 5.0.0: CachedPlan, ServeReply.payload, "
+          "PlanStore.get_cached/get_plan/put_plan, PlanCache(flush_every=)")
 
     print("public API check passed")
     return 0

@@ -70,7 +70,7 @@ from .profiling import V100, DeviceSpec, load_chain, profile_model, save_chain
 from .sim import eager_1f1b, simulate, verify_pattern
 from .viz import render_gantt
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "api",

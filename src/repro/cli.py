@@ -588,7 +588,6 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
     import asyncio
 
     from .api import (
-        PLAN_SCHEMA_VERSION,
         CircuitOpenError,
         DeadlineExceededError,
         OverloadedError,
@@ -670,12 +669,9 @@ async def _serve_loop(args: argparse.Namespace, lines: list[str]) -> int:
             "period": reply.result.period if reply.result.feasible else None,
         }
         if args.emit_plans:
-            # the cache entry's wire form, not re-encoded; a record an older
-            # build stored is re-encoded at this build's schema version
-            plan = reply.payload
-            if plan.get("version") != PLAN_SCHEMA_VERSION:
-                plan = reply.result.to_json()
-            response["plan"] = plan
+            # encoded here, at this build's schema version, whatever the
+            # version of the store record it came from
+            response["plan"] = reply.result.to_json()
         emit(response)
 
     async with service:

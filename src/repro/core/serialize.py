@@ -10,6 +10,7 @@ duration, shift).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .partition import Allocation, Partitioning, Stage
@@ -60,13 +61,14 @@ def pattern_from_dict(data: dict) -> PeriodicPattern:
         allocation=allocation_from_dict(data["allocation"]),
         period=float(data["period"]),
     )
+    # kinds and resource tags are interned: a store of decoded plans
+    # would otherwise hold one copy of each per op
     for o in data["ops"]:
-        resource = tuple(
-            o["resource"][:1] + [int(x) for x in o["resource"][1:]]
-        )
+        tag, *ids = o["resource"]
+        resource = (sys.intern(tag), *(int(x) for x in ids))
         pattern.add(
             Op(
-                kind=o["kind"],
+                kind=sys.intern(o["kind"]),
                 index=int(o["index"]),
                 resource=resource,
                 start=float(o["start"]),

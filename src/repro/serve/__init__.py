@@ -8,11 +8,12 @@ service* under concurrent, partially-repeated traffic:
   identity (chain values, platform values, algorithm, options) with
   float normalization and key-order independence, computed once per
   distinct spec by the service's fingerprint memo;
-* :class:`PlanStore` / :class:`PlanCache` — a two-tier plan cache:
-  in-process LRU over a persistent append-only JSONL store built on the
-  hardened :class:`repro.jsonl.JsonlCache` (fsync'd
-  appends, quarantine + recovery, atomic repair); both tiers hold each
-  plan decoded once, as a :class:`CachedPlan`;
+* :class:`PlanStore` / :class:`PlanCache` — a one-tier plan cache
+  holding each plan once, as its decoded :class:`repro.api.PlanResult`:
+  the index of a persistent append-only JSONL store built on the
+  hardened :class:`repro.jsonl.JsonlCache` (fsync'd appends, quarantine
+  + recovery, atomic repair), or an in-process LRU when the service
+  has no store;
 * :class:`PlanService` — single-flight request coalescing in front of a
   bounded worker pool with per-request deadline/retry/backoff from
   :mod:`repro.runtime` (the execution core the sweep shares), the
@@ -24,7 +25,7 @@ service* under concurrent, partially-repeated traffic:
   retry-after hint), per-(algorithm, schedule_family)
   :class:`CircuitBreaker` state machines, and degraded-mode planning
   (the certified contiguous 1F1B* fallback, ``served_from="degraded"``,
-  never cached into the primary store tier).
+  never written to the primary store).
 
 Entry points: :func:`repro.api.serve` (facade constructor) and the
 ``repro serve`` CLI (a JSONL request loop on stdin).  Measured by the
@@ -48,12 +49,11 @@ from .resilience import (
     priority_rank,
 )
 from .service import PlanRequest, PlanService, ServeReply
-from .store import CachedPlan, PlanCache, PlanStore
+from .store import PlanCache, PlanStore
 
 __all__ = [
     "PRIORITIES",
     "AdmissionQueue",
-    "CachedPlan",
     "CircuitBreaker",
     "CircuitOpenError",
     "DeadlineExceededError",

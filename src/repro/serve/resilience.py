@@ -31,9 +31,9 @@ degraded, never wrongly or unboundedly late.**  Three rings:
   restriction (``allow_special=False``, the same cheap plan the PR 5
   quarantine falls back to), run through the full certification gate.
   The reply is marked ``served_from="degraded"`` with the real
-  certificate attached; degraded payloads are cached only in a
-  memory-tier LRU, never the primary store, so a recovered service
-  re-solves to full quality.
+  certificate attached; degraded plans are cached only in their own
+  LRU, never the primary store, so a recovered service re-solves to
+  full quality.
 
 Everything here is deterministic by construction: admission decisions
 depend only on arrival order, breaker transitions only on the injected

@@ -1,13 +1,14 @@
 """The asyncio planning service: coalescing, caching, bounded solving.
 
-One :class:`PlanService` owns a two-tier :class:`~repro.serve.store.
-PlanCache`, a single-flight table of in-progress solves, and a bounded
+One :class:`PlanService` owns a :class:`~repro.serve.store.PlanCache`,
+a single-flight table of in-progress solves, and a bounded
 ``ProcessPoolExecutor``.  A request travels::
 
     handle(request)
       └─ fingerprint  → FingerprintMemo: a cheap exact spec key,
                         request_fingerprint once per distinct spec
       └─ cache?   → serve ("memory" / "store")          serve.hits
+                    (the store's index, or an LRU without a store)
       └─ inflight?→ await the one running solve         serve.coalesced
       └─ admit    → bounded queue or shed               serve.shed/queued
       └─ solve    → worker pool, deadline + retries     serve.solves
@@ -18,10 +19,11 @@ PlanCache`, a single-flight table of in-progress solves, and a bounded
       └─ reply    → dataclasses.replace(cached result, metrics={})
 
 A cache hit therefore costs a memo lookup, a cache lookup and one small
-object copy: the cache tiers hold each plan's payload *and* its decoded
-:class:`~repro.api.PlanResult` (a :class:`~repro.serve.store.CachedPlan`),
-decoded once — when the store loads it or when its solve returns — and
-coalesced waiters share the solver's decoded entry.  Each reply gets its
+object copy: the cache holds each plan once, as its decoded
+:class:`~repro.api.PlanResult` — decoded when the store loads it or
+when its solve returns — and coalesced waiters share the solver's
+decoded result.  A wire payload is encoded only when the store writes a
+record or ``repro serve --emit-plans`` prints one.  Each reply gets its
 own top-level result, so a caller may rebind its fields or fill its
 ``metrics``; the ``pattern`` and ``certificate`` it points to are shared
 with the cache and every other reply of that plan, and are read-only.
@@ -32,7 +34,7 @@ fresh responses are bit-identical to a direct cold
 :func:`repro.api.plan` call (``tests/test_serve.py`` asserts this).
 Degraded responses are explicitly marked (``served_from="degraded"``,
 plan ``status="degraded"``), certified, and never written to the
-primary cache tiers.
+primary cache.
 
 Resilience runs on :mod:`repro.runtime`, the execution core the sweep
 shares: the worker solves through :func:`repro.runtime.run_attempt`
@@ -84,7 +86,7 @@ from .resilience import (
     priority_rank,
     solve_degraded,
 )
-from .store import CachedPlan, PlanCache, PlanStore, decode_plan
+from .store import PlanCache, PlanStore
 
 __all__ = ["PlanRequest", "PlanService", "ServeReply"]
 
@@ -191,20 +193,17 @@ class PlanRequest:
 class ServeReply:
     """One answered request: the plan plus how it was served.
 
-    ``served_from`` is ``"solve"`` (fresh), ``"memory"`` / ``"store"``
-    (cache tier), ``"coalesced"`` (shared another request's solve) or
+    ``served_from`` is ``"solve"`` (fresh), ``"store"`` (the first hit
+    on a plan loaded from the store), ``"memory"`` (any other cache
+    hit), ``"coalesced"`` (shared another request's solve) or
     ``"degraded"`` (the certified contiguous fallback answered because
-    the full solve was short-circuited or failed).  ``payload`` is the
-    cache entry's wire form of the plan, shared with the cache: treat it
-    as read-only.  It equals ``result.to_json()`` except for a store
-    record written by an older build, which keeps its schema version.
+    the full solve was short-circuited or failed).
     """
 
     result: Any  # repro.api.PlanResult
     fingerprint: str
     served_from: str
     latency_s: float
-    payload: dict
 
     @property
     def cached(self) -> bool:
@@ -240,11 +239,13 @@ def _solve_in_worker(payload: tuple) -> tuple[dict, dict, list]:
     )
 
 
-def _decode(payload: dict) -> CachedPlan:
+def _decode(payload: dict):
     """Decode a freshly solved payload (span ``serve.decode``); plans
     loaded from the store are decoded by :class:`PlanStore`, unspanned."""
+    from ..api import PlanResult  # deferred: repro.api imports this package
+
     with obs.span("serve.decode"):
-        return decode_plan(payload)
+        return PlanResult.from_json(payload)
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -269,12 +270,14 @@ class PlanService:
         print(service.stats()["counters"]["serve.hits"])
         await service.close()
 
-    The service answers requests through a fingerprinted two-tier cache
-    (in-process LRU of ``memory_entries`` over the persistent JSONL
-    ``store``) and coalesces identical concurrent requests into one
-    solve.  Served plans are bit-identical — in the
-    :meth:`repro.api.PlanResult.to_json` sense — to direct cold
-    :func:`repro.api.plan` calls.  CLI equivalent: ``repro serve``.
+    The service answers requests through a fingerprinted cache that
+    holds each plan once, decoded: the persistent JSONL ``store``'s
+    index, or without a store an in-process LRU of ``memory_entries``
+    plans (degraded answers get an LRU of that size too), and coalesces
+    identical concurrent requests into one solve.  Served plans are
+    bit-identical — in the :meth:`repro.api.PlanResult.to_json` sense —
+    to direct cold :func:`repro.api.plan` calls.  CLI equivalent:
+    ``repro serve``.
 
     ``max_workers`` bounds the solver pool: ``N >= 1`` dispatches cache
     misses to ``N`` worker processes (each keeps its own per-process
@@ -361,8 +364,8 @@ class PlanService:
                 clock=clock,
                 registry=self.registry,
             )
-        # degraded answers live in their own memory-tier LRU, never the
-        # primary cache: a recovered service re-solves to full quality
+        # degraded answers live in their own LRU, never the primary
+        # cache: a recovered service re-solves to full quality
         self._degraded: LRU = LRU(memory_entries)
         self._fingerprints = FingerprintMemo()
         self._inflight: dict[str, asyncio.Future] = {}
@@ -462,41 +465,40 @@ class PlanService:
             algorithm=request.algorithm,
             fingerprint=fingerprint[:12],
         ) as sp:
-            served_from, cached = await self._resolve(request, fingerprint, t0c)
+            served_from, result = await self._resolve(request, fingerprint, t0c)
             sp.set(served_from=served_from)
         latency = time.perf_counter() - t0
         self._latencies.append(latency)
         return ServeReply(
-            result=replace(cached.result, metrics={}),
+            result=replace(result, metrics={}),
             fingerprint=fingerprint,
             served_from=served_from,
             latency_s=latency,
-            payload=cached.payload,
         )
 
     async def _resolve(
         self, request: PlanRequest, fingerprint: str, t0c: float
-    ) -> tuple[str, CachedPlan]:
+    ) -> tuple[str, Any]:
         hit = self.cache.get(fingerprint)
         if hit is not None:
-            tier, cached = hit
+            tier, result = hit
             self.registry.inc("serve.hits")
             self.registry.inc(f"serve.hits_{tier}")
-            return tier, cached
+            return tier, result
         shared = self._inflight.get(fingerprint)
         if shared is not None:
             # single flight: identical concurrent queries share one solve
             self.registry.inc("serve.coalesced")
-            kind, cached = await asyncio.shield(shared)
+            kind, result = await asyncio.shield(shared)
             if kind == "degraded":
                 self.registry.inc("serve.degraded")
-                return "degraded", cached
-            return "coalesced", cached
+                return "degraded", result
+            return "coalesced", result
         loop = asyncio.get_running_loop()
         flight: asyncio.Future = loop.create_future()
         self._inflight[fingerprint] = flight
         try:
-            kind, cached = await self._admit_and_solve(request, fingerprint, t0c)
+            kind, result = await self._admit_and_solve(request, fingerprint, t0c)
         except BaseException as exc:
             if not flight.done():
                 flight.set_exception(exc)
@@ -504,20 +506,20 @@ class PlanService:
             raise
         else:
             if not flight.done():
-                flight.set_result((kind, cached))
+                flight.set_result((kind, result))
             if kind == "degraded":
-                self._degraded.put(fingerprint, cached)
+                self._degraded.put(fingerprint, result)
                 self.registry.inc("serve.degraded")
             else:
-                self.cache.put(fingerprint, cached)
+                self.cache.put(fingerprint, result)
                 self.registry.inc("serve.solves")
-            return kind, cached
+            return kind, result
         finally:
             self._inflight.pop(fingerprint, None)
 
     async def _admit_and_solve(
         self, request: PlanRequest, fingerprint: str, t0c: float
-    ) -> tuple[str, CachedPlan]:
+    ) -> tuple[str, Any]:
         """Hold an admission slot (when enabled) around the guarded solve."""
         if self._admission is None:
             return await self._solve_guarded(request, fingerprint, t0c)
@@ -533,7 +535,7 @@ class PlanService:
 
     async def _solve_guarded(
         self, request: PlanRequest, fingerprint: str, t0c: float
-    ) -> tuple[str, CachedPlan]:
+    ) -> tuple[str, Any]:
         """One guarded solve: budget check → breaker gate → solve,
         degrading (or re-raising) on short-circuit or terminal failure."""
         cfg = self.resilience
@@ -565,7 +567,7 @@ class PlanService:
 
     async def _degrade(
         self, request: PlanRequest, fingerprint: str, cause: BaseException
-    ) -> tuple[str, CachedPlan]:
+    ) -> tuple[str, Any]:
         """Answer with the certified contiguous fallback plan — or, with
         degraded-mode planning disabled, surface ``cause`` unchanged."""
         cfg = self.resilience

@@ -1,8 +1,13 @@
-"""The two-tier plan cache: in-process LRU over a persistent JSONL store.
+"""The plan cache: each plan held once, decoded, in one tier.
 
-Tier 1 (:class:`PlanCache`'s LRU) holds the most recently served plans
-in memory; tier 2 (:class:`PlanStore`) persists every solved plan as one
-JSONL record ``{"fingerprint": …, "plan": …}`` through the hardened
+With a persistent :class:`PlanStore`, :class:`PlanCache` *is* the
+store's index: every persisted plan is held once, as the
+:class:`~repro.api.PlanResult` decoded when the store loaded its record
+or when its solve returned, and a hit is a dict lookup.  Without a
+store, an in-process LRU of ``memory_entries`` plans stands in.
+
+The store persists every solved plan as one JSONL record
+``{"fingerprint": …, "plan": …}`` through the hardened
 :class:`repro.jsonl.JsonlCache` core — fsync'd batched appends,
 corrupt-line quarantine with recovery, atomic dedup rewrites — so a
 killed service resumes from disk without re-solving anything it already
@@ -10,63 +15,45 @@ answered.
 
 Payloads are the :meth:`repro.api.PlanResult.to_json` wire form:
 deterministic (no timings, no per-call metrics), strict JSON (infinite
-periods encode as ``null``), validated on load by decoding through
-:meth:`repro.api.PlanResult.from_json` so a damaged record quarantines
-instead of propagating garbage to clients.  Both tiers keep that decoded
-result next to its payload (a :class:`CachedPlan`): each plan is decoded
-once — when it is loaded, or when a fresh payload is put — and a hit
-from either tier decodes nothing.
+periods encode as ``null``), encoded only when a record is written and
+validated on load by decoding through
+:meth:`repro.api.PlanResult.from_json`, so a damaged record quarantines
+instead of propagating garbage to clients.
 
 Schema migration: new records are written at plan schema version 2
 (``schedule_family`` added); version-1 records from older stores still
-load — ``from_json`` reads them as ``"1f1b"`` plans — and are *not*
-rewritten in place, so a store shared with an older build stays usable
-by both.
+load — ``from_json`` reads them as ``"1f1b"`` plans.  Appends leave
+them as they are, but a rewrite (the repair of a damaged file, or a
+dedup) re-encodes every record it keeps, so their lines become
+version 2.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 from ..jsonl import JsonlCache
 from ..warmstart import LRU
 
-__all__ = ["CachedPlan", "PlanCache", "PlanStore", "decode_plan"]
-
-
-class CachedPlan(NamedTuple):
-    """One cached plan: its wire payload and the result decoded from it.
-
-    Every reply served from the entry shares both, so they are
-    read-only: :meth:`~repro.serve.PlanService.handle` hands each caller
-    its own top-level :class:`~repro.api.PlanResult`, whose ``pattern``
-    and ``certificate`` are still these shared objects.
-    """
-
-    payload: dict
-    result: Any  # repro.api.PlanResult
-
-
-def decode_plan(payload: dict) -> CachedPlan:
-    """Decode one wire payload; ``ValueError`` on a damaged payload."""
-    from ..api import PlanResult  # deferred: api imports this package
-
-    return CachedPlan(payload, PlanResult.from_json(payload))
+__all__ = ["PlanCache", "PlanStore"]
 
 
 class PlanStore(JsonlCache):
     """Persistent ``fingerprint → plan`` store (append-only JSONL).
 
-    Records are ``(fingerprint, CachedPlan)`` pairs; loading decodes
-    (and so validates) each line once.
+    Records are ``(fingerprint, PlanResult)`` pairs: loading decodes
+    (and so validates) each line once, writing encodes each record with
+    :meth:`~repro.api.PlanResult.to_json`.
     """
 
-    def _encode(self, record: tuple[str, CachedPlan]) -> dict:
-        fingerprint, plan = record
-        return {"fingerprint": fingerprint, "plan": plan.payload}
+    def _encode(self, record: tuple[str, Any]) -> dict:
+        fingerprint, result = record
+        return {"fingerprint": fingerprint, "plan": result.to_json()}
 
-    def _decode(self, obj: dict) -> tuple[str, CachedPlan]:
+    def _decode(self, obj: dict) -> tuple[str, Any]:
+        from ..api import PlanResult  # deferred: api imports this package
+
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         fingerprint = obj.get("fingerprint")
@@ -75,73 +62,61 @@ class PlanStore(JsonlCache):
             raise ValueError("missing or non-string 'fingerprint'")
         if not isinstance(plan, dict):
             raise ValueError("missing 'plan' object")
-        return fingerprint, decode_plan(plan)  # ValueError on a damaged payload
+        return fingerprint, PlanResult.from_json(plan)  # ValueError if damaged
 
-    def _key(self, record: tuple[str, CachedPlan]) -> str:
+    def _key(self, record: tuple[str, Any]) -> str:
         return record[0]
-
-    # -- convenience accessors --------------------------------------------
-
-    def get_cached(self, fingerprint: str) -> CachedPlan | None:
-        record = self.get(fingerprint)
-        return None if record is None else record[1]
-
-    def get_plan(self, fingerprint: str) -> dict | None:
-        cached = self.get_cached(fingerprint)
-        return None if cached is None else cached.payload
-
-    def put_plan(self, fingerprint: str, payload: dict) -> None:
-        """Persist one wire payload, decoding (so validating) it first."""
-        self.put((fingerprint, decode_plan(payload)))
 
 
 class PlanCache:
-    """In-process LRU (tier 1) over an optional :class:`PlanStore` (tier 2).
+    """Decoded plans by fingerprint: the store's index, or an LRU.
 
-    ``get`` returns ``(tier, CachedPlan)`` — ``tier`` is ``"memory"`` or
-    ``"store"`` — or ``None`` on a full miss; a store hit is promoted
-    into the LRU with the result the store decoded at load.  ``put``
-    writes through to both tiers, skipping the store append when the
-    fingerprint is already persisted (a restarted service must not
-    duplicate records for plans it reloaded).
+    ``get`` returns ``(tier, PlanResult)`` or ``None`` on a miss.  The
+    result is shared with every other hit on that plan, so it is
+    read-only.  ``tier`` is ``"store"`` on the first hit on a record
+    loaded from disk and ``"memory"`` on every later hit and on every
+    hit on a plan put in this lifetime.  ``put`` persists through the
+    store, skipping a fingerprint it already holds (a restarted service
+    must not duplicate records for plans it reloaded).
     """
 
     def __init__(
         self,
         memory_entries: int = 1024,
         store: "PlanStore | str | Path | None" = None,
-        *,
-        flush_every: int = 1,
     ):
         if memory_entries < 1:
             raise ValueError("memory_entries must be >= 1")
         if isinstance(store, (str, Path)):
-            store = PlanStore(store, flush_every=flush_every)
-        self.memory: LRU = LRU(memory_entries)
+            store = PlanStore(store)
         self.store = store
+        self.memory: LRU | None = LRU(memory_entries) if store is None else None
+        self._live: set[str] = set()  # store fingerprints hit or put so far
 
-    def get(self, fingerprint: str) -> tuple[str, CachedPlan] | None:
-        cached = self.memory.hit(fingerprint)
-        if cached is not None:
-            return "memory", cached
-        if self.store is not None:
-            cached = self.store.get_cached(fingerprint)
-            if cached is not None:
-                self.memory.put(fingerprint, cached)
-                return "store", cached
-        return None
+    def get(self, fingerprint: str) -> tuple[str, Any] | None:
+        if self.store is None:
+            result = self.memory.hit(fingerprint)
+            return None if result is None else ("memory", result)
+        record = self.store.get(fingerprint)
+        if record is None:
+            return None
+        if fingerprint in self._live:
+            return "memory", record[1]
+        self._live.add(fingerprint)
+        return "store", record[1]
 
-    def put(self, fingerprint: str, plan: CachedPlan) -> None:
-        self.memory.put(fingerprint, plan)
-        if self.store is not None and fingerprint not in self.store:
-            self.store.put((fingerprint, plan))
+    def put(self, fingerprint: str, result: Any) -> None:
+        if self.store is None:
+            self.memory.put(fingerprint, result)
+            return
+        self._live.add(fingerprint)
+        if fingerprint not in self.store:
+            self.store.put((fingerprint, result))
 
     def flush(self) -> None:
         if self.store is not None:
             self.store.flush()
 
     def __len__(self) -> int:
-        """Distinct plans reachable through the cache (both tiers)."""
-        if self.store is None:
-            return len(self.memory)
-        return len(self.store) + sum(fp not in self.store for fp in self.memory)
+        """Distinct plans the cache holds."""
+        return len(self.memory if self.store is None else self.store)

@@ -198,7 +198,7 @@ def _check_store(store: Path, fingerprints: dict) -> dict:
     degraded_in_store = 0
     mismatched = 0
     for fingerprint in list(reopened.keys()):
-        plan = reopened.get_plan(fingerprint)
+        plan = reopened.get(fingerprint)[1].to_json()
         if plan.get("status") == "degraded":
             degraded_in_store += 1
         ref = fingerprints.get(fingerprint)

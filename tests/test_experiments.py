@@ -67,6 +67,12 @@ class TestScenarios:
         with pytest.raises(ValueError):
             paper_chain("alexnet")
 
+    @pytest.mark.parametrize("network", PAPER_NETWORKS)
+    def test_paper_chain_profiled(self, network):
+        # 1000x1000 images, batch 8: every network linearizes to a long chain
+        chain = paper_chain(network)
+        assert chain.L > 10 and chain.total_compute() > 0
+
     def test_platform_grid_size(self):
         plats = paper_platforms(
             procs=(2, 4), memories_gb=(4, 8), bandwidths_gbps=(12,)

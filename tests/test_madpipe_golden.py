@@ -293,6 +293,19 @@ def test_headroom_covers_ok_and_capped_milp_searches(golden):
     assert {"ok", "capped"} <= ilp
 
 
+def test_special_processor_never_worse(golden):
+    """MadPipe's answer is never worse than its contiguous-only run (the
+    special processor can only help): the contiguous candidate is among
+    the full run's candidates and caps its MILP search."""
+    clean = golden["clean"]
+    pairs = [(clean[k], clean[k.replace("special=True", "special=False")])
+             for k in clean if k.endswith("special=True")]
+    compared = [(full, contig) for full, contig in pairs if contig["period"] is not None]
+    assert len(compared) > 40
+    for full, contig in compared:
+        assert full["period"] <= contig["period"] * (1 + 1e-9)
+
+
 def test_clean_outcomes_match_golden(golden):
     assert not _first_mismatch(_compute_clean(), golden["clean"])
 

@@ -95,6 +95,8 @@ class TestBuildPattern:
                 pat.active_batches(it.index, f.start + 1e-9),
             )
             assert peak == g
+            # the backward carries shift + g - 1 (a period wrap may add one)
+            assert pat.ops[("B", it.index)].shift - f.shift in (g - 1, g)
 
     def test_single_stage(self, uniform8):
         plat = Platform.of(1, 1024, 12)

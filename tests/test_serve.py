@@ -26,7 +26,6 @@ from repro.core.platform import Platform
 from repro.models import uniform_chain
 from repro.serve import PlanCache, PlanService, PlanStore, request_fingerprint
 from repro.serve.service import FingerprintMemo
-from repro.serve.store import decode_plan
 from repro.testing import Fault, FaultInjected, faults
 from repro.warmstart import canonical_value
 
@@ -242,51 +241,60 @@ class TestPlanResultJson:
 
 class TestPlanStore:
     def test_persists_across_instances(self, tmp_path, plat):
-        payload = api.plan(toy(), plat, **PLAN_OPTS).to_json()
+        result = api.plan(toy(), plat, **PLAN_OPTS)
         path = tmp_path / "plans.jsonl"
         store = PlanStore(path)
-        store.put_plan("fp1", payload)
+        store.put(("fp1", result))
         store.flush()
+        [line] = path.read_text().splitlines()
+        assert json.loads(line) == {"fingerprint": "fp1", "plan": result.to_json()}
         again = PlanStore(path)
-        assert again.get_plan("fp1") == payload
-        assert again.get_plan("fp2") is None
+        assert again.get("fp1")[1].to_json() == result.to_json()
+        assert again.get("fp2") is None
 
     def test_damaged_payload_quarantined(self, tmp_path, plat):
-        payload = api.plan(toy(), plat, **PLAN_OPTS).to_json()
+        result = api.plan(toy(), plat, **PLAN_OPTS)
         path = tmp_path / "plans.jsonl"
         store = PlanStore(path)
-        store.put_plan("fp1", payload)
+        store.put(("fp1", result))
         store.flush()
         with path.open("a") as fh:
             fh.write('{"fingerprint": "fp2", "plan": {"nope": 1}}\n')
             fh.write("not json at all\n")
         reloaded = PlanStore(path)
-        assert reloaded.get_plan("fp1") == payload
-        assert reloaded.get_plan("fp2") is None
+        assert reloaded.get("fp1")[1].to_json() == result.to_json()
+        assert reloaded.get("fp2") is None
         assert len(reloaded.quarantined) == 2
 
-    def test_two_tier_promotion_and_dedup(self, tmp_path, plat):
-        payload = api.plan(toy(), plat, **PLAN_OPTS).to_json()
+    def test_one_tier_labels_and_dedup(self, tmp_path, plat):
+        result = api.plan(toy(), plat, **PLAN_OPTS)
         path = tmp_path / "plans.jsonl"
         cache = PlanCache(memory_entries=4, store=path)
         assert cache.get("fp") is None
-        cache.put("fp", decode_plan(payload))
+        cache.put("fp", result)
         cache.flush()
-        tier, cached = cache.get("fp")
-        assert tier == "memory" and cached.payload == payload
-        assert cached.result.to_json() == payload
-        # a fresh cache sees only the store; the hit promotes to memory,
-        # carrying the result the store decoded when it loaded
+        assert cache.get("fp") == ("memory", result)
+        assert cache.get("fp")[1] is result
+        # a fresh cache holds what its store decoded at load: the first
+        # hit reads "store", every later one "memory", on the same object
         cache2 = PlanCache(memory_entries=4, store=path)
+        assert cache2.memory is None and len(cache2) == 1
         tier, stored = cache2.get("fp")
-        assert tier == "store" and stored.payload == payload
-        assert stored.result.to_json() == payload
+        assert tier == "store" and stored.to_json() == result.to_json()
         assert cache2.get("fp") == ("memory", stored)
-        assert cache2.get("fp")[1].result is stored.result
+        assert cache2.get("fp")[1] is stored
         # re-putting a reloaded plan must not append a duplicate record
         cache2.put("fp", stored)
         cache2.flush()
         assert sum(1 for line in path.open() if line.strip()) == 1
+
+    def test_memory_tier_without_a_store(self, plat):
+        result = api.plan(toy(), plat, **PLAN_OPTS)
+        cache = PlanCache(memory_entries=1)
+        cache.put("a", result)
+        assert cache.get("a") == ("memory", result)
+        cache.put("b", result)
+        assert cache.get("a") is None and len(cache) == 1
 
 
 # ------------------------------------------------------------- the service
@@ -349,6 +357,30 @@ class TestPlanService:
         assert reply.served_from == "store"
         assert reply.result.to_json() == before
         assert "serve.solves" not in stats["counters"]
+
+    def test_store_hits_after_eviction_read_memory(self, tmp_path, plat):
+        """With a store, the cache is the store's index: a plan solved in
+        this lifetime hits as "memory" however small ``memory_entries``
+        is, and every hit shares the one decoded plan."""
+        a, b = toy(4), toy(5)
+
+        async def scenario():
+            async with make_service(tmp_path, memory_entries=1) as service:
+                replies = []
+                for chain in (a, b, a, a):
+                    request = service.request(chain, plat, **PLAN_OPTS)
+                    replies.append(await service.handle(request))
+                fp = replies[0].fingerprint
+                held = [service.cache.get(fp)[1] for _ in range(2)]
+                return replies, held, service.stats()
+
+        replies, held, stats = run(scenario())
+        assert [r.served_from for r in replies] == ["solve", "solve", "memory", "memory"]
+        assert held[0] is held[1]
+        assert all(r.result.pattern is held[0].pattern for r in replies[::2])
+        assert stats["counters"]["serve.hits_memory"] == 2
+        assert "serve.hits_store" not in stats["counters"]
+        assert stats["cached_plans"] == len({r.fingerprint for r in replies}) == 2
 
     def test_submit_positional_shorthand(self, plat):
         async def scenario():
@@ -686,8 +718,8 @@ class TestServeCli:
             assert reloaded.status == response["status"]
 
     def test_emitted_plan_is_the_cached_payload(self, tmp_path, capsys):
-        """``--emit-plans`` writes the cache entry's payload: every tier
-        emits the same bytes for one request, and they are the bytes of
+        """``--emit-plans`` encodes the served plan: every tier emits the
+        same bytes for one request, and they are the bytes of
         ``PlanResult.to_json()``."""
         plans: dict[str, dict[str, str]] = {}
         for _ in range(2):  # solve + coalesced, then store + memory
