@@ -25,7 +25,6 @@ import numpy as np
 
 from .. import obs
 from ..core.chain import Chain
-from ..core.memory import stage_memory
 from ..core.partition import Partitioning
 from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
@@ -81,40 +80,57 @@ def pipedream_partition(
 
     Returns ``(partitioning, dp_period)`` or ``(None, inf)``.
 
-    DP over suffixes: ``best[i][s]`` is the smallest achievable bottleneck
+    DP over suffixes: ``best[s][i]`` is the smallest achievable bottleneck
     for layers ``i..L`` split into exactly ``s`` stages, where the first of
     those stages is the ``s``-th from the end and hence assumed to store
     ``s`` activation copies.
+
+    The stage tables over ``(i, j)`` — load ``U(i, j)``, weights, stored
+    activations, boundary buffers and the cut cost ``C(j)`` — are built
+    once from the chain's prefix sums, with the same float operations as
+    :meth:`Chain.U`, :func:`~repro.core.memory.stage_memory` and
+    :meth:`Chain.comm_time`.  Each stage count ``s`` then costs one masked
+    ``max``/``argmin`` over an ``L×L`` table, so the DP runs in
+    ``O(P·L²)`` array operations instead of as many interpreted steps.
+    ``argmin`` keeps the first (smallest) ``j`` among equal bottlenecks,
+    as a scan with a strict ``<`` does.
     """
     L = chain.L
     P = platform.n_procs
     M = platform.memory
 
+    # row i-1, column j-1 of each table describes the stage i..j
+    starts = np.arange(1, L + 1)[:, None]
+    ends = np.arange(1, L + 1)[None, :]
+    load = chain._cum_u[ends] - chain._cum_u[starts - 1]
+    weights = 3.0 * chain.weight_ranges(starts, ends)
+    stored = chain.stored_activation_ranges(starts, ends)
+    act = chain.activation_values(np.arange(L + 1))
+    buffers = np.where(starts > 1, 2.0 * act[starts - 1], 0.0) + np.where(
+        ends < L, 2.0 * act[ends], 0.0
+    )
+
+    def memory(s: int) -> np.ndarray:
+        return weights + s * stored + buffers
+
     # best[s][i]: bottleneck for layers i..L in s stages (1-based i)
     best = np.full((P + 1, L + 2), INF)
     choice = np.full((P + 1, L + 2), -1, dtype=int)
+    best[1, 1 : L + 1] = np.where(memory(1)[:, -1] <= M, load[:, -1], INF)
 
-    for i in range(1, L + 1):
-        if stage_memory(chain, i, L, 1) <= M:
-            best[1][i] = chain.U(i, L)
+    # stage i..j, then j+1..L in s-1 stages: needs i <= j < L
+    local = np.where(
+        (ends >= starts) & (ends < L),
+        np.maximum(load, 2.0 * act[ends] / platform.bandwidth),
+        INF,
+    )
+    rows = np.arange(L)
     for s in range(2, P + 1):
-        for i in range(1, L + 1):
-            value, arg = INF, -1
-            for j in range(i, L):  # stage i..j, then j+1..L in s-1 stages
-                rest = best[s - 1][j + 1]
-                if rest == INF:
-                    continue
-                if stage_memory(chain, i, j, s) > M:
-                    continue
-                cand = max(
-                    chain.U(i, j),
-                    chain.comm_time(j, platform.bandwidth),
-                    rest,
-                )
-                if cand < value:
-                    value, arg = cand, j
-            best[s][i] = value
-            choice[s][i] = arg
+        cand = np.maximum(local, best[s - 1, 2 : L + 2])
+        cand[memory(s) > M] = INF
+        arg = np.argmin(cand, axis=1)
+        best[s, 1 : L + 1] = cand[rows, arg]
+        choice[s, 1 : L + 1] = arg + 1
 
     s_opt = int(np.argmin(best[1:, 1])) + 1
     if best[s_opt][1] == INF:

@@ -10,6 +10,7 @@ import json
 import logging
 import os
 from pathlib import Path
+from typing import Iterable
 
 from .testing import faults
 
@@ -33,8 +34,13 @@ def parse_lines(text: str, decode) -> tuple[list, list[tuple[int, str, str]]]:
     Returns ``(records, bad)``; ``bad`` lists ``(lineno, reason, line)``
     for each line that failed with ``ValueError``.
     """
+    return _decode_lines(text.split("\n"), decode)
+
+
+def _decode_lines(lines: Iterable[str], decode) -> tuple[list, list[tuple[int, str, str]]]:
+    """:func:`parse_lines` over any iterable of newline-free lines."""
     records, bad = [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 records.append(decode(strict_loads(line)))
@@ -114,10 +120,18 @@ class JsonlCache:
         raise NotImplementedError
 
     def _load(self) -> None:
-        text = self.path.read_text()
-        if not text.strip():
-            return
-        records, self.quarantined = parse_lines(text, self._decode)
+        # stream the file line by line: its text is never held whole
+        last = "\n"
+
+        def lines(fh):
+            nonlocal last
+            for last in fh:
+                yield last.removesuffix("\n")
+
+        with self.path.open() as fh:
+            records, self.quarantined = _decode_lines(lines(fh), self._decode)
+        if not records and not self.quarantined:
+            return  # blank file
         for r in records:
             self._data[self._key(r)] = r
         if self.quarantined:
@@ -130,7 +144,7 @@ class JsonlCache:
                 "; ".join(f"line {n}: {why}" for n, why, _ in self.quarantined[:3]),
                 len(self._data),
             )
-        if not text.endswith("\n"):
+        if not last.endswith("\n"):
             # torn final write: even if it parsed, normalize on next flush
             # rather than appending onto a line with no terminator
             self._needs_rewrite = True

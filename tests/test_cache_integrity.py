@@ -77,6 +77,30 @@ class TestTruncation:
         report = verify_cache(path)
         assert report["clean"] and report["records"] == 4
 
+    def test_torn_line_after_blank_and_corrupt_lines_keeps_its_number(self, tmp_path):
+        # the loader streams the file: blank lines still count, and the
+        # torn final line (no terminator) is quarantined under its own number
+        path = tmp_path / "c.jsonl"
+        fill(path, 3)
+        first, second, third = path.read_text().splitlines()
+        torn = third[:-25]
+        path.write_text(f"{first}\n\n{second}\n{{not json\n{torn}")
+
+        cache = ResultCache(path)
+        assert len(cache) == 2
+        assert [(n, line) for n, _, line in cache.quarantined] == [
+            (4, "{not json"),
+            (5, torn),
+        ]
+        sidecar = (tmp_path / "c.jsonl.quarantine").read_text()
+        assert "# line 4: " in sidecar and "# line 5: " in sidecar
+        assert sidecar.endswith(torn + "\n")
+
+        cache.put(mk(9))
+        cache.flush()  # the torn tail forces one clean rewrite
+        report = verify_cache(path)
+        assert report["clean"] and report["records"] == 3
+
     @pytest.mark.faultinject
     def test_injected_torn_write_then_reload(self, tmp_path):
         path = tmp_path / "c.jsonl"
