@@ -99,10 +99,12 @@ reachable ones' exactly, since a state's value depends on the state
 alone.
 
 The tables that depend on neither ``T̂``, the period cap nor the memory
-capacity (``V + U``; ``t_P + U``, its snapped and packed ``it2`` and
-``max(t_P + U, C)``; the contiguous kernel's per-cut constants) live in
-a *workspace* dict that one :func:`algorithm1` search shares across its
-probes and a warm-start context shares across searches and instances.
+capacity live in a *workspace* dict that one :func:`algorithm1` search
+shares across its probes and a warm-start context shares across searches
+and instances: one per-cut table both kernels read (:class:`_Cuts`: ``U``,
+:func:`~repro.core.memory.stage_memory_terms`, ``C``, ``V + U``) and
+the special kernel's per-level ``it`` tables (``t_P + U``, its packed
+``it2``, ``max(t_P + U, C)``).
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ import numpy as np
 
 from .. import obs
 from ..core.chain import Chain
+from ..core.memory import stage_memory_terms
 from ..core.partition import Allocation, Partitioning, Stage
 from ..core.platform import Platform
 from ..warmstart import active_warm, chain_fingerprint
@@ -236,19 +239,60 @@ def _delay_tables(That, V_grid, v_step, VU, U, dw3, da, comm, b1, b2) -> tuple:
     return g, mem_g, iv2
 
 
-class _Rows(NamedTuple):
-    """Level constants independent of ``T̂``, ``M`` and the cap (see
-    :meth:`_LevelDP._static_rows`); ``(l,)`` rows over ``k = l … 1``."""
+#: Workspace key of the :class:`_Cuts` both kernels read.  The special
+#: kernel keys its per-coordinate ``_Rows`` by level ``l ≥ 1`` in the same
+#: dict; level 0 has no cuts, so its key is free.
+_CUTS = 0
 
+
+class _Cuts(NamedTuple):
+    """Candidate-stage constants of every level, the per-cut tables of both
+    kernels (see :func:`_cuts`): flat arrays over the columns ``(k, l)``,
+    level after level, ``k = l … 1`` inside level ``l``.  Pure functions
+    of (chain, β, P, grid)."""
+
+    start: np.ndarray  # (L+2,) first column of level l; start[L+1] = N
     U: np.ndarray  # U(k, l)
     dw3: np.ndarray  # 3·W(k, l)
     da: np.ndarray  # Σ a_{i-1} over k..l
     comm: np.ndarray  # C(k-1) = 2·a^{(k-1)}/β, zero at k == 1
-    b1: np.ndarray  # first-boundary buffers 2·a^{(k-1)}
-    b2: float  # last-boundary buffers 2·a^{(l)}
-    local_n: np.ndarray  # max(U, C): a normal stage's local period
-    kb: np.ndarray  # (k-1)·S_l
-    VU: np.ndarray  # (n_v, l) V + U
+    b1: np.ndarray  # first-boundary buffers 2·a^{(k-1)}, zero at k == 1
+    b2: np.ndarray  # last-boundary buffers 2·a^{(l)}, zero at l == L
+    local: np.ndarray  # max(U, C): a normal stage's local period
+    base: np.ndarray  # (k-1)·(P+1)·n_v: level k−1 in the value table
+    VU: np.ndarray  # (n_v, N) V + U
+
+
+def _cuts(workspace: dict, chain: Chain, beta: float, P: int, V_grid: np.ndarray) -> _Cuts:
+    """The workspace's :class:`_Cuts`, built on first use in whole-array
+    operations: the memory terms come from
+    :func:`~repro.core.memory.stage_memory_terms`, and the cut cost
+    ``C(k-1)`` is the first-boundary buffer over ``β``."""
+    cuts = workspace.get(_CUTS)
+    if cuts is not None:
+        return cuts
+    L = chain.L
+    sizes = np.arange(L + 1)  # level l has l cuts
+    start = np.zeros(L + 2, dtype=np.int64)
+    start[1:] = np.cumsum(sizes)
+    ls = np.repeat(sizes, sizes)
+    ks = ls - (np.arange(len(ls)) - start[ls])
+    U = chain.u_ranges(ks, ls)
+    dw3, da, b1, b2 = stage_memory_terms(chain, ks, ls)
+    comm = b1 / beta
+    base = (ks - 1) * ((P + 1) * len(V_grid))
+    cuts = workspace[_CUTS] = _Cuts(
+        start, U, dw3, da, comm, b1, b2, np.maximum(U, comm), base, V_grid[:, None] + U[None, :]
+    )
+    return cuts
+
+
+class _Rows(NamedTuple):
+    """The special kernel's per-coordinate tables of one level that depend
+    on neither ``T̂``, ``M`` nor the cap (see :meth:`_LevelDP._static_rows`);
+    columns over ``k = l … 1``."""
+
+    kb: np.ndarray  # (l,) (k-1)·S_l
     t2: np.ndarray  # (n_t, l) t_P + U
     kit2: np.ndarray  # (n_t, l) (k-1)·S_l + it2·S_t
     local_s: np.ndarray  # (n_t, l) max(t_P + U, C)
@@ -315,17 +359,11 @@ class _LevelDP:
         self.S_l = (self.P + 1) * self.S_p
         self.n_t = grid.n_t
 
-        self.cumU = chain._cum_u
-        self.cumW = chain._cum_w
-        self.cumA = chain._cum_a_in
-        self.act = chain._act
-
-        # per-level static candidate rows, index j = l - k (k descending);
-        # pure functions of (chain, beta, strides, grid), so a workspace may
-        # share one dict across probes, searches and instances (keyed by l;
-        # the contiguous kernel keeps its _Cuts there under _CUTS = 0).
-        # Nothing that depends on M, the headroom, T̂ or the cap may go in.
+        # the workspace (module docstring): _Cuts and this kernel's _Rows by
+        # level; nothing that depends on M, the headroom, T̂ or the cap.
         self._rows: dict = {} if rows_cache is None else rows_cache
+        self.cuts = _cuts(self._rows, chain, self.beta, self.P, self.V_grid)
+        self.start = self.cuts.start.tolist()
         # this probe's per-coordinate tables, shared by discover and reduce
         self._tabs: dict[int, _Tables] = {}
 
@@ -345,32 +383,21 @@ class _LevelDP:
     # -- per-level tables ---------------------------------------------------
 
     def _static_rows(self, l: int) -> _Rows:
-        """Candidate-stage constants for level ``l``: arrays over the cut
-        layer ``k = l … 1`` (index ``j = l − k``), plus the per-coordinate
-        tables that do not depend on ``T̂``, ``M`` or the period cap —
-        ``V + U`` over the ``iv`` grid, and ``t_P + U``, its snapped
-        ``it2`` (pre-packed with ``(k−1)·S_l``) and ``max(t_P + U, C)``
-        over the ``it`` grid."""
+        """The per-coordinate tables of level ``l`` that depend on neither
+        ``T̂``, ``M`` nor the period cap: ``t_P + U`` over the ``it`` grid,
+        its snapped ``it2`` (pre-packed with ``(k−1)·S_l``) and ``max(t_P
+        + U, C)``, over the level's columns of :attr:`cuts`."""
         rows = self._rows.get(l)
         if rows is not None:
             return rows
-        # cumU[k-1], cumW[k-1], cumA[k-1] for k = l..1  →  reversed prefixes
-        U = self.cumU[l] - self.cumU[l - 1 :: -1]
-        dw3 = 3.0 * (self.cumW[l] - self.cumW[l - 1 :: -1])
-        da = self.cumA[l] - self.cumA[l - 1 :: -1]
-        a_in = self.act[: l][::-1].copy()  # a^{(k-1)}, zeroed at k == 1
-        a_in[l - 1] = 0.0
-        comm = 2.0 * a_in / self.beta
-        b1 = 2.0 * a_in  # first-boundary buffers (k > 1 only)
-        b2 = 2.0 * self.act[l] if l < self.L else 0.0
-        local_n = np.maximum(U, comm)
+        cols = slice(self.start[l], self.start[l + 1])
+        U, comm = self.cuts.U[cols], self.cuts.comm[cols]
         kb = np.arange(l - 1, -1, -1, dtype=np.int64) * self.S_l  # (k-1)·S_l
-        VU = self.V_grid[:, None] + U[None, :]  # (n_v, l)
         t2 = self.t_grid[:, None] + U[None, :]  # (n_t, l)
         it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
         kit2 = kb + it2 * self.S_t
         local_s = np.maximum(t2, comm)
-        rows = _Rows(U, dw3, da, comm, b1, b2, local_n, kb, VU, t2, kit2, local_s)
+        rows = _Rows(kb, t2, kit2, local_s)
         self._rows[l] = rows
         return rows
 
@@ -388,16 +415,22 @@ class _LevelDP:
         ``t_P ≥ 0``, so every candidate under the cap, normal or special,
         lies in the first ``jm = #{j : U < cap}`` columns: the tables
         cover only those (``jm = 0`` leaves every ``p ≥ 1`` state of the
-        level infeasible).  The static rows are sliced, never rebuilt.
+        level infeasible).  The per-cut constants are sliced from the
+        level's columns of :attr:`cuts` and the static rows from
+        :meth:`_static_rows`, never rebuilt.
         """
         tab = self._tabs.get(l)
         if tab is not None:
             return tab
         rows = self._static_rows(l)
         That, cap, M = self.That, self.cap, self.M
-        jm = int(np.count_nonzero(rows.U < cap))
-        U, dw3, da, comm, b1 = (a[:jm] for a in rows[:5])
-        b2, kb, VU, t2 = rows.b2, rows.kb[:jm], rows.VU[:, :jm], rows.t2[:, :jm]
+        cut, a = self.cuts, self.start[l]
+        jm = int(np.count_nonzero(cut.U[a : self.start[l + 1]] < cap))
+        cols = slice(a, a + jm)
+        U, dw3, da, comm, b1, b2, local = (
+            x[cols] for x in (cut.U, cut.dw3, cut.da, cut.comm, cut.b1, cut.b2, cut.local)
+        )
+        kb, VU, t2 = rows.kb[:jm], cut.VU[:, cols], rows.t2[:, :jm]
 
         g, mem_g, iv2 = _delay_tables(
             That, self.V_grid, self.v_step, VU, U, dw3, da, comm, b1, b2
@@ -417,7 +450,7 @@ class _LevelDP:
         tab = _Tables(
             valid_n=mem_ok_n,
             kiv2=kb + iv2,
-            local_n=rows.local_n[:jm],
+            local_n=local,
             cap_fail_n=l - jm,
             mem_fail_n=np.count_nonzero(~mem_ok_n, axis=1),
             cap_ok_s=cap_ok_s,
@@ -482,11 +515,11 @@ class _LevelDP:
         V = iv * self.v_step
         t_P = it * self.t_step
         m_P = im * self.m_step
-        U_1l = float(self.cumU[l])
+        c = self.start[l + 1] - 1  # the column of the stage 1..l
+        U_1l = float(self.cuts.U[c])
         g = np.maximum(np.ceil((V + U_1l) / self.That - 1e-9), 1.0)
-        m = 3.0 * float(self.cumW[l]) + (g - 1.0) * float(self.cumA[l])
-        if l < self.L:
-            m = m + 2.0 * float(self.act[l])
+        m = float(self.cuts.dw3[c]) + (g - 1.0) * float(self.cuts.da[c])
+        m = m + float(self.cuts.b2[c])
         feasible = m_P + m <= self.M + _EPS
         vals = np.where(feasible, U_1l + t_P, INF)
         return vals, feasible
@@ -660,56 +693,6 @@ class _LevelDP:
 
 # -- the contiguous kernel -------------------------------------------------
 
-#: Workspace key of the contiguous kernel's :class:`_Cuts`.  The special
-#: kernel keys its ``_Rows`` by level ``l ≥ 1`` in the same dict; level 0
-#: has no cuts, so its key is free.
-_CUTS = 0
-
-
-class _Cuts(NamedTuple):
-    """Candidate-stage constants of every level for the contiguous kernel
-    (see :func:`_cuts`): flat arrays over the columns ``(k, l)``, level
-    after level, ``k = l … 1`` inside level ``l`` (the order of
-    :class:`_Rows`).  Pure functions of (chain, β, P, grid)."""
-
-    start: np.ndarray  # (L+2,) first column of level l; start[L+1] = N
-    U: np.ndarray  # U(k, l)
-    dw3: np.ndarray  # 3·W(k, l)
-    da: np.ndarray  # Σ a_{i-1} over k..l
-    comm: np.ndarray  # C(k-1) = 2·a^{(k-1)}/β, zero at k == 1
-    b1: np.ndarray  # first-boundary buffers 2·a^{(k-1)}
-    b2: np.ndarray  # last-boundary buffers 2·a^{(l)}, zero at l == L
-    local: np.ndarray  # max(U, C): the stage's local period
-    base: np.ndarray  # (k-1)·(P+1)·n_v: level k−1 in the value table
-    VU: np.ndarray  # (n_v, N) V + U
-
-
-def _cuts(chain: Chain, beta: float, P: int, V_grid: np.ndarray) -> _Cuts:
-    """The :class:`_Cuts` of one (chain, β, P, grid), built in whole-array
-    operations that repeat :meth:`_LevelDP._static_rows`' per element."""
-    L = chain.L
-    sizes = np.arange(L + 1)  # level l has l cuts
-    start = np.zeros(L + 2, dtype=np.int64)
-    start[1:] = np.cumsum(sizes)
-    ls = np.repeat(sizes, sizes)
-    ks = ls - (np.arange(len(ls)) - start[ls])
-    act = chain._act
-    U = chain._cum_u[ls] - chain._cum_u[ks - 1]
-    a_in = np.where(ks > 1, act[ks - 1], 0.0)
-    comm = 2.0 * a_in / beta
-    return _Cuts(
-        start=start,
-        U=U,
-        dw3=3.0 * (chain._cum_w[ls] - chain._cum_w[ks - 1]),
-        da=chain._cum_a_in[ls] - chain._cum_a_in[ks - 1],
-        comm=comm,
-        b1=2.0 * a_in,
-        b2=np.where(ls < L, 2.0 * act[ls], 0.0),
-        local=np.maximum(U, comm),
-        base=(ks - 1) * ((P + 1) * len(V_grid)),
-        VU=V_grid[:, None] + U[None, :],
-    )
-
 
 def _contiguous(
     chain: Chain,
@@ -722,9 +705,10 @@ def _contiguous(
     """MadPipe-DP(T̂) without the special processor, as a dense sweep.
 
     Every state keeps ``it = im = 0``, so the DP lives on ``(l, p, iv)``.
-    The probe's tables cover every level at once, in the columns whose
-    ``U(k, l)`` is under the cap (``U`` never decreases along ``k = l …
-    1``, so those are each level's first ``jm_l``); their float operations
+    The probe's tables cover every level at once (the workspace's
+    :class:`_Cuts`), in the columns whose ``U(k, l)`` is under the cap
+    (``U`` never decreases along ``k = l … 1``, so those are each level's
+    first ``jm_l``); their float operations
     are :meth:`_LevelDP._tables`' on the same operands, hence
     bit-identical.  A downward pass walks the reachable states for the
     counters; when none of them is a level-0 state, nothing closes the
@@ -737,11 +721,7 @@ def _contiguous(
     L, P, n_v = chain.L, platform.n_procs, grid.n_v
     v_step = (chain.total_compute() + chain.total_comm(platform.bandwidth)) / (n_v - 1)
     V_grid = np.arange(n_v) * v_step
-    cuts = workspace.get(_CUTS) if workspace is not None else None
-    if cuts is None:
-        cuts = _cuts(chain, platform.bandwidth, P, V_grid)
-        if workspace is not None:
-            workspace[_CUTS] = cuts
+    cuts = _cuts({} if workspace is None else workspace, chain, platform.bandwidth, P, V_grid)
 
     keep = cuts.U < cap
     sel = np.flatnonzero(keep)
@@ -826,11 +806,11 @@ def madpipe_dp(
     grid states reachable from the root.
 
     ``workspace`` is a dict shared across evaluations of the same
-    (chain, P, β, grid): each kernel keeps there the tables that depend
-    on neither ``T̂``, the cap nor the memory capacity, under its own
-    keys, so both may share one dict.  The result does not depend on
-    whether a workspace is passed or what it already holds (golden tests
-    enforce it).
+    (chain, P, β, grid): it holds the tables that depend on neither
+    ``T̂``, the cap nor the memory capacity — the per-cut table both
+    kernels read and the special kernel's per-level rows, under their own
+    keys.  The result does not depend on whether a workspace is passed or
+    what it already holds (golden tests enforce it).
     """
     if target <= 0:
         raise ValueError("target period must be positive")

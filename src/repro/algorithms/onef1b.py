@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.chain import Chain
+from ..core.memory import stage_memory_terms
 from ..obs.metrics import active_metrics
 from ..obs.trace import active_trace
 from ..core.partition import Allocation, Partitioning
@@ -412,8 +413,9 @@ def _period_search(
     so memory usage is non-increasing in T and the first feasible
     candidate is the answer.
 
-    Vectorized: stage loads and memory terms come from the chain's cached
-    prefix arrays (O(1) per stage), candidates from one masked 2-D
+    Vectorized: stage loads come from the chain's cached prefix arrays and
+    memory terms from :func:`~repro.core.memory.stage_memory_terms` (O(1)
+    per stage), candidates from one masked 2-D
     ``cumsum``, group assignment from the batched kernel across all
     candidates, and memory feasibility from one array comparison — for
     1F1B\\* all with float arithmetic identical to
@@ -478,10 +480,8 @@ def _period_search(
     # memory terms of MemoryBreakdown, as arrays over stages; the total is
     # evaluated in the breakdown's float order: (weights + activations) +
     # buffers, then a split family's grad-input buffer ĝ = a_end
-    w3 = 3.0 * chain.weight_ranges(starts, ends)
-    abar = chain.stored_activation_ranges(starts, ends)
-    buf = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
-    buf = buf + np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
+    w3, abar, b_in, b_out = stage_memory_terms(chain, starts, ends)
+    buf = b_in + b_out
     ghat = chain.activation_values(ends) if family.split else np.zeros(n_stages)
     cap = platform.memory * (1 + MEMORY_FIT_RTOL)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import obs
 from ..core.chain import Chain
+from ..core.memory import stage_memory_terms
 from ..core.partition import Partitioning
 from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
@@ -86,10 +87,11 @@ def pipedream_partition(
     ``s`` activation copies.
 
     The stage tables over ``(i, j)`` — load ``U(i, j)``, weights, stored
-    activations, boundary buffers and the cut cost ``C(j)`` — are built
-    once from the chain's prefix sums, with the same float operations as
-    :meth:`Chain.U`, :func:`~repro.core.memory.stage_memory` and
-    :meth:`Chain.comm_time`.  Each stage count ``s`` then costs one masked
+    activations, boundary buffers and the cut cost ``C(j)`` (the outgoing
+    buffer over ``β``) — are built once through :meth:`Chain.u_ranges` and
+    :func:`~repro.core.memory.stage_memory_terms`, with the same float
+    operations as :meth:`Chain.U`, :func:`~repro.core.memory.stage_memory`
+    and :meth:`Chain.comm_time`.  Each stage count ``s`` then costs one masked
     ``max``/``argmin`` over an ``L×L`` table, so the DP runs in
     ``O(P·L²)`` array operations instead of as many interpreted steps.
     ``argmin`` keeps the first (smallest) ``j`` among equal bottlenecks,
@@ -102,13 +104,9 @@ def pipedream_partition(
     # row i-1, column j-1 of each table describes the stage i..j
     starts = np.arange(1, L + 1)[:, None]
     ends = np.arange(1, L + 1)[None, :]
-    load = chain._cum_u[ends] - chain._cum_u[starts - 1]
-    weights = 3.0 * chain.weight_ranges(starts, ends)
-    stored = chain.stored_activation_ranges(starts, ends)
-    act = chain.activation_values(np.arange(L + 1))
-    buffers = np.where(starts > 1, 2.0 * act[starts - 1], 0.0) + np.where(
-        ends < L, 2.0 * act[ends], 0.0
-    )
+    load = chain.u_ranges(starts, ends)
+    weights, stored, b_in, b_out = stage_memory_terms(chain, starts, ends)
+    buffers = b_in + b_out
 
     def memory(s: int) -> np.ndarray:
         return weights + s * stored + buffers
@@ -121,7 +119,7 @@ def pipedream_partition(
     # stage i..j, then j+1..L in s-1 stages: needs i <= j < L
     local = np.where(
         (ends >= starts) & (ends < L),
-        np.maximum(load, 2.0 * act[ends] / platform.bandwidth),
+        np.maximum(load, b_out / platform.bandwidth),
         INF,
     )
     rows = np.arange(L)

@@ -198,6 +198,10 @@ class Chain:
     # accessors (``cum[l] - cum[k-1]`` per range), so kernels built on them
     # are bit-identical to loops over ``U_f``/``U_b``/``weights``/…
 
+    def u_ranges(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`U`: compute cost of layers ``starts[i]..ends[i]``."""
+        return self._cum_u[ends] - self._cum_u[starts - 1]
+
     def u_f_ranges(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`U_f`: forward cost of layers ``starts[i]..ends[i]``."""
         return self._cum_uf[ends] - self._cum_uf[starts - 1]

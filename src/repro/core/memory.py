@@ -17,13 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chain import Chain
+from .partition import Allocation
 
 __all__ = [
     "MemoryBreakdown",
     "effective_capacity",
     "stage_memory",
     "stage_memory_breakdown",
+    "stage_memory_terms",
+    "static_memory",
 ]
 
 
@@ -127,3 +132,34 @@ def stage_memory(
     return stage_memory_breakdown(
         chain, k, l, g, in_buffer=in_buffer, out_buffer=out_buffer, g_grad=g_grad
     ).total
+
+
+def stage_memory_terms(
+    chain: Chain, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`stage_memory_breakdown`'s terms ``(3·W, ā, 2·a_{k-1}, 2·a_l)``
+    over stages ``starts..ends`` (broadcastable arrays), with its float
+    operations elementwise; a boundary buffer is 0 where the paper drops it
+    and shaped by its own bound only.  Callers sum the terms in their own
+    order: ``(w3 + g·ā) + (b_in + b_out)`` is the breakdown's ``total`` bit
+    for bit, the DP kernels' ``((w3 + g·ā) + b_in) + b_out`` the reference's.
+    """
+    w3 = 3.0 * chain.weight_ranges(starts, ends)
+    abar = chain.stored_activation_ranges(starts, ends)
+    b_in = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
+    b_out = np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
+    return w3, abar, b_in, b_out
+
+
+def static_memory(chain: Chain, allocation: Allocation) -> dict[int, float]:
+    """Per-GPU bytes held with no batch active: the weights and buffers of
+    the GPU's stages, summed in stage order."""
+    static: dict[int, float] = {}
+    for p in allocation.procs_used():
+        total = 0.0
+        for i in allocation.stages_on_proc(p):
+            s = allocation.stages[i]
+            bd = stage_memory_breakdown(chain, s.start, s.end, 0)
+            total += bd.weights + bd.buffers
+        static[p] = total
+    return static

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .chain import Chain
-from .memory import stage_memory_breakdown
+from .memory import static_memory
 from .partition import Allocation
 from .platform import Platform
 from .tolerances import CHECK_RTOL, EPS, memory_slack
@@ -406,14 +406,9 @@ class PeriodicPattern:
         """
         alloc = self.allocation
         peaks: dict[int, float] = {}
-        for p in alloc.procs_used():
+        for p, static in static_memory(chain, alloc).items():
             stage_idxs = alloc.stages_on_proc(p)
             w_idxs = [i for i in stage_idxs if (W, i) in self.ops]
-            static = 0.0
-            for i in stage_idxs:
-                s = alloc.stages[i]
-                bd = stage_memory_breakdown(chain, s.start, s.end, 0)
-                static += bd.weights + bd.buffers
             events = {0.0}
             for i in stage_idxs:
                 events.add(self.ops[(F, i)].start % self.period)

@@ -537,20 +537,28 @@ def _to_jsonable(r: RunResult) -> dict:
     return d
 
 
-def _read_jsonl(path: Path) -> str:
-    """The text of a result file; a JSON array (first byte ``[``, the
-    format before 3.0.0) raises ``ValueError`` before anything parses
-    or rewrites it, since line-by-line loading would quarantine every
-    line and the next flush would overwrite the file."""
-    text = path.read_text()
-    if text.lstrip().startswith("["):
+def _refuse_json_array(path: Path) -> None:
+    """Raise ``ValueError`` when a result file is a JSON array (first
+    non-blank character ``[``, the format before 3.0.0), before anything
+    parses or rewrites it: line-by-line loading would quarantine every
+    line and the next flush would overwrite the file.  Reads only up to
+    that character."""
+    with path.open() as fh:
+        while (head := fh.read(4096)) and head.isspace():
+            pass
+    if head.lstrip().startswith("["):
         raise ValueError(
             f"{path} is a JSON array; result files are JSONL since 3.0.0. "
             "Convert it with: python -c \"import json, sys; "
             "[print(json.dumps(r)) for r in json.load(open(sys.argv[1]))]\" "
             "OLD.json > NEW.jsonl"
         )
-    return text
+
+
+def _read_jsonl(path: Path) -> str:
+    """The text of a result file, refusing a JSON array."""
+    _refuse_json_array(path)
+    return path.read_text()
 
 
 def load_results(path: str | Path) -> list[RunResult]:
@@ -581,7 +589,7 @@ class ResultCache(JsonlCache):
     """
 
     def _load(self) -> None:
-        _read_jsonl(self.path)  # refuse a JSON array before quarantining it
+        _refuse_json_array(self.path)  # before quarantining every line
         super()._load()
 
     def _encode(self, record: RunResult) -> dict:

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint
 
 from ..core.chain import Chain
-from ..core.memory import stage_memory_breakdown
+from ..core.memory import static_memory
 from ..core.partition import Allocation
 from ..core.pattern import OpKey, allocation_ops, dependency_edges
 from ..core.platform import Platform
@@ -236,13 +236,10 @@ def build_skeleton(
         return y_index[(after, before)], -1.0, 1.0
 
     M = platform.memory
-    for p in sorted(allocation.procs_used()):
+    statics = static_memory(chain, allocation)
+    for p in sorted(statics):
         stage_idxs = allocation.stages_on_proc(p)
-        static = 0.0
-        for i in stage_idxs:
-            s = allocation.stages[i]
-            bd = stage_memory_breakdown(chain, s.start, s.end, 0)
-            static += bd.weights + bd.buffers
+        static = statics[p]
 
         def add_event(event: OpKey, p: int = p, stage_idxs=stage_idxs, static=static) -> None:
             coeffs: dict[int, float] = {}

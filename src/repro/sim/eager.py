@@ -6,7 +6,9 @@ backwards priority over forwards on each GPU (the "1F1B" discipline).
 This event-driven simulator executes that policy on any contiguous
 allocation, measuring the achieved steady-state period and the actual
 peak memory — the quantities the paper contrasts with the *optimal*
-periodic 1F1B\\* pattern.
+periodic 1F1B\\* pattern.  The peak comes from the pattern simulator's
+memory trace (:mod:`repro.sim.engine`), so eager runs and certification
+count memory the same way.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import heapq
 from dataclasses import dataclass
 
 from ..core.chain import Chain
-from ..core.memory import stage_memory_breakdown
 from ..core.partition import Allocation
 from ..core.pattern import OpKey, allocation_ops, dependency_edges
 from ..core.platform import Platform
+from .engine import _memory_trace
 
 __all__ = ["EagerReport", "eager_1f1b"]
 
@@ -51,7 +53,8 @@ def eager_1f1b(
     :func:`~repro.core.pattern.dependency_edges` are done for its batch.
     ``depth`` limits the number of batches in flight (default: the number
     of stages, PipeDream's choice).  The steady-state period is measured
-    between consecutive completions in the second half of the run.
+    between consecutive completions in the second half of the run, the
+    peak memory over the whole run (horizon = makespan).
     """
     if not allocation.is_contiguous():
         raise ValueError("eager 1F1B requires a contiguous allocation")
@@ -127,7 +130,9 @@ def eager_1f1b(
         (half[-1] - half[0]) / (len(half) - 1) if len(half) > 1 else makespan
     )
 
-    peak = _peak_memory(chain, allocation, executions)
+    peak, _ = _memory_trace(
+        chain, allocation, ((k, i, start, end) for k, i, _, start, end in executions), makespan
+    )
     return EagerReport(
         n_batches=n_batches,
         depth=depth,
@@ -136,34 +141,3 @@ def eager_1f1b(
         peak_memory=peak,
         executions=executions,
     )
-
-
-def _peak_memory(
-    chain: Chain, allocation: Allocation, executions
-) -> dict[int, float]:
-    events: dict[int, list[tuple[float, float]]] = {}
-    static: dict[int, float] = {}
-    for i, s in enumerate(allocation.stages):
-        p = allocation.procs[i]
-        bd = stage_memory_breakdown(chain, s.start, s.end, 0)
-        static[p] = static.get(p, 0.0) + bd.weights + bd.buffers
-        events.setdefault(p, [])
-    for kind, i, _batch, start, end in executions:
-        if kind not in ("F", "B"):
-            continue
-        p = allocation.procs[i]
-        abar = allocation.stages[i].stored_activations(chain)
-        if kind == "F":
-            events[p].append((start, abar))
-        else:
-            events[p].append((end, -abar))
-    peak = {}
-    for p, evs in events.items():
-        evs.sort()
-        level = static[p]
-        best = level
-        for _t, d in evs:
-            level += d
-            best = max(best, level)
-        peak[p] = best
-    return peak

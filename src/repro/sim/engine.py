@@ -14,10 +14,12 @@ by running their output, not only by re-deriving it.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..core.chain import Chain
-from ..core.memory import stage_memory_breakdown
+from ..core.memory import static_memory
 from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
 from ..core.tolerances import CHECK_RTOL, memory_slack
@@ -147,7 +149,8 @@ def simulate(
 
     w_stages = frozenset(i for (kind, i) in pattern.ops if kind == "W")
     peak, timeline = _memory_trace(
-        chain, alloc, executions, horizon, tol, w_stages=w_stages
+        chain, alloc, ((e.kind, e.index, e.start, e.end) for e in executions), horizon, tol,
+        w_stages=w_stages,
     )
     cap = platform.memory + memory_slack(platform.memory, tol)
     for p, m in peak.items():
@@ -174,7 +177,7 @@ def simulate(
 def _memory_trace(
     chain: Chain,
     alloc,
-    executions: list[Execution],
+    executions: Iterable[tuple[str, int, float, float]],
     horizon: float,
     tol: float = CHECK_RTOL,
     *,
@@ -182,7 +185,7 @@ def _memory_trace(
 ) -> tuple[dict[int, float], dict[int, list[tuple[float, float]]]]:
     """Per-GPU memory as a step function: static (weights + buffers) plus
     one stored-activation set per batch between its forward start and its
-    backward end.
+    backward end, from executed ``(kind, stage, start, end)`` ops.
 
     Stages in ``w_stages`` use the split-backward model: the stored
     activations stay live until the grad-weight op completes (``W`` needs
@@ -194,43 +197,43 @@ def _memory_trace(
     the *late* part of the window — callers should simulate enough
     periods for the pipeline to fill.
     """
-    static: dict[int, float] = {}
-    for p in alloc.procs_used():
-        s_total = 0.0
-        for i in alloc.stages_on_proc(p):
-            s = alloc.stages[i]
-            bd = stage_memory_breakdown(chain, s.start, s.end, 0)
-            s_total += bd.weights + bd.buffers
-        static[p] = s_total
-
+    static = static_memory(chain, alloc)
+    abar = [s.stored_activations(chain) for s in alloc.stages]
     events: dict[int, list[tuple[float, float]]] = {p: [] for p in static}
-    for e in executions:
-        if e.kind not in ("F", "B", "W"):
+    for kind, i, start, end in executions:
+        if kind not in ("F", "B", "W"):
             continue
-        p = alloc.procs[e.index]
-        abar = alloc.stages[e.index].stored_activations(chain)
-        if e.kind == "F":
-            events[p].append((e.start, abar))
-        elif e.kind == "B":
-            if e.index in w_stages:
+        evs = events[alloc.procs[i]]
+        if kind == "F":
+            evs.append((start, abar[i]))
+        elif kind == "B":
+            if i in w_stages:
                 # split backward: B allocates the grad-input buffer; the
                 # stored activations survive until W completes
-                events[p].append((e.start, alloc.stages[e.index].grad_buffer(chain)))
+                evs.append((start, alloc.stages[i].grad_buffer(chain)))
             else:
-                events[p].append((e.end, -abar))
+                evs.append((end, -abar[i]))
         else:  # W: frees the activations and the grad-input buffer
-            events[p].append((e.end, -abar))
-            events[p].append((e.end, -alloc.stages[e.index].grad_buffer(chain)))
+            evs.append((end, -abar[i]))
+            evs.append((end, -alloc.stages[i].grad_buffer(chain)))
 
-    # Two events closer than the tolerance are simultaneous; frees apply
-    # before allocations (a backward that ends exactly when the next
-    # forward starts releases its activation first — the convention the
-    # schedule semantics and the ILP memory constraints use).
+    # Events whose gaps are at most ``snap`` (chaining) are one instant,
+    # stamped with its first time; within it frees apply before allocations
+    # (a backward that ends when the next forward starts, or one ulp after
+    # it, releases its activation first — the convention the schedule
+    # semantics and the ILP memory constraints use).
     snap = max(tol * max(horizon, 1.0), 1e-12)
     peak: dict[int, float] = {}
     timeline: dict[int, list[tuple[float, float]]] = {}
     for p, evs in events.items():
-        evs.sort(key=lambda td: (round(td[0] / snap), td[1]))
+        evs.sort()
+        prev = stamp = -math.inf
+        for j, (t, delta) in enumerate(evs):
+            if t - prev > snap:
+                stamp = t
+            prev = t
+            evs[j] = (stamp, delta)
+        evs.sort()
         level = static[p]
         best = level
         steps = [(0.0, level)]

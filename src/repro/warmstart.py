@@ -7,12 +7,11 @@ probe, yet those tables depend only on (chain, P, β, grid) — not on the
 probe target, the period cap or the memory capacity.  This module holds
 the one table that lets solves share them:
 
-* ``dp_rows`` — the MadPipe DP workspace: the per-level candidate-stage
-  constants and coordinate tables of the special-processor kernel
-  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`) and the
-  per-cut constants of the contiguous kernel
-  (:func:`repro.algorithms.madpipe_dp._cuts`), keyed by (chain, P, β,
-  grid) and shared across probes, searches and instances.
+* ``dp_rows`` — the MadPipe DP workspace: the per-cut constants both
+  kernels read (:func:`repro.algorithms.madpipe_dp._cuts`) and the
+  per-level coordinate tables of the special-processor kernel
+  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`), keyed by
+  (chain, P, β, grid) and shared across probes, searches and instances.
 
 The reuse is exact (deterministic intermediates looked up by exact key),
 so **warm starts never change results**: warm and cold probes run the

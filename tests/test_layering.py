@@ -6,6 +6,9 @@ experiment harness, and the package never reaches into the tests.
 ``repro.serve`` and ``repro.profiles`` build on them, not on
 ``repro.experiments``.  The exact oracles live in ``tests.oracles``:
 nothing under ``src/repro`` imports them, and ``import repro`` loads none.
+The algorithms read the chain through its public range queries and the
+memory model through ``repro.core.memory``, never ``Chain``'s prefix
+arrays.
 """
 
 from __future__ import annotations
@@ -74,3 +77,43 @@ def test_import_loads_no_oracle():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout
     assert out.strip() == "[]"
+
+
+CHAIN_INTERNALS = {"_cum_u", "_cum_uf", "_cum_ub", "_cum_w", "_cum_a_in", "_act"}
+#: (module, function) pairs allowed to read them: the warm-start key hashes
+#: the prefix arrays themselves.
+INTERNALS_EXEMPT = {("warmstart.py", "chain_fingerprint")}
+
+
+def internal_reads(path: Path, exempt=INTERNALS_EXEMPT) -> list[str]:
+    """``function:attribute`` for every read of a ``Chain`` prefix array in
+    ``path`` outside the ``exempt`` functions."""
+    rel = str(path.relative_to(SRC))
+    found = []
+
+    def visit(node: ast.AST, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+            if (rel, func) in exempt:
+                return
+        if isinstance(node, ast.Attribute) and node.attr in CHAIN_INTERNALS:
+            found.append(f"{func}:{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_chain_reads_its_prefix_arrays():
+    bad = {str(path.relative_to(SRC)): reads
+           for path in sorted(SRC.rglob("*.py"))
+           if path != SRC / "core" / "chain.py"
+           for reads in [internal_reads(path)] if reads}
+    assert bad == {}
+
+
+def test_internals_guard_sees_the_exempt_read():
+    # the guard must find the reads it exempts, or it checks nothing
+    reads = internal_reads(SRC / "warmstart.py", exempt=set())
+    assert "chain_fingerprint:_cum_u" in reads

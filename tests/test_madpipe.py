@@ -83,15 +83,6 @@ class TestMadPipe:
             "1F1B*" in n or "ILP" in n or "candidate" in n for n in res.notes
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the simulator's memory trace (sim/engine.py _memory_trace) bins "
-        "events by round(t / snap): on the last stage of cuts (2, 4, 6), B of "
-        "batch 7 ends at 0.5478125 and F of batch 8 starts one ulp earlier; the "
-        "two times round into adjacent bins, so the allocation is applied before "
-        "the free and the executed peak holds one stored-activation set (2 x 32 "
-        "MiB) more than the analytic steady state, which is right",
-    )
     def test_uniform_chain_plan_certifies(self):
         chain = uniform_chain(8, u_f=0.01, u_b=0.02, weights=16 * MB, activation=32 * MB)
         res = api.plan(chain, Platform.of(4, 4.0, 12.0), grid=COARSE, iterations=6)

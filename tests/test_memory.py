@@ -1,8 +1,11 @@
 """Unit tests for the memory model M(k, l, g) (paper §4.2.1)."""
 
+import numpy as np
 import pytest
 
-from repro.core import stage_memory, stage_memory_breakdown
+from repro.core import Allocation, Partitioning, stage_memory, stage_memory_breakdown
+from repro.core.memory import stage_memory_terms, static_memory
+from repro.models.synthetic import random_chain
 
 MB = float(2**20)
 
@@ -59,3 +62,65 @@ class TestStageMemory:
     def test_negative_g_rejected(self, tiny_chain):
         with pytest.raises(ValueError):
             stage_memory(tiny_chain, 1, 2, -1)
+
+
+class TestStageMemoryTerms:
+    """The vectorized terms equal the scalar breakdown's fields exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("L", [1, 2, 7, 13])
+    def test_every_stage_matches_the_breakdown(self, L, seed):
+        chain = random_chain(L, seed=seed, decay=0.1 * seed)
+        # every stage k..l, k = 1, l = L and single layers included
+        starts = np.arange(1, L + 1)[:, None]
+        ends = np.arange(1, L + 1)[None, :]
+        terms = stage_memory_terms(chain, starts, ends)
+        w3, abar, b_in, b_out = np.broadcast_arrays(*terms)
+        for k in range(1, L + 1):
+            for l in range(k, L + 1):
+                i, j = k - 1, l - 1
+                bd = stage_memory_breakdown(chain, k, l, 0)
+                assert w3[i, j] == bd.weights, (k, l)
+                assert b_in[i, j] + b_out[i, j] == bd.buffers, (k, l)
+                assert b_in[i, j] == (2.0 * chain.activation(k - 1) if k > 1 else 0.0)
+                assert b_out[i, j] == (2.0 * chain.activation(l) if l < L else 0.0)
+                for g in (1, 3):
+                    assert g * abar[i, j] == stage_memory_breakdown(
+                        chain, k, l, g
+                    ).activations, (k, l, g)
+
+    def test_flat_arrays(self):
+        chain = random_chain(9, seed=5)
+        starts, ends = np.array([1, 3, 9, 1]), np.array([2, 8, 9, 9])
+        w3, abar, b_in, b_out = stage_memory_terms(chain, starts, ends)
+        for i, (k, l) in enumerate(zip(starts.tolist(), ends.tolist())):
+            bd = stage_memory_breakdown(chain, k, l, 2)
+            assert (w3[i] + 2 * abar[i]) + (b_in[i] + b_out[i]) == bd.total
+
+
+class TestStaticMemory:
+    @staticmethod
+    def per_gpu_loop(chain, alloc):
+        static = {}
+        for p in alloc.procs_used():
+            total = 0.0
+            for i in alloc.stages_on_proc(p):
+                s = alloc.stages[i]
+                bd = stage_memory_breakdown(chain, s.start, s.end, 0)
+                total += bd.weights + bd.buffers
+            static[p] = total
+        return static
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_per_gpu_loop(self, seed):
+        chain = random_chain(12, seed=seed, decay=0.1)
+        allocations = [
+            Allocation.contiguous(Partitioning.from_cuts(12, [3, 7])),
+            # GPU 1 holds three stages, GPU 0 two
+            Allocation(Partitioning.from_cuts(12, [2, 4, 6, 9, 11]), (0, 1, 2, 1, 0, 1)),
+            Allocation(Partitioning.from_cuts(12, [1, 11]), (1, 0, 1)),
+        ]
+        for alloc in allocations:
+            got = static_memory(chain, alloc)
+            assert got == self.per_gpu_loop(chain, alloc)
+            assert list(got) == list(self.per_gpu_loop(chain, alloc))

@@ -1,11 +1,14 @@
 """Tests for the discrete-event simulator and validator."""
 
+import math
+
 import pytest
 
 from repro.algorithms import min_feasible_period
-from repro.core import Partitioning, PatternError, Platform
-
+from repro.core import Allocation, Partitioning, PatternError, Platform
+from repro.core.memory import static_memory
 from repro.sim import simulate, verify_pattern
+from repro.sim.engine import _memory_trace
 
 MB = float(2**20)
 
@@ -67,6 +70,23 @@ class TestSimulate:
         for steps in rep.memory_timeline.values():
             times = [t for t, _ in steps]
             assert times == sorted(times)
+
+
+class TestMemoryTrace:
+    def test_free_applies_before_an_allocation_one_ulp_earlier(self, uniform8):
+        """B of batch 7 ends at 0.5478125 and F of batch 8 starts one ulp
+        earlier (the 1F1B* steady state of a uniform chain on cuts 2, 4,
+        6): the two are one instant, so the free applies first and one
+        stored-activation set is live at a time."""
+        alloc = Allocation.contiguous(Partitioning.from_cuts(8, [4]))
+        t = 0.5478125
+        ops = [("F", 1, 0.5, 0.51), ("B", 1, 0.52, t), ("F", 1, math.nextafter(t, 0.0), 0.56)]
+        peak, timeline = _memory_trace(uniform8, alloc, ops, horizon=0.6)
+        static = static_memory(uniform8, alloc)
+        abar = alloc.stages[1].stored_activations(uniform8)
+        assert peak == {0: static[0], 1: static[1] + abar}
+        levels = [m for _, m in timeline[1]]
+        assert levels == [static[1], static[1] + abar, static[1], static[1] + abar]
 
 
 class TestVerifyPattern:
