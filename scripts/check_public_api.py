@@ -42,13 +42,9 @@ import warnings
 
 # third-party deps emit their own deprecation chatter during first
 # import; get them loaded before promoting DeprecationWarning to error
+# (phase 2 imports SciPy's optimizer lazily, possibly inside a check)
 import numpy  # noqa: F401
-import scipy  # noqa: F401
-
-try:
-    import networkx  # noqa: F401
-except ImportError:
-    pass
+import scipy.optimize  # noqa: F401
 
 
 def main() -> int:

@@ -37,15 +37,18 @@ bounds, ``T − d_o`` start-time bounds) in O(nnz) per probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint
 
 from ..core.chain import Chain
 from ..core.memory import static_memory
 from ..core.partition import Allocation
 from ..core.pattern import OpKey, allocation_ops, dependency_edges
 from ..core.platform import Platform
+
+if TYPE_CHECKING:
+    from scipy.optimize import Bounds, LinearConstraint
 
 __all__ = ["ScheduleMILP", "MilpSkeleton", "build_skeleton", "build_milp"]
 
@@ -116,6 +119,8 @@ class MilpSkeleton:
         one skeleton serves every period of a search."""
         if period <= 0:
             raise ValueError("period must be positive")
+        from scipy.optimize import Bounds, LinearConstraint  # phase 2 only
+
         T = period
         A = self.a_const.copy()
         A[self.t_rows, self.t_cols] = self.t_scale * T

@@ -63,7 +63,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, milp
 
 from .. import obs
 from ..core.chain import Chain
@@ -86,6 +85,23 @@ INF = float("inf")
 #: Geometric step of the upper-bound gallop; the exponent doubles each
 #: step so globally-infeasible instances reach the sequential cap fast.
 GALLOP_FACTOR = 1.25
+
+
+# SciPy's optimizer costs ~0.4 s to import and only phase 2 solves, so it
+# loads on the first model.  The search calls these module globals, which
+# keeps ``solver.milp``/``solver.linprog`` the points to wrap or patch.
+def milp(*args, **kwargs):
+    """``scipy.optimize.milp``, imported on first call."""
+    from scipy.optimize import milp
+
+    return milp(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

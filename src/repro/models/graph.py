@@ -15,20 +15,24 @@ traffic) used by the cost model and the linearizer.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .layers import Input, LayerSpec, Shape
 
 __all__ = ["ModelGraph"]
 
 
 class ModelGraph:
-    """A layered computational DAG with deterministic node ordering."""
+    """A layered computational DAG with deterministic node ordering.
+
+    Nodes live in plain dicts keyed by node id, in insertion order.  A
+    layer may only consume nodes that already exist, so insertion order
+    is a topological order and the graph cannot hold a cycle.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self.g = nx.DiGraph()
-        self._counter = 0
+        self._data: dict[str, dict] = {}
+        self._preds: dict[str, tuple[str, ...]] = {}
+        self._succs: dict[str, list[str]] = {}
         self._input: str | None = None
         self._shapes_ready = False
 
@@ -38,7 +42,7 @@ class ModelGraph:
         """Declare the (single) network input."""
         if self._input is not None:
             raise ValueError("graph already has an input")
-        node = self._new_node(Input(tuple(shape)), name)
+        node = self._new_node(Input(tuple(shape)), name, ())
         self._input = node
         return node
 
@@ -48,32 +52,42 @@ class ModelGraph:
             raise ValueError("layer needs at least one predecessor")
         if spec.arity == 1 and len(preds) != 1:
             raise ValueError(f"{type(spec).__name__} takes exactly one input")
-        node = self._new_node(spec, name or type(spec).__name__.lower())
-        for i, p in enumerate(preds):
-            if p not in self.g:
+        for p in preds:
+            if p not in self._data:
                 raise KeyError(f"unknown predecessor {p!r}")
-            self.g.add_edge(p, node, order=i)
+        node = self._new_node(spec, name or type(spec).__name__.lower(), preds)
         self._shapes_ready = False
         return node
 
-    def _new_node(self, spec: LayerSpec, name: str) -> str:
-        node = f"{self._counter:04d}:{name}"
-        self._counter += 1
-        self.g.add_node(node, spec=spec, index=self._counter - 1)
+    def _new_node(self, spec: LayerSpec, name: str, preds: tuple[str, ...]) -> str:
+        node = f"{len(self._data):04d}:{name}"
+        self._data[node] = {"spec": spec}
+        self._preds[node] = preds
+        self._succs[node] = []
+        for p in preds:
+            self._succs[p].append(node)
         return node
 
     # -- structure -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self.g.number_of_nodes()
+        return len(self._data)
 
     def topo_order(self) -> list[str]:
-        """Topological order, deterministic (ties broken by insertion)."""
-        return list(
-            nx.lexicographical_topological_sort(
-                self.g, key=lambda n: self.g.nodes[n]["index"]
-            )
-        )
+        """Topological order: the insertion order."""
+        return list(self._data)
+
+    def node_data(self, node: str) -> dict:
+        """The node's attribute dict (``spec``; after profiling also the
+        shape, FLOP and byte counts) — mutable, shared with the graph."""
+        return self._data[node]
+
+    def successors(self, node: str) -> list[str]:
+        return list(self._succs[node])
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every ``(producer, consumer)`` pair, in consumer order."""
+        return [(p, v) for v, preds in self._preds.items() for p in preds]
 
     @property
     def source(self) -> str:
@@ -83,18 +97,16 @@ class ModelGraph:
 
     @property
     def sink(self) -> str:
-        sinks = [n for n in self.g if self.g.out_degree(n) == 0]
+        sinks = [n for n, succs in self._succs.items() if not succs]
         if len(sinks) != 1:
             raise ValueError(f"graph must have exactly one sink, found {sinks}")
         return sinks[0]
 
     def spec(self, node: str) -> LayerSpec:
-        return self.g.nodes[node]["spec"]
+        return self._data[node]["spec"]
 
     def predecessors_in_order(self, node: str) -> list[str]:
-        preds = list(self.g.predecessors(node))
-        preds.sort(key=lambda p: self.g.edges[p, node]["order"])
-        return preds
+        return list(self._preds[node])
 
     # -- analysis -----------------------------------------------------------------
 
@@ -103,14 +115,9 @@ class ModelGraph:
         ``mem_traffic`` attributes by a topological sweep."""
         if self._input is None:
             raise ValueError("graph has no input")
-        if not nx.is_directed_acyclic_graph(self.g):
-            raise ValueError("graph has a cycle")
-        for node in self.topo_order():
-            data = self.g.nodes[node]
+        for node, data in self._data.items():
             spec: LayerSpec = data["spec"]
-            in_shapes = tuple(
-                self.g.nodes[p]["shape"] for p in self.predecessors_in_order(node)
-            )
+            in_shapes = tuple(self._data[p]["shape"] for p in self._preds[node])
             data["shape"] = spec.out_shape(*in_shapes)
             data["params"] = spec.param_count(*in_shapes)
             data["fwd_flops"] = spec.fwd_flops(*in_shapes)
@@ -124,15 +131,15 @@ class ModelGraph:
 
     def shape(self, node: str) -> Shape:
         self._require_shapes()
-        return self.g.nodes[node]["shape"]
+        return self._data[node]["shape"]
 
     def total_params(self) -> int:
         self._require_shapes()
-        return sum(self.g.nodes[n]["params"] for n in self.g)
+        return sum(data["params"] for data in self._data.values())
 
     def total_fwd_flops(self) -> float:
         self._require_shapes()
-        return sum(self.g.nodes[n]["fwd_flops"] for n in self.g)
+        return sum(data["fwd_flops"] for data in self._data.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ModelGraph({self.name!r}, nodes={len(self)})"

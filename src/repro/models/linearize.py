@@ -30,7 +30,7 @@ def linearize(graph: ModelGraph, *, name: str | None = None) -> Chain:
     activation on the group's single outgoing tensor.
     """
     order = graph.topo_order()
-    nodes = graph.g.nodes
+    nodes = {n: graph.node_data(n) for n in order}
     if "u_f" not in nodes[order[-1]]:
         raise ValueError("graph must be profiled first (run profile_model)")
 
@@ -42,7 +42,7 @@ def linearize(graph: ModelGraph, *, name: str | None = None) -> Chain:
     crossing: set[tuple[str, str]] = set()
     for i, node in enumerate(order):
         crossing = {(u, v) for (u, v) in crossing if v != node}
-        crossing |= {(node, v) for v in graph.g.successors(node)}
+        crossing |= {(node, v) for v in graph.successors(node)}
         current.append(node)
         sources = {u for (u, _v) in crossing}
         if len(sources) == 1:

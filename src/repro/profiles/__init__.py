@@ -1,7 +1,7 @@
 """Measured-profile ingestion: traces → calibrated chains + fitted noise.
 
-The trusted-ingestion subsystem (ROADMAP item 4).  Raw per-layer
-timing/memory traces — JSONL or CSV, schema-versioned, multi-run — enter
+The trusted-ingestion subsystem.  Raw per-layer timing/memory traces —
+JSONL or CSV, schema-versioned, multi-run — enter
 through :func:`ingest_traces`, which validates every record against
 :mod:`~repro.profiles.schema` and quarantines corruption to sidecar
 files instead of crashing.  :func:`calibrate` then turns the surviving

@@ -266,7 +266,7 @@ def profile_model(graph: ModelGraph, device: DeviceSpec, batch_size: int) -> Non
     graph.propagate_shapes()
     bpe = device.bytes_per_element
     for node in graph.topo_order():
-        data = graph.g.nodes[node]
+        data = graph.node_data(node)
         ltype = type(data["spec"]).__name__
         fwd_traffic = data["mem_traffic"] * batch_size * bpe
         data["act_bytes"] = float(numel(data["shape"]) * batch_size * bpe)

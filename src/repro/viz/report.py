@@ -8,8 +8,10 @@ the memory headroom that bounds further batching.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.chain import Chain
-from ..core.memory import stage_memory_breakdown
+from ..core.memory import stage_memory_terms
 from ..core.pattern import PeriodicPattern
 from ..core.platform import GB, Platform
 
@@ -65,15 +67,13 @@ def schedule_report(
         f"{'buffers':>8} {'headroom':>9}"
     )
     for p in sorted(alloc.procs_used()):
-        load = sum(
-            alloc.stages[i].compute(chain) for i in alloc.stages_on_proc(p)
+        stages = [alloc.stages[i] for i in alloc.stages_on_proc(p)]
+        load = sum(s.compute(chain) for s in stages)
+        w3, _, b_in, b_out = stage_memory_terms(
+            chain, np.array([s.start for s in stages]), np.array([s.end for s in stages])
         )
-        weights = buffers = 0.0
-        for i in alloc.stages_on_proc(p):
-            s = alloc.stages[i]
-            bd = stage_memory_breakdown(chain, s.start, s.end, 0)
-            weights += bd.weights
-            buffers += bd.buffers
+        weights = sum(w3.tolist())
+        buffers = sum((b_in + b_out).tolist())
         lines.append(
             f"{p:4d} {100 * load / T:6.1f}% {peaks[p] / GB:15.2f} "
             f"{weights / GB:8.2f} {buffers / GB:8.2f} "

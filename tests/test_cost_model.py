@@ -61,8 +61,8 @@ class TestProfileModel:
     def test_annotations_present(self):
         g = self.small_graph()
         profile_model(g, V100, 4)
-        for n in g.g:
-            data = g.g.nodes[n]
+        for n in g.topo_order():
+            data = g.node_data(n)
             assert "u_f" in data and "u_b" in data
             assert data["u_f"] >= 0 and data["u_b"] >= 0
             assert "act_bytes" in data and "weight_bytes" in data
@@ -70,22 +70,22 @@ class TestProfileModel:
     def test_input_node_free(self):
         g = self.small_graph()
         profile_model(g, V100, 4)
-        assert g.g.nodes[g.source]["u_f"] == 0.0
+        assert g.node_data(g.source)["u_f"] == 0.0
 
     def test_durations_scale_with_batch(self):
         g1, g2 = self.small_graph(), self.small_graph()
         profile_model(g1, V100, 1)
         profile_model(g2, V100, 64)
-        conv1 = [n for n in g1.g if "conv" in n][0]
-        assert g2.g.nodes[conv1]["u_f"] > g1.g.nodes[conv1]["u_f"]
-        assert g2.g.nodes[conv1]["act_bytes"] == 64 * g1.g.nodes[conv1]["act_bytes"]
+        conv1 = [n for n in g1.topo_order() if "conv" in n][0]
+        assert g2.node_data(conv1)["u_f"] > g1.node_data(conv1)["u_f"]
+        assert g2.node_data(conv1)["act_bytes"] == 64 * g1.node_data(conv1)["act_bytes"]
 
     def test_backward_at_least_forward_for_conv(self):
         g = vgg16(image_size=64)
         profile_model(g, V100, 2)
-        for n in g.g:
+        for n in g.topo_order():
             if "conv" in n:
-                assert g.g.nodes[n]["u_b"] >= g.g.nodes[n]["u_f"]
+                assert g.node_data(n)["u_b"] >= g.node_data(n)["u_f"]
 
     def test_invalid_batch(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ class TestAnalysis:
         assert order[0] == g.source
         assert order[-1] == g.sink
         pos = {n: i for i, n in enumerate(order)}
-        for u, v in g.g.edges:
+        for u, v in g.edges():
             assert pos[u] < pos[v]
 
     def test_shapes(self):

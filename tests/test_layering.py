@@ -6,6 +6,9 @@ experiment harness, and the package never reaches into the tests.
 ``repro.serve`` and ``repro.profiles`` build on them, not on
 ``repro.experiments``.  The exact oracles live in ``tests.oracles``:
 nothing under ``src/repro`` imports them, and ``import repro`` loads none.
+Importing the package's front-ends loads neither SciPy's optimizer (only
+phase 2 solves, through ``repro.ilp.solver.milp``/``linprog``) nor
+networkx.
 The algorithms read the chain through its public range queries and the
 memory model through ``repro.core.memory``, never ``Chain``'s prefix
 arrays.
@@ -67,16 +70,53 @@ def test_no_tests_import():
     assert bad == {}
 
 
-def test_import_loads_no_oracle():
-    code = (
-        "import sys, repro; print(sorted(m for m in sys.modules "
-        "if m.endswith(('_reference', 'bruteforce'))))"
-    )
-    out = subprocess.run(
+def loaded_modules(imports: str, select: str) -> str:
+    """``sys.modules`` entries matching ``select`` after ``import
+    {imports}`` in a fresh interpreter, as a printed sorted list."""
+    code = f"import sys, {imports}; print(sorted(m for m in sys.modules if {select}))"
+    return subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
+
+
+def test_import_loads_no_oracle():
+    assert loaded_modules("repro", "m.endswith(('_reference', 'bruteforce'))") == "[]"
+
+
+def test_import_loads_no_optimizer_or_networkx():
+    select = "m.split('.')[0] == 'networkx' or m.startswith('scipy.optimize')"
+    assert loaded_modules("repro, repro.api, repro.serve, repro.cli", select) == "[]"
+
+
+def test_phase2_solves_through_patchable_module_globals(monkeypatch):
+    # The ledger's ilp.milp / ilp.lp layers wrap these two attributes:
+    # every MILP probe and LP jump of the search must go through them.
+    import repro.ilp.solver as solver
+    from repro.core.partition import Allocation, Partitioning
+    from repro.core.platform import Platform
+    from repro.experiments.scenarios import paper_chain
+
+    calls = {"milp": 0, "lp": 0}
+
+    def counted(kind, solve):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "milp", counted("milp", solver.milp))
+    monkeypatch.setattr(solver, "linprog", counted("lp", solver.linprog))
+    # phase 1's non-contiguous pick on toy12, P=3, 0.2 GB (stage 2 and 4
+    # share GPU 2)
+    allocation = Allocation(Partitioning.from_cuts(12, [4, 5, 9]), (0, 2, 1, 2))
+    result = solver.schedule_allocation(
+        paper_chain("toy12"), Platform.of(3, 0.2, 12), allocation, time_limit=10.0
+    )
+    assert result.status == "ok"
+    kinds = [p.kind for p in result.trace]
+    assert calls == {"milp": kinds.count("milp"), "lp": kinds.count("lp")}
+    assert calls["milp"] >= 3 and calls["lp"] >= 1
 
 
 CHAIN_INTERNALS = {"_cum_u", "_cum_uf", "_cum_ub", "_cum_w", "_cum_a_in", "_act"}

@@ -52,9 +52,8 @@ class TestLinearize:
         g = residual_net(4)
         profile_model(g, V100, 2)
         chain = linearize(g)
-        nodes = g.g.nodes
-        total_uf = sum(nodes[n]["u_f"] for n in g.g)
-        total_w = sum(nodes[n]["weight_bytes"] for n in g.g)
+        total_uf = sum(g.node_data(n)["u_f"] for n in g.topo_order())
+        total_w = sum(g.node_data(n)["weight_bytes"] for n in g.topo_order())
         assert chain.U_f(1, chain.L) == pytest.approx(total_uf)
         assert chain.weights(1, chain.L) == pytest.approx(total_w)
 

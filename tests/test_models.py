@@ -34,7 +34,7 @@ class TestResNet:
         g = resnet50(image_size=224)
         g.propagate_shapes()
         # final spatial size before pooling: 224/32 = 7
-        gap_pred = g.predecessors_in_order([n for n in g.g if "gap" in n][0])[0]
+        gap_pred = g.predecessors_in_order([n for n in g.topo_order() if "gap" in n][0])[0]
         assert g.shape(gap_pred) == (2048, 7, 7)
 
 
@@ -53,7 +53,7 @@ class TestInception:
     def test_concat_channels(self):
         g = inception(image_size=224)
         g.propagate_shapes()
-        inc3a = [n for n in g.g if "inc3a.concat" in n][0]
+        inc3a = [n for n in g.topo_order() if "inc3a.concat" in n][0]
         # 64 + 128 + 32 + 32 = 256
         assert g.shape(inc3a)[0] == 256
 
