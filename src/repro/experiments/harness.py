@@ -35,17 +35,11 @@ schedule fits is ``infeasible`` (``dp_period`` kept).
 
 Sweeps are built to *survive*:
 
-* :func:`run_grid` fans uncached instances out over a
-  ``ProcessPoolExecutor`` when ``n_workers > 1``, retries crashed or
-  timed-out instances with exponential backoff and seeded jitter
-  (``max_retries``), restarts the pool after a hard worker death
-  (``BrokenProcessPool``), enforces a per-instance deadline *inside*
-  the worker (``instance_timeout``), and flushes the cache on the way
-  out even when interrupted — a sweep killed mid-run resumes from the
-  cache and re-runs only missing (and, with ``retry_failed=True``,
-  previously failed) instances.  Each attempt runs through
-  :func:`repro.runtime.run_attempt`, the execution core the plan
-  service shares;
+* :func:`run_grid` solves every uncached instance through the
+  :class:`repro.runtime.Supervisor` the plan service shares, and
+  flushes the cache on the way out even when interrupted — a sweep
+  killed mid-run resumes from the cache and re-runs only missing (and,
+  with ``retry_failed=True``, previously failed) instances;
 * :class:`ResultCache` persists results to an *append-only* JSON-Lines
   file through :class:`repro.jsonl.JsonlCache` (fsync'd batched
   appends, quarantine of corrupt lines into a ``.quarantine`` sidecar),
@@ -55,14 +49,13 @@ Sweeps are built to *survive*:
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import json
 import math
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -70,7 +63,7 @@ from .. import obs
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
 from ..jsonl import JsonlCache, parse_lines
-from ..runtime import InstanceTimeoutError, backoff_delay, run_attempt
+from ..runtime import InstanceTimeoutError, Supervisor, run_attempt, run_to_completion
 from ..testing import faults
 from .scenarios import paper_chain
 
@@ -104,9 +97,7 @@ _SWEEP_OPTIONS = frozenset(("grid", "iterations", "ilp_time_limit", "schedule_fa
 class SweepInstanceError(Exception):
     """One grid instance kept failing after every retry.
 
-    Deliberately *not* a ``RuntimeError``: the pool-unavailable fallback
-    in :func:`run_grid` catches ``RuntimeError`` and must never swallow
-    this.
+    Not a ``RuntimeError``, as most solver and pool errors are.
     """
 
     def __init__(self, spec: tuple, attempts: int, cause: BaseException):
@@ -169,10 +160,7 @@ def run_instance(
     ``solver_opts`` is one option set for every algorithm of a sweep
     (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``;
     any other name raises ``TypeError``): each algorithm receives the
-    ones it takes, and the algorithm's own defaults apply to the rest.
-    ``schedule_family`` selects the pattern family (1F1B or zero-bubble
-    B/W split) but is not part of the instance's cache identity — sweeps
-    of different families belong in different cache files.
+    ones it takes, and its own defaults apply to the rest.
     """
     from ..api import _dispatch  # deferred: repro.api imports this module
 
@@ -222,10 +210,6 @@ def _plan_opts(algorithm: str, solver_opts: dict) -> dict:
     return plan_options(algorithm, solver_opts, shared=True)
 
 
-def _spec_key(spec: tuple) -> str:
-    return "|".join(str(s) for s in spec)
-
-
 def _run_spec(
     spec: tuple,
     *,
@@ -247,16 +231,7 @@ def _run_spec(
             network=network, **solver_opts,
         ),
         spec=spec, timeout=timeout, warm=warm_start,
-        site="worker", key=_spec_key(spec), spans=spans,
-    )
-
-
-def _error_result(spec: tuple, exc: BaseException) -> RunResult:
-    """Typed stand-in for an instance that exhausted its retries."""
-    status = "solver_timeout" if isinstance(exc, InstanceTimeoutError) else "error"
-    return RunResult(
-        *spec, dp_period=INF, valid_period=INF, n_stages=0, runtime_s=0.0,
-        sequential=0.0, status=status, failure=f"{type(exc).__name__}: {exc}",
+        site="worker", key="|".join(str(s) for s in spec), spans=spans,
     )
 
 
@@ -282,67 +257,66 @@ def run_grid(
     """Run a full scenario grid, replaying cached instances if available.
 
     ``solver_opts`` are the sweep's options of :func:`repro.api.plan`
-    (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``);
-    every instance plans through :func:`run_instance`, which hands each
-    algorithm the ones it takes, and the algorithms' own defaults apply
-    to the rest.  An unknown algorithm or any other option raises before
-    anything runs.  ``schedule_family`` selects the
-    pattern family every instance builds (1F1B or the zero-bubble B/W
-    split); like ``grid``/``iterations`` it is not part of the cache
-    identity: sweeps of different families must use different cache
-    files.
+    (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``),
+    handed to each instance by :func:`run_instance`; an unknown
+    algorithm or any other option raises before anything runs.  None of
+    them is part of the cache identity: sweeps of different families
+    must use different cache files.  Duplicate specs are solved once and
+    fanned out (``sweep.dedup_hits``).
 
-    ``n_workers > 1`` dispatches uncached instances to a process pool;
-    results come back in the same deterministic (network, P, β, M,
-    algorithm) order as the serial loop, and new results are written to
-    ``cache`` as they complete so interrupted sweeps stay resumable.
+    Every uncached instance solves through one
+    :class:`repro.runtime.Supervisor` on an event loop: in a pool of
+    ``n_workers`` processes when ``n_workers > 1``, else on the calling
+    thread, one at a time.  Results come back in the deterministic
+    (network, P, β, M, algorithm) order either way and are written to
+    ``cache`` as they complete, so interrupted sweeps stay resumable; the
+    cache is flushed on *every* exit path, ``KeyboardInterrupt``
+    included, and no worker process outlives the call.  Called from a
+    coroutine, the sweep blocks it and runs its own loop on a helper
+    thread (:func:`repro.runtime.run_to_completion`).
 
     Resilience knobs:
 
-    * ``instance_timeout`` — wall-clock deadline per instance, enforced
-      with :func:`repro.runtime.deadline` inside the worker;
-    * ``max_retries`` — each crashed or timed-out instance is retried
-      this many times, in rounds with :func:`repro.runtime.backoff_delay`
+    * ``instance_timeout`` — wall-clock deadline per attempt, enforced
+      with :func:`repro.runtime.deadline` where the attempt runs
+      (``SIGALRM`` on a main thread, a watchdog thread elsewhere);
+    * ``max_retries`` — a crashed or timed-out instance is retried up to
+      this many times, each retry after its own exponential backoff
       (capped at ``BACKOFF_CAP_S``, jitter seeded per call so replays
-      sleep the same delays); a hard worker death (``BrokenProcessPool``)
-      restarts the pool and charges one attempt to every unfinished
-      instance of the round, so a sweep rebuilds its pool at most
-      ``max_retries + 1`` times;
+      sleep the same delays).  A hard worker death charges one attempt
+      to every instance in flight on the dead pool, and only the first
+      to see it rebuilds the pool; more than ``max_retries`` consecutive
+      deaths end the instance that counted the last one with
+      :class:`repro.runtime.PoolExhaustedError`;
     * ``on_exhausted`` — ``"raise"`` (default) raises
-      :class:`SweepInstanceError` identifying the failing spec once its
+      :class:`SweepInstanceError` naming the failing spec once its
       retries are spent; ``"record"`` stores a typed ``error`` /
       ``solver_timeout`` result instead and lets the sweep complete;
     * ``retry_failed`` — also re-run cached instances whose status is in
       :data:`RETRY_STATUSES` (the ``--resume`` semantics).
 
     Observability: with ``trace_path`` set (or a metrics registry
-    installed via :func:`repro.obs.use_metrics`), every instance —
-    serial or pooled — runs under its own trace + registry; counters are
-    merged into the caller's registry as results return (deterministic:
-    counter sums are order-independent), and each finished instance's
-    spans are appended to ``trace_path`` as one JSON-Lines record
-    ``{"spec": […], "spans": […]}``.  The trace file is opened once for
-    the whole sweep (on the first record) and flushed per record, so a
-    killed sweep keeps every finished instance's spans.  Spans of
-    attempts that failed and were retried are dropped; a resumed sweep
-    appends to the same file.
+    installed via :func:`repro.obs.use_metrics`), every instance runs
+    under its own trace + registry; counters merge into the caller's
+    registry as results return, and each finished instance's spans are
+    appended to ``trace_path`` as one JSON-Lines record ``{"spec": […],
+    "spans": […]}``, flushed per record (a resumed sweep appends to the
+    same file).  Spans of failed attempts are dropped.
 
     ``warm_start=True`` solves instances against the per-process
     warm-start database (:mod:`repro.warmstart`): phase 1 reuses the DP
     rows workspace of earlier instances with the same (network, P, β,
-    grid).  Results and counts are identical to a cold sweep; only
-    ``runtime_s`` and the ``*_s`` timers differ.  The default stays cold because a warm sweep
-    leaves that workspace alive in the process after it returns; the
-    :func:`repro.api.sweep` facade and the CLI default to warm.
-
-    Duplicate specs (e.g. a grid with repeated memory values) are solved
-    once and fanned out, counted as ``sweep.dedup_hits``.
-
-    The cache is flushed on *every* exit path, including
-    ``KeyboardInterrupt``, so completed instances are never lost.
+    grid).  Results and counts are identical to a cold sweep; only the
+    timers differ.  The default stays cold because that workspace
+    outlives the call; :func:`repro.api.sweep` and the CLI default to
+    warm.
     """
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
+    supervisor = Supervisor(  # checks the retry knobs before anything runs
+        n_workers if n_workers > 1 else 0, in_thread=False, timeout=instance_timeout,
+        max_retries=max_retries, backoff_s=retry_backoff_s,
+        rng=random.Random(0),  # seeded jitter: same delays on every replay
+        max_pool_restarts=max_retries, count=lambda name: obs.inc(f"sweep.{name}"),
+    )
     if on_exhausted not in ("raise", "record"):
         raise ValueError('on_exhausted must be "raise" or "record"')
     for algo in algorithms:  # fail fast, not once per instance after retries
@@ -356,7 +330,7 @@ def run_grid(
         for algo in algorithms
     ]
     out: list[RunResult | None] = [None] * len(specs)
-    remaining: set[int] = set()
+    remaining: list[int] = []
     primary: dict[tuple, int] = {}  # spec -> first index solving it
     dup_map: dict[int, list[int]] = {}  # primary index -> duplicate indices
     for i, spec in enumerate(specs):
@@ -370,114 +344,72 @@ def run_grid(
             out[i] = hit
             obs.inc("sweep.cache_hits")
         else:
-            remaining.add(i)
+            remaining.append(i)
     for j, dups in dup_map.items():  # fan cached primaries out right away
         if out[j] is not None:
             for i in dups:
                 out[i] = out[j]
 
-    attempts = dict.fromkeys(remaining, 0)
     n_recorded = 0
     trace_fh = None  # one handle for the sweep, opened on first record
 
-    def finish(i: int, r: RunResult) -> None:
-        nonlocal n_recorded
+    async def solve(i: int) -> None:
+        """Solve one instance through the supervisor and book it: merge
+        its counters, append its spans and record the result — or the
+        error that ended its last attempt, per ``on_exhausted``."""
+        nonlocal n_recorded, trace_fh
+        spec, tries = specs[i], 0
+
+        def call_for(timeout: float | None):
+            nonlocal tries
+            tries += 1
+            return functools.partial(_run_spec, spec, timeout=timeout, warm_start=warm_start,
+                                     spans=trace_path is not None, **solver_opts)
+
+        try:
+            r, counts, spans = await supervisor.run(call_for)
+        except Exception as exc:
+            if on_exhausted == "raise":
+                raise SweepInstanceError(spec, tries, exc) from exc
+            status = "solver_timeout" if isinstance(exc, InstanceTimeoutError) else "error"
+            r, counts, spans = RunResult(  # a typed stand-in for the spent instance
+                *spec, dp_period=INF, valid_period=INF, n_stages=0, runtime_s=0.0,
+                sequential=0.0, status=status, failure=f"{type(exc).__name__}: {exc}",
+            ), {}, []
+        registry = obs.active_metrics()
+        if registry is not None:
+            registry.merge(counts)
+        if spans:
+            if trace_fh is None:
+                trace_fh = open(trace_path, "a")
+            trace_fh.write(json.dumps({"spec": list(r.key), "spans": spans}) + "\n")
+            trace_fh.flush()
         out[i] = r
+        for j in dup_map.get(i, ()):  # duplicates share the result (no re-put:
+            out[j] = r  # a second cache.put of the same key forces a rewrite)
         if cache is not None:
             cache.put(r)
         n_recorded += 1
         if verbose:
-            network, p, m, b, algo = specs[i]
+            network, p, m, b, algo = spec
             print(
                 f"{network} P={p} M={m} beta={b} {algo}: "
                 f"dp={r.dp_period:.4f} valid={r.valid_period:.4f} "
                 f"[{r.status}] ({r.runtime_s:.1f}s)"
             )
         faults.fire("sweep_record", key=str(n_recorded))
-        remaining.discard(i)
-        for j in dup_map.get(i, ()):  # duplicates share the result (no re-put:
-            out[j] = r  # a second cache.put of the same key forces a rewrite)
 
-    def fail(i: int, exc: BaseException) -> None:
-        attempts[i] += 1
-        if attempts[i] <= max_retries:
-            obs.inc("sweep.retries")
-            if verbose:
-                print(
-                    f"instance {specs[i]!r} failed "
-                    f"({type(exc).__name__}: {exc}); "
-                    f"retry {attempts[i]}/{max_retries}"
-                )
-            return
-        if on_exhausted == "record":
-            if verbose:
-                print(f"instance {specs[i]!r} exhausted retries; recording error")
-            finish(i, _error_result(specs[i], exc))
-        else:
-            raise SweepInstanceError(specs[i], attempts[i], exc) from exc
+    async def solve_all() -> None:
+        await asyncio.gather(*(solve(i) for i in remaining))
 
-    def settle(i: int, call) -> None:
-        """Collect one attempt — a call or a future's ``result`` — and book
-        it: merge its counters, append its spans, record the result; or
-        charge the failure."""
-        nonlocal trace_fh
-        try:
-            r, counts, spans = call()
-            registry = obs.active_metrics()
-            if registry is not None:
-                registry.merge(counts)
-            if spans:
-                if trace_fh is None:
-                    trace_fh = open(trace_path, "a")
-                trace_fh.write(json.dumps({"spec": list(r.key), "spans": spans}) + "\n")
-                trace_fh.flush()
-            finish(i, r)
-        except (BrokenProcessPool, SweepInstanceError):
-            raise
-        except Exception as exc:
-            fail(i, exc)
-
-    attempt = functools.partial(
-        _run_spec, timeout=instance_timeout, warm_start=warm_start,
-        spans=trace_path is not None, **solver_opts,
-    )
-    rng = random.Random(0)  # seeded jitter: same delays on every replay
-    pool_ok = n_workers > 1
-    round_no = 0
     try:
-        while remaining:
-            if round_no > 0:  # back off with jitter before any retry round
-                time.sleep(backoff_delay(round_no, retry_backoff_s, rng))
-            round_no += 1
-            batch = sorted(remaining)
-            if not (pool_ok and len(batch) > 1):
-                for i in batch:
-                    settle(i, functools.partial(attempt, specs[i]))
-                continue
-            try:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    futures = {pool.submit(attempt, specs[i]): i for i in batch}
-                    for fut in as_completed(futures):
-                        settle(futures[fut], fut.result)
-            except BrokenProcessPool as exc:
-                # a worker died hard (SIGKILL/os._exit): every unfinished
-                # instance of the round is charged one attempt, then the
-                # pool is rebuilt next round — so at most max_retries + 1
-                # rebuilds before every instance is exhausted
-                obs.inc("sweep.pool_restarts")
-                if verbose:
-                    print(f"process pool broke ({exc}); restarting")
-                for i in [j for j in batch if j in remaining]:
-                    fail(i, exc)
-            except (OSError, RuntimeError) as exc:  # pool unavailable → serial
-                if verbose:
-                    print(f"process pool failed ({exc}); falling back to serial")
-                pool_ok = False
+        run_to_completion(solve_all())
     finally:
         try:
             if cache is not None:
                 cache.flush()
         finally:
+            supervisor.close(wait=True)
             if trace_fh is not None:
                 trace_fh.close()
     return out

@@ -88,8 +88,9 @@ GALLOP_FACTOR = 1.25
 
 
 # SciPy's optimizer costs ~0.4 s to import and only phase 2 solves, so it
-# loads on the first model.  The search calls these module globals, which
-# keeps ``solver.milp``/``solver.linprog`` the points to wrap or patch.
+# loads once a search has built its first skeleton.  The search calls
+# these module globals, which keeps ``solver.milp``/``solver.linprog``
+# the points to wrap or patch.
 def milp(*args, **kwargs):
     """``scipy.optimize.milp``, imported on first call."""
     from scipy.optimize import milp
@@ -469,6 +470,9 @@ def schedule_allocation(
             # static memory (weights+buffers) alone exceeds some GPU: no
             # period can ever be feasible
             return result(INF, None)
+        # a process's first search pays the one-time import here, so no
+        # probe's ``build_s`` counts it
+        import scipy.optimize  # noqa: F401
 
         state = {"lo": lower, "hi": INF, "pattern": None}
 

@@ -14,11 +14,11 @@ service* under concurrent, partially-repeated traffic:
   hardened :class:`repro.jsonl.JsonlCache` (fsync'd appends, quarantine
   + recovery, atomic repair), or an in-process LRU when the service
   has no store;
-* :class:`PlanService` — single-flight request coalescing in front of a
-  bounded worker pool with per-request deadline/retry/backoff from
-  :mod:`repro.runtime` (the execution core the sweep shares), the
-  warm-start context active inside workers, and ``serve.*`` counters +
-  per-request spans through :mod:`repro.obs`;
+* :class:`PlanService` — single-flight request coalescing in front of
+  the :class:`repro.runtime.Supervisor` the sweep shares (one worker
+  pool, one attempt loop with per-request deadlines and seeded backoff,
+  one worker-death rule), with ``serve.*`` counters and per-request
+  spans through :mod:`repro.obs`;
 * :mod:`repro.serve.resilience` — overload safety, configured with
   :class:`ResilienceConfig` and off by default: bounded priority
   admission (shedding with a typed :class:`OverloadedError` +

@@ -1,10 +1,10 @@
 """Overload safety for the plan service: admission, breakers, degradation.
 
-:mod:`repro.serve` (PR 7) survives *isolated* faults — a crashed worker
-is retried, a killed service resumes from its store.  This module makes
-the service survive *overload* and *correlated* failure, under one
-contract: **the service keeps answering — correctly or explicitly
-degraded, never wrongly or unboundedly late.**  Three rings:
+The supervisor survives *isolated* faults (a crashed worker is retried,
+a killed service resumes from its store); this module makes the service
+survive *overload* and *correlated* failure, under one contract: **the
+service keeps answering — correctly or explicitly degraded, never
+wrongly or unboundedly late.**  Three rings:
 
 * :class:`AdmissionQueue` — a bounded admission gate on the solve path.
   At most ``max_concurrency`` solves run at once; up to ``max_pending``
@@ -28,8 +28,8 @@ degraded, never wrongly or unboundedly late.**  Three rings:
   budget is exhausted, the breaker is open, or the real solve failed
   terminally with ``degraded_fallback`` enabled, the service answers
   with the *certified contiguous 1F1B\\* fallback*: MadPipe's contiguous
-  restriction (``allow_special=False``, the same cheap plan the PR 5
-  quarantine falls back to), run through the full certification gate.
+  restriction (``allow_special=False``, the cheap plan a quarantine
+  falls back to), run through the full certification gate.
   The reply is marked ``served_from="degraded"`` with the real
   certificate attached; degraded plans are cached only in their own
   LRU, never the primary store, so a recovered service re-solves to
@@ -54,7 +54,7 @@ from typing import Any, Callable, Mapping
 from .. import obs
 from ..core.chain import Chain
 from ..core.platform import Platform
-from ..runtime import run_attempt
+from ..runtime import DeadlineExceededError, PoolExhaustedError, run_attempt
 
 __all__ = [
     "PRIORITIES",
@@ -94,15 +94,6 @@ class CircuitOpenError(RuntimeError):
     fallback is disabled, so there was nothing to answer with)."""
 
 
-class DeadlineExceededError(RuntimeError):
-    """The request's deadline budget ran out before a solve could start."""
-
-
-class PoolExhaustedError(RuntimeError):
-    """The worker pool died too many consecutive times; rebuilding was
-    capped (``max_pool_restarts``) instead of storming forever."""
-
-
 def priority_rank(priority: "str | int") -> int:
     """Numeric rank of a priority class (lower = more important)."""
     if isinstance(priority, bool):
@@ -121,7 +112,7 @@ def priority_rank(priority: "str | int") -> int:
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs of the resilience layer.  The default configuration disables
-    every mechanism, preserving the PR 7 service behaviour exactly.
+    every mechanism, leaving the plain service exactly as it is.
 
     ``max_concurrency`` enables admission control: at most that many
     solves run concurrently, ``max_pending`` more wait, the rest shed

@@ -1,8 +1,9 @@
 """The asyncio planning service: coalescing, caching, bounded solving.
 
 One :class:`PlanService` owns a :class:`~repro.serve.store.PlanCache`,
-a single-flight table of in-progress solves, and a bounded
-``ProcessPoolExecutor``.  A request travels::
+a single-flight table of in-progress solves, and a
+:class:`~repro.runtime.Supervisor` with a bounded worker pool.  A
+request travels::
 
     handle(request)
       └─ fingerprint  → FingerprintMemo: a cheap exact spec key,
@@ -36,23 +37,18 @@ Degraded responses are explicitly marked (``served_from="degraded"``,
 plan ``status="degraded"``), certified, and never written to the
 primary cache.
 
-Resilience runs on :mod:`repro.runtime`, the execution core the sweep
-shares: the worker solves through :func:`repro.runtime.run_attempt`
-under the per-request :func:`~repro.runtime.deadline` (SIGALRM on the
-main thread, an async-exception watchdog elsewhere), crashes and
-timeouts retry after :func:`~repro.runtime.backoff_delay` (exponential,
-capped, jittered from the service's seeded RNG), and a hard worker
-death (``BrokenProcessPool``) rebuilds the pool — at most
-``max_pool_restarts`` consecutive times before the service answers
-with :class:`~repro.serve.resilience.PoolExhaustedError` instead of
-storming.  Overload behaviour (admission control, circuit breakers,
-degraded-mode planning) is configured with a
-:class:`~repro.serve.resilience.ResilienceConfig` and is off by
-default.  The fault-injection sites ``serve_solve`` (service side,
-keyed ``algorithm:family:fingerprint``) and ``serve_worker`` (inside
-the worker, keyed by fingerprint) make kill-and-restart scenarios
-deterministic in tests; ``repro.testing.ChaosSchedule`` composes them
-into reproducible soak scenarios.
+Every solve runs through the :class:`repro.runtime.Supervisor` the
+sweep shares (one attempt loop, one worker-death rule; see its
+docstring), under a per-request :func:`~repro.runtime.deadline`, with
+retry jitter from the service's seeded RNG.  Overload behaviour
+(admission control, circuit breakers, degraded-mode planning) is
+configured with a :class:`~repro.serve.resilience.ResilienceConfig`
+and is off by default.  The fault-injection sites ``serve_solve``
+(service side, keyed ``algorithm:family:fingerprint``) and
+``serve_worker`` (inside the worker, keyed by fingerprint) make
+kill-and-restart scenarios deterministic in tests;
+``repro.testing.ChaosSchedule`` composes them into reproducible soak
+scenarios.
 """
 
 from __future__ import annotations
@@ -63,9 +59,8 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -73,7 +68,7 @@ from .. import obs
 from ..algorithms.madpipe_dp import Discretization
 from ..core.chain import Chain
 from ..core.platform import Platform
-from ..runtime import BACKOFF_CAP_S, backoff_delay, run_attempt
+from ..runtime import BACKOFF_CAP_S, Supervisor, run_attempt
 from ..testing import faults
 from ..warmstart import LRU, chain_fingerprint, request_fingerprint
 from .resilience import (
@@ -81,7 +76,6 @@ from .resilience import (
     CircuitBreaker,
     CircuitOpenError,
     DeadlineExceededError,
-    PoolExhaustedError,
     ResilienceConfig,
     priority_rank,
     solve_degraded,
@@ -280,32 +274,30 @@ class PlanService:
     ``repro serve``.
 
     ``max_workers`` bounds the solver pool: ``N >= 1`` dispatches cache
-    misses to ``N`` worker processes (each keeps its own per-process
-    warm-start database, exactly like sweep workers); ``0`` solves on
-    the event loop's default thread pool — no pickling, with a watchdog
-    thread standing in for the SIGALRM deadline.
-
-    ``seed`` feeds the one :class:`random.Random` behind retry jitter
-    and breaker probe scheduling, so fault-injected replays are
-    bit-reproducible; ``clock`` (monotonic seconds) is injectable for
-    the same reason.  ``resilience`` configures admission control,
-    circuit breakers and degraded-mode planning (all off by default,
-    see :class:`~repro.serve.resilience.ResilienceConfig`).
+    misses to ``N`` worker processes (each with its own warm-start
+    database, like sweep workers); ``0`` solves on the event loop's
+    default thread pool, with a watchdog thread for the SIGALRM
+    deadline.  ``instance_timeout``, ``max_retries``,
+    ``retry_backoff_s``, ``backoff_cap_s`` and ``max_pool_restarts``
+    configure its :class:`~repro.runtime.Supervisor`.  ``seed`` feeds
+    the one :class:`random.Random` behind retry jitter and breaker probe
+    scheduling, so fault-injected replays are bit-reproducible;
+    ``clock`` (monotonic seconds) is injectable for the same reason.
+    ``resilience`` configures admission control, circuit breakers and
+    degraded-mode planning (all off by default).
 
     Observability: ``serve.*`` counters accumulate on :attr:`registry`
-    (``requests``, ``hits`` + ``hits_memory``/``hits_store``,
-    ``coalesced``, ``solves``, ``retries``, ``pool_restarts``,
-    ``errors``, and under resilience ``shed``/``queued``/``queue_hwm``,
+    with the workers' solver counters: ``requests``, ``hits`` (+
+    ``hits_memory``/``hits_store``), ``coalesced``, ``solves``,
+    ``retries``, ``pool_restarts``, ``pool_exhausted``, ``errors``, and
+    under resilience ``shed``/``queued``/``queue_hwm``,
     ``breaker_trips``/``breaker_probes``/``breaker_closes``/
-    ``breaker_short_circuits``, ``deadline_exhausted``, ``degraded`` +
-    ``degraded_solves``/``degraded_hits``, ``pool_exhausted``)
-    alongside the merged solver counters from workers; a
-    ``serve.request`` span is recorded per request when a trace is
-    installed in the calling context, with a ``serve.decode`` child
-    when the request decoded a freshly solved payload (never on a hit).
-    :meth:`stats` adds queue depth and p50/p95/max latency over the last
-    :data:`LATENCY_WINDOW` requests — queue wait happens inside
-    :meth:`handle`'s measurement, so percentiles include it.
+    ``breaker_short_circuits``, ``deadline_exhausted``, ``degraded`` (+
+    ``degraded_solves``/``degraded_hits``).  A request records a
+    ``serve.request`` span when a trace is installed, with a
+    ``serve.decode`` child when it decoded a fresh solve (never on a
+    hit).  :meth:`stats` adds queue depth and p50/p95/max latency (queue
+    wait included) over the last :data:`LATENCY_WINDOW` requests.
     """
 
     def __init__(
@@ -324,24 +316,10 @@ class PlanService:
         clock: Callable[[], float] = time.monotonic,
         resilience: ResilienceConfig | None = None,
     ):
-        if max_workers < 0:
-            raise ValueError("max_workers must be >= 0")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if backoff_cap_s <= 0:
-            raise ValueError("backoff_cap_s must be > 0")
-        if max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be >= 0")
         from ..api import plan_options  # deferred: repro.api imports this package
 
         self._plan_options = plan_options
         self.cache = PlanCache(memory_entries, store)
-        self.max_workers = max_workers
-        self.instance_timeout = instance_timeout
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self.max_pool_restarts = max_pool_restarts
         self.warm_start = warm_start
         self.registry = obs.MetricsRegistry()
         self.resilience = resilience if resilience is not None else ResilienceConfig()
@@ -369,11 +347,13 @@ class PlanService:
         self._degraded: LRU = LRU(memory_entries)
         self._fingerprints = FingerprintMemo()
         self._inflight: dict[str, asyncio.Future] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_failures = 0  # consecutive BrokenProcessPool deaths
+        self._supervisor = Supervisor(
+            max_workers, in_thread=True, timeout=instance_timeout,
+            max_retries=max_retries, backoff_s=retry_backoff_s, rng=self._rng,
+            backoff_cap_s=backoff_cap_s, max_pool_restarts=max_pool_restarts,
+            clock=clock, count=lambda name: self.registry.inc(f"serve.{name}"),
+        )
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._active_solves = 0
-        self._peak_active = 0
         self._closed = False
 
     # -- request construction ---------------------------------------------
@@ -593,72 +573,20 @@ class PlanService:
         self.registry.inc("serve.degraded_solves")
         return "degraded", _decode(plan_json)
 
-    async def _solve(
-        self,
-        request: PlanRequest,
-        fingerprint: str,
-        deadline_at: float | None = None,
-    ) -> dict:
+    async def _solve(self, request: PlanRequest, fingerprint: str,
+                     deadline_at: float | None = None) -> dict:
         key = self._breaker_key(request)
         faults.fire("serve_solve", key=f"{key[0]}:{key[1]}:{fingerprint}")
-        loop = asyncio.get_running_loop()
-        last: BaseException | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                self.registry.inc("serve.retries")
-                await asyncio.sleep(backoff_delay(
-                    attempt, self.retry_backoff_s, self._rng, self.backoff_cap_s
-                ))
-            timeout = self.instance_timeout
-            if deadline_at is not None:
-                remaining = deadline_at - self._clock()
-                if remaining <= 0:
-                    last = DeadlineExceededError(
-                        f"deadline budget exhausted after {attempt} attempt(s) "
-                        f"(request {fingerprint[:12]})"
-                    )
-                    break
-                timeout = remaining if timeout is None else min(timeout, remaining)
-            payload = self._payload(request, fingerprint, timeout)
-            self._active_solves += 1
-            self._peak_active = max(self._peak_active, self._active_solves)
-            pool = self._executor()
-            try:
-                plan_json, counts, _ = await loop.run_in_executor(
-                    pool, _solve_in_worker, payload
-                )
-            except BrokenProcessPool as exc:
-                # a worker died hard (SIGKILL/os._exit): rebuild the pool
-                # and charge one attempt, like the sweep harness — but cap
-                # consecutive rebuilds so a flapping pool cannot storm.
-                # Every attempt in flight sees the same death; only the
-                # first, whose pool is still current, counts and rebuilds
-                last = exc
-                if pool is not self._pool:
-                    continue
-                self.registry.inc("serve.pool_restarts")
-                self._pool_failures += 1
-                self._shutdown_pool()
-                if self._pool_failures > self.max_pool_restarts:
-                    self.registry.inc("serve.pool_exhausted")
-                    last = PoolExhaustedError(
-                        f"worker pool died {self._pool_failures} consecutive "
-                        f"times (max_pool_restarts={self.max_pool_restarts})"
-                    )
-                    break
-            except Exception as exc:
-                last = exc
-            else:
-                self._pool_failures = 0
-                self.registry.merge(counts)
-                return plan_json
-            finally:
-                self._active_solves -= 1
-        self.registry.inc("serve.errors")
-        assert last is not None
-        raise last
-
-    # -- worker pool ---------------------------------------------------------
+        try:
+            plan_json, counts, _ = await self._supervisor.run(
+                lambda t: partial(_solve_in_worker, self._payload(request, fingerprint, t)),
+                deadline_at=deadline_at, label=f"request {fingerprint[:12]}",
+            )
+        except Exception:
+            self.registry.inc("serve.errors")
+            raise
+        self.registry.merge(counts)
+        return plan_json
 
     def _payload(
         self, request: PlanRequest, fingerprint: str, timeout: float | None
@@ -671,18 +599,6 @@ class PlanService:
                 request.algorithm, dict(request.opts), timeout, self.warm_start,
                 fingerprint, os.environ.get(faults.ENV_VAR))
 
-    def _executor(self) -> ProcessPoolExecutor | None:
-        if self.max_workers == 0:
-            return None  # event loop default thread pool (inline solving)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
     # -- lifecycle / introspection -------------------------------------------
 
     def stats(self) -> dict:
@@ -694,7 +610,7 @@ class PlanService:
             "degraded_plans": len(self._degraded),
             "inflight": len(self._inflight),
             "queue_depth": self._admission.depth if self._admission else 0,
-            "queue_peak": self._peak_active,
+            "queue_peak": self._supervisor.peak,
             "breakers": self._breaker.snapshot() if self._breaker else {},
             "latency_ms": {
                 "count": len(lat),
@@ -713,7 +629,7 @@ class PlanService:
         """
         self._closed = True
         self.cache.flush()
-        self._shutdown_pool()
+        self._supervisor.close()
 
     async def __aenter__(self) -> "PlanService":
         return self

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import importlib
 import warnings
 from pathlib import Path
@@ -122,6 +123,25 @@ class TestSweep:
         again = api.sweep(("toy6", 2, 8.0, 12.0, "madpipe"),
                           cache=str(cache_file), iterations=2, grid=COARSE)
         assert again.metrics.get("sweep.cache_hits") == 1
+
+    def test_runs_inside_a_running_event_loop(self):
+        # a coroutine may call the blocking sweep: it runs the sweep's own
+        # event loop on a helper thread and returns the same records and
+        # counters as a call from plain code
+        direct = api.sweep(("toy6", 2, 8.0, 12.0), iterations=2, grid=COARSE)
+
+        async def caller():
+            asyncio.get_running_loop()  # a loop is running here
+            return api.sweep(("toy6", 2, 8.0, 12.0), iterations=2, grid=COARSE)
+
+        nested = asyncio.run(caller())
+        assert [(r.key, r.dp_period, r.valid_period, r.status)
+                for r in nested.results] == [
+            (r.key, r.dp_period, r.valid_period, r.status) for r in direct.results
+        ]
+        counts = [{k: v for k, v in res.metrics.items() if not k.endswith("_s")}
+                  for res in (nested, direct)]
+        assert counts[0] == counts[1] and counts[0]["sweep.instances"] == 2
 
     def test_load_chain_reexport(self):
         from repro.profiling import load_chain

@@ -119,6 +119,40 @@ def test_phase2_solves_through_patchable_module_globals(monkeypatch):
     assert calls["milp"] >= 3 and calls["lp"] >= 1
 
 
+def test_optimizer_loads_before_the_first_timed_probe():
+    # schedule_allocation imports scipy.optimize after build_skeleton and
+    # before its first probe's timer, so the one-time import is never part
+    # of a probe's build_s; a fresh interpreter sees it happen
+    code = """
+import sys
+from repro.core.partition import Allocation, Partitioning
+from repro.core.platform import Platform
+from repro.experiments.scenarios import paper_chain
+from repro.ilp import solver
+from repro.ilp.formulation import MilpSkeleton
+
+loaded = []
+instantiate = MilpSkeleton.instantiate
+
+def recording(self, period):
+    loaded.append("scipy.optimize" in sys.modules)
+    return instantiate(self, period)
+
+MilpSkeleton.instantiate = recording
+before = "scipy.optimize" in sys.modules
+allocation = Allocation(Partitioning.from_cuts(12, [4, 5, 9]), (0, 2, 1, 2))
+result = solver.schedule_allocation(
+    paper_chain("toy12"), Platform.of(3, 0.2, 12), allocation, time_limit=10.0
+)
+print(before, loaded[0], result.status)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout.split()
+    assert out == ["False", "True", "ok"]
+
+
 CHAIN_INTERNALS = {"_cum_u", "_cum_uf", "_cum_ub", "_cum_w", "_cum_a_in", "_act"}
 #: (module, function) pairs allowed to read them: the warm-start key hashes
 #: the prefix arrays themselves.

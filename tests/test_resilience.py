@@ -8,10 +8,12 @@ the way the taxonomy promises instead of crashing or lying.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -180,19 +182,22 @@ class TestRetries:
 
     @pytest.mark.faultinject
     def test_retry_delays_are_seeded_and_capped(self, tmp_path, monkeypatch):
-        import repro.experiments.harness as harness
-
         faults.install(
             [Fault(site="worker", action="raise", key="madpipe", times=-1)], tmp_path
         )
         runs = []
         for _ in range(2):
             delays: list[float] = []
-            monkeypatch.setattr(harness.time, "sleep", delays.append)
+
+            async def no_sleep(seconds, delays=delays):
+                delays.append(seconds)
+
+            monkeypatch.setattr(asyncio, "sleep", no_sleep)
             # a base far above the cap: every delay is the capped one
             toy_sweep(max_retries=3, retry_backoff_s=100.0, on_exhausted="record")
             runs.append(delays)
-        assert len(runs[0]) == 3
+        # one draw per retried attempt: 3 madpipe instances x 3 retries
+        assert len(runs[0]) == 9
         assert runs[0] == runs[1]
         assert all(BACKOFF_CAP_S <= d <= BACKOFF_CAP_S * 1.25 for d in runs[0])
 
@@ -220,12 +225,16 @@ class TestInstanceDeadline:
             [Fault(site="worker", action="sleep", key="madpipe", times=-1, param=5.0)],
             tmp_path,
         )
+        t0 = time.perf_counter()
         results = toy_sweep(
             instance_timeout=0.3,
             max_retries=0,
             retry_backoff_s=0.01,
             on_exhausted="record",
         )
+        # SIGALRM cuts each 5 s sleep short; a watchdog thread (attempts
+        # off the main thread) would let all three run out: 15 s
+        assert time.perf_counter() - t0 < 5.0
         hung = [r for r in results if r.algorithm == "madpipe"]
         assert all(r.status == "solver_timeout" for r in hung)
         assert all("deadline" in r.failure for r in hung)
