@@ -65,7 +65,9 @@ and only reachable ones are touched:
    level, gathers child values from a dense value table over the packed
    key space (level 0 is prefilled closed-form; lower levels are solved
    first) and reduces the interleaved ``(normal, special)`` candidate
-   matrix with one ``argmin`` per level.
+   matrix with one ``argmin`` per level.  Each state keeps one
+   decision, its chosen child's key (see :data:`_NO_CHILD`), from which
+   the traceback reads the stage's cut ``k`` and whether it is special.
 
 A level's tables (``n_v × jm``, ``n_t × jm``, ``n_m·n_v × jm``) are
 built on first use and expanded by row gathers plus packed-key offsets.
@@ -133,8 +135,9 @@ __all__ = [
 INF = float("inf")
 _EPS = 1e-9
 
-_NO_CHILD = -1  # decision sentinel: stage closes the chain (p == 0 base)
-_NO_DEC = -2  # decision sentinel: state is infeasible
+# A decision is the chosen child's packed key, or one of these sentinels.
+_NO_CHILD = -1  # the state's p == 0 base closes the chain: stage 1..l, special
+_NO_DEC = -2  # the state is infeasible
 
 
 @dataclass(frozen=True)
@@ -367,12 +370,11 @@ class _LevelDP:
         # this probe's per-coordinate tables, shared by discover and reduce
         self._tabs: dict[int, _Tables] = {}
 
-        # per-level solved state: packed keys (sorted), values, decisions
+        # per-level solved state: packed keys (sorted) and their decisions;
+        # reduce() leaves every state's value in the dense table
         self.level_keys: list[np.ndarray | None] = [None] * (self.L + 1)
-        self.level_vals: list[np.ndarray | None] = [None] * (self.L + 1)
-        self.level_k: list[np.ndarray | None] = [None] * (self.L + 1)
-        self.level_spec: list[np.ndarray | None] = [None] * (self.L + 1)
-        self.level_child: list[np.ndarray | None] = [None] * (self.L + 1)
+        self.level_dec: list[np.ndarray | None] = [None] * (self.L + 1)
+        self.dense: np.ndarray | None = None
 
         self.states = 0
         self.pruned_cap = 0
@@ -593,53 +595,40 @@ class _LevelDP:
             keys = self.level_keys[l]
             if keys is None or not len(keys):
                 self.level_keys[l] = np.empty(0, dtype=np.int64)
-                self.level_vals[l] = np.empty(0, dtype=float)
-                self.level_k[l] = np.empty(0, dtype=np.int64)
-                self.level_spec[l] = np.empty(0, dtype=bool)
-                self.level_child[l] = np.empty(0, dtype=np.int64)
+                self.level_dec[l] = np.empty(0, dtype=np.int64)
                 continue
             n = len(keys)
             vals = np.empty(n, dtype=float)
-            best_k = np.full(n, _NO_DEC, dtype=np.int64)
-            best_spec = np.zeros(n, dtype=bool)
-            best_child = np.full(n, _NO_CHILD, dtype=np.int64)
+            dec = np.full(n, _NO_DEC, dtype=np.int64)
 
             p = (keys // self.S_p) % (self.P + 1)
             mask0 = p == 0
             if mask0.any():
                 v0, feas0 = self._base_p0(l, keys[mask0])
                 vals[mask0] = v0
-                idx0 = np.flatnonzero(mask0)
-                best_k[idx0[feas0]] = 1
-                best_spec[idx0[feas0]] = True
+                dec[np.flatnonzero(mask0)[feas0]] = _NO_CHILD
             maskB = ~mask0
             if maskB.any():
                 exp = self._expand(l, keys[maskB])
                 del self._tabs[l]
-                bv, jk, spec, child = self._best(exp, dense)
+                bv, child = self._best(exp, dense)
                 vals[maskB] = bv
-                idxB = np.flatnonzero(maskB)
                 ok = bv < INF
-                best_k[idxB[ok]] = (l - jk)[ok]
-                best_spec[idxB[ok]] = spec[ok]
-                best_child[idxB[ok]] = child[ok]
+                dec[np.flatnonzero(maskB)[ok]] = child[ok]
 
-            self.level_vals[l] = vals
-            self.level_k[l] = best_k
-            self.level_spec[l] = best_spec
-            self.level_child[l] = best_child
+            self.level_dec[l] = dec
             dense[keys] = vals
+        self.dense = dense
 
     @staticmethod
     def _best(exp: tuple, dense: np.ndarray) -> tuple:
         """The first-minimum candidate of every state of one expanded
-        level: ``(value, column j, special?, child key)``; the value is
-        ``INF`` where no candidate is valid."""
+        level: ``(value, child key)``; the value is ``INF`` (and the key
+        meaningless) where no candidate is valid."""
         valid_n, child_n, local_n, valid_s, child_s, local_s = exp
         nb, jm = valid_n.shape
         if not jm:  # every cut is over the period cap
-            none = np.zeros(nb, dtype=np.int64)
-            return np.full(nb, INF), none, none.astype(bool), none
+            return np.full(nb, INF), np.zeros(nb, dtype=np.int64)
         sub_n = dense.take(child_n)
         cand_n = np.where(valid_n, np.maximum(local_n[None, :], sub_n), INF)
         sub_s = dense.take(child_s)
@@ -650,9 +639,8 @@ class _LevelDP:
         j = np.argmin(cand, axis=1)
         rows = np.arange(nb)
         jk = j >> 1
-        spec = (j & 1).astype(bool)
-        child = np.where(spec, child_s[rows, jk], child_n[rows, jk])
-        return cand[rows, j], jk, spec, child
+        child = np.where(j & 1, child_s[rows, jk], child_n[rows, jk])
+        return cand[rows, j], child
 
     def solve(self, root: int) -> tuple[float, list[Stage], list[bool]]:
         self.discover(root)
@@ -660,31 +648,23 @@ class _LevelDP:
         if not self.swept:
             return INF, [], []
         self.reduce()
-        S_l = self.S_l
+        period = float(self.dense[root])
+        if period == INF:
+            return INF, [], []
+        S_l, S_p, P1 = self.S_l, self.S_p, self.P + 1
         stages: list[Stage] = []
         special: list[bool] = []
         key = root
-        period = INF
-        first = True
-        while True:
-            l = int(key // S_l)
-            if l == 0:
-                break
-            keys = self.level_keys[l]
-            i = int(np.searchsorted(keys, key))
-            if first:
-                period = float(self.level_vals[l][i])
-                first = False
-                if period == INF:
-                    break
-            k = int(self.level_k[l][i])
-            if k == _NO_DEC:
-                break
-            stages.append(Stage(k, l))
-            special.append(bool(self.level_spec[l][i]))
-            child = int(self.level_child[l][i])
+        while key >= S_l:  # a state above level 0 on the root's finite path
+            l = key // S_l
+            child = int(self.level_dec[l][np.searchsorted(self.level_keys[l], key)])
             if child == _NO_CHILD:
+                stages.append(Stage(1, l))
+                special.append(True)
                 break
+            stages.append(Stage(child // S_l + 1, l))
+            # a special stage keeps its p; a normal one hands p - 1 down
+            special.append((child // S_p) % P1 == (key // S_p) % P1)
             key = child
         stages.reverse()
         special.reverse()

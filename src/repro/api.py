@@ -20,12 +20,11 @@ This module is the supported way in:
   needs nothing beyond ``repro.api``.
 
 :func:`plan` is the only code that turns ``(algorithm, options)`` into
-an algorithm call: the CLI and the plan service plan through it, and
-the sweep harness through its core (``_dispatch``, without the per-call
-trace and metrics snapshot).  :data:`PLAN_OPTIONS` — the options each
-algorithm takes, read from the algorithm signatures at import time — is
-the one table they check options against (:func:`plan_options`), so a
-bad served request is rejected before anything is solved.
+an algorithm call: the CLI, the plan service and every sweep instance
+plan through it.  :data:`PLAN_OPTIONS` — the options each algorithm
+takes, read from the algorithm signatures at import time — is the one
+table they check options against (:func:`plan_options`), so a bad
+served request is rejected before anything is solved.
 
 Every :func:`plan` result carries a ``certificate``: each
 pattern-producing algorithm (``madpipe``, ``pipedream``) runs its own
@@ -48,6 +47,7 @@ Observability::
 from __future__ import annotations
 
 import inspect
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -279,6 +279,7 @@ def plan(
     algorithm does not take raises ``TypeError`` (see :func:`plan_options`).
     """
     opts = plan_options(algorithm, dict(opts, schedule_family=schedule_family))
+    del opts["schedule_family"]  # checked; passed on by name below
     if trace is True:
         tr = obs.Trace(f"plan:{algorithm}")
     elif isinstance(trace, obs.Trace):  # note: an empty Trace is falsy
@@ -289,12 +290,33 @@ def plan(
         raise TypeError(f"trace must be a Trace, True or None, not {trace!r}")
     registry = obs.MetricsRegistry()
     outer = obs.active_metrics()
-    with obs.use_metrics(registry):
-        if tr is not None:
-            with obs.use_trace(tr):
-                result = _dispatch(chain, platform, algorithm, opts)
+    with obs.use_metrics(registry), (obs.use_trace(tr) if tr is not None else nullcontext()):
+        if algorithm == "gpipe":
+            res = gpipe(chain, platform, **opts)
+            result = PlanResult(
+                algorithm=algorithm,
+                period=res.period,
+                dp_period=res.period,  # GPipe has no separate optimizer estimate
+                pattern=None,  # fill-drain rounds, not a periodic pattern
+                status="ok" if res.feasible else "infeasible",
+                raw=res,
+                certificate=Certificate(ok=True, mode="skipped",
+                                        source=f"gpipe:{chain.name}"),
+            )
         else:
-            result = _dispatch(chain, platform, algorithm, opts)
+            # the algorithm owns its certification gate and status
+            run = madpipe if algorithm == "madpipe" else pipedream
+            res = run(chain, platform, schedule_family=schedule_family, **opts)
+            result = PlanResult(
+                algorithm=algorithm,
+                period=res.period,
+                dp_period=res.dp_period,
+                pattern=res.pattern,
+                status=res.status,
+                raw=res,
+                certificate=res.certificate,
+                schedule_family=schedule_family,
+            )
     if outer is not None:
         outer.merge(registry.snapshot())
     result.metrics = registry.snapshot()
@@ -340,39 +362,6 @@ def plan_options(
             f"it takes {sorted(accepted)}"
         )
     return {k: v for k, v in opts.items() if k in accepted}
-
-
-def _dispatch(
-    chain: Chain, platform: Platform, algorithm: str, opts: dict
-) -> PlanResult:
-    """Run ``algorithm`` on options :func:`plan_options` returned (the
-    dict is consumed): :func:`plan` without its per-call trace and
-    metrics snapshot, which the sweep harness calls directly."""
-    family = opts.pop("schedule_family", "1f1b")
-    if algorithm != "gpipe":
-        # the algorithm owns its certification gate and status
-        run = madpipe if algorithm == "madpipe" else pipedream
-        res = run(chain, platform, schedule_family=family, **opts)
-        return PlanResult(
-            algorithm=algorithm,
-            period=res.period,
-            dp_period=res.dp_period,
-            pattern=res.pattern,
-            status=res.status,
-            raw=res,
-            certificate=res.certificate,
-            schedule_family=family,
-        )
-    res = gpipe(chain, platform, **opts)
-    return PlanResult(
-        algorithm=algorithm,
-        period=res.period,
-        dp_period=res.period,  # GPipe has no separate optimizer estimate
-        pattern=None,  # fill-drain rounds, not a periodic pattern
-        status="ok" if res.feasible else "infeasible",
-        raw=res,
-        certificate=Certificate(ok=True, mode="skipped", source=f"gpipe:{chain.name}"),
-    )
 
 
 def certify(

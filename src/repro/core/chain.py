@@ -265,7 +265,8 @@ class Chain:
         )
 
     def to_dict(self) -> dict:
-        """JSON-serializable representation (see ``repro.profiling.io``)."""
+        """JSON-serializable representation; its one decoder is
+        :func:`repro.profiling.io.chain_from_dict`."""
         return {
             "name": self.name,
             "input_activation": self.input_activation,
@@ -280,15 +281,6 @@ class Chain:
                 for l in self.layers
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Chain":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            layers=[LayerProfile(**l) for l in data["layers"]],
-            input_activation=data["input_activation"],
-            name=data.get("name", "chain"),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

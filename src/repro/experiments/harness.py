@@ -23,15 +23,15 @@ solid lines), plus a ``status`` recording how the instance ended:
     certified fallback existed — the quarantined period is withheld
     (``valid_period = inf``), never recorded as valid.
 
-:func:`run_instance` plans every instance through the core of
-:func:`repro.api.plan` (``repro.api._dispatch``, the one code path from
-``(algorithm, options)`` to an algorithm call, without ``plan``'s
-per-call trace and metrics snapshot) and only copies the plan's
-``status`` and notes, so a sweep agrees with :func:`repro.api.plan` by
-construction.  Solver options are one set for
-every algorithm of the grid; :data:`repro.api.PLAN_OPTIONS` decides which
-of them each algorithm takes.  A PipeDream partitioning no valid
-schedule fits is ``infeasible`` (``dp_period`` kept).
+:func:`run_instance` plans every instance through :func:`repro.api.plan`,
+the one code path from ``(algorithm, options)`` to an algorithm call,
+and projects the returned plan onto a :class:`RunResult` inside the
+worker (``n_stages`` and the notes behind ``failure`` come from the
+plan's ``raw`` result), so a sweep agrees with :func:`repro.api.plan` by
+construction.  Solver options are one set for every algorithm of the
+grid; :data:`repro.api.PLAN_OPTIONS` decides which of them each
+algorithm takes.  A PipeDream partitioning no valid schedule fits is
+``infeasible`` (``dp_period`` kept).
 
 Sweeps are built to *survive*:
 
@@ -154,15 +154,15 @@ def run_instance(
     network: str = "",
     **solver_opts,
 ) -> RunResult:
-    """Plan one (chain, platform) instance the way :func:`repro.api.plan`
-    does.
+    """Plan one (chain, platform) instance through :func:`repro.api.plan`
+    and project the plan onto a :class:`RunResult`.
 
     ``solver_opts`` is one option set for every algorithm of a sweep
     (``grid``, ``iterations``, ``ilp_time_limit``, ``schedule_family``;
     any other name raises ``TypeError``): each algorithm receives the
     ones it takes, and its own defaults apply to the rest.
     """
-    from ..api import _dispatch  # deferred: repro.api imports this module
+    from .. import api  # deferred: repro.api imports this module
 
     opts = _plan_opts(algorithm, solver_opts)
     t0 = time.perf_counter()
@@ -174,7 +174,7 @@ def run_instance(
         memory_gb=platform.memory / GB,
         bandwidth_gbps=platform.bandwidth / GBPS,
     ) as inst_span:
-        res = _dispatch(chain, platform, algorithm, opts)
+        res = api.plan(chain, platform, algorithm=algorithm, **opts)
         inst_span.set(
             status=res.status, period=res.period if res.period != INF else None
         )

@@ -52,8 +52,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .. import obs
-from ..core.chain import Chain
-from ..core.platform import Platform
 from ..runtime import DeadlineExceededError, PoolExhaustedError, run_attempt
 
 __all__ = [
@@ -403,17 +401,17 @@ def solve_degraded(payload: tuple) -> tuple[dict, dict, list]:
     escalated to ``"degraded"`` so no client can mistake it for the
     full-quality answer.  Returns ``(plan payload, counts, spans)``.
     """
-    chain_dict, plat, _algorithm, opts, timeout, warm, *_ = payload
+    chain, platform, _algorithm, opts, timeout, warm, *_ = payload
     from ..api import plan  # deferred: repro.api imports this package
 
-    chain = Chain.from_dict(chain_dict)
     # the degrade target is always the MadPipe contiguous restriction,
     # whatever algorithm the request named: it is the one
     # certified-cheap answer the planner owns
     out, counts, spans = run_attempt(
-        lambda: plan(chain, Platform(*plat), algorithm="madpipe",
+        lambda: plan(chain, platform, algorithm="madpipe",
                      **degraded_opts(opts)).to_json(),
-        spec=(chain.name, *plat, "degraded"), timeout=timeout, warm=warm,
+        spec=(chain.name, platform.n_procs, platform.memory, platform.bandwidth,
+              "degraded"), timeout=timeout, warm=warm,
     )
     if out["status"] == "ok":
         out["status"] = "degraded"

@@ -209,11 +209,12 @@ class ServeReply:
 
 
 def _solve_in_worker(payload: tuple) -> tuple[dict, dict, list]:
-    """Worker entry point (module-level picklable): rebuild the request
-    and solve it once through :func:`repro.runtime.run_attempt` (fault
-    site ``serve_worker``, keyed by fingerprint), shipping back
-    ``(plan payload, counter snapshot, spans)``."""
-    (chain_dict, plat, algorithm, opts, timeout, warm, fingerprint,
+    """Worker entry point (module-level picklable): solve the request of
+    :meth:`PlanService._payload` once through
+    :func:`repro.runtime.run_attempt` (fault site ``serve_worker``, keyed
+    by fingerprint), shipping back ``(plan payload, counter snapshot,
+    spans)``."""
+    (chain, platform, algorithm, opts, timeout, warm, fingerprint,
      faults_env) = payload
     from ..api import plan  # deferred: repro.api imports this package
 
@@ -225,10 +226,9 @@ def _solve_in_worker(payload: tuple) -> tuple[dict, dict, list]:
         os.environ[faults.ENV_VAR] = faults_env
     else:
         os.environ.pop(faults.ENV_VAR, None)
-    chain = Chain.from_dict(chain_dict)
     return run_attempt(
-        lambda: plan(chain, Platform(*plat), algorithm=algorithm, **opts).to_json(),
-        spec=(chain.name, *plat, algorithm),
+        lambda: plan(chain, platform, algorithm=algorithm, **opts).to_json(),
+        spec=(chain.name, platform.n_procs, platform.memory, platform.bandwidth, algorithm),
         timeout=timeout, warm=warm, site="serve_worker", key=fingerprint,
     )
 
@@ -592,12 +592,14 @@ class PlanService:
         self, request: PlanRequest, fingerprint: str, timeout: float | None
     ) -> tuple:
         """The picklable argument of :func:`_solve_in_worker` and
-        :func:`~repro.serve.resilience.solve_degraded` (fingerprint at
-        index 6, the caller's fault plan last)."""
-        p = request.platform
-        return (request.chain.to_dict(), (p.n_procs, p.memory, p.bandwidth),
-                request.algorithm, dict(request.opts), timeout, self.warm_start,
-                fingerprint, os.environ.get(faults.ENV_VAR))
+        :func:`~repro.serve.resilience.solve_degraded`: the request's own
+        ``Chain`` and ``Platform`` (pickled whole to a pool worker), its
+        algorithm and options, the attempt's timeout, the warm-start
+        switch, the fingerprint at index 6 (the key the ledger stitches a
+        worker's spans on) and the caller's fault plan last."""
+        return (request.chain, request.platform, request.algorithm,
+                dict(request.opts), timeout, self.warm_start, fingerprint,
+                os.environ.get(faults.ENV_VAR))
 
     # -- lifecycle / introspection -------------------------------------------
 

@@ -130,7 +130,7 @@ def eager_1f1b(
         (half[-1] - half[0]) / (len(half) - 1) if len(half) > 1 else makespan
     )
 
-    peak, _ = _memory_trace(
+    peak = _memory_trace(
         chain, allocation, ((k, i, start, end) for k, i, _, start, end in executions), makespan
     )
     return EagerReport(

@@ -46,7 +46,6 @@ class SimReport:
     horizon: float
     executions: list[Execution]
     peak_memory: dict[int, float]
-    memory_timeline: dict[int, list[tuple[float, float]]]
     completed_batches: int
     violations: list[str] = field(default_factory=list)
 
@@ -148,7 +147,7 @@ def simulate(
                 )
 
     w_stages = frozenset(i for (kind, i) in pattern.ops if kind == "W")
-    peak, timeline = _memory_trace(
+    peak = _memory_trace(
         chain, alloc, ((e.kind, e.index, e.start, e.end) for e in executions), horizon, tol,
         w_stages=w_stages,
     )
@@ -167,7 +166,6 @@ def simulate(
         horizon=horizon,
         executions=executions,
         peak_memory=peak,
-        memory_timeline=timeline,
         completed_batches=len(finish_times),
         violations=violations,
         steady_completions=sum(1 for t in finish_times if t > horizon / 2),
@@ -182,10 +180,11 @@ def _memory_trace(
     tol: float = CHECK_RTOL,
     *,
     w_stages: frozenset[int] = frozenset(),
-) -> tuple[dict[int, float], dict[int, list[tuple[float, float]]]]:
-    """Per-GPU memory as a step function: static (weights + buffers) plus
-    one stored-activation set per batch between its forward start and its
-    backward end, from executed ``(kind, stage, start, end)`` ops.
+) -> dict[int, float]:
+    """Per-GPU peak memory over ``[0, horizon]``: static (weights +
+    buffers) plus one stored-activation set per batch between its forward
+    start and its backward end, from executed ``(kind, stage, start,
+    end)`` ops.
 
     Stages in ``w_stages`` use the split-backward model: the stored
     activations stay live until the grad-weight op completes (``W`` needs
@@ -224,7 +223,6 @@ def _memory_trace(
     # semantics and the ILP memory constraints use).
     snap = max(tol * max(horizon, 1.0), 1e-12)
     peak: dict[int, float] = {}
-    timeline: dict[int, list[tuple[float, float]]] = {}
     for p, evs in events.items():
         evs.sort()
         prev = stamp = -math.inf
@@ -234,15 +232,11 @@ def _memory_trace(
             prev = t
             evs[j] = (stamp, delta)
         evs.sort()
-        level = static[p]
-        best = level
-        steps = [(0.0, level)]
+        level = best = static[p]
         for t, delta in evs:
             if t > horizon:
                 break
             level += delta
-            steps.append((t, level))
             best = max(best, level)
         peak[p] = best
-        timeline[p] = steps
-    return peak, timeline
+    return peak

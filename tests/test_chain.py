@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import Chain, LayerProfile
+from repro.profiling import chain_from_dict
 
 MB = float(2**20)
 
@@ -128,7 +129,7 @@ class TestSubchainAndSerialization:
             tiny_chain.subchain(3, 2)
 
     def test_dict_roundtrip(self, tiny_chain):
-        clone = Chain.from_dict(tiny_chain.to_dict())
+        clone = chain_from_dict(tiny_chain.to_dict())
         assert clone.L == tiny_chain.L
         assert clone.total_compute() == pytest.approx(tiny_chain.total_compute())
         assert clone.activation(0) == tiny_chain.activation(0)

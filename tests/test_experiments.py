@@ -161,6 +161,23 @@ class TestHarness:
             res.status, res.period, res.dp_period
         )
 
+    def test_serial_sweep_plans_through_api_plan(self, tmp_path, monkeypatch):
+        # one call of repro.api.plan per uncached, distinct instance
+        calls = []
+        plan = api.plan
+
+        def counting(chain, platform, **opts):
+            calls.append((platform.memory / 2**30, opts["algorithm"]))
+            return plan(chain, platform, **opts)
+
+        monkeypatch.setattr(api, "plan", counting)
+        cache = ResultCache(tmp_path / "sweep.jsonl")
+        cache.put(mk("toy6", 2, 8.0, 12.0, "pipedream", 0.5, 0.5))
+        results = run_grid(("toy6",), (2,), (8.0, 4.0, 8.0), (12.0,), cache=cache,
+                           grid=Discretization.coarse(), iterations=4)
+        assert len(results) == 6
+        assert sorted(calls) == [(4.0, "madpipe"), (4.0, "pipedream"), (8.0, "madpipe")]
+
     def test_pipedream_partition_without_schedule_is_infeasible(self, monkeypatch):
         """PipeDream's optimistic DP finds a partitioning that 1F1B* cannot
         schedule: the sweep record and the plan both say infeasible."""

@@ -1,5 +1,6 @@
 """Layering guard: the serving, profile and core layers never import the
-experiment harness, and the package never reaches into the tests.
+experiment harness, the sweep and the service import nothing private
+from ``repro.api``, and the package never reaches into the tests.
 
 ``repro.runtime`` (deadline, backoff, per-attempt setup) and
 ``repro.jsonl`` (the hardened JSONL cache) sit below both front-ends;
@@ -61,6 +62,17 @@ def test_guard_sees_relative_imports():
     # the resolver must catch the form the old modules used
     src = SRC / "serve" / "store.py"
     assert "repro.jsonl.JsonlCache" in imported_modules(src)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*SRC.joinpath("experiments").glob("*.py"), *SRC.joinpath("serve").glob("*.py")]),
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_front_ends_use_only_public_api(path):
+    # the sweep and the service plan through repro.api.plan, like any caller
+    bad = [m for m in imported_modules(path) if m.startswith("repro.api._")]
+    assert bad == [], f"{path.name} imports {bad}"
 
 
 def test_no_tests_import():

@@ -15,6 +15,7 @@ from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.algorithms.onef1b import Item, assign_groups
 from repro.core import Chain, LayerProfile, Partitioning, Platform
 from repro.models import random_chain
+from repro.profiling import chain_from_dict
 
 MB = float(2**20)
 COARSE = Discretization.coarse()
@@ -78,7 +79,7 @@ class TestChainInvariants:
 
     @given(chains())
     def test_serialization_roundtrip(self, chain):
-        clone = Chain.from_dict(chain.to_dict())
+        clone = chain_from_dict(chain.to_dict())
         assert clone.L == chain.L
         assert math.isclose(clone.total_compute(), chain.total_compute(), rel_tol=1e-12)
 

@@ -319,6 +319,32 @@ class TestPlanService:
         assert fresh.result.to_json() == reference
         assert cached.result.to_json() == reference
 
+    def test_worker_payload_carries_the_request_itself(self, monkeypatch, plat):
+        # the worker plans the request's own Chain and Platform (no second
+        # decoder), and finds the fingerprint where the ledger stitches it
+        from repro.serve import service as service_mod
+
+        payloads = []
+        solve = service_mod._solve_in_worker
+
+        def recording(payload):
+            payloads.append(payload)
+            return solve(payload)
+
+        monkeypatch.setattr(service_mod, "_solve_in_worker", recording)
+        chain = toy()
+
+        async def scenario():
+            async with make_service() as service:
+                return await service.handle(service.request(chain, plat, **PLAN_OPTS))
+
+        reply = run(scenario())
+        assert reply.served_from == "solve"
+        [payload] = payloads
+        assert payload[0] is chain
+        assert payload[1] is plat
+        assert payload[6] == reply.fingerprint
+
     def test_coalescing_single_flight(self, tmp_path, plat):
         chain = toy(5)
 

@@ -65,12 +65,6 @@ class TestSimulate:
         rep = simulate(cnnlike16, tight, schedule.pattern, periods=10)
         assert any("memory" in v for v in rep.violations)
 
-    def test_memory_timeline_monotone_events(self, cnnlike16, roomy4, schedule):
-        rep = simulate(cnnlike16, roomy4, schedule.pattern, periods=6)
-        for steps in rep.memory_timeline.values():
-            times = [t for t, _ in steps]
-            assert times == sorted(times)
-
 
 class TestMemoryTrace:
     def test_free_applies_before_an_allocation_one_ulp_earlier(self, uniform8):
@@ -81,12 +75,10 @@ class TestMemoryTrace:
         alloc = Allocation.contiguous(Partitioning.from_cuts(8, [4]))
         t = 0.5478125
         ops = [("F", 1, 0.5, 0.51), ("B", 1, 0.52, t), ("F", 1, math.nextafter(t, 0.0), 0.56)]
-        peak, timeline = _memory_trace(uniform8, alloc, ops, horizon=0.6)
+        peak = _memory_trace(uniform8, alloc, ops, horizon=0.6)
         static = static_memory(uniform8, alloc)
         abar = alloc.stages[1].stored_activations(uniform8)
         assert peak == {0: static[0], 1: static[1] + abar}
-        levels = [m for _, m in timeline[1]]
-        assert levels == [static[1], static[1] + abar, static[1], static[1] + abar]
 
 
 class TestVerifyPattern:
