@@ -77,6 +77,7 @@ def bench_instance(
         "states": fast.states,
         "pruned_cap": fast.pruned_cap,
         "pruned_mem": fast.pruned_mem,
+        "pruned_load": fast.pruned_load,
     }
     if with_reference:
         ref_t, ref = measure(madpipe_dp_reference)

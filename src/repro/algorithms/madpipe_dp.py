@@ -34,22 +34,46 @@ strictly smaller layer index ``l``, so the state graph is stratified by
 kernels do this; :func:`madpipe_dp` picks one by ``allow_special``.
 Both are bit-identical to ``madpipe_dp_reference``
 (``tests/oracles/madpipe_dp_reference.py``), ``states`` included: the
-number of grid states reachable from the root, exactly the states the
-memoized recursion evaluates.
+number of grid states reachable from the root (within the load bound
+below), exactly the states the memoized recursion evaluates, since the
+reference carries the same bound.
+
+**The period cap holds.**  A probe with ``period_cap = c`` returns a
+period strictly below ``c``, or nothing: :func:`madpipe_dp` turns a
+period at or above ``c`` into infeasibility, one check for both kernels.
+The candidates the cap prunes (``U(k,l) ≥ c``, or ``t_P + U(k,l) ≥ c`` on
+the special processor) do not suffice alone: a normal stage's cut cost
+``C(k-1)`` can reach ``c``, the ``p == 0`` base case puts the whole
+prefix ``1..l`` on the special processor, and a level-0 value is the
+snapped ``it2·t_step``, which can exceed a ``t_P + U`` under the cap.
+
+**The load bound.**  Algorithm 1's average-load bound ``ΣU/P``, per
+state: any completion of ``(l, p, t_P, …)`` spreads ``t_P + U(1,l)`` of
+load over at most ``p + 1`` processors, every local cost is at least its
+stage's load, and the snap of ``it2`` rounds up, less at most
+``1e-9·t_step`` per special stage.  So a state with ``t_P + U(1,l) ≥
+(p+1)·c + l·1e-9·t_step`` has a value of at least ``c`` and cannot yield
+a period under the cap.  The special kernel drops such states where it
+reads a level (counter ``pruned_load``): they are neither counted in
+``states`` nor expanded, and read ``INF`` as children.  By the cap rule,
+no result field but the counters can change.  The contiguous kernel is
+not pruned.
 
 Every float quantity of a ``(state, k)`` candidate depends on one grid
 coordinate and the cut ``k`` only: ``V ⊕ U(k,l) ⊕ C``, ``g``,
 ``mem(k,l,g)`` and the snapped ``iv2`` on ``iv``; ``t_P + U``, ``it2``
 and ``max(t_P + U, C)`` on ``it``; ``m_P + mem(k,l,g−1)`` and ``im2`` on
-``(im, iv)``.  Both kernels compute these once per probe as small
-*coordinate tables*, with the same operations on the same operands as a
-per-state evaluation.  ``U(k,l)`` never decreases as the cut moves left
-and ``t_P ≥ 0``, so only each level's first ``jm`` cuts, those with
-``U(k,l)`` under the period cap, can yield a candidate: the tables cover
-those columns only.  First-minimum ``argmin`` over candidates ordered
-``k = l … 1`` (normal before special) reproduces the naive scan's
-tie-breaking.  The pruning counters count one per rejected ``(state,
-k)`` candidate of a reachable state.
+``(im, iv)``.  Both kernels compute these once per probe, for every
+level at once, as *coordinate tables* built in whole-array operations,
+with the same operations on the same operands as a per-state
+evaluation.  ``U(k,l)`` never decreases as the cut moves left and ``t_P
+≥ 0``, so only each level's first ``jm`` cuts, those with ``U(k,l)``
+under the period cap, can yield a candidate: the tables cover those
+columns only (:func:`_delay_tables`), and a level reads a column slice.
+First-minimum ``argmin`` over candidates ordered ``k = l … 1`` (normal
+before special) reproduces the naive scan's tie-breaking.  The candidate
+counters count one per rejected ``(state, k)`` candidate of a reachable
+state.
 
 **With the special processor** (:class:`_LevelDP`), states are packed
 into one integer key ``((((l·(P+1) + p)·n_t + it)·n_m + im)·n_v + iv``
@@ -69,19 +93,23 @@ and only reachable ones are touched:
    decision, its chosen child's key (see :data:`_NO_CHILD`), from which
    the traceback reads the stage's cut ``k`` and whether it is special.
 
-A level's tables (``n_v × jm``, ``n_t × jm``, ``n_m·n_v × jm``) are
-built on first use and expanded by row gathers plus packed-key offsets.
+A probe's tables (``n_v × K``, ``n_t × K``, ``n_m·n_v × K`` over the
+``K`` kept cuts of all levels) are expanded by row gathers of a level's
+column slice plus packed-key offsets, and freed with the probe.
 
-The closing check is exact.  A state's value is a min over its valid
+The closing check is sound.  A state's value is a min over its valid
 candidates of the max of finite local costs and its child's value, so
 the root's value is finite exactly when a path of valid candidates leads
 from it to a *closing* state: a level-0 state (``T(0, ·)`` is the
 special processor's finite load), or a ``p == 0`` state whose
 single-stage base case fits in memory.  The reachability sweep scatters
 exactly the valid candidates, so the level-0 segment of its bitmap plus
-the reachable ``p == 0`` states' base cases decide it without reading a
-value.  ``states`` and both pruning counters come from the reachability
-sweep, so skipping the value sweep changes no field of the result.  Most
+the kept ``p == 0`` states' base cases decide it without reading a
+value; a level-0 state outside the load bound is worth at least the cap,
+so it does not close.  A probe that passes the check can still end at or
+above the cap, and then returns nothing as a refuted one does.
+``states`` and the pruning counters come from the reachability sweep, so
+skipping the value sweep changes no field of the result.  Most
 low-``T̂`` and bracketed probes are infeasible, and the value sweep is
 about half of a probe.
 
@@ -105,8 +133,9 @@ capacity live in a *workspace* dict that one :func:`algorithm1` search
 shares across its probes and a warm-start context shares across searches
 and instances: one per-cut table both kernels read (:class:`_Cuts`: ``U``,
 :func:`~repro.core.memory.stage_memory_terms`, ``C``, ``V + U``) and
-the special kernel's per-level ``it`` tables (``t_P + U``, its packed
-``it2``, ``max(t_P + U, C)``).
+the special kernel's ``it`` tables over every cut (:class:`_Loads`:
+``t_P + U``, its packed ``it2``, ``max(t_P + U, C)``).  A probe gathers
+its kept columns from them.
 """
 
 from __future__ import annotations
@@ -209,6 +238,7 @@ class MadPipeDPResult:
     wall_time_s: float = 0.0  # solver wall time (diagnostics)
     pruned_cap: int = 0  # candidates rejected by the period cap
     pruned_mem: int = 0  # candidates rejected by the memory check
+    pruned_load: int = 0  # reached states dropped by the load bound
     # whether the value sweep ran: False when the reachability pass proved
     # that nothing closes the chain (diagnostics)
     swept: bool = True
@@ -223,29 +253,10 @@ class MadPipeDPResult:
         return self.allocation is not None
 
 
-def _delay_tables(That, V_grid, v_step, VU, U, dw3, da, comm, b1, b2) -> tuple:
-    """``g``, ``mem(k, l, g)`` and the snapped ``iv2`` of ``V ⊕ U(k,l) ⊕
-    C(k-1)`` over ``(iv, cut)``, shaped like ``VU``; the other operands are
-    per cut (``b2`` may be a scalar).  Both kernels build their ``iv``
-    tables here, with the reference's float operations elementwise."""
-    cVU = np.ceil(VU / That - 1e-9)
-    g = np.maximum(cVU, 1.0)
-    mem_g = dw3 + g * da
-    mem_g += b1
-    mem_g += b2
-    # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
-    cV = np.ceil(V_grid / That - 1e-9)[:, None]
-    r1 = np.where(cV == cVU, VU, That * cV + U)
-    cr1 = np.ceil(r1 / That - 1e-9)
-    V2 = np.where(cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm)
-    iv2 = np.minimum(np.ceil(V2 / v_step - 1e-9), len(V_grid) - 1).astype(np.int64)
-    return g, mem_g, iv2
-
-
-#: Workspace key of the :class:`_Cuts` both kernels read.  The special
-#: kernel keys its per-coordinate ``_Rows`` by level ``l ≥ 1`` in the same
-#: dict; level 0 has no cuts, so its key is free.
+#: Workspace keys (ints, so a workspace's keys sort): the :class:`_Cuts`
+#: both kernels read and the special kernel's :class:`_Loads`.
 _CUTS = 0
+_LOADS = 1
 
 
 class _Cuts(NamedTuple):
@@ -290,33 +301,59 @@ def _cuts(workspace: dict, chain: Chain, beta: float, P: int, V_grid: np.ndarray
     return cuts
 
 
-class _Rows(NamedTuple):
-    """The special kernel's per-coordinate tables of one level that depend
-    on neither ``T̂``, ``M`` nor the cap (see :meth:`_LevelDP._static_rows`);
-    columns over ``k = l … 1``."""
+def _delay_tables(cuts: _Cuts, cap: float, That: float, V_grid, v_step) -> tuple:
+    """One probe's delay tables over the cuts whose ``U(k, l)`` is under
+    the cap, for both kernels: ``(sel, off, g, mem, iv2)``.
 
-    kb: np.ndarray  # (l,) (k-1)·S_l
-    t2: np.ndarray  # (n_t, l) t_P + U
-    kit2: np.ndarray  # (n_t, l) (k-1)·S_l + it2·S_t
-    local_s: np.ndarray  # (n_t, l) max(t_P + U, C)
+    ``U`` never decreases along ``k = l … 1`` and ``t_P ≥ 0``, so every
+    candidate under the cap, normal or special, lies in each level's first
+    ``jm_l`` cuts: ``sel`` lists those columns of ``cuts``, and level
+    ``l``'s are the table columns ``off[l] … off[l+1] − 1``.  ``g``,
+    ``mem(k, l, g)`` and the snapped ``iv2`` of ``V ⊕ U(k,l) ⊕ C(k-1)`` are
+    ``(n_v, len(sel))`` arrays, with the reference's float operations
+    elementwise."""
+    keep = cuts.U < cap
+    sel = np.flatnonzero(keep)
+    off = np.concatenate(([0], np.cumsum(keep)))[cuts.start].tolist()
+    VU = cuts.VU[:, sel]
+    U, comm = cuts.U[sel], cuts.comm[sel]
+    cVU = np.ceil(VU / That - 1e-9)
+    g = np.maximum(cVU, 1.0)
+    mem_g = cuts.dw3[sel] + g * cuts.da[sel]
+    mem_g += cuts.b1[sel]
+    mem_g += cuts.b2[sel]
+    # V2 = (V ⊕ U(k,l)) ⊕ C(k-1), elementwise group rounding
+    cV = np.ceil(V_grid / That - 1e-9)[:, None]
+    r1 = np.where(cV == cVU, VU, That * cV + U)
+    cr1 = np.ceil(r1 / That - 1e-9)
+    V2 = np.where(cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm)
+    iv2 = np.minimum(np.ceil(V2 / v_step - 1e-9), len(V_grid) - 1).astype(np.int64)
+    return sel, off, g, mem_g, iv2
+
+
+class _Loads(NamedTuple):
+    """The special kernel's ``it`` tables over every column of
+    :class:`_Cuts`: pure functions of (chain, β, P, grid), built once per
+    workspace (see :meth:`_LevelDP._loads`)."""
+
+    kb: np.ndarray  # (N,) (k-1)·S_l
+    t2: np.ndarray  # (n_t, N) t_P + U
+    kit2: np.ndarray  # (n_t, N) (k-1)·S_l + it2·S_t
+    local_s: np.ndarray  # (n_t, N) max(t_P + U, C)
 
 
 class _Tables(NamedTuple):
-    """One probe's per-coordinate tables for one level (see
-    :meth:`_LevelDP._tables`); every array has ``jm`` columns over the
-    cuts ``k = l … l − jm + 1`` whose ``U(k, l)`` is under the cap."""
+    """One probe's special-kernel tables over the kept cuts of every level
+    (see :meth:`_LevelDP._tables`); level ``l``'s columns are ``off[l] …
+    off[l+1] − 1``.  The ``it`` tables are read from :class:`_Loads`."""
 
-    valid_n: np.ndarray  # (n_v, jm) normal candidate passes cap and memory
-    kiv2: np.ndarray  # (n_v, jm) (k-1)·S_l + iv2
-    local_n: np.ndarray  # (jm,) max(U, C)
-    cap_fail_n: int  # cuts over the period cap (same for every state)
-    mem_fail_n: np.ndarray  # (n_v,) memory rejects among the cap passes
-    cap_ok_s: np.ndarray  # (n_t, jm) t_P + U < cap
-    cap_pass_s: np.ndarray  # (n_t,) row sums of cap_ok_s
-    mem_ok_s: np.ndarray  # (n_m·n_v, jm) m_P + mem(g-1) fits
-    imv2: np.ndarray  # (n_m·n_v, jm) im2·S_m + iv2
-    kit2: np.ndarray  # (n_t, jm) (k-1)·S_l + it2·S_t
-    local_s: np.ndarray  # (n_t, jm) max(t_P + U, C)
+    off: list  # (L+2,) first kept column of level l
+    valid_n: np.ndarray  # (n_v, K) normal candidate passes the memory check
+    kiv2: np.ndarray  # (n_v, K) (k-1)·S_l + iv2
+    local_n: np.ndarray  # (K,) max(U, C)
+    cap_ok_s: np.ndarray  # (n_t, K) t_P + U < cap
+    mem_ok_s: np.ndarray  # (n_m·n_v, K) m_P + mem(g-1) fits
+    imv2: np.ndarray  # (n_m·n_v, K) im2·S_m + iv2
 
 
 class _LevelDP:
@@ -334,7 +371,7 @@ class _LevelDP:
         target: float,
         grid: Discretization,
         period_cap: float,
-        rows_cache: dict | None = None,
+        workspace: dict | None = None,
     ):
         self.L, self.P, self.M = chain.L, platform.n_procs, platform.memory
         self.beta = platform.bandwidth
@@ -348,7 +385,6 @@ class _LevelDP:
         self.v_step = v_max / (grid.n_v - 1)
         self.it_top = grid.n_t - 1
         self.im_top = grid.n_m - 1
-        self.iv_top = grid.n_v - 1
         # coordinate values of the whole grid, as a per-state unpack
         # would compute them (int index × step)
         self.t_grid = np.arange(grid.n_t) * self.t_step
@@ -362,108 +398,87 @@ class _LevelDP:
         self.S_l = (self.P + 1) * self.S_p
         self.n_t = grid.n_t
 
-        # the workspace (module docstring): _Cuts and this kernel's _Rows by
-        # level; nothing that depends on M, the headroom, T̂ or the cap.
-        self._rows: dict = {} if rows_cache is None else rows_cache
-        self.cuts = _cuts(self._rows, chain, self.beta, self.P, self.V_grid)
+        # the workspace (module docstring): _Cuts and _Loads; nothing that
+        # depends on M, the headroom, T̂ or the cap
+        workspace = {} if workspace is None else workspace
+        self.cuts = _cuts(workspace, chain, self.beta, self.P, self.V_grid)
+        self.loads = self._loads(workspace)
         self.start = self.cuts.start.tolist()
-        # this probe's per-coordinate tables, shared by discover and reduce
-        self._tabs: dict[int, _Tables] = {}
+        # U(1, l), the load of the whole prefix 1..l (column start[l+1] − 1)
+        self.U1 = [0.0] + self.cuts.U[self.cuts.start[2:] - 1].tolist()
+        # this probe's tables, shared by discover and reduce
+        self.tab = self._tables()
 
         # per-level solved state: packed keys (sorted) and their decisions;
         # reduce() leaves every state's value in the dense table
         self.level_keys: list[np.ndarray | None] = [None] * (self.L + 1)
         self.level_dec: list[np.ndarray | None] = [None] * (self.L + 1)
+        # per level, the reached states the load bound dropped
+        self.level_pruned: list[np.ndarray | None] = [None] * (self.L + 1)
         self.dense: np.ndarray | None = None
 
         self.states = 0
         self.pruned_cap = 0
         self.pruned_mem = 0
+        self.pruned_load = 0
         self.reached_level0 = False
         self.swept = False  # whether solve() ran the value sweep
 
-    # -- per-level tables ---------------------------------------------------
+    # -- tables -------------------------------------------------------------
 
-    def _static_rows(self, l: int) -> _Rows:
-        """The per-coordinate tables of level ``l`` that depend on neither
-        ``T̂``, ``M`` nor the period cap: ``t_P + U`` over the ``it`` grid,
-        its snapped ``it2`` (pre-packed with ``(k−1)·S_l``) and ``max(t_P
-        + U, C)``, over the level's columns of :attr:`cuts`."""
-        rows = self._rows.get(l)
-        if rows is not None:
-            return rows
-        cols = slice(self.start[l], self.start[l + 1])
-        U, comm = self.cuts.U[cols], self.cuts.comm[cols]
-        kb = np.arange(l - 1, -1, -1, dtype=np.int64) * self.S_l  # (k-1)·S_l
-        t2 = self.t_grid[:, None] + U[None, :]  # (n_t, l)
+    def _loads(self, workspace: dict) -> _Loads:
+        """The workspace's :class:`_Loads`, built on first use in
+        whole-array operations: ``t_P + U`` over the ``it`` grid and every
+        cut, its snapped ``it2`` (pre-packed with ``(k−1)·S_l``) and
+        ``max(t_P + U, C)``; they depend on neither ``T̂``, ``M`` nor the
+        period cap."""
+        loads = workspace.get(_LOADS)
+        if loads is not None:
+            return loads
+        cut = self.cuts
+        kb = cut.base // ((self.P + 1) * self.S_m) * self.S_l  # (k-1)·S_l
+        t2 = self.t_grid[:, None] + cut.U[None, :]  # (n_t, N)
         it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
         kit2 = kb + it2 * self.S_t
-        local_s = np.maximum(t2, comm)
-        rows = _Rows(kb, t2, kit2, local_s)
-        self._rows[l] = rows
-        return rows
+        loads = workspace[_LOADS] = _Loads(kb, t2, kit2, np.maximum(t2, cut.comm))
+        return loads
 
-    def _tables(self, l: int) -> _Tables:
-        """This probe's per-coordinate tables for level ``l``.
+    def _tables(self) -> _Tables:
+        """This probe's tables, for every level at once.
 
         Every float quantity of a ``(state, k)`` candidate depends on a
         single grid coordinate (``iv``, ``it`` or the ``(im, iv)`` pair)
         and the cut ``k``, so it is computed here once per coordinate —
         with the same operations on the same operands as a per-state
         evaluation, hence bit-identical — and :meth:`_expand` only
-        gathers rows.  Built on first use and shared by both passes.
-
-        ``U(k, l)`` never decreases along the cut index ``j = l − k`` and
-        ``t_P ≥ 0``, so every candidate under the cap, normal or special,
-        lies in the first ``jm = #{j : U < cap}`` columns: the tables
-        cover only those (``jm = 0`` leaves every ``p ≥ 1`` state of the
-        level infeasible).  The per-cut constants are sliced from the
-        level's columns of :attr:`cuts` and the static rows from
-        :meth:`_static_rows`, never rebuilt.
+        gathers rows of a level's column slice.  The tables cover the cuts
+        under the cap (:func:`_delay_tables`; ``jm = 0`` leaves every
+        ``p ≥ 1`` state of a level infeasible); the static ``it`` tables
+        stay in the workspace's :class:`_Loads`, never rebuilt.
         """
-        tab = self._tabs.get(l)
-        if tab is not None:
-            return tab
-        rows = self._static_rows(l)
-        That, cap, M = self.That, self.cap, self.M
-        cut, a = self.cuts, self.start[l]
-        jm = int(np.count_nonzero(cut.U[a : self.start[l + 1]] < cap))
-        cols = slice(a, a + jm)
-        U, dw3, da, comm, b1, b2, local = (
-            x[cols] for x in (cut.U, cut.dw3, cut.da, cut.comm, cut.b1, cut.b2, cut.local)
+        cut, loads, M = self.cuts, self.loads, self.M
+        sel, off, g, mem_g, iv2 = _delay_tables(
+            cut, self.cap, self.That, self.V_grid, self.v_step
         )
-        kb, VU, t2 = rows.kb[:jm], cut.VU[:, cols], rows.t2[:, :jm]
-
-        g, mem_g, iv2 = _delay_tables(
-            That, self.V_grid, self.v_step, VU, U, dw3, da, comm, b1, b2
-        )
-
-        # normal processor: child (k-1, p-1, it, im, iv2); every kept cut
-        # passes the cap, which also subsumes the naive loop's break
-        mem_ok_n = mem_g <= M + _EPS
         # special processor: child (k-1, p, it2, im2, iv2); the (im, iv)
         # tables keep row im·n_v + iv
-        mem_gm1 = dw3 + (g - 1.0) * da
-        mem_gm1 += b1
-        mem_gm1 += b2
-        m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, l)
+        mem_gm1 = cut.dw3[sel] + (g - 1.0) * cut.da[sel]
+        mem_gm1 += cut.b1[sel]
+        mem_gm1 += cut.b2[sel]
+        m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, K)
         im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(np.int64)
-        cap_ok_s = t2 < cap
-        tab = _Tables(
-            valid_n=mem_ok_n,
-            kiv2=kb + iv2,
-            local_n=local,
-            cap_fail_n=l - jm,
-            mem_fail_n=np.count_nonzero(~mem_ok_n, axis=1),
-            cap_ok_s=cap_ok_s,
-            cap_pass_s=np.count_nonzero(cap_ok_s, axis=1),
-            mem_ok_s=(m2 <= M + _EPS).reshape(self.S_t, jm),
-            imv2=(im2 * self.S_m + iv2).reshape(self.S_t, jm),
-            kit2=np.ascontiguousarray(rows.kit2[:, :jm]),
-            local_s=np.ascontiguousarray(rows.local_s[:, :jm]),
+        K = len(sel)
+        return _Tables(
+            off=off,
+            # normal processor: child (k-1, p-1, it, im, iv2); every kept
+            # cut passes the cap, which also subsumes the naive loop's break
+            valid_n=mem_g <= M + _EPS,
+            kiv2=loads.kb[sel] + iv2,
+            local_n=cut.local[sel],
+            cap_ok_s=loads.t2[:, sel] < self.cap,
+            mem_ok_s=(m2 <= M + _EPS).reshape(self.S_t, K),
+            imv2=(im2 * self.S_m + iv2).reshape(self.S_t, K),
         )
-        self._tabs[l] = tab
-        return tab
 
     def _unpack(self, keys: np.ndarray) -> tuple:
         p = (keys // self.S_p) % (self.P + 1)
@@ -472,43 +487,56 @@ class _LevelDP:
         iv = keys % self.S_m
         return p, it, im, iv
 
+    def _under_load_bound(self, l: int, keys: np.ndarray) -> np.ndarray:
+        """Which states of level ``l`` pass the load bound ``t_P + U(1,l) <
+        (p+1)·cap + l·1e-9·t_step``.  A state that fails it spreads ``t_P +
+        U(1,l)`` of load over at most ``p + 1`` processors, and each of its
+        at most ``l`` special stages snaps ``it2`` down by at most
+        ``1e-9·t_step``, so its value is at least the cap."""
+        bound = (np.arange(self.P + 1) + 1) * self.cap + l * _EPS * self.t_step
+        ok = (self.t_grid + self.U1[l])[None, :] < bound[:, None]  # (p, it)
+        return ok.ravel().take((keys // self.S_t) % ((self.P + 1) * self.n_t))
+
     # -- level expansion ----------------------------------------------------
 
     def _expand(self, l: int, keys: np.ndarray, count: bool = False) -> tuple:
         """Candidate generation for all ``p ≥ 1`` states of one level:
         validity masks, packed child keys and local costs, shaped
         ``(n_states, jm)`` with ``k`` descending along axis 1 (the cuts
-        under the cap, see :meth:`_tables`) — row gathers from
-        :meth:`_tables` plus integer key offsets.
+        under the cap, see :meth:`_tables`) — row gathers from the level's
+        columns of :meth:`_tables` plus integer key offsets.
 
         ``count=True`` accumulates the pruning counters, one per
         rejected ``(state, k)`` candidate (the expansion runs once per
         pass, so only the discovery pass counts).
         """
-        tab = self._tables(l)
+        tab, loads = self.tab, self.loads
+        cols = slice(tab.off[l], tab.off[l + 1])
+        # the same cuts among the level's columns of _Loads
+        lcols = slice(self.start[l], self.start[l] + cols.stop - cols.start)
         p = (keys // self.S_p) % (self.P + 1)
         it = (keys // self.S_t) % self.n_t
         imv = keys % self.S_t  # im·n_v + iv
         iv = imv % self.S_m
-        n = len(keys)
 
-        valid_n = tab.valid_n.take(iv, axis=0)
-        child_n = tab.kiv2.take(iv, axis=0)
+        valid_n = tab.valid_n[:, cols].take(iv, axis=0)
+        child_n = tab.kiv2[:, cols].take(iv, axis=0)
         child_n += ((p - 1) * self.S_p + it * self.S_t + (imv - iv))[:, None]
+        valid_s = tab.cap_ok_s[:, cols].take(it, axis=0)
         if count:
-            self.pruned_cap += n * tab.cap_fail_n
-            self.pruned_mem += int(tab.mem_fail_n.take(iv).sum())
-        valid_s = tab.cap_ok_s.take(it, axis=0)
-        valid_s &= tab.mem_ok_s.take(imv, axis=0)
-        child_s = tab.kit2.take(it, axis=0)
-        child_s += tab.imv2.take(imv, axis=0)
-        child_s += (p * self.S_p)[:, None]
+            n, jm = valid_n.shape
+            passed = int(np.count_nonzero(valid_s))
+            # the normal cuts over the cap, then the special ones
+            self.pruned_cap += n * (l - jm) + n * l - passed
+            self.pruned_mem += valid_n.size - int(np.count_nonzero(valid_n))
+        valid_s &= tab.mem_ok_s[:, cols].take(imv, axis=0)
         if count:
-            passed = int(tab.cap_pass_s.take(it).sum())
-            self.pruned_cap += n * l - passed
             self.pruned_mem += passed - int(np.count_nonzero(valid_s))
-        local_s = tab.local_s.take(it, axis=0)
-        return valid_n, child_n, tab.local_n, valid_s, child_s, local_s
+        child_s = loads.kit2[:, lcols].take(it, axis=0)
+        child_s += tab.imv2[:, cols].take(imv, axis=0)
+        child_s += (p * self.S_p)[:, None]
+        local_s = loads.local_s[:, lcols].take(it, axis=0)
+        return valid_n, child_n, tab.local_n[cols], valid_s, child_s, local_s
 
     def _base_p0(self, l: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the ``p == 0`` states of one level: all remaining
@@ -536,7 +564,9 @@ class _LevelDP:
         True`` dedups for free), and each level's sorted key array is a
         single ``flatnonzero`` over its segment of the bitmap — levels
         are processed in descending ``l``, so every parent has been
-        expanded by the time a segment is read.
+        expanded by the time a segment is read.  The states that fail the
+        load bound (:meth:`_under_load_bound`) are set aside there, neither
+        counted nor expanded.
         """
         S_l = self.S_l
         seen = np.zeros((self.L + 1) * S_l, dtype=bool)
@@ -546,11 +576,15 @@ class _LevelDP:
             if not len(keys):
                 self.level_keys[l] = np.empty(0, dtype=np.int64)
                 continue
-            keys = keys + l * S_l  # sorted, deduped by construction
+            keys += l * S_l  # sorted, deduped by construction
+            low = self._under_load_bound(l, keys)
+            if not low.all():
+                self.level_pruned[l] = keys[~low]
+                self.pruned_load += len(self.level_pruned[l])
+                keys = keys[low]
             self.level_keys[l] = keys
             self.states += len(keys)
-            p = (keys // self.S_p) % (self.P + 1)
-            keys_b = keys[p >= 1]
+            keys_b = keys[(keys // self.S_p) % (self.P + 1) >= 1]
             if not len(keys_b):
                 continue
             valid_n, child_n, _, valid_s, child_s, _ = self._expand(
@@ -560,13 +594,15 @@ class _LevelDP:
             # their segment back (T(0, ·) is closed-form), closes() does
             seen[child_n[valid_n]] = True
             seen[child_s[valid_s]] = True
-        self.reached_level0 = bool(seen[:S_l].any())
+        level0 = np.flatnonzero(seen[:S_l])
+        self.reached_level0 = bool(self._under_load_bound(0, level0).any())
 
     def closes(self) -> bool:
-        """Whether the root's value is finite, from reachability alone:
-        whether :meth:`discover` reached a level-0 state or a ``p == 0``
-        state whose :meth:`_base_p0` is feasible (exact, see the module
-        docstring).  A probe it refutes skips :meth:`reduce`."""
+        """Whether the root's value is under the cap, as far as
+        reachability tells: whether :meth:`discover` reached a level-0
+        state within the load bound or a ``p == 0`` state whose
+        :meth:`_base_p0` is feasible (see the module docstring).  A probe
+        it refutes skips :meth:`reduce`."""
         if self.reached_level0:
             return True
         for l in range(1, self.L + 1):
@@ -583,8 +619,10 @@ class _LevelDP:
         table over the packed key space.  ``np.empty`` is safe: level 0
         is prefilled closed-form, every other child a level references
         was scattered during discovery (the expansion is deterministic,
-        so both passes produce the same validity masks), and lower
-        levels are written before higher levels read them.
+        so both passes produce the same validity masks) and is either one
+        of its level's states or a state the load bound dropped, which
+        reads ``INF``; lower levels are written before higher levels read
+        them.
         """
         S_l, S_t, n_t = self.S_l, self.S_t, self.n_t
         dense = np.empty((self.L + 1) * S_l, dtype=float)
@@ -592,6 +630,8 @@ class _LevelDP:
         # only the special-processor load (same formula for every p/im/iv)
         dense[:S_l] = ((np.arange(S_l) // S_t) % n_t) * self.t_step
         for l in range(1, self.L + 1):
+            if self.level_pruned[l] is not None:
+                dense[self.level_pruned[l]] = INF
             keys = self.level_keys[l]
             if keys is None or not len(keys):
                 self.level_keys[l] = np.empty(0, dtype=np.int64)
@@ -609,9 +649,7 @@ class _LevelDP:
                 dec[np.flatnonzero(mask0)[feas0]] = _NO_CHILD
             maskB = ~mask0
             if maskB.any():
-                exp = self._expand(l, keys[maskB])
-                del self._tabs[l]
-                bv, child = self._best(exp, dense)
+                bv, child = self._best(self._expand(l, keys[maskB]), dense)
                 vals[maskB] = bv
                 ok = bv < INF
                 dec[np.flatnonzero(maskB)[ok]] = child[ok]
@@ -703,14 +741,8 @@ def _contiguous(
     V_grid = np.arange(n_v) * v_step
     cuts = _cuts({} if workspace is None else workspace, chain, platform.bandwidth, P, V_grid)
 
-    keep = cuts.U < cap
-    sel = np.flatnonzero(keep)
     # level l's kept cuts are columns off[l] … off[l+1]-1 of the tables
-    off = np.concatenate(([0], np.cumsum(keep)))[cuts.start].tolist()
-    _, mem, iv2 = _delay_tables(
-        That, V_grid, v_step, cuts.VU[:, sel],
-        *(a[sel] for a in (cuts.U, cuts.dw3, cuts.da, cuts.comm, cuts.b1, cuts.b2)),
-    )
+    sel, off, _, mem, iv2 = _delay_tables(cuts, cap, That, V_grid, v_step)
     ok = mem <= platform.memory + _EPS  # (n_v, n_kept)
     child = cuts.base[sel] + iv2  # flat index of (k-1, 0, iv2)
 
@@ -777,19 +809,23 @@ def madpipe_dp(
 ) -> MadPipeDPResult:
     """Evaluate ``MadPipe-DP(T̂)`` (§4.2.2).
 
-    ``period_cap`` prunes candidate stages that cannot beat an incumbent
-    period (the cap must over-estimate the optimum; ``inf`` disables).
+    ``period_cap`` is an incumbent period to beat (``inf`` disables): the
+    result's ``dp_period`` is strictly below it, or the result is
+    infeasible.  Under a finite cap the DP prunes the candidate stages
+    whose load reaches it, and the special kernel the states whose load
+    bound does (``pruned_load``, module docstring); a capped probe whose
+    uncapped period is under the cap returns that period and allocation.
     ``allow_special=False`` restricts the DP to contiguous allocations
     (ablation: memory-aware PipeDream, and MadPipe's contiguous
     candidate); it runs the dense contiguous kernel, the default runs the
     special-processor kernel (module docstring).  ``states`` counts the
-    grid states reachable from the root.
+    grid states reachable from the root, the load-pruned ones excluded.
 
     ``workspace`` is a dict shared across evaluations of the same
     (chain, P, β, grid): it holds the tables that depend on neither
     ``T̂``, the cap nor the memory capacity — the per-cut table both
-    kernels read and the special kernel's per-level rows, under their own
-    keys.  The result does not depend on whether a workspace is passed or
+    kernels read and the special kernel's ``it`` tables over every cut,
+    under their own int keys.  The result does not depend on whether a workspace is passed or
     what it already holds (golden tests enforce it).
     """
     if target <= 0:
@@ -797,17 +833,20 @@ def madpipe_dp(
     grid = grid or Discretization.default()
     t0 = time.perf_counter()
     if allow_special:
-        dp = _LevelDP(chain, platform, target, grid, period_cap, rows_cache=workspace)
+        dp = _LevelDP(chain, platform, target, grid, period_cap, workspace)
         # P-1 normal processors plus the special one
         root = chain.L * dp.S_l + (platform.n_procs - 1) * dp.S_p
         period, stages, special = dp.solve(root)
         states, pruned_cap, pruned_mem = dp.states, dp.pruned_cap, dp.pruned_mem
-        swept = dp.swept
+        pruned_load, swept = dp.pruned_load, dp.swept
     else:
         period, stages, states, pruned_cap, pruned_mem, swept = _contiguous(
             chain, platform, target, grid, period_cap, workspace
         )
         special = [False] * len(stages)
+        pruned_load = 0
+    if period >= period_cap:  # the cap holds: a period under it, or nothing
+        period = INF
     return MadPipeDPResult(
         target,
         period,
@@ -816,6 +855,7 @@ def madpipe_dp(
         wall_time_s=time.perf_counter() - t0,
         pruned_cap=pruned_cap,
         pruned_mem=pruned_mem,
+        pruned_load=pruned_load,
         swept=swept,
     )
 
@@ -832,8 +872,9 @@ class Algorithm1Result:
     wall_time_s: float = 0.0  # total phase-1 wall time
     pruned_cap: int = 0  # cap-pruned candidates, summed over probes
     pruned_mem: int = 0  # memory-pruned candidates, summed over probes
+    pruned_load: int = 0  # load-pruned states, summed over probes
     # the distinct feasible allocations the probes returned, in probe
-    # order; ``allocation`` is one of them
+    # order (each under its probe's cap); ``allocation`` is one of them
     visited: list[DPAllocation] = field(default_factory=list)
 
     @property
@@ -859,7 +900,9 @@ def algorithm1(
     over the probes, the earliest on a tie.  ``visited`` lists every
     distinct feasible allocation the probes returned, in probe order, so
     a caller can rank them by another measure (MadPipe ranks them by
-    their certified period).
+    their certified period).  A capped probe returns only a DP period
+    under its cap, so an allocation at or above the cap is never
+    visited.
 
     ``upper`` brackets the search by a known period (MadPipe passes its
     certified contiguous candidate's): ``ub`` starts at ``min(ΣU + ΣC,
@@ -878,9 +921,11 @@ def algorithm1(
     ``dp.rescue_probes``).  A search that finds something keeps the
     paper's trajectory exactly.
 
-    Each probe's ``madpipe.dp`` span records ``swept``, and the counter
-    ``dp.value_sweeps_skipped`` counts the probes whose reachability pass
-    proved them infeasible, so they skipped their value sweep.
+    Each probe's ``madpipe.dp`` span records ``swept`` and the pruning
+    counters (``pruned_cap``, ``pruned_mem``, ``pruned_load``), and the
+    counter ``dp.value_sweeps_skipped`` counts the probes whose
+    reachability pass proved them infeasible, so they skipped their value
+    sweep.
 
     ``dp`` swaps the ``MadPipe-DP(T̂)`` evaluator (same signature and
     result type as :func:`madpipe_dp`) — used by the golden tests and
@@ -891,7 +936,7 @@ def algorithm1(
     feasible.
 
     Under an active warm-start context (:mod:`repro.warmstart`) and the
-    default evaluator, probes share the context's per-level DP workspace
+    default evaluator, probes share the context's DP workspace
     across searches and instances; a cold search shares one workspace
     across its own probes only.  Warm and cold probes run the same code,
     and both return bit-identical results to evaluating every probe
@@ -900,7 +945,7 @@ def algorithm1(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     dp = dp or madpipe_dp
-    # cold: the probes share one rows dict
+    # cold: the probes share one workspace
     dp_opts = {"workspace": {}} if dp is madpipe_dp else {}
     warm = active_warm() if dp is madpipe_dp else None
     if warm is not None:
@@ -935,6 +980,7 @@ def algorithm1(
                 states=res.states,
                 pruned_cap=res.pruned_cap,
                 pruned_mem=res.pruned_mem,
+                pruned_load=res.pruned_load,
                 feasible=res.feasible,
                 swept=res.swept,
             )
@@ -943,6 +989,7 @@ def algorithm1(
         best.states += res.states
         best.pruned_cap += res.pruned_cap
         best.pruned_mem += res.pruned_mem
+        best.pruned_load += res.pruned_load
         if res.feasible and res.allocation not in best.visited:
             best.visited.append(res.allocation)
         if res.feasible and res.effective_period < best.period:
@@ -984,5 +1031,6 @@ def algorithm1(
     obs.inc("dp.states", best.states)
     obs.inc("dp.pruned_cap", best.pruned_cap)
     obs.inc("dp.pruned_mem", best.pruned_mem)
+    obs.inc("dp.pruned_load", best.pruned_load)
     obs.inc("dp.wall_s", best.wall_time_s)
     return best

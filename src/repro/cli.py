@@ -141,7 +141,8 @@ def _print_registry_stats(
             f"{snap.get('dp.value_sweeps_skipped', 0)} value sweeps skipped), "
             f"{snap.get('dp.wall_s', 0.0):.2f}s wall, "
             f"pruned {snap.get('dp.pruned_cap', 0)} candidates by period cap, "
-            f"{snap.get('dp.pruned_mem', 0)} by memory"
+            f"{snap.get('dp.pruned_mem', 0)} by memory; "
+            f"{snap.get('dp.pruned_load', 0)} states by load"
         )
     if snap.get("madpipe.runs"):
         print(

@@ -2,20 +2,20 @@
 
 A sweep solves many *neighboring* instances: the same chain at many
 memory capacities, bandwidths and processor counts.  The MadPipe DP
-(phase 1) rebuilds its per-level candidate tables on every binary-search
-probe, yet those tables depend only on (chain, P, β, grid) — not on the
-probe target, the period cap or the memory capacity.  This module holds
-the one table that lets solves share them:
+(phase 1) builds candidate tables on every binary-search probe, and part
+of them depends only on (chain, P, β, grid) — not on the probe target,
+the period cap or the memory capacity.  This module holds the one table
+that lets solves share that part:
 
 * ``dp_rows`` — the MadPipe DP workspace: the per-cut constants both
   kernels read (:func:`repro.algorithms.madpipe_dp._cuts`) and the
-  per-level coordinate tables of the special-processor kernel
-  (:meth:`repro.algorithms.madpipe_dp._LevelDP._static_rows`), keyed by
+  special-processor kernel's ``it`` tables over every cut
+  (:meth:`repro.algorithms.madpipe_dp._LevelDP._loads`), keyed by
   (chain, P, β, grid) and shared across probes, searches and instances.
 
 The reuse is exact (deterministic intermediates looked up by exact key),
 so **warm starts never change results**: warm and cold probes run the
-same DP code, and a warm one only finds more of its rows already built.
+same DP code, and a warm one only finds more of its tables already built.
 Every other layer — the contiguous period search, the MILP skeleton and
 every MILP probe — runs the same code warm or cold.
 

@@ -8,6 +8,16 @@ return *identical* ``(dp_period, allocation, effective_period)`` across
 randomized chains, platforms and grids, and the benchmark harness
 (``benchmarks/bench_dp_hotpath.py``) measures the speedup against it.
 
+Two rules bound a capped probe, and the fast path shares them:
+
+* **the cap holds** — a probe with ``period_cap = c`` returns a period
+  strictly below ``c``, or nothing;
+* **the load bound** — with the special processor, a state whose load
+  ``t_P + U(1, l)`` reaches ``(p + 1)·c + l·1e-9·t_step`` is worth at
+  least ``c``, so it is valued ``INF`` unexplored and never memoized.
+  ``states`` (the memoized states) and ``pruned_load`` (the distinct
+  dropped ones) therefore match the fast path's counters exactly.
+
 It is intentionally slow — do not use it outside tests and benchmarks.
 """
 
@@ -77,6 +87,8 @@ def madpipe_dp_reference(
     # memo[(l, p, it, im, iv)] = (period, decision)
     # decision: (k, is_special, child_key) or None at base cases
     memo: dict[tuple, tuple[float, tuple | None]] = {}
+    # states the load bound drops: valued INF, never memoized
+    pruned: set[tuple] = set()
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * L + 1000))
 
@@ -88,6 +100,11 @@ def madpipe_dp_reference(
         if hit is not None:
             return hit
         t_P, m_P, V = it * t_step, im * m_step, iv * v_step
+        # the load bound: t_P + U(1,l) spread over at most p + 1
+        # processors, less the snap's slack of at most l special stages
+        if allow_special and t_P + cumU[l] >= (p + 1) * period_cap + l * _EPS * t_step:
+            pruned.add(key)
+            return (INF, None)
         best: float = INF
         best_dec: tuple | None = None
 
@@ -145,8 +162,10 @@ def madpipe_dp_reference(
     # processor all P processors are normal.
     root = (L, P - 1 if allow_special else P, 0, 0, 0)
     period, _ = solve(*root)
-    if period == INF:
-        return MadPipeDPResult(target, INF, None, states=len(memo))
+    if period >= period_cap:  # the cap holds: a period under it, or nothing
+        return MadPipeDPResult(
+            target, INF, None, states=len(memo), pruned_load=len(pruned)
+        )
 
     # traceback — every state on the optimal path below the root is
     # memoized (solve() stored it while computing the root), so a plain
@@ -170,5 +189,6 @@ def madpipe_dp_reference(
     stages.reverse()
     special.reverse()
     return MadPipeDPResult(
-        target, period, DPAllocation(tuple(stages), tuple(special)), states=len(memo)
+        target, period, DPAllocation(tuple(stages), tuple(special)),
+        states=len(memo), pruned_load=len(pruned),
     )

@@ -34,6 +34,7 @@ def assert_identical(fast, ref):
     assert fast.dp_period == ref.dp_period
     assert fast.effective_period == ref.effective_period
     assert fast.states == ref.states
+    assert fast.pruned_load == ref.pruned_load
     assert (fast.allocation is None) == (ref.allocation is None)
     if fast.allocation is not None:
         assert fast.allocation.stages == ref.allocation.stages
@@ -95,7 +96,7 @@ class TestGoldenEquivalence:
                     ref = madpipe_dp_reference(chain, platform, target, grid=COARSE,
                                                period_cap=cap, allow_special=False)
                     assert_identical(fast, ref)
-                    assert (fast.states, fast.pruned_cap, fast.pruned_mem) == (
+                    assert counters(fast) == (
                         recount_pruning(chain, platform, target, COARSE, cap, False)
                     )
                     outcomes.add((memory, fast.feasible))
@@ -164,10 +165,17 @@ class TestGoldenEquivalence:
         assert a1.wall_time_s > 0
 
 
+def counters(res):
+    return res.states, res.pruned_cap, res.pruned_mem, res.pruned_load
+
+
 def recount_pruning(chain, platform, target, grid, cap, allow_special):
-    """``(states, pruned_cap, pruned_mem)`` of one DP evaluation, recounted
-    with a plain scalar loop over every reachable ``(state, k)`` candidate
-    of both branches."""
+    """``(states, pruned_cap, pruned_mem, pruned_load)`` of one DP
+    evaluation, recounted with a plain scalar loop over every reachable
+    ``(state, k)`` candidate of both branches.  With the special processor,
+    a reached state whose load ``t_P + U(1, l)`` reaches ``(p + 1)·cap``
+    (plus the snap's slack of ``1e-9·t_step`` per level) is dropped:
+    counted in ``pruned_load`` only, and not expanded."""
     L, P, M = chain.L, platform.n_procs, platform.memory
     t_max = chain.total_compute()
     v_max = t_max + chain.total_comm(platform.bandwidth)
@@ -188,13 +196,16 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
 
     reach = {l: set() for l in range(L + 1)}
     reach[L].add((P - 1 if allow_special else P, 0, 0, 0))
-    states = pruned_cap = pruned_mem = 0
+    states = pruned_cap = pruned_mem = pruned_load = 0
     for l in range(L, 0, -1):
-        states += len(reach[l])
         for p, it, im, iv in reach[l]:
+            t_P, m_P, V = it * t_step, im * m_step, iv * v_step
+            if allow_special and t_P + cumU[l] >= (p + 1) * cap + l * 1e-9 * t_step:
+                pruned_load += 1
+                continue
+            states += 1
             if p == 0:
                 continue
-            t_P, m_P, V = it * t_step, im * m_step, iv * v_step
             for k in range(l, 0, -1):
                 U = cumU[l] - cumU[k - 1]
                 comm = 2.0 * act[k - 1] / platform.bandwidth if k > 1 else 0.0
@@ -217,7 +228,47 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
                     it2 = min(up(t2, t_step), grid.n_t - 1)
                     im2 = min(up(m2, m_step), grid.n_m - 1)
                     reach[k - 1].add((p, it2, im2, iv2))
-    return states, pruned_cap, pruned_mem
+    return states, pruned_cap, pruned_mem, pruned_load
+
+
+class TestCapLaw:
+    """A probe capped at ``c`` returns the uncapped probe's ``dp_period``
+    and allocation when that period is under ``c``, and nothing otherwise.
+    The law is exact, and it checks the load bound against unpruned runs
+    (``cap = inf`` prunes nothing), which the reference, carrying the same
+    bound, cannot do."""
+
+    @staticmethod
+    def caps(chain, n_procs, period):
+        """Caps around the average-load bound ``ΣU/P`` and around the
+        uncapped period, just below, at and just above each."""
+        pivots = [chain.total_compute() / n_procs] + [period] * (period < INF)
+        return [x * f for x in pivots for f in (1 - 1e-12, 1.0, 1 + 1e-12, 1.05)]
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    @pytest.mark.parametrize("dp", [madpipe_dp, madpipe_dp_reference],
+                             ids=["fast", "reference"])
+    def test_capped_equals_uncapped_below_the_cap(self, dp, allow_special):
+        cases = below = 0
+        for seed in range(60):
+            chain = random_chain(5 + seed % 9, seed=seed, decay=0.1 + 0.02 * (seed % 8))
+            u = chain.total_compute()
+            footprint = 3.0 * float(chain._cum_w[-1]) + float(chain._cum_a_in[-1])
+            n_procs = 1 + seed % 4
+            platform = Platform(n_procs, (0.6, 1.0, 2.0)[seed % 3] * footprint, 12e9)
+            for target in (u / n_procs, u / 2):
+                opts = dict(grid=COARSE, allow_special=allow_special)
+                free = dp(chain, platform, target, **opts)
+                for cap in self.caps(chain, n_procs, free.dp_period):
+                    res = dp(chain, platform, target, period_cap=cap, **opts)
+                    if free.dp_period < cap:
+                        below += 1
+                        assert res.dp_period == free.dp_period
+                        assert res.allocation == free.allocation
+                    else:
+                        assert not res.feasible and res.dp_period == INF
+                    cases += 1
+        assert cases >= 600 and 0 < below < cases
 
 
 class TestPruningCounters:
@@ -234,7 +285,7 @@ class TestPruningCounters:
                 chain, platform, target, grid=COARSE, period_cap=cap,
                 allow_special=allow_special,
             )
-            assert (res.states, res.pruned_cap, res.pruned_mem) == recount_pruning(
+            assert counters(res) == recount_pruning(
                 chain, platform, target, COARSE, cap, allow_special
             )
             totals[0] += res.pruned_cap
@@ -270,7 +321,7 @@ class TestClosingCheck:
                     fast = madpipe_dp(chain, platform, target, **opts)
                     ref = madpipe_dp_reference(chain, platform, target, **opts)
                     assert_identical(fast, ref)
-                    assert (fast.states, fast.pruned_cap, fast.pruned_mem) == (
+                    assert counters(fast) == (
                         recount_pruning(chain, platform, target, COARSE, cap,
                                         allow_special)
                     )
@@ -311,7 +362,7 @@ class TestColumnTrimming:
             ref = madpipe_dp_reference(chain, platform, target, grid=COARSE,
                                        period_cap=cap, allow_special=allow_special)
             assert_identical(fast, ref)
-            assert (fast.states, fast.pruned_cap, fast.pruned_mem) == recount_pruning(
+            assert counters(fast) == recount_pruning(
                 chain, platform, target, COARSE, cap, allow_special
             )
         return fast
@@ -322,6 +373,10 @@ class TestColumnTrimming:
         cap = 0.5 * float(np.diff(u).min())
         res = self.check(cap)
         assert not res.feasible and res.states == 1 and res.pruned_mem == 0
+        # the special kernel's root fails the load bound: dropped, not counted
+        special = madpipe_dp(self.CHAIN, self.PLATFORM, self.CHAIN.total_compute() / 3,
+                             grid=COARSE, period_cap=cap)
+        assert not special.feasible and (special.states, special.pruned_load) == (0, 1)
 
     @pytest.mark.parametrize("k, l", [(1, 6), (4, 12), (9, 9)])
     def test_cap_equal_to_a_stage_load(self, k, l):

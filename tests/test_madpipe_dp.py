@@ -89,12 +89,6 @@ class TestMadPipeDP:
         assert capped.feasible
         assert capped.dp_period <= free.dp_period * 1.5 + 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the p == 0 base case (_LevelDP._base_p0, and the reference's "
-        "p == 0 branch) ignores period_cap: the last special stage takes every "
-        "remaining layer whatever its load",
-    )
     @pytest.mark.parametrize("dp", [madpipe_dp, madpipe_dp_reference],
                              ids=["fast", "reference"])
     def test_period_cap_bounds_the_answer(self, dp, cnnlike16, roomy4):

@@ -204,8 +204,8 @@ class TestMadPipeDPProperties:
         res = algorithm1(scaled, scaled_platform, **opts)
         assert res.allocation == base.allocation
         assert res.visited == base.visited
-        assert (res.states, res.pruned_cap, res.pruned_mem) == (
-            base.states, base.pruned_cap, base.pruned_mem
+        assert (res.states, res.pruned_cap, res.pruned_mem, res.pruned_load) == (
+            base.states, base.pruned_cap, base.pruned_mem, base.pruned_load
         )
         assert res.period == c * base.period
         assert res.history == [(c * t, c * p) for t, p in base.history]
