@@ -34,30 +34,36 @@ strictly smaller layer index ``l``, so the state graph is stratified by
 kernels do this; :func:`madpipe_dp` picks one by ``allow_special``.
 Both are bit-identical to ``madpipe_dp_reference``
 (``tests/oracles/madpipe_dp_reference.py``), ``states`` included: the
-number of grid states reachable from the root (within the load bound
+number of grid states reachable from the root (within the state bounds
 below), exactly the states the memoized recursion evaluates, since the
-reference carries the same bound.
+reference carries the same rules.
 
 **The period cap holds.**  A probe with ``period_cap = c`` returns a
-period strictly below ``c``, or nothing: :func:`madpipe_dp` turns a
-period at or above ``c`` into infeasibility, one check for both kernels.
-The candidates the cap prunes (``U(k,l) ≥ c``, or ``t_P + U(k,l) ≥ c`` on
-the special processor) do not suffice alone: a normal stage's cut cost
-``C(k-1)`` can reach ``c``, the ``p == 0`` base case puts the whole
-prefix ``1..l`` on the special processor, and a level-0 value is the
-snapped ``it2·t_step``, which can exceed a ``t_P + U`` under the cap.
+period strictly below ``c``, or nothing.  Both kernels keep only what can
+still end under the cap, so every rule below drops a candidate or a
+state worth at least ``c``, and the first minimum under ``c`` at each
+state on the returned path does not move:
 
-**The load bound.**  Algorithm 1's average-load bound ``ΣU/P``, per
-state: any completion of ``(l, p, t_P, …)`` spreads ``t_P + U(1,l)`` of
-load over at most ``p + 1`` processors, every local cost is at least its
-stage's load, and the snap of ``it2`` rounds up, less at most
-``1e-9·t_step`` per special stage.  So a state with ``t_P + U(1,l) ≥
-(p+1)·c + l·1e-9·t_step`` has a value of at least ``c`` and cannot yield
-a period under the cap.  The special kernel drops such states where it
-reads a level (counter ``pruned_load``): they are neither counted in
-``states`` nor expanded, and read ``INF`` as children.  By the cap rule,
-no result field but the counters can change.  The contiguous kernel is
-not pruned.
+* a candidate stage whose local cost reaches ``c`` is pruned (counter
+  ``pruned_cap``): ``max(U(k,l), C(k-1)) ≥ c`` on a normal processor,
+  ``max(t_P + U(k,l), C(k-1)) ≥ c`` on the special one;
+* the special kernel drops a state whose ``t_P = it·t_step`` reaches
+  ``c``: its value is at least ``t_P``, since ``it2 ≥ it`` on every
+  special stage and ``T(0, ·) = it·t_step``;
+* it also drops a state outside **the load bound**, Algorithm 1's
+  average-load bound ``ΣU/P`` per state: any completion of ``(l, p, t_P,
+  …)`` spreads ``t_P + U(1,l)`` of load over at most ``p + 1``
+  processors, every local cost is at least its stage's load, and the snap
+  of ``it2`` rounds up, less at most ``1e-9·t_step`` per special stage.
+  So a state with ``t_P + U(1,l) ≥ (p+1)·c + l·1e-9·t_step`` has a value
+  of at least ``c``.
+
+The two state bounds read ``(l, p, it)`` only, one boolean table per
+probe (:meth:`_LevelDP._tables`).  A dropped state is counted in
+``pruned_load``, not in ``states``; it is not expanded, and reads ``INF``
+as a child.  The contiguous kernel's states keep ``t_P = 0`` and are not
+dropped.  :func:`madpipe_dp` also turns a period at or above ``c`` into
+infeasibility, one check for both kernels.
 
 Every float quantity of a ``(state, k)`` candidate depends on one grid
 coordinate and the cut ``k`` only: ``V ⊕ U(k,l) ⊕ C``, ``g``,
@@ -97,17 +103,21 @@ A probe's tables (``n_v × K``, ``n_t × K``, ``n_m·n_v × K`` over the
 ``K`` kept cuts of all levels) are expanded by row gathers of a level's
 column slice plus packed-key offsets, and freed with the probe.
 
-The closing check is sound.  A state's value is a min over its valid
-candidates of the max of finite local costs and its child's value, so
-the root's value is finite exactly when a path of valid candidates leads
-from it to a *closing* state: a level-0 state (``T(0, ·)`` is the
-special processor's finite load), or a ``p == 0`` state whose
-single-stage base case fits in memory.  The reachability sweep scatters
-exactly the valid candidates, so the level-0 segment of its bitmap plus
-the kept ``p == 0`` states' base cases decide it without reading a
-value; a level-0 state outside the load bound is worth at least the cap,
-so it does not close.  A probe that passes the check can still end at or
-above the cap, and then returns nothing as a refuted one does.
+The closing check is exact.  A state's value is a min over its valid
+candidates of the max of their local costs, each under the cap, and the
+child's value, so the root's value is under the cap exactly when a path
+of valid candidates leads from it to a *closing* state worth less than
+the cap:
+
+* a level-0 state with ``it·t_step < c`` (``T(0, ·)`` is the special
+  processor's load), or
+* a ``p == 0`` state whose single-stage base case fits in memory, with
+  ``U(1,l) + t_P < c``.
+
+The reachability sweep scatters exactly the valid candidates, so the
+level-0 segment of its bitmap plus the kept ``p == 0`` states' base cases
+decide it without reading a value.  A probe therefore sweeps values
+exactly when it returns an allocation (``swept == feasible``).
 ``states`` and the pruning counters come from the reachability sweep, so
 skipping the value sweep changes no field of the result.  Most
 low-``T̂`` and bracketed probes are infeasible, and the value sweep is
@@ -120,7 +130,9 @@ for all levels at once, in whole-array operations over the kept cuts;
 a downward pass over the reachable states counts ``states`` and the
 pruned candidates first, and ends the probe when no level-0 state is
 reachable (a ``p == 0`` state with layers left cannot close the chain
-without the special processor, so level 0 is the only closing level).
+without the special processor, so level 0 is the only closing level, and
+its value is 0: the root's value is under the cap exactly when a level-0
+state is reachable).
 Otherwise one upward loop fills a dense ``(L+1, P+1, n_v)`` value table,
 one gather and one ``argmin``/``min`` over a ``(P, n_v, jm)`` candidate
 matrix per level, and the traceback reads the stored ``argmin``
@@ -133,8 +145,8 @@ capacity live in a *workspace* dict that one :func:`algorithm1` search
 shares across its probes and a warm-start context shares across searches
 and instances: one per-cut table both kernels read (:class:`_Cuts`: ``U``,
 :func:`~repro.core.memory.stage_memory_terms`, ``C``, ``V + U``) and
-the special kernel's ``it`` tables over every cut (:class:`_Loads`:
-``t_P + U``, its packed ``it2``, ``max(t_P + U, C)``).  A probe gathers
+the special kernel's ``it`` tables over every cut (:class:`_Loads`: the
+packed ``it2`` of ``t_P + U`` and ``max(t_P + U, C)``).  A probe gathers
 its kept columns from them.
 """
 
@@ -238,9 +250,10 @@ class MadPipeDPResult:
     wall_time_s: float = 0.0  # solver wall time (diagnostics)
     pruned_cap: int = 0  # candidates rejected by the period cap
     pruned_mem: int = 0  # candidates rejected by the memory check
-    pruned_load: int = 0  # reached states dropped by the load bound
-    # whether the value sweep ran: False when the reachability pass proved
-    # that nothing closes the chain (diagnostics)
+    pruned_load: int = 0  # reached states dropped by the state bounds
+    # whether the value sweep ran, which is exactly when the probe returns
+    # an allocation: the reachability pass decides whether anything closes
+    # the chain under the cap (diagnostics)
     swept: bool = True
 
     @property
@@ -337,7 +350,6 @@ class _Loads(NamedTuple):
     workspace (see :meth:`_LevelDP._loads`)."""
 
     kb: np.ndarray  # (N,) (k-1)·S_l
-    t2: np.ndarray  # (n_t, N) t_P + U
     kit2: np.ndarray  # (n_t, N) (k-1)·S_l + it2·S_t
     local_s: np.ndarray  # (n_t, N) max(t_P + U, C)
 
@@ -348,12 +360,14 @@ class _Tables(NamedTuple):
     off[l+1] − 1``.  The ``it`` tables are read from :class:`_Loads`."""
 
     off: list  # (L+2,) first kept column of level l
-    valid_n: np.ndarray  # (n_v, K) normal candidate passes the memory check
+    cap_ok_n: np.ndarray  # (K,) max(U, C) < cap
+    valid_n: np.ndarray  # (n_v, K) normal candidate under the cap and fits
     kiv2: np.ndarray  # (n_v, K) (k-1)·S_l + iv2
     local_n: np.ndarray  # (K,) max(U, C)
-    cap_ok_s: np.ndarray  # (n_t, K) t_P + U < cap
+    cap_ok_s: np.ndarray  # (n_t, K) max(t_P + U, C) < cap
     mem_ok_s: np.ndarray  # (n_m·n_v, K) m_P + mem(g-1) fits
     imv2: np.ndarray  # (n_m·n_v, K) im2·S_m + iv2
+    keep: np.ndarray  # (L+1, (P+1)·n_t) state (l, p, it) passes the state bounds
 
 
 class _LevelDP:
@@ -409,11 +423,13 @@ class _LevelDP:
         # this probe's tables, shared by discover and reduce
         self.tab = self._tables()
 
-        # per-level solved state: packed keys (sorted) and their decisions;
-        # reduce() leaves every state's value in the dense table
+        # per-level solved state: packed keys (sorted), where its p ≥ 1
+        # suffix starts and the decisions; reduce() leaves every state's
+        # value in the dense table
         self.level_keys: list[np.ndarray | None] = [None] * (self.L + 1)
+        self.level_b: list[int] = [0] * (self.L + 1)
         self.level_dec: list[np.ndarray | None] = [None] * (self.L + 1)
-        # per level, the reached states the load bound dropped
+        # per level, the reached states the state bounds dropped
         self.level_pruned: list[np.ndarray | None] = [None] * (self.L + 1)
         self.dense: np.ndarray | None = None
 
@@ -428,8 +444,8 @@ class _LevelDP:
 
     def _loads(self, workspace: dict) -> _Loads:
         """The workspace's :class:`_Loads`, built on first use in
-        whole-array operations: ``t_P + U`` over the ``it`` grid and every
-        cut, its snapped ``it2`` (pre-packed with ``(k−1)·S_l``) and
+        whole-array operations: the snapped ``it2`` of ``t_P + U`` over the
+        ``it`` grid and every cut (pre-packed with ``(k−1)·S_l``) and
         ``max(t_P + U, C)``; they depend on neither ``T̂``, ``M`` nor the
         period cap."""
         loads = workspace.get(_LOADS)
@@ -440,7 +456,7 @@ class _LevelDP:
         t2 = self.t_grid[:, None] + cut.U[None, :]  # (n_t, N)
         it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
         kit2 = kb + it2 * self.S_t
-        loads = workspace[_LOADS] = _Loads(kb, t2, kit2, np.maximum(t2, cut.comm))
+        loads = workspace[_LOADS] = _Loads(kb, kit2, np.maximum(t2, cut.comm))
         return loads
 
     def _tables(self) -> _Tables:
@@ -454,11 +470,13 @@ class _LevelDP:
         gathers rows of a level's column slice.  The tables cover the cuts
         under the cap (:func:`_delay_tables`; ``jm = 0`` leaves every
         ``p ≥ 1`` state of a level infeasible); the static ``it`` tables
-        stay in the workspace's :class:`_Loads`, never rebuilt.
+        stay in the workspace's :class:`_Loads`, never rebuilt.  ``keep``
+        holds the state bounds of the module docstring per ``(l, p, it)``,
+        the only digits they read.
         """
-        cut, loads, M = self.cuts, self.loads, self.M
+        cut, loads, M, cap = self.cuts, self.loads, self.M, self.cap
         sel, off, g, mem_g, iv2 = _delay_tables(
-            cut, self.cap, self.That, self.V_grid, self.v_step
+            cut, cap, self.That, self.V_grid, self.v_step
         )
         # special processor: child (k-1, p, it2, im2, iv2); the (im, iv)
         # tables keep row im·n_v + iv
@@ -468,43 +486,39 @@ class _LevelDP:
         m2 = self.m_grid[:, None, None] + mem_gm1  # (n_m, n_v, K)
         im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(np.int64)
         K = len(sel)
+        local_n = cut.local[sel]
+        cap_ok_n = local_n < cap
+        # t_P + U(1,l) under (p+1)·cap plus the snap's slack, and t_P under
+        # the cap, in the reference's float operations
+        load = self.t_grid[None, :] + np.array(self.U1)[:, None]  # (L+1, n_t)
+        bound = (np.arange(self.P + 1) + 1) * cap  # (P+1,)
+        slack = np.arange(self.L + 1) * _EPS * self.t_step  # (L+1,)
+        keep = load[:, None, :] < bound[None, :, None] + slack[:, None, None]
+        keep &= self.t_grid < cap
         return _Tables(
             off=off,
             # normal processor: child (k-1, p-1, it, im, iv2); every kept
-            # cut passes the cap, which also subsumes the naive loop's break
-            valid_n=mem_g <= M + _EPS,
+            # cut's U passes the cap, which also subsumes the naive loop's break
+            cap_ok_n=cap_ok_n,
+            valid_n=(mem_g <= M + _EPS) & cap_ok_n,
             kiv2=loads.kb[sel] + iv2,
-            local_n=cut.local[sel],
-            cap_ok_s=loads.t2[:, sel] < self.cap,
+            local_n=local_n,
+            cap_ok_s=loads.local_s[:, sel] < cap,
             mem_ok_s=(m2 <= M + _EPS).reshape(self.S_t, K),
             imv2=(im2 * self.S_m + iv2).reshape(self.S_t, K),
+            keep=keep.reshape(self.L + 1, (self.P + 1) * self.n_t),
         )
-
-    def _unpack(self, keys: np.ndarray) -> tuple:
-        p = (keys // self.S_p) % (self.P + 1)
-        it = (keys // self.S_t) % self.n_t
-        im = (keys // self.S_m) % (self.S_t // self.S_m)
-        iv = keys % self.S_m
-        return p, it, im, iv
-
-    def _under_load_bound(self, l: int, keys: np.ndarray) -> np.ndarray:
-        """Which states of level ``l`` pass the load bound ``t_P + U(1,l) <
-        (p+1)·cap + l·1e-9·t_step``.  A state that fails it spreads ``t_P +
-        U(1,l)`` of load over at most ``p + 1`` processors, and each of its
-        at most ``l`` special stages snaps ``it2`` down by at most
-        ``1e-9·t_step``, so its value is at least the cap."""
-        bound = (np.arange(self.P + 1) + 1) * self.cap + l * _EPS * self.t_step
-        ok = (self.t_grid + self.U1[l])[None, :] < bound[:, None]  # (p, it)
-        return ok.ravel().take((keys // self.S_t) % ((self.P + 1) * self.n_t))
 
     # -- level expansion ----------------------------------------------------
 
-    def _expand(self, l: int, keys: np.ndarray, count: bool = False) -> tuple:
-        """Candidate generation for all ``p ≥ 1`` states of one level:
-        validity masks, packed child keys and local costs, shaped
-        ``(n_states, jm)`` with ``k`` descending along axis 1 (the cuts
-        under the cap, see :meth:`_tables`) — row gathers from the level's
-        columns of :meth:`_tables` plus integer key offsets.
+    def _expand(self, l: int, local: np.ndarray, pt: np.ndarray, count: bool = False) -> tuple:
+        """Candidate generation for ``p ≥ 1`` states of one level, given by
+        their level-local keys ``local`` (``key − l·S_l``) and ``pt =
+        local // S_t = p·n_t + it``: validity masks, packed child keys and
+        local costs, shaped ``(n_states, jm)`` with ``k`` descending along
+        axis 1 (the cuts under the cap, see :meth:`_tables`) — row gathers
+        from the level's columns of :meth:`_tables` plus integer key
+        offsets.
 
         ``count=True`` accumulates the pruning counters, one per
         rejected ``(state, k)`` candidate (the expansion runs once per
@@ -514,34 +528,37 @@ class _LevelDP:
         cols = slice(tab.off[l], tab.off[l + 1])
         # the same cuts among the level's columns of _Loads
         lcols = slice(self.start[l], self.start[l] + cols.stop - cols.start)
-        p = (keys // self.S_p) % (self.P + 1)
-        it = (keys // self.S_t) % self.n_t
-        imv = keys % self.S_t  # im·n_v + iv
+        it = pt % self.n_t
+        imv = local - pt * self.S_t  # im·n_v + iv
         iv = imv % self.S_m
 
         valid_n = tab.valid_n[:, cols].take(iv, axis=0)
         child_n = tab.kiv2[:, cols].take(iv, axis=0)
-        child_n += ((p - 1) * self.S_p + it * self.S_t + (imv - iv))[:, None]
+        child_n += (local - iv - self.S_p)[:, None]  # (p-1, it, im) of the parent
         valid_s = tab.cap_ok_s[:, cols].take(it, axis=0)
         if count:
-            n, jm = valid_n.shape
-            passed = int(np.count_nonzero(valid_s))
-            # the normal cuts over the cap, then the special ones
-            self.pruned_cap += n * (l - jm) + n * l - passed
-            self.pruned_mem += valid_n.size - int(np.count_nonzero(valid_n))
+            n = len(local)
+            # normal and special candidates under the cap
+            ok_n = n * int(np.count_nonzero(tab.cap_ok_n[cols]))
+            ok_s = int(np.count_nonzero(valid_s))
+            self.pruned_cap += 2 * n * l - ok_n - ok_s
+            self.pruned_mem += ok_n - int(np.count_nonzero(valid_n))
         valid_s &= tab.mem_ok_s[:, cols].take(imv, axis=0)
         if count:
-            self.pruned_mem += passed - int(np.count_nonzero(valid_s))
+            self.pruned_mem += ok_s - int(np.count_nonzero(valid_s))
         child_s = loads.kit2[:, lcols].take(it, axis=0)
         child_s += tab.imv2[:, cols].take(imv, axis=0)
-        child_s += (p * self.S_p)[:, None]
+        child_s += ((pt - it) * self.S_t)[:, None]  # p·S_p
         local_s = loads.local_s[:, lcols].take(it, axis=0)
         return valid_n, child_n, tab.local_n[cols], valid_s, child_s, local_s
 
-    def _base_p0(self, l: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values of the ``p == 0`` states of one level: all remaining
-        layers become one stage on the special processor."""
-        _, it, im, iv = self._unpack(keys)
+    def _base_p0(self, l: int, local: np.ndarray) -> np.ndarray:
+        """Values of ``p == 0`` states of one level, given by their
+        level-local keys (``it·S_t + im·S_m + iv``): all remaining layers
+        become one stage on the special processor, ``INF`` where it does
+        not fit."""
+        it, imv = np.divmod(local, self.S_t)
+        im, iv = np.divmod(imv, self.S_m)
         V = iv * self.v_step
         t_P = it * self.t_step
         m_P = im * self.m_step
@@ -550,9 +567,7 @@ class _LevelDP:
         g = np.maximum(np.ceil((V + U_1l) / self.That - 1e-9), 1.0)
         m = float(self.cuts.dw3[c]) + (g - 1.0) * float(self.cuts.da[c])
         m = m + float(self.cuts.b2[c])
-        feasible = m_P + m <= self.M + _EPS
-        vals = np.where(feasible, U_1l + t_P, INF)
-        return vals, feasible
+        return np.where(m_P + m <= self.M + _EPS, U_1l + t_P, INF)
 
     # -- passes -------------------------------------------------------------
 
@@ -561,54 +576,53 @@ class _LevelDP:
 
         Reachability lives in one flat bitmap over the packed key space:
         valid child matrices are scattered wholesale (``seen[kids] =
-        True`` dedups for free), and each level's sorted key array is a
-        single ``flatnonzero`` over its segment of the bitmap — levels
-        are processed in descending ``l``, so every parent has been
-        expanded by the time a segment is read.  The states that fail the
-        load bound (:meth:`_under_load_bound`) are set aside there, neither
-        counted nor expanded.
+        True`` dedups for free), and each level's sorted level-local keys
+        are a single ``flatnonzero`` over its segment of the bitmap —
+        levels are processed in descending ``l``, so every parent has been
+        expanded by the time a segment is read.  One ``take`` of the
+        ``keep`` table sets aside the states that fail the state bounds
+        (module docstring), neither counted nor expanded.  ``p`` is a
+        level's leading digit, so its ``p ≥ 1`` states are the sorted
+        suffix from ``searchsorted(local, S_p)`` (``level_b``).
         """
-        S_l = self.S_l
+        S_l, S_t = self.S_l, self.S_t
         seen = np.zeros((self.L + 1) * S_l, dtype=bool)
         seen[root] = True
         for l in range(self.L, 0, -1):
-            keys = np.flatnonzero(seen[l * S_l : (l + 1) * S_l])
-            if not len(keys):
-                self.level_keys[l] = np.empty(0, dtype=np.int64)
-                continue
-            keys += l * S_l  # sorted, deduped by construction
-            low = self._under_load_bound(l, keys)
-            if not low.all():
-                self.level_pruned[l] = keys[~low]
+            local = np.flatnonzero(seen[l * S_l : (l + 1) * S_l])
+            pt = local // S_t
+            ok = self.tab.keep[l].take(pt)
+            if not ok.all():
+                self.level_pruned[l] = local[~ok] + l * S_l
                 self.pruned_load += len(self.level_pruned[l])
-                keys = keys[low]
-            self.level_keys[l] = keys
-            self.states += len(keys)
-            keys_b = keys[(keys // self.S_p) % (self.P + 1) >= 1]
-            if not len(keys_b):
+                local, pt = local[ok], pt[ok]
+            b = int(np.searchsorted(local, self.S_p))
+            self.level_keys[l] = local + l * S_l  # sorted, deduped by construction
+            self.level_b[l] = b
+            self.states += len(local)
+            if b == len(local):
                 continue
             valid_n, child_n, _, valid_s, child_s, _ = self._expand(
-                l, keys_b, count=True
+                l, local[b:], pt[b:], count=True
             )
             # level-0 children land in the bitmap too; reduce() never reads
             # their segment back (T(0, ·) is closed-form), closes() does
             seen[child_n[valid_n]] = True
             seen[child_s[valid_s]] = True
         level0 = np.flatnonzero(seen[:S_l])
-        self.reached_level0 = bool(self._under_load_bound(0, level0).any())
+        # keep[0] is it·t_step < cap: T(0, ·) = it·t_step
+        self.reached_level0 = bool(self.tab.keep[0].take(level0 // S_t).any())
 
     def closes(self) -> bool:
-        """Whether the root's value is under the cap, as far as
-        reachability tells: whether :meth:`discover` reached a level-0
-        state within the load bound or a ``p == 0`` state whose
-        :meth:`_base_p0` is feasible (see the module docstring).  A probe
-        it refutes skips :meth:`reduce`."""
+        """Whether the root's value is under the cap: whether
+        :meth:`discover` reached a level-0 state with ``it·t_step`` under
+        it, or a ``p == 0`` state whose :meth:`_base_p0` is (see the module
+        docstring).  A probe it refutes skips :meth:`reduce`."""
         if self.reached_level0:
             return True
         for l in range(1, self.L + 1):
-            keys = self.level_keys[l]
-            keys = keys[(keys // self.S_p) % (self.P + 1) == 0]
-            if len(keys) and self._base_p0(l, keys)[1].any():
+            b = self.level_b[l]
+            if b and (self._base_p0(l, self.level_keys[l][:b] - l * self.S_l) < self.cap).any():
                 return True
         return False
 
@@ -620,7 +634,7 @@ class _LevelDP:
         is prefilled closed-form, every other child a level references
         was scattered during discovery (the expansion is deterministic,
         so both passes produce the same validity masks) and is either one
-        of its level's states or a state the load bound dropped, which
+        of its level's states or a state the state bounds dropped, which
         reads ``INF``; lower levels are written before higher levels read
         them.
         """
@@ -632,28 +646,19 @@ class _LevelDP:
         for l in range(1, self.L + 1):
             if self.level_pruned[l] is not None:
                 dense[self.level_pruned[l]] = INF
-            keys = self.level_keys[l]
-            if keys is None or not len(keys):
-                self.level_keys[l] = np.empty(0, dtype=np.int64)
-                self.level_dec[l] = np.empty(0, dtype=np.int64)
-                continue
+            keys, b = self.level_keys[l], self.level_b[l]
             n = len(keys)
             vals = np.empty(n, dtype=float)
             dec = np.full(n, _NO_DEC, dtype=np.int64)
-
-            p = (keys // self.S_p) % (self.P + 1)
-            mask0 = p == 0
-            if mask0.any():
-                v0, feas0 = self._base_p0(l, keys[mask0])
-                vals[mask0] = v0
-                dec[np.flatnonzero(mask0)[feas0]] = _NO_CHILD
-            maskB = ~mask0
-            if maskB.any():
-                bv, child = self._best(self._expand(l, keys[maskB]), dense)
-                vals[maskB] = bv
+            if b:  # the p == 0 prefix
+                vals[:b] = self._base_p0(l, keys[:b] - l * S_l)
+                dec[:b][vals[:b] < INF] = _NO_CHILD
+            if b < n:
+                local = keys[b:] - l * S_l
+                bv, child = self._best(self._expand(l, local, local // S_t), dense)
+                vals[b:] = bv
                 ok = bv < INF
-                dec[np.flatnonzero(maskB)[ok]] = child[ok]
-
+                dec[b:][ok] = child[ok]
             self.level_dec[l] = dec
             dense[keys] = vals
         self.dense = dense
@@ -686,14 +691,12 @@ class _LevelDP:
         if not self.swept:
             return INF, [], []
         self.reduce()
-        period = float(self.dense[root])
-        if period == INF:
-            return INF, [], []
+        period = float(self.dense[root])  # under the cap: closes() is exact
         S_l, S_p, P1 = self.S_l, self.S_p, self.P + 1
         stages: list[Stage] = []
         special: list[bool] = []
         key = root
-        while key >= S_l:  # a state above level 0 on the root's finite path
+        while key >= S_l:  # a state above level 0 on the root's path
             l = key // S_l
             child = int(self.level_dec[l][np.searchsorted(self.level_keys[l], key)])
             if child == _NO_CHILD:
@@ -743,7 +746,9 @@ def _contiguous(
 
     # level l's kept cuts are columns off[l] … off[l+1]-1 of the tables
     sel, off, _, mem, iv2 = _delay_tables(cuts, cap, That, V_grid, v_step)
-    ok = mem <= platform.memory + _EPS  # (n_v, n_kept)
+    local = cuts.local[sel]
+    cap_ok = local < cap  # max(U, C) under the cap
+    ok = (mem <= platform.memory + _EPS) & cap_ok  # (n_v, n_kept)
     child = cuts.base[sel] + iv2  # flat index of (k-1, 0, iv2)
 
     # downward: the reachable states and their rejected candidates
@@ -757,19 +762,21 @@ def _contiguous(
         if not len(iv):
             continue
         a, b = off[l], off[l + 1]
-        pruned_cap += len(iv) * (l - (b - a))
+        under = len(iv) * int(np.count_nonzero(cap_ok[a:b]))
+        pruned_cap += len(iv) * l - under
         valid = ok[iv, a:b]
-        pruned_mem += valid.size - int(np.count_nonzero(valid))
+        pruned_mem += under - int(np.count_nonzero(valid))
         reach[(child[iv, a:b] + (pm1 * n_v)[:, None])[valid]] = True
     # only a level-0 state closes the chain (T(l ≥ 1, 0, ·) is INF below),
-    # so the root's value is finite exactly when one is reachable
+    # T(0, ·) = 0 and every valid candidate's cost is under the cap, so the
+    # root's value is under the cap exactly when one is reachable
     if not seen[0].any():
         return INF, [], states, pruned_cap, pruned_mem, False
 
     # upward: T(0, p, iv) = it·t_step = 0; a p == 0 state with layers left
     # could only close the chain on the special processor.  A cut that
-    # fails the memory check costs INF whatever its child's value.
-    cost = np.where(ok, cuts.local[sel], INF)
+    # fails the cap or the memory check costs INF whatever its child's value.
+    cost = np.where(ok, local, INF)
     T = np.empty((L + 1, P + 1, n_v))
     T[0] = 0.0
     T[1:, 0] = INF
@@ -812,14 +819,17 @@ def madpipe_dp(
     ``period_cap`` is an incumbent period to beat (``inf`` disables): the
     result's ``dp_period`` is strictly below it, or the result is
     infeasible.  Under a finite cap the DP prunes the candidate stages
-    whose load reaches it, and the special kernel the states whose load
-    bound does (``pruned_load``, module docstring); a capped probe whose
-    uncapped period is under the cap returns that period and allocation.
+    whose local cost reaches it, and the special kernel the states whose
+    load bound or ``t_P`` does (``pruned_load``, module docstring); a
+    capped probe whose uncapped period is under the cap returns that
+    period and allocation.  The value sweep runs only for a probe that
+    returns an allocation (``swept``).
     ``allow_special=False`` restricts the DP to contiguous allocations
     (ablation: memory-aware PipeDream, and MadPipe's contiguous
     candidate); it runs the dense contiguous kernel, the default runs the
     special-processor kernel (module docstring).  ``states`` counts the
-    grid states reachable from the root, the load-pruned ones excluded.
+    grid states reachable from the root, the ones the state bounds drop
+    excluded.
 
     ``workspace`` is a dict shared across evaluations of the same
     (chain, P, β, grid): it holds the tables that depend on neither
@@ -868,11 +878,12 @@ class Algorithm1Result:
     target: float  # the T̂ achieving it
     allocation: DPAllocation | None
     history: list[tuple[float, float]] = field(default_factory=list)  # (T̂_i, T_i)
-    states: int = 0  # reachable DP states, summed over probes
+    states: int = 0  # reachable DP states, summed over evaluated probes
     wall_time_s: float = 0.0  # total phase-1 wall time
-    pruned_cap: int = 0  # cap-pruned candidates, summed over probes
-    pruned_mem: int = 0  # memory-pruned candidates, summed over probes
-    pruned_load: int = 0  # load-pruned states, summed over probes
+    # pruned candidates and dropped states, summed over evaluated probes
+    pruned_cap: int = 0
+    pruned_mem: int = 0
+    pruned_load: int = 0
     # the distinct feasible allocations the probes returned, in probe
     # order (each under its probe's cap); ``allocation`` is one of them
     visited: list[DPAllocation] = field(default_factory=list)
@@ -921,9 +932,20 @@ def algorithm1(
     ``dp.rescue_probes``).  A search that finds something keeps the
     paper's trajectory exactly.
 
-    Each probe's ``madpipe.dp`` span records ``swept`` and the pruning
-    counters (``pruned_cap``, ``pruned_mem``, ``pruned_load``), and the
-    counter ``dp.value_sweeps_skipped`` counts the probes whose
+    A probe whose exact ``(T̂, cap)`` an earlier probe of the same search
+    asked is answered from that probe's result, without calling the
+    evaluator: the DP is a pure function of (chain, platform, grid, T̂,
+    cap), and the workspace never changes a result.  Once ``lb`` and
+    ``ub`` meet, every later probe is such a repeat.  ``history`` keeps
+    every probe, so the iteration count is the paper's; ``states`` and the
+    pruning counters sum the evaluated probes only.  The counters
+    ``dp.probes`` and ``dp.probes_reused`` count the search's probes and
+    the reused ones.
+
+    Each probe's ``madpipe.dp`` span records ``reused``, ``period`` and
+    ``feasible``; an evaluated one adds ``swept`` and the pruning counters
+    (``pruned_cap``, ``pruned_mem``, ``pruned_load``).  The counter
+    ``dp.value_sweeps_skipped`` counts the evaluated probes whose
     reachability pass proved them infeasible, so they skipped their value
     sweep.
 
@@ -961,35 +983,42 @@ def algorithm1(
     That = lb
     best = Algorithm1Result(INF, That, None)
     skipped = 0  # probes whose value sweep was skipped
+    # the search's answers by exact (T̂, cap): the DP is a pure function of
+    # them here, so a repeated probe is answered without an evaluation
+    answers: dict[tuple[float, float], MadPipeDPResult] = {}
 
     def probe(That: float, period_cap: float) -> float:
-        """One ``MadPipe-DP(T̂)`` evaluation, folded into ``best``."""
+        """One ``MadPipe-DP(T̂)`` probe, folded into ``best``."""
         nonlocal skipped
-        with obs.span("madpipe.dp", target=That) as probe_span:
-            res = dp(
-                chain,
-                platform,
-                That,
-                grid=grid,
-                period_cap=period_cap,
-                allow_special=allow_special,
-                **dp_opts,
-            )
+        res = answers.get((That, period_cap))
+        with obs.span("madpipe.dp", target=That, reused=res is not None) as probe_span:
+            if res is None:
+                res = answers[That, period_cap] = dp(
+                    chain,
+                    platform,
+                    That,
+                    grid=grid,
+                    period_cap=period_cap,
+                    allow_special=allow_special,
+                    **dp_opts,
+                )
+                probe_span.set(
+                    states=res.states,
+                    pruned_cap=res.pruned_cap,
+                    pruned_mem=res.pruned_mem,
+                    pruned_load=res.pruned_load,
+                    swept=res.swept,
+                )
+                skipped += not res.swept
+                best.states += res.states
+                best.pruned_cap += res.pruned_cap
+                best.pruned_mem += res.pruned_mem
+                best.pruned_load += res.pruned_load
             probe_span.set(
                 period=res.dp_period if res.dp_period != INF else None,
-                states=res.states,
-                pruned_cap=res.pruned_cap,
-                pruned_mem=res.pruned_mem,
-                pruned_load=res.pruned_load,
                 feasible=res.feasible,
-                swept=res.swept,
             )
-        skipped += not res.swept
         best.history.append((That, res.dp_period))
-        best.states += res.states
-        best.pruned_cap += res.pruned_cap
-        best.pruned_mem += res.pruned_mem
-        best.pruned_load += res.pruned_load
         if res.feasible and res.allocation not in best.visited:
             best.visited.append(res.allocation)
         if res.feasible and res.effective_period < best.period:
@@ -1027,6 +1056,7 @@ def algorithm1(
     best.wall_time_s = time.perf_counter() - t0
     obs.inc("dp.searches")
     obs.inc("dp.probes", len(best.history))
+    obs.inc("dp.probes_reused", len(best.history) - len(answers))
     obs.inc("dp.value_sweeps_skipped", skipped)
     obs.inc("dp.states", best.states)
     obs.inc("dp.pruned_cap", best.pruned_cap)

@@ -139,6 +139,7 @@ def _print_registry_stats(
             f"{snap.get('dp.probes', 0)} probes "
             f"({snap.get('dp.searches', 0)} searches, "
             f"{snap.get('dp.value_sweeps_skipped', 0)} value sweeps skipped), "
+            f"{snap.get('dp.probes_reused', 0)} probes reused, "
             f"{snap.get('dp.wall_s', 0.0):.2f}s wall, "
             f"pruned {snap.get('dp.pruned_cap', 0)} candidates by period cap, "
             f"{snap.get('dp.pruned_mem', 0)} by memory; "

@@ -8,15 +8,22 @@ return *identical* ``(dp_period, allocation, effective_period)`` across
 randomized chains, platforms and grids, and the benchmark harness
 (``benchmarks/bench_dp_hotpath.py``) measures the speedup against it.
 
-Two rules bound a capped probe, and the fast path shares them:
+These rules bound a capped probe, and the fast path shares them:
 
 * **the cap holds** — a probe with ``period_cap = c`` returns a period
   strictly below ``c``, or nothing;
-* **the load bound** — with the special processor, a state whose load
-  ``t_P + U(1, l)`` reaches ``(p + 1)·c + l·1e-9·t_step`` is worth at
-  least ``c``, so it is valued ``INF`` unexplored and never memoized.
-  ``states`` (the memoized states) and ``pruned_load`` (the distinct
-  dropped ones) therefore match the fast path's counters exactly.
+* **the local cost** — a candidate stage whose local cost reaches ``c``
+  is not taken: ``max(U(k,l), C(k-1))`` on a normal processor,
+  ``max(t_P + U(k,l), C(k-1))`` on the special one;
+* **the state bounds** — with the special processor, a state whose load
+  ``t_P + U(1, l)`` reaches ``(p + 1)·c + l·1e-9·t_step``, or whose
+  ``t_P`` alone reaches ``c``, is worth at least ``c``, so it is valued
+  ``INF`` unexplored and never memoized.  ``states`` (the memoized
+  states) and ``pruned_load`` (the distinct dropped ones) therefore match
+  the fast path's counters exactly.
+
+Every candidate or state these rules drop is worth at least ``c``, so no
+period under the cap moves, nor the first minimum that picks it.
 
 It is intentionally slow — do not use it outside tests and benchmarks.
 """
@@ -100,9 +107,13 @@ def madpipe_dp_reference(
         if hit is not None:
             return hit
         t_P, m_P, V = it * t_step, im * m_step, iv * v_step
-        # the load bound: t_P + U(1,l) spread over at most p + 1
-        # processors, less the snap's slack of at most l special stages
-        if allow_special and t_P + cumU[l] >= (p + 1) * period_cap + l * _EPS * t_step:
+        # the state bounds: t_P + U(1,l) spread over at most p + 1
+        # processors, less the snap's slack of at most l special stages;
+        # and t_P, since it2 ≥ it on every special stage and T(0, ·) = t_P
+        if allow_special and (
+            t_P >= period_cap
+            or t_P + cumU[l] >= (p + 1) * period_cap + l * _EPS * t_step
+        ):
             pruned.add(key)
             return (INF, None)
         best: float = INF
@@ -132,7 +143,7 @@ def madpipe_dp_reference(
             if iv2 > iv_top:
                 iv2 = iv_top
             # normal processor
-            if U_kl < period_cap and mem(k, l, g) <= M + _EPS:
+            if max(U_kl, comm) < period_cap and mem(k, l, g) <= M + _EPS:
                 sub, _ = solve(k - 1, p - 1, it, im, iv2)
                 cand = max(U_kl, comm, sub)
                 if cand < best:
@@ -142,7 +153,7 @@ def madpipe_dp_reference(
             if allow_special:
                 t2 = t_P + U_kl
                 m2 = m_P + mem(k, l, g - 1)
-                if t2 < period_cap and m2 <= M + _EPS:
+                if max(t2, comm) < period_cap and m2 <= M + _EPS:
                     it2 = ceil(t2 / t_step - 1e-9)
                     if it2 > it_top:
                         it2 = it_top

@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.algorithms.madpipe import madpipe
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.core import Platform
 from repro.experiments import ResultCache, run_grid
+from repro.experiments.scenarios import paper_chain
 from repro.models import random_chain, uniform_chain
 
 from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
@@ -172,10 +174,13 @@ def counters(res):
 def recount_pruning(chain, platform, target, grid, cap, allow_special):
     """``(states, pruned_cap, pruned_mem, pruned_load)`` of one DP
     evaluation, recounted with a plain scalar loop over every reachable
-    ``(state, k)`` candidate of both branches.  With the special processor,
-    a reached state whose load ``t_P + U(1, l)`` reaches ``(p + 1)·cap``
-    (plus the snap's slack of ``1e-9·t_step`` per level) is dropped:
-    counted in ``pruned_load`` only, and not expanded."""
+    ``(state, k)`` candidate of both branches; a candidate whose local cost
+    (``max(U, C)``, or ``max(t_P + U, C)`` on the special processor)
+    reaches the cap counts as cap-pruned.  With the special processor, a
+    reached state whose load ``t_P + U(1, l)`` reaches ``(p + 1)·cap``
+    (plus the snap's slack of ``1e-9·t_step`` per level), or whose ``t_P``
+    reaches ``cap``, is dropped: counted in ``pruned_load`` only, and not
+    expanded."""
     L, P, M = chain.L, platform.n_procs, platform.memory
     t_max = chain.total_compute()
     v_max = t_max + chain.total_comm(platform.bandwidth)
@@ -200,7 +205,9 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
     for l in range(L, 0, -1):
         for p, it, im, iv in reach[l]:
             t_P, m_P, V = it * t_step, im * m_step, iv * v_step
-            if allow_special and t_P + cumU[l] >= (p + 1) * cap + l * 1e-9 * t_step:
+            if allow_special and (
+                t_P >= cap or t_P + cumU[l] >= (p + 1) * cap + l * 1e-9 * t_step
+            ):
                 pruned_load += 1
                 continue
             states += 1
@@ -211,7 +218,7 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
                 comm = 2.0 * act[k - 1] / platform.bandwidth if k > 1 else 0.0
                 g = max(up(V + U, target), 1)
                 iv2 = min(up(oplus(oplus(V, U), comm), v_step), grid.n_v - 1)
-                if U >= cap:
+                if max(U, comm) >= cap:
                     pruned_cap += 1
                 elif mem(k, l, g) > M + 1e-9:
                     pruned_mem += 1
@@ -220,7 +227,7 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
                 if not allow_special:
                     continue
                 t2, m2 = t_P + U, m_P + mem(k, l, g - 1)
-                if t2 >= cap:
+                if max(t2, comm) >= cap:
                     pruned_cap += 1
                 elif m2 > M + 1e-9:
                     pruned_mem += 1
@@ -234,9 +241,10 @@ def recount_pruning(chain, platform, target, grid, cap, allow_special):
 class TestCapLaw:
     """A probe capped at ``c`` returns the uncapped probe's ``dp_period``
     and allocation when that period is under ``c``, and nothing otherwise.
-    The law is exact, and it checks the load bound against unpruned runs
-    (``cap = inf`` prunes nothing), which the reference, carrying the same
-    bound, cannot do."""
+    The law is exact, and it checks the state bounds and the local-cost
+    rule against unpruned runs (``cap = inf`` prunes nothing), which the
+    reference, carrying the same rules, cannot do.  The fast path sweeps
+    values exactly when the probe returns an allocation."""
 
     @staticmethod
     def caps(chain, n_procs, period):
@@ -261,6 +269,8 @@ class TestCapLaw:
                 free = dp(chain, platform, target, **opts)
                 for cap in self.caps(chain, n_procs, free.dp_period):
                     res = dp(chain, platform, target, period_cap=cap, **opts)
+                    if dp is madpipe_dp:
+                        assert res.swept == res.feasible and free.swept == free.feasible
                     if free.dp_period < cap:
                         below += 1
                         assert res.dp_period == free.dp_period
@@ -295,9 +305,11 @@ class TestPruningCounters:
 
 class TestClosingCheck:
     """Both kernels decide feasibility from the reachability pass alone and
-    skip the value sweep when no reachable state closes the chain: a
-    level-0 state, or a ``p == 0`` state whose special-processor base
-    case fits.  Skipping changes no field of the result."""
+    skip the value sweep when no reachable state closes the chain under the
+    cap: a level-0 state with ``it·t_step`` under it, or a ``p == 0`` state
+    whose special-processor base case fits with ``U(1,l) + t_P`` under it.
+    The check is exact, so a probe sweeps exactly when it returns an
+    allocation, and skipping changes no field of the result."""
 
     @pytest.mark.parametrize("allow_special", [True, False])
     @pytest.mark.parametrize("n_procs", [1, 2, 3, 5])
@@ -328,6 +340,35 @@ class TestClosingCheck:
                     assert fast.swept == fast.feasible
                     outcomes.add(fast.feasible)
         assert outcomes == {True, False}
+
+    def test_bracketed_phase1_sweeps_only_its_feasible_probe(self):
+        """resnet50 (4, 8 GB): one of the bracketed phase 1's 8 probes
+        returns an allocation.  A check that closed on any terminal, even
+        one at or above the cap, swept 6 of them (T̂ 0.25627…0.25721 under
+        the cap 0.25727)."""
+        trace = obs.Trace()
+        with obs.use_trace(trace):
+            madpipe(paper_chain("resnet50"), Platform.of(4, 8, 12), grid=COARSE,
+                    iterations=8)
+        (phase1,) = trace.find("madpipe.phase1")
+        probes = [s.attrs for s in phase1.walk() if s.name == "madpipe.dp"]
+        assert len(probes) == 8 and sum(p["feasible"] for p in probes) == 1
+        assert [p["swept"] for p in probes] == [p["feasible"] for p in probes]
+
+    def test_cut_cost_at_the_cap_refutes_without_a_sweep(self):
+        """Contiguous kernel on a slow link: every path to level 0 takes a
+        normal stage whose cut cost ``C(k-1)`` reaches the cap, so nothing
+        closes under it.  A check that pruned by ``U`` alone swept."""
+        chain = random_chain(9, seed=8, decay=0.2)
+        platform = Platform.of(4, 1.0, 0.5)
+        seq = chain.total_compute() + chain.total_comm(platform.bandwidth)
+        opts = dict(grid=COARSE, period_cap=0.1 * seq, allow_special=False)
+        fast = madpipe_dp(chain, platform, 0.4 * seq, **opts)
+        assert not fast.feasible and not fast.swept
+        assert_identical(fast, madpipe_dp_reference(chain, platform, 0.4 * seq, **opts))
+        assert counters(fast) == recount_pruning(
+            chain, platform, 0.4 * seq, COARSE, 0.1 * seq, False
+        )
 
     @pytest.mark.parametrize("allow_special", [True, False])
     def test_counter_and_span(self, allow_special):

@@ -1,16 +1,28 @@
 """Tests for MadPipe phase 1: the DP and the T̂ binary search (§4.2)."""
 
+import importlib
+
 import pytest
 
 from repro import obs
-from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
-from repro.core import Platform
+from repro.algorithms.madpipe import madpipe
+from repro.algorithms.madpipe_dp import (
+    Discretization,
+    DPAllocation,
+    algorithm1,
+    madpipe_dp,
+)
+from repro.core import Platform, Stage
+from repro.experiments.scenarios import paper_chain
 from repro.models import random_chain
 
 from tests.oracles.madpipe_dp_reference import madpipe_dp_reference
 
 MB = float(2**20)
+INF = float("inf")
 COARSE = Discretization.coarse()
+dp_module = importlib.import_module("repro.algorithms.madpipe_dp")
+madpipe_module = importlib.import_module("repro.algorithms.madpipe")
 
 
 class TestDiscretization:
@@ -170,3 +182,109 @@ class TestAlgorithm1:
             algorithm1(cnnlike16, roomy4, iterations=2, grid=COARSE, upper=0.5)
         spans = trace.find("madpipe.algorithm1")
         assert [s.attrs["upper"] for s in spans] == [None, 0.5]
+
+
+def alloc(*stages):
+    """A DP allocation from ``(start, end, special)`` triples."""
+    return DPAllocation(
+        tuple(Stage(a, b) for a, b, _ in stages), tuple(sp for _, _, sp in stages)
+    )
+
+
+N, S = False, True
+GPT24_4_2 = alloc((1, 6, N), (7, 12, N), (13, 18, N), (19, 24, N))
+GPT24_8_15 = alloc(*((i, i + 2, N) for i in range(1, 24, 3)))
+
+#: ``madpipe()``'s two searches on gpt24 (12 GB/s, coarse grid, 8
+#: iterations), the contiguous one first: ``(history, period, target,
+#: allocation, visited)`` as every probe evaluated computed them.
+GPT24_SEARCHES = {
+    (4, 2.0): [
+        (
+            [(3.09980733952, 3.616441896106666),
+             (3.358124617813333, 3.0998073395200016),
+             (3.2289659786666673, 3.0998073395200016),
+             (3.1643866590933345, 3.0998073395200016),
+             (3.1320969993066683, 3.0998073395200016),
+             (3.115952169413335, INF),
+             (3.1240245843600016, 3.0998073395200016),
+             (3.1199883768866683, INF)],
+            3.1240245843600016, 3.1240245843600016, GPT24_4_2,
+            [alloc((1, 5, N), (6, 11, N), (12, 18, N), (19, 24, N)), GPT24_4_2],
+        ),
+        (
+            [(3.09980733952, 3.0998073395200016)] + [(3.0998073395200016, INF)] * 7,
+            3.0998073395200016, 3.09980733952,
+            alloc((1, 2, S), (3, 8, N), (9, 10, S), (11, 16, N), (17, 17, S),
+                  (18, 18, S), (19, 24, N)),
+            None,
+        ),
+    ],
+    (8, 1.5): [
+        (
+            [(1.54990366976, 1.5499036697600008)] + [(1.5499036697600008, INF)] * 7,
+            1.5499036697600008, 1.54990366976, GPT24_8_15, None,
+        ),
+        (
+            [(1.54990366976, 1.5499036697600008)] + [(1.5499036697600008, INF)] * 7,
+            1.5499036697600008, 1.54990366976,
+            alloc((1, 3, N), (4, 6, N), (7, 9, N), (10, 12, N), (13, 15, N),
+                  (16, 16, S), (17, 19, N), (20, 22, N), (23, 23, S), (24, 24, S)),
+            None,
+        ),
+    ],
+}
+
+
+class TestProbeReuse:
+    """Once ``lb`` and ``ub`` meet, Algorithm 1 asks the DP the same
+    ``(T̂, cap)`` again; a search answers a repeat from its earlier probe
+    and does not call the evaluator.  The paper's probe count and every
+    answer stay."""
+
+    @pytest.mark.parametrize(
+        "n_procs, memory, calls, reused", [(4, 2.0, 10, 6), (8, 1.5, 4, 12)]
+    )
+    def test_repeats_skip_the_evaluator(self, monkeypatch, n_procs, memory, calls, reused):
+        evaluated, searches = [], []
+        real_dp, real_search = dp_module.madpipe_dp, madpipe_module.algorithm1
+
+        def counting_dp(*args, **kwargs):
+            evaluated.append(args[2])
+            return real_dp(*args, **kwargs)
+
+        def recording_search(*args, **kwargs):
+            searches.append(real_search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(dp_module, "madpipe_dp", counting_dp)
+        monkeypatch.setattr(madpipe_module, "algorithm1", recording_search)
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            madpipe(paper_chain("gpt24"), Platform.of(n_procs, memory, 12),
+                    grid=COARSE, iterations=8)
+        assert len(evaluated) == calls
+        assert registry.get("dp.probes") == 16
+        assert registry.get("dp.probes_reused") == reused
+        expected = GPT24_SEARCHES[n_procs, memory]
+        for res, (history, period, target, allocation, visited) in zip(searches, expected):
+            assert res.history == history
+            assert (res.period, res.target) == (period, target)
+            assert res.allocation == allocation
+            assert res.visited == (visited or [allocation])
+
+    def test_reused_probes_do_no_work(self):
+        """A reused probe's span says so and carries no work counters;
+        ``states`` sums the evaluated probes only."""
+        chain, platform = paper_chain("gpt24"), Platform.of(8, 1.5, 12)
+        trace = obs.Trace()
+        with obs.use_trace(trace):
+            res = algorithm1(chain, platform, iterations=8, grid=COARSE)
+        spans = trace.find("madpipe.dp")
+        assert [s.attrs["reused"] for s in spans] == [False, False] + [True] * 6
+        assert [s.attrs["feasible"] for s in spans] == [T < INF for _, T in res.history]
+        assert all("states" not in s.attrs for s in spans[2:])
+        assert res.states == sum(s.attrs["states"] for s in spans[:2])
+        one = madpipe_dp(chain, platform, res.history[1][0], grid=COARSE,
+                         period_cap=res.period)
+        assert res.history[2:] == [(res.history[1][0], one.dp_period)] * 6
