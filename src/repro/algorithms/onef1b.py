@@ -479,7 +479,8 @@ def _period_search(
 
     # memory terms of MemoryBreakdown, as arrays over stages; the total is
     # evaluated in the breakdown's float order: (weights + activations) +
-    # buffers, then a split family's grad-input buffer ĝ = a_end
+    # buffers, then a split family adds one grad-input buffer ĝ = a_end
+    # (Stage.grad_buffer) per stage
     w3, abar, b_in, b_out = stage_memory_terms(chain, starts, ends)
     buf = b_in + b_out
     ghat = chain.activation_values(ends) if family.split else np.zeros(n_stages)

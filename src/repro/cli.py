@@ -72,6 +72,17 @@ _SHARED_FLAGS = {
         type=int, default=2,
         help="retries per crashed/timed-out solve before giving up",
     ),
+    "--min-samples": dict(
+        type=int, default=3,
+        help="calibration coverage floor per (layer, field); fewer surviving "
+        "samples fall back to the baseline and mark the result degraded "
+        "(certify: with --traces)",
+    ),
+    "--mad-k": dict(
+        type=float, default=5.0,
+        help="calibration outlier cut in robust (MAD-based) standard "
+        "deviations (certify: with --traces)",
+    ),
     "--no-warm-start": dict(
         action="store_true",
         help="solve from scratch instead of reusing the per-process "
@@ -388,17 +399,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "certificate": cert.to_dict(),
     }
     if calibration is not None:
-        payload["calibration"] = {
-            "traces": str(args.traces),
-            "degraded": calibration.degraded,
-            "coverage": [c.to_dict() for c in calibration.coverage],
-            "unknown_layers": list(calibration.unknown_layers),
-            "n_records": calibration.n_records,
-            "n_quarantined": calibration.n_quarantined,
-            "min_samples": calibration.min_samples,
-            "mad_k": calibration.mad_k,
-            "noise": calibration.noise.to_dict(),
-        }
+        block = calibration.to_dict()
+        del block["schema"], block["chain"]
+        payload["calibration"] = {**block, "traces": str(args.traces)}
     text = json.dumps(payload, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -792,15 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("traces", help="directory of *.jsonl / *.csv trace files")
     p.add_argument("profile", help="baseline chain profile (JSON)")
-    p.add_argument(
-        "--min-samples", type=int, default=3,
-        help="coverage floor per (layer, field); fewer surviving samples "
-        "fall back to the baseline and mark the result degraded",
-    )
-    p.add_argument(
-        "--mad-k", type=float, default=5.0,
-        help="outlier cut in robust (MAD-based) standard deviations",
-    )
+    _add_shared(p, "--min-samples", "--mad-k")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("-o", "--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_ingest)
@@ -863,15 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         "first (see 'repro ingest'); the robustness report then reflects "
         "observed variance and a degraded calibration degrades the status",
     )
-    p.add_argument(
-        "--min-samples", type=int, default=3,
-        help="calibration coverage floor per (layer, field) (with --traces)",
-    )
-    p.add_argument(
-        "--mad-k", type=float, default=5.0,
-        help="calibration outlier cut in robust standard deviations "
-        "(with --traces)",
-    )
+    _add_shared(p, "--min-samples", "--mad-k")
     p.add_argument("--stats", action="store_true")
     p.add_argument("-o", "--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_certify)

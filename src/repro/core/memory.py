@@ -53,19 +53,17 @@ def effective_capacity(memory: float, headroom: float = 0.0) -> float:
 class MemoryBreakdown:
     """Per-component memory usage of a stage, in bytes.
 
-    ``grad_buffers`` is the split-backward grad-input term (zero for the
-    classic monolithic-backward model, keeping totals bit-identical).
+    A split backward's grad-input buffer is not a term here: it lives
+    from ``B`` start to ``W`` completion, so the pattern's live-interval
+    accounting charges it (:meth:`~repro.core.partition.Stage.grad_buffer`).
     """
 
     weights: float
     activations: float
     buffers: float
-    grad_buffers: float = 0.0
 
     @property
     def total(self) -> float:
-        if self.grad_buffers:
-            return self.weights + self.activations + self.buffers + self.grad_buffers
         return self.weights + self.activations + self.buffers
 
 
@@ -77,7 +75,6 @@ def stage_memory_breakdown(
     *,
     in_buffer: bool | None = None,
     out_buffer: bool | None = None,
-    g_grad: int = 0,
 ) -> MemoryBreakdown:
     """Memory breakdown of stage ``k..l`` keeping ``g`` active batches.
 
@@ -88,19 +85,11 @@ def stage_memory_breakdown(
     stages of the special processor that are adjacent in the chain still
     exchange data through memory, but we keep the paper's conservative
     accounting and always charge buffers at internal boundaries).
-
-    ``g_grad`` is the split-backward term: the number of grad-input
-    buffers (each of size ``a_l``) held between a grad-input backward's
-    start and its grad-weight op's completion.  The weight-gradient
-    accumulator itself is already inside the ``3·W_i`` term, so splitting
-    the backward adds only this boundary-sized buffer.
     """
     if k > l:
         raise ValueError("empty stage")
     if g < 0:
         raise ValueError("negative active batch count")
-    if g_grad < 0:
-        raise ValueError("negative grad-buffer count")
     if in_buffer is None:
         in_buffer = k > 1
     if out_buffer is None:
@@ -112,10 +101,7 @@ def stage_memory_breakdown(
         buffers += 2.0 * chain.activation(k - 1)
     if out_buffer:
         buffers += 2.0 * chain.activation(l)
-    grad = g_grad * chain.activation(l) if g_grad else 0.0
-    return MemoryBreakdown(
-        weights=weights, activations=activations, buffers=buffers, grad_buffers=grad
-    )
+    return MemoryBreakdown(weights=weights, activations=activations, buffers=buffers)
 
 
 def stage_memory(
@@ -126,11 +112,10 @@ def stage_memory(
     *,
     in_buffer: bool | None = None,
     out_buffer: bool | None = None,
-    g_grad: int = 0,
 ) -> float:
     """Total ``M(k, l, g)`` in bytes (see :func:`stage_memory_breakdown`)."""
     return stage_memory_breakdown(
-        chain, k, l, g, in_buffer=in_buffer, out_buffer=out_buffer, g_grad=g_grad
+        chain, k, l, g, in_buffer=in_buffer, out_buffer=out_buffer
     ).total
 
 

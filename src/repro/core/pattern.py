@@ -9,16 +9,20 @@ starts at ``kT + t`` and processes mini-batch ``k − h``.
 The pattern is *valid* when, repeated indefinitely, it satisfies the
 dependencies of Fig. 1 and never overlaps two operations on one resource.
 For a same-batch dependency ``u → v`` this reduces to the batch-independent
-inequality ``(h_v − h_u)·T + t_v − t_u ≥ d_u``.
+inequality ``(h_v − h_u)·T + t_v − t_u ≥ d_u``;
+:meth:`PeriodicPattern.timing_rules` lists every such rule once.
 
-The steady-state number of active batches a stage keeps in memory at
-in-period time ``τ`` is ``(h_B − h_F) + [τ ≥ t_F] − [τ ≥ t_B + d_B]``
-(activation storage is charged from forward start to backward completion).
+Memory is held over live intervals.  The steady-state number of active
+batches a stage keeps in memory at in-period time ``τ`` is ``(h_B − h_F) +
+[τ ≥ t_F] − [τ ≥ t_B + d_B]`` (activation storage is charged from forward
+start to backward completion); a split backward's grad-input buffer is
+counted the same way from ``B`` start to ``W`` completion.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .chain import Chain
@@ -285,11 +289,43 @@ class PeriodicPattern:
 
     # -- validation -----------------------------------------------------------
 
+    def timing_rules(self) -> Iterator[tuple[str, Op, Op, float]]:
+        """Each timing rule as ``(rule, op, other, room)``; it holds when
+        ``room ≥ op.duration``.  ``"dependency"``: an edge ``op → other``
+        of :meth:`dependency_edges`, ``room = (h_other − h_op)·T +
+        t_other − t_op``.  ``"overlap"``: both circular gaps of each pair
+        on one resource, ``(a, b, (t_b − t_a) mod T)`` and ``(b, a, (t_a −
+        t_b) mod T)`` (two intervals meet on the period circle iff either
+        start falls inside the other).  :meth:`validate` and the
+        robustness stress (:mod:`repro.robust.perturb`) read these rules.
+        """
+        T = self.period
+        ops = self.ops
+        for u_key, v_key in self.dependency_edges():
+            u, v = ops[u_key], ops[v_key]
+            yield "dependency", u, v, (v.shift - u.shift) * T + v.start - u.start
+        by_resource: dict[tuple, list[Op]] = {}
+        for op in ops.values():
+            by_resource.setdefault(op.resource, []).append(op)
+        for same in by_resource.values():
+            for i, a in enumerate(same):
+                for b in same[i + 1 :]:
+                    yield "overlap", a, b, (b.start - a.start) % T
+                    yield "overlap", b, a, (a.start - b.start) % T
+
     def validate(self, chain: Chain, platform: Platform, tol: float = CHECK_RTOL) -> None:
-        """Raise :class:`PatternError` on any violation of the semantics."""
+        """Raise :class:`PatternError` on any violation of the semantics:
+        the op set of :meth:`op_table`, then every :meth:`timing_rules`
+        rule within ``tol``."""
         self._validate_structure(chain, platform, tol)
-        self._validate_dependencies(tol)
-        self._validate_resources(tol)
+        for rule, op, other, room in self.timing_rules():
+            if room - op.duration < -tol:
+                if rule == "dependency":
+                    raise PatternError(
+                        f"dependency {op.key} -> {other.key} violated by "
+                        f"{op.duration - room:.3g}s"
+                    )
+                raise PatternError(f"overlap on {op.resource}: {op} and {other}")
 
     def _validate_structure(self, chain: Chain, platform: Platform, tol: float) -> None:
         """Compare the pattern's ops with :meth:`op_table`: the same op
@@ -329,71 +365,40 @@ class PeriodicPattern:
                     f"{op} duration differs from the chain's {duration:.6g}s"
                 )
 
-    def _validate_dependencies(self, tol: float) -> None:
-        T = self.period
-        for u_key, v_key in self.dependency_edges():
-            u, v = self.ops[u_key], self.ops[v_key]
-            slack = (v.shift - u.shift) * T + v.start - u.start - u.duration
-            if slack < -tol:
-                raise PatternError(
-                    f"dependency {u_key} -> {v_key} violated by {-slack:.3g}s"
-                )
-
-    def _validate_resources(self, tol: float) -> None:
-        T = self.period
-        by_resource: dict[tuple, list[Op]] = {}
-        for op in self.ops.values():
-            by_resource.setdefault(op.resource, []).append(op)
-        for resource, ops in by_resource.items():
-            # circular (mod T) pairwise overlap test: [s, s+d) and
-            # [s', s'+d') intersect on the period circle iff either start
-            # falls strictly inside the other interval:
-            # (s' - s) mod T < d  or  (s - s') mod T < d'.
-            for i, a in enumerate(ops):
-                for b in ops[i + 1 :]:
-                    gap_ab = (b.start - a.start) % T
-                    gap_ba = (a.start - b.start) % T
-                    if gap_ab < a.duration - tol or gap_ba < b.duration - tol:
-                        raise PatternError(f"overlap on {resource}: {a} and {b}")
-
     # -- memory accounting ------------------------------------------------------
+
+    def _in_flight(self, opened: Op, closed: Op, tau: float) -> int:
+        """Steady-state number of batches live at in-period time ``tau``
+        in the interval from ``opened``'s start to ``closed``'s end.
+
+        Counting batches whose ``opened`` op has started and whose
+        ``closed`` op has not completed at absolute time ``kT + tau``
+        gives, for any large ``k``, ``floor((tau − t_o)/T) − floor((tau −
+        t_c − d_c)/T) + (h_c − h_o)`` — valid also when ``closed`` wraps
+        past the period boundary.
+        """
+        T = self.period
+        started = math.floor((tau - opened.start + EPS) / T)
+        freed = math.floor((tau - closed.end + EPS) / T)
+        return closed.shift - opened.shift + started - freed
 
     def active_batches(self, stage_idx: int, tau: float) -> int:
         """Steady-state number of active batches stage ``stage_idx`` stores
-        at in-period time ``tau``.
-
-        Counting batches whose ``F`` has started and whose ``B`` has not
-        completed at absolute time ``kT + tau`` gives, for any large ``k``,
-        ``floor((tau − t_F)/T) − floor((tau − t_B − d_B)/T) + (h_B − h_F)``
-        — valid also when the backward wraps past the period boundary.
-
-        For a split-backward stage the stored activations are consumed by
-        the grad-weight op as well, so they are freed at ``W`` completion
-        instead of ``B`` completion.
-        """
-        T = self.period
-        f = self.ops[(F, stage_idx)]
-        b = self.ops.get((W, stage_idx)) or self.ops[(B, stage_idx)]
-        started = math.floor((tau - f.start + EPS) / T)
-        freed = math.floor((tau - b.end + EPS) / T)
-        return b.shift - f.shift + started - freed
+        at in-period time ``tau``: activations live from ``F`` start to
+        ``B`` completion, or to ``W`` completion for a split-backward
+        stage, whose grad-weight op consumes them too."""
+        closed = self.ops.get((W, stage_idx)) or self.ops[(B, stage_idx)]
+        return self._in_flight(self.ops[(F, stage_idx)], closed, tau)
 
     def active_grad_batches(self, stage_idx: int, tau: float) -> int:
         """Steady-state number of grad-input buffers stage ``stage_idx``
-        holds at in-period time ``tau``.
-
-        Only meaningful for split-backward stages: the buffer is
-        allocated when ``B`` starts and freed when ``W`` completes.
-        Returns 0 for stages without a ``W`` op.
-        """
-        if (W, stage_idx) not in self.ops:
+        holds at in-period time ``tau``: a split backward's buffer lives
+        from ``B`` start to ``W`` completion.  Returns 0 for stages
+        without a ``W`` op."""
+        w = self.ops.get((W, stage_idx))
+        if w is None:
             return 0
-        T = self.period
-        b = self.ops[(B, stage_idx)]
-        w = self.ops[(W, stage_idx)]
-        started = math.floor((tau - b.start + EPS) / T)
-        freed = math.floor((tau - w.end + EPS) / T)
-        return w.shift - b.shift + started - freed
+        return self._in_flight(self.ops[(B, stage_idx)], w, tau)
 
     def memory_peaks(self, chain: Chain) -> dict[int, float]:
         """Steady-state peak memory (bytes) per processor.

@@ -13,11 +13,14 @@ For a fixed period ``T`` the pattern semantics of §3 become linear:
   ``(h_v − h_u)·T + t_v − t_u ≥ d_u``;
 * two ops on one resource get a disjunction binary ``y``
   (``y = 1`` ⇔ first op precedes the second inside the period);
-* the per-GPU memory peak is checked just after every forward start,
-  where the number of active batches of stage ``s'`` is
-  ``h_{B_{s'}} − h_{F_{s'}} + [F_{s'} before event] − [B_{s'} before
-  event]`` and the bracket indicators are exactly the ``y`` binaries of
-  the GPU's resource disjunctions.
+* the per-GPU memory peak is checked just after every forward start
+  (and backward start, when split), where each live interval — opening
+  op ``o``, closing op ``c``, size ``z`` — holds ``z·(h_c − h_o + [o
+  before event] − [c before event])`` and the bracket indicators are
+  exactly the ``y`` binaries of the GPU's resource disjunctions.  A
+  stage's activations live from ``F`` start to ``B`` end (``W`` end when
+  split); a split backward's grad-input buffer from ``B`` start to ``W``
+  end.
 
 The objective minimizes the total number of in-flight batches
 ``Σ_s (h_B_s − h_F_s)``, which steers the solver toward low-memory
@@ -32,6 +35,8 @@ variable classes) once per allocation, and
 (``±T`` on shift and disjunction variables, ``d_a − T`` disjunction
 bounds, ``T − d_o`` start-time bounds) in O(nnz) per probe.
 :func:`build_milp` is the composition of the two, for one-off models.
+The solver's LP jump (``repro.ilp.solver._reoptimize_period``) reads the
+same skeleton: its timing rows (finite lower bound) at frozen ``(h, y)``.
 """
 
 from __future__ import annotations
@@ -84,7 +89,9 @@ class MilpSkeleton:
     ``t_scale`` (each such slot is zero in ``a_const`` and appears only
     once, so plain fancy-index assignment reconstructs the full matrix).
     Row lower bounds decompose as ``lb_const + lb_scale·T``; row upper
-    bounds are T-independent.
+    bounds are T-independent.  The rows with a finite lower bound are the
+    timing rows (dependencies, then two per disjunction); memory rows
+    have ``lb = −inf``.
     """
 
     ops: list[OpKey]
@@ -93,7 +100,6 @@ class MilpSkeleton:
     t_index: dict[OpKey, int]
     h_index: dict[OpKey, int]
     y_index: dict[tuple[OpKey, OpKey], int]
-    dep_edges: list[tuple[OpKey, OpKey]]
     a_const: np.ndarray  # (n_rows, n_vars)
     t_rows: np.ndarray
     t_cols: np.ndarray
@@ -214,8 +220,7 @@ def build_skeleton(
         lb_scales.append(lb_scale)
 
     # dependencies: T*(h_v - h_u) + t_v - t_u >= d_u
-    dep_edges = dependency_edges(table, allocation.n_stages)
-    for u, v in dep_edges:
+    for u, v in dependency_edges(table, allocation.n_stages):
         r = len(rows)
         t_entries.append((r, h_index[v], 1.0))
         t_entries.append((r, h_index[u], -1.0))
@@ -245,46 +250,37 @@ def build_skeleton(
     for p in sorted(statics):
         stage_idxs = allocation.stages_on_proc(p)
         static = statics[p]
+        # live intervals (opening op, closing op, bytes): activations from
+        # F start until B completes (1F1B) or W does (a split backward
+        # consumes them too); a split backward's grad-input buffer from B
+        # start until W completes
+        live: list[tuple[OpKey, OpKey, float]] = []
+        for s_j in stage_idxs:
+            stage = allocation.stages[s_j]
+            free = ("W", s_j) if split else ("B", s_j)
+            live.append((("F", s_j), free, stage.stored_activations(chain)))
+            if split:
+                live.append((("B", s_j), ("W", s_j), stage.grad_buffer(chain)))
 
-        def add_event(event: OpKey, p: int = p, stage_idxs=stage_idxs, static=static) -> None:
+        def add_event(event: OpKey, p: int = p, live=live, static=static) -> None:
             coeffs: dict[int, float] = {}
             const = static
-            for s_j in stage_idxs:
-                # activations: allocated at F start, freed by B (1F1B) or
-                # W (split backward, which consumes them too)
-                free = ("W", s_j) if split else ("B", s_j)
-                abar = allocation.stages[s_j].stored_activations(chain)
-                if abar != 0.0:
-                    coeffs[h_index[free]] = coeffs.get(h_index[free], 0.0) + abar
-                    coeffs[h_index[("F", s_j)]] = coeffs.get(h_index[("F", s_j)], 0.0) - abar
-                    if ("F", s_j) == event:
-                        const += abar  # the event op itself has just started
-                    else:
-                        var, coef, cst = order_var(("F", s_j), event)
-                        coeffs[var] = coeffs.get(var, 0.0) + abar * coef
-                        const += abar * cst
-                    var, coef, cst = order_var(free, event)
-                    coeffs[var] = coeffs.get(var, 0.0) - abar * coef
-                    const -= abar * cst
-                if split:
-                    # grad-input buffers: allocated at B start, freed at W
-                    ghat = allocation.stages[s_j].grad_buffer(chain)
-                    if ghat != 0.0:
-                        coeffs[h_index[("W", s_j)]] = (
-                            coeffs.get(h_index[("W", s_j)], 0.0) + ghat
-                        )
-                        coeffs[h_index[("B", s_j)]] = (
-                            coeffs.get(h_index[("B", s_j)], 0.0) - ghat
-                        )
-                        if ("B", s_j) == event:
-                            const += ghat
-                        else:
-                            var, coef, cst = order_var(("B", s_j), event)
-                            coeffs[var] = coeffs.get(var, 0.0) + ghat * coef
-                            const += ghat * cst
-                        var, coef, cst = order_var(("W", s_j), event)
-                        coeffs[var] = coeffs.get(var, 0.0) - ghat * coef
-                        const -= ghat * cst
+            for opened, closed, size in live:
+                if size == 0.0:
+                    continue
+                # in flight: h_closed − h_opened + [opened before event]
+                # − [closed before event]
+                coeffs[h_index[closed]] = coeffs.get(h_index[closed], 0.0) + size
+                coeffs[h_index[opened]] = coeffs.get(h_index[opened], 0.0) - size
+                if opened == event:
+                    const += size  # the event op itself has just started
+                else:
+                    var, coef, cst = order_var(opened, event)
+                    coeffs[var] = coeffs.get(var, 0.0) + size * coef
+                    const += size * cst
+                var, coef, cst = order_var(closed, event)
+                coeffs[var] = coeffs.get(var, 0.0) - size * coef
+                const -= size * cst
             if coeffs:
                 add_row(coeffs, -np.inf, M - const)
             elif const > M:
@@ -332,7 +328,6 @@ def build_skeleton(
         t_index=t_index,
         h_index=h_index,
         y_index=y_index,
-        dep_edges=dep_edges,
         a_const=a_const,
         t_rows=t_rows,
         t_cols=t_cols,

@@ -18,7 +18,10 @@ are fixed, memory rows do not involve ``T``) — which the search exploits:
 * after every feasible probe, the combinatorial part of the solution
   (shifts ``h``, disjunctions ``y``) is frozen and a small LP
   re-optimizes ``(t, T)`` jointly — the certified minimum period of that
-  configuration, which typically collapses the bracket in one step;
+  configuration, which typically collapses the bracket in one step.
+  This LP jump is the skeleton's timing rows (dependencies and
+  disjunctions) at frozen ``(h, y)``, plus ``t_o ≤ T − d_o``: it writes
+  no constraint of its own;
 * the remaining gap is certified with asymmetric probes just below the
   incumbent (falling back to bisection when they keep succeeding).
 
@@ -301,7 +304,8 @@ def _reoptimize_period(
     """Fixed-configuration LP: freeze the shifts ``h`` and disjunction
     binaries ``y`` of a feasible MILP solution and minimize ``T`` over the
     start times jointly — the model is linear in ``(t, T)`` once the
-    combinatorial choices are fixed.
+    combinatorial choices are fixed.  Its rows are the skeleton's timing
+    rows at frozen ``(h, y)`` and ``t_o − T ≤ −d_o``.
 
     Returns the certified minimal period of that configuration and its
     pattern (to be re-validated by the caller), or ``None`` if the LP
@@ -310,45 +314,29 @@ def _reoptimize_period(
     """
     n_ops = skeleton.n_ops
     t_col = n_ops  # variables: t_0..t_{n-1}, then T
-    dur = skeleton.durations
-    t_index = skeleton.t_index
-    h = {o: int(round(x[skeleton.h_index[o]])) for o in skeleton.ops}
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add(coeffs: dict[int, float], ub: float) -> None:
-        row = np.zeros(n_ops + 1)
-        for col, val in coeffs.items():
-            row[col] += val
-        rows.append(row)
-        rhs.append(ub)
-
-    # dependency u→v: (h_v−h_u)·T + t_v − t_u ≥ d_u
-    for u, v in skeleton.dep_edges:
-        dh = h[v] - h[u]
-        add({t_index[u]: 1.0, t_index[v]: -1.0, t_col: -float(dh)}, -dur[u])
-    # disjunctions with y frozen:
-    #   t_b − t_a − T·y ≥ d_a − T   and   t_a − t_b + T·y ≥ d_b
-    for (a, b), yi in skeleton.y_index.items():
-        y = int(round(x[yi]))
-        if y == 1:
-            add({t_index[a]: 1.0, t_index[b]: -1.0}, -dur[a])
-            add({t_index[b]: 1.0, t_index[a]: -1.0, t_col: -1.0}, -dur[b])
-        else:
-            add({t_index[a]: 1.0, t_index[b]: -1.0, t_col: -1.0}, -dur[a])
-            add({t_index[b]: 1.0, t_index[a]: -1.0}, -dur[b])
-    # no wrap: t_o ≤ T − d_o
-    for o in skeleton.ops:
-        add({t_index[o]: 1.0, t_col: -1.0}, -dur[o])
-    # memory rows involve only h and y — constant under this freeze, and
-    # already satisfied at the probed period; re-checked by the caller.
+    # with h and y frozen, each T-scaled slot is a constant times T: the
+    # timing rows (finite lower bound: dependencies, then disjunctions)
+    # become  A_t·t + (Σ t_scale·rint(x) − lb_scale)·T ≥ lb_const.  Memory rows
+    # involve only h and y — constant under this freeze, and already
+    # satisfied at the probed period; re-checked by the caller.
+    timing = np.flatnonzero(np.isfinite(skeleton.lb_const))
+    t_coef = np.bincount(
+        skeleton.t_rows,
+        weights=skeleton.t_scale * np.rint(x[skeleton.t_cols]),
+        minlength=len(skeleton.lb_const),
+    ) - skeleton.lb_scale
+    A = np.zeros((len(timing) + n_ops, n_ops + 1))
+    A[: len(timing), :n_ops] = -skeleton.a_const[timing, :n_ops]
+    A[: len(timing), t_col] = -t_coef[timing]
+    # no wrap: t_o − T ≤ −d_o
+    A[len(timing) :, :n_ops] = np.eye(n_ops)
+    A[len(timing) :, t_col] = -1.0
+    rhs = np.concatenate((-skeleton.lb_const[timing], -skeleton.dur_arr))
 
     c = np.zeros(n_ops + 1)
     c[t_col] = 1.0
     bounds = [(0.0, None)] * n_ops + [(t_floor, None)]
-    res = linprog(
-        c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
-    )
+    res = linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
     if not res.success or res.x is None:
         return None
     T_lp = float(res.x[t_col])

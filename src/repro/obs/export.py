@@ -14,10 +14,9 @@ Three views over one span tree:
 * :func:`metrics_payload` — a flat metrics JSON document
   (``repro schedule --stats-json``).
 
-:func:`load_trace_file` sniffs all on-disk trace formats this package
-writes: the Chrome document, a bare JSON list of span dicts, and the
-JSONL per-instance stream appended by sweeps (one
-``{"spec": …, "spans": […]}`` object per line).
+:func:`load_trace_file` sniffs both on-disk trace formats this package
+writes: the Chrome document and the JSONL per-instance stream appended
+by sweeps (one ``{"spec": …, "spans": […]}`` object per line).
 """
 
 from __future__ import annotations
@@ -107,13 +106,12 @@ def write_chrome_trace(
 
 
 def load_trace_file(path: str | Path) -> list[dict]:
-    """Load root span dicts from any on-disk format this package writes."""
+    """Load root span dicts from either on-disk format this package
+    writes: the Chrome document of :func:`write_chrome_trace`, or a
+    sweep's JSONL per-instance stream."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         return []
-    if stripped[0] == "[":
-        return json.loads(text)
     # the Chrome document is one (pretty-printed) JSON object; a sweep
     # stream is one object per line, so a whole-text parse disambiguates
     try:
@@ -139,6 +137,8 @@ def load_trace_file(path: str | Path) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: corrupt trace line: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{lineno}: not a trace record object")
         roots.extend(rec.get("spans", ()))
     return roots
 

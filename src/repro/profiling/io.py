@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 from ..core.chain import Chain, LayerProfile
+from ..jsonl import strict_loads
 
 __all__ = [
     "ProfileError",
@@ -48,10 +49,6 @@ class ProfileError(ValueError):
         super().__init__(f"{where}: {message}")
         self.source = source
         self.field = field
-
-
-def _reject_constant(name: str) -> float:
-    raise ValueError(f"non-finite JSON constant {name!r}")
 
 
 def chain_from_dict(data: object, *, source: str = "<string>") -> Chain:
@@ -126,8 +123,8 @@ def loads_chain(text: str, *, source: str = "<string>") -> Chain:
     constants, missing/unknown fields or invalid values.
     """
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, ValueError) as exc:
+        data = strict_loads(text)
+    except ValueError as exc:  # json.JSONDecodeError included
         raise ProfileError(f"invalid JSON: {exc}", source=source) from None
     return chain_from_dict(data, source=source)
 

@@ -163,37 +163,20 @@ def _required_stretch(
     pattern: PeriodicPattern, dur: dict[tuple[str, int], float]
 ) -> float:
     """Minimal uniform scale of ``(t, T)`` under which the pattern is
-    valid with durations ``dur``; ``inf`` when no stretch can fix it
-    (a constraint with zero nominal slack against a positive duration).
+    valid with durations ``dur``: every
+    :meth:`~repro.core.pattern.PeriodicPattern.timing_rules` room, scaled
+    by ``s``, covers its op's new duration, and no op outgrows ``s·T``.
+    ``inf`` when no stretch can fix it (a rule with zero nominal room
+    against a positive duration).
     """
-    T = pattern.period
     s = 1.0
-    for u_key, v_key in pattern.dependency_edges():
-        d = dur[u_key]
-        if d <= 0.0:
-            continue
-        u, v = pattern.ops[u_key], pattern.ops[v_key]
-        lhs = (v.shift - u.shift) * T + v.start - u.start
-        if lhs <= 0.0:
-            return INF
-        s = max(s, d / lhs)
-    by_resource: dict[tuple, list[tuple[tuple[str, int], Op]]] = {}
-    for key, op in pattern.ops.items():
-        by_resource.setdefault(op.resource, []).append((key, op))
-    for ops in by_resource.values():
-        for i, (a_key, a) in enumerate(ops):
-            for b_key, b in ops[i + 1 :]:
-                gap_ab = (b.start - a.start) % T
-                gap_ba = (a.start - b.start) % T
-                d_a, d_b = dur[a_key], dur[b_key]
-                if d_a > 0.0:
-                    if gap_ab <= 0.0:
-                        return INF
-                    s = max(s, d_a / gap_ab)
-                if d_b > 0.0:
-                    if gap_ba <= 0.0:
-                        return INF
-                    s = max(s, d_b / gap_ba)
+    for _, op, _, room in pattern.timing_rules():
+        d = dur[op.key]
+        if d > 0.0:
+            if room <= 0.0:
+                return INF
+            s = max(s, d / room)
+    T = pattern.period
     for key, op in pattern.ops.items():  # no op may outgrow the period
         d = dur[key]
         if d > 0.0:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.algorithms import Discretization
 from repro.algorithms.madpipe import madpipe
 from repro.api import certify, plan
 from repro.cli import main as cli_main
@@ -21,7 +23,7 @@ from repro.core.memory import effective_capacity
 from repro.core.platform import Platform
 from repro.core.tolerances import memory_slack
 from repro.experiments.harness import run_instance
-from repro.models import uniform_chain
+from repro.models import random_chain, uniform_chain
 from repro.profiling import NoiseModel, save_chain
 from repro.robust import certify_pattern, robustness_report
 from repro.testing import Fault, faults
@@ -138,6 +140,40 @@ class TestApiCertify:
         assert rep.breaking_noise_scale is None
         for p, m in rep.oom_margin.items():
             assert m == pytest.approx(result.certificate.oom_margin[p])
+
+
+class TestRequiredStretch:
+    """The stress test's closed-form stretch reads the validator's own
+    timing rules: at ``s = _required_stretch(pattern, dur)`` the
+    stretched pattern validates against the perturbed chain."""
+
+    @pytest.mark.parametrize("family", ["1f1b", "zero_bubble"])
+    def test_stretched_pattern_validates(self, family):
+        from repro.robust.perturb import (
+            _op_durations,
+            _required_stretch,
+            _stretched_pattern,
+        )
+
+        noise = NoiseModel(sigma_compute=0.2, sigma_activation=0.2)
+        stretched = 0
+        for seed in range(3):
+            chain = random_chain(9, seed=seed)
+            platform = Platform.of(3, 1.5, 12)
+            result = plan(
+                chain, platform, schedule_family=family,
+                grid=Discretization.coarse(), iterations=6,
+            )
+            assert result.certificate.ok, seed
+            rng = np.random.default_rng(seed)
+            for draw in noise.draw(rng, 8, chain.L):
+                chain_p = noise.apply(chain, draw)
+                dur = _op_durations(chain_p, platform, result.pattern)
+                s = _required_stretch(result.pattern, dur)
+                assert s >= 1.0
+                _stretched_pattern(result.pattern, dur, s).validate(chain_p, platform)
+                stretched += s > 1.0
+        assert stretched >= 8, stretched
 
 
 class TestMemoryHeadroom:

@@ -359,3 +359,68 @@ class TestILPConsistencyWith1F1B:
         if mem_gb > 100:
             # unconstrained: both must sit at the load lower bound
             assert ilp.period <= star.period * 1.01
+
+
+class TestLPJump:
+    """The LP jump is the skeleton's timing rows at frozen ``(h, y)``:
+    on seeded MILP solutions, its period never exceeds the probed one,
+    and every row of ``skeleton.instantiate(T_lp)`` holds at ``(t_lp,
+    frozen h, y)``."""
+
+    @staticmethod
+    def _instances():
+        for seed in range(4):
+            chain = random_chain(8, seed=seed)
+            for alloc in (
+                Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0)),
+                Allocation(Partitioning.from_cuts(8, [3, 5, 7]), (0, 1, 1, 0)),
+            ):
+                yield seed, chain, alloc
+
+    @pytest.mark.parametrize("family", ["1f1b", "zero_bubble"])
+    def test_jump_satisfies_the_skeleton_rows(self, family, monkeypatch):
+        from repro.ilp import build_skeleton, solver
+
+        solved = []
+        real_linprog = solver.linprog
+
+        def spy(*args, **kwargs):
+            res = real_linprog(*args, **kwargs)
+            solved.append(res)
+            return res
+
+        monkeypatch.setattr(solver, "linprog", spy)
+        jumps = 0
+        for seed, chain, alloc in self._instances():
+            plat = Platform.of(2, 2.0, 12)
+            lower = alloc.period_lower_bound(chain, plat)
+            seq = solver._sequential_period(chain, plat, alloc)
+            try:
+                skeleton = build_skeleton(chain, plat, alloc, schedule_family=family)
+            except ValueError:
+                continue  # static memory alone overflows
+            for T in (0.5 * (lower + seq), seq):
+                model = skeleton.instantiate(T)
+                _, x, status = solver._solve_model(chain, plat, alloc, model, 30.0)
+                if x is None:
+                    assert status == "infeasible", (seed, T, status)
+                    continue
+                out = solver._reoptimize_period(skeleton, alloc, x, lower)
+                assert out is not None, (seed, T)
+                T_lp, _ = out
+                assert lower * (1 - 1e-12) <= T_lp <= T * (1 + 1e-9), (seed, T)
+
+                frozen = np.rint(x)
+                frozen[: skeleton.n_ops] = solved[-1].x[: skeleton.n_ops]
+                at_lp = skeleton.instantiate(T_lp)
+                (rows,) = at_lp.constraints
+                value = rows.A @ frozen
+                scale = np.maximum(
+                    1.0, np.abs(np.where(np.isfinite(rows.lb), rows.lb, rows.ub))
+                )
+                assert np.all(value >= rows.lb - 1e-7 * scale), (seed, T)
+                assert np.all(value <= rows.ub + 1e-7 * scale), (seed, T)
+                assert np.all(frozen >= at_lp.bounds.lb - 1e-7), (seed, T)
+                assert np.all(frozen <= at_lp.bounds.ub + 1e-7 * T_lp), (seed, T)
+                jumps += 1
+        assert jumps >= 8, jumps

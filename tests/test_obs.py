@@ -221,6 +221,13 @@ class TestExport:
         with pytest.raises(ValueError, match="reproSpans"):
             obs.load_trace_file(p)
 
+    def test_load_rejects_bare_span_list(self, tmp_path):
+        # nothing in the package writes a bare JSON list of spans
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps([{"name": "x"}]))
+        with pytest.raises(ValueError, match="not a trace record"):
+            obs.load_trace_file(p)
+
     def test_summarize_and_render(self):
         tr = self._traced_run()
         rows = obs.summarize(tr)

@@ -480,6 +480,10 @@ class TestIngestCli:
         assert c1 != (tmp_path / "cs.json").read_bytes()
         payload = json.loads(c1)
         assert payload["calibration"]["noise"]["per_layer"] is True
+        assert set(payload["calibration"]) == {
+            "traces", "degraded", "coverage", "unknown_layers", "n_records",
+            "n_quarantined", "min_samples", "mad_k", "noise",
+        }
         assert "robustness" in payload["certificate"]
 
     def test_certify_traces_degraded_status(self, tmp_path, capsys):
